@@ -26,6 +26,8 @@ from .invariance import (
     classify_conflict_free_attack,
     enumerate_invariant_attacks,
     extension_set_included,
+    framework_classifier,
+    invariant_attacks,
     non_decreasing_violations,
     non_increasing_violations,
     sigma_equivalent,

@@ -110,24 +110,37 @@ class ArgumentationFramework:
         self._require(argument)
         return all(self.set_attacks(members, attacker) for attacker in self._attackers_of[argument])
 
+    @cached_property
+    def _odd_reach(self) -> dict[str, frozenset[str]]:
+        # filled per source by odd_walk_exists; a fresh instance (say from
+        # add_attack) starts empty, so an entry never outlives its relation.
+        # Two threads racing on one source store the same set.
+        return {}
+
     def odd_walk_exists(self, source: str, target: str) -> bool:
         """True if a directed walk with an odd number of attacks leads from
         ``source`` to ``target``.
 
         Walks may repeat vertices and attacks, so this is decided by a
-        breadth-first search over (argument, parity) states.
+        breadth-first search over (argument, parity) states.  The arguments
+        reached at odd parity are memoised per source on this instance, so
+        each source is searched at most once per framework.
         """
         self._require(source)
         self._require(target)
-        seen = {(source, 0)}
-        frontier = [(source, 0)]
-        while frontier:
-            next_frontier = []
-            for node, parity in frontier:
-                for successor in self._targets_of[node]:
-                    state = (successor, parity ^ 1)
-                    if state not in seen:
-                        seen.add(state)
-                        next_frontier.append(state)
-            frontier = next_frontier
-        return (target, 1) in seen
+        reach = self._odd_reach.get(source)
+        if reach is None:
+            seen = {(source, 0)}
+            frontier = [(source, 0)]
+            while frontier:
+                next_frontier = []
+                for node, parity in frontier:
+                    for successor in self._targets_of[node]:
+                        state = (successor, parity ^ 1)
+                        if state not in seen:
+                            seen.add(state)
+                            next_frontier.append(state)
+                frontier = next_frontier
+            reach = frozenset(node for node, parity in seen if parity)
+            self._odd_reach[source] = reach
+        return target in reach

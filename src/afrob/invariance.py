@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ArgumentSetMismatch, UnsupportedSemantics
 from .framework import ArgumentationFramework, Attack
@@ -263,27 +263,50 @@ def classify_attack(
     raise UnsupportedSemantics(f"attack classification supports cf and adm, not {semantics.value}")
 
 
+def candidate_attacks(af: ArgumentationFramework) -> list[Attack]:
+    """All attacks not yet present, in canonical order."""
+    return [
+        Attack(source, target)
+        for source in af.sorted_arguments
+        for target in af.sorted_arguments
+        if Attack(source, target) not in af.attacks
+    ]
+
+
+def framework_classifier(
+    af: ArgumentationFramework, semantics: Semantics
+) -> Callable[[tuple[str, str]], AttackClassification]:
+    """A classifier for attacks added to ``af``, equivalent to
+    :func:`classify_attack` with the same arguments.
+
+    The per-framework state (the conflict-free credulous in-set, or the
+    labellings of the admissible sets) is built once, here,
+    and shared by every call, so classifying all n^2 candidates of a
+    framework costs one enumeration instead of one per candidate.
+    """
+    semantics = Semantics(semantics)
+    if semantics is Semantics.CONFLICT_FREE:
+        credulous_in = credulous_sets(af, Semantics.CONFLICT_FREE).in_set
+        return lambda attack: classify_conflict_free_attack(af, attack, credulous_in)
+    if semantics is Semantics.ADMISSIBLE:
+        labellings = _extension_labellings(af, admissible_sets(af))
+        return lambda attack: classify_admissible_attack(af, attack, labellings=labellings)
+    raise UnsupportedSemantics(f"attack classification supports cf and adm, not {semantics.value}")
+
+
+def invariant_attacks(af: ArgumentationFramework, semantics: Semantics) -> Iterator[Attack]:
+    """The candidate attacks classified invariant, lazily in canonical
+    order, all classified by one :func:`framework_classifier`."""
+    classify = framework_classifier(af, semantics)
+    return (
+        attack
+        for attack in candidate_attacks(af)
+        if classify(attack).verdict is Verdict.INVARIANT
+    )
+
+
 def enumerate_invariant_attacks(
     af: ArgumentationFramework, semantics: Semantics
 ) -> frozenset[Attack]:
     """All attacks not yet present whose addition is classified invariant."""
-    semantics = Semantics(semantics)
-    if semantics is Semantics.CONFLICT_FREE:
-        credulous_in = credulous_sets(af, Semantics.CONFLICT_FREE).in_set
-        classify = lambda attack: classify_conflict_free_attack(af, attack, credulous_in)
-    elif semantics is Semantics.ADMISSIBLE:
-        labellings = _extension_labellings(af, admissible_sets(af))
-        classify = lambda attack: classify_admissible_attack(af, attack, labellings=labellings)
-    else:
-        raise UnsupportedSemantics(
-            f"attack classification supports cf and adm, not {semantics.value}"
-        )
-    found = set()
-    for source in af.sorted_arguments:
-        for target in af.sorted_arguments:
-            attack = Attack(source, target)
-            if attack in af.attacks:
-                continue
-            if classify(attack).verdict is Verdict.INVARIANT:
-                found.add(attack)
-    return frozenset(found)
+    return frozenset(invariant_attacks(af, semantics))

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 
 from .framework import ArgumentationFramework, Attack
-from .invariance import AttackClassification, Rule, Verdict, classify_attack
+from .invariance import (
+    AttackClassification,
+    Rule,
+    Verdict,
+    candidate_attacks,
+    framework_classifier,
+)
 from .semantics import ExtensionSet, Semantics, extensions
 
 # aggregation key for divergences where no rule fired at all
@@ -58,16 +64,6 @@ class AuditReport:
         return dict(sorted(counts.items()))
 
 
-def candidate_attacks(af: ArgumentationFramework) -> list[Attack]:
-    """All attacks not yet present, in canonical order."""
-    return [
-        Attack(source, target)
-        for source in af.sorted_arguments
-        for target in af.sorted_arguments
-        if Attack(source, target) not in af.attacks
-    ]
-
-
 def oracle_invariant(
     af: ArgumentationFramework, attack: tuple[str, str], semantics: Semantics
 ) -> bool:
@@ -97,9 +93,10 @@ def cross_validate(af: ArgumentationFramework, semantics: Semantics) -> list[Dis
     """Compare the classifier with the ground truth on every candidate
     attack; return all disagreements."""
     semantics = Semantics(semantics)
+    classify = framework_classifier(af, semantics)
     found = []
     for attack in candidate_attacks(af):
-        classification = classify_attack(af, attack, semantics)
+        classification = classify(attack)
         truth = oracle_invariant(af, attack, semantics)
         if (classification.verdict is Verdict.INVARIANT) != truth:
             lost, gained = extension_changes(af, attack, semantics)
@@ -199,7 +196,6 @@ __all__ = [
     "NO_RULE_FIRED",
     "AuditReport",
     "DiscrepancyReport",
-    "candidate_attacks",
     "canonical_names",
     "cross_validate",
     "exhaustive_audit",

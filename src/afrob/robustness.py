@@ -12,10 +12,11 @@ cheap lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import UnsupportedSemantics
 from .framework import ArgumentationFramework, Attack
-from .invariance import Verdict, classify_attack, sigma_equivalent
+from .invariance import Verdict, classify_attack, invariant_attacks, sigma_equivalent
 from .oracle import oracle_invariant
 from .semantics import Semantics
 
@@ -29,21 +30,13 @@ class RobustnessResult:
     truncated: bool = False
 
 
-def _invariant_candidates(
-    af: ArgumentationFramework, semantics: Semantics, paranoid: bool
-) -> list[Attack]:
-    found = []
-    for source in af.sorted_arguments:
-        for target in af.sorted_arguments:
-            attack = Attack(source, target)
-            if attack in af.attacks:
-                continue
-            if classify_attack(af, attack, semantics).verdict is not Verdict.INVARIANT:
-                continue
-            if paranoid and not oracle_invariant(af, attack, semantics):
-                continue
-            found.append(attack)
-    return found
+def _steps(af: ArgumentationFramework, semantics: Semantics, paranoid: bool) -> Iterator[Attack]:
+    # invariant candidates in canonical order, classified lazily; under
+    # paranoid each one is confirmed by recomputation only when reached
+    steps = invariant_attacks(af, semantics)
+    if paranoid:
+        return (attack for attack in steps if oracle_invariant(af, attack, semantics))
+    return steps
 
 
 def robustness_degree(
@@ -79,13 +72,12 @@ def _greedy(af, semantics, max_steps, paranoid) -> RobustnessResult:
     witness: list[Attack] = []
     truncated = False
     while True:
-        candidates = _invariant_candidates(current, semantics, paranoid)
-        if not candidates:
+        step = next(_steps(current, semantics, paranoid), None)
+        if step is None:
             break
         if max_steps is not None and len(witness) >= max_steps:
             truncated = True
             break
-        step = candidates[0]
         current = current.add_attack(*step)
         witness.append(step)
     return RobustnessResult(
@@ -106,17 +98,18 @@ def _exhaustive(af, semantics, max_steps, paranoid) -> RobustnessResult:
         key = current.attacks
         if key in memo:
             return memo[key]
-        candidates = _invariant_candidates(current, semantics, paranoid)
+        steps = _steps(current, semantics, paranoid)
         # depth so far is determined by the relation size, so memoising on
         # the relation set alone stays sound even under a depth cap
         depth = len(current.attacks) - len(af.attacks)
         if max_steps is not None and depth >= max_steps:
-            if candidates:
+            if next(steps, None) is not None:
                 truncated = True
             memo[key] = (0, ())
             return memo[key]
         best: tuple[int, tuple[Attack, ...]] = (0, ())
-        for attack in candidates:
+        # classified in full before recursing, so the labellings are freed
+        for attack in list(steps):
             sub_degree, sub_witness = search(current.add_attack(*attack))
             if 1 + sub_degree > best[0]:
                 best = (1 + sub_degree, (attack,) + sub_witness)

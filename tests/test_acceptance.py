@@ -51,9 +51,9 @@ from afrob import (
     verify_witness,
 )
 from afrob.cli import format_audit_text, run_cli
+from afrob.invariance import candidate_attacks
 from afrob.oracle import (
     NO_RULE_FIRED,
-    candidate_attacks,
     canonical_names,
     framework_from_mask,
 )

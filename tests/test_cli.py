@@ -1,10 +1,12 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import afrob
 from afrob.cli import run_cli
 
 G3_APX = "arg(1).\narg(2).\narg(3).\narg(4).\natt(1,2).\natt(2,3).\n"
@@ -244,11 +246,17 @@ def test_text_and_json_verdicts_agree(capsys, g3_file):
 
 
 def test_module_entry_point(g3_file):
+    # the child imports the afrob under test, whether it came from PYTHONPATH
+    # or from pytest's pythonpath setting
+    source_root = os.path.dirname(os.path.dirname(afrob.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
     completed = subprocess.run(
         [sys.executable, "-m", "afrob", "extensions", "--semantics", "adm",
          "--input", g3_file, "--format", "json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert completed.returncode == 0
     payload = json.loads(completed.stdout)

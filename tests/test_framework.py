@@ -91,6 +91,16 @@ def test_odd_walk_examples(g3, mutual, self_loop):
         g3.odd_walk_exists("1", "z")
 
 
+def test_odd_walk_memo_stays_with_its_instance(g3):
+    assert not g3.odd_walk_exists("1", "3")
+    assert g3.odd_walk_exists("1", "2")
+    # a self-loop on 2 opens the walk 1 -> 2 -> 2 -> 3 of length three
+    looped = g3.add_attack("2", "2")
+    assert looped.odd_walk_exists("1", "3")
+    assert not g3.odd_walk_exists("1", "3")
+    assert not looped.odd_walk_exists("3", "1")
+
+
 @given(frameworks())
 def test_add_attack_is_monotone(af):
     for source in af.sorted_arguments:

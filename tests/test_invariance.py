@@ -15,6 +15,8 @@ from afrob import (
     conflict_free_sets,
     enumerate_invariant_attacks,
     extension_set_included,
+    framework_classifier,
+    invariant_attacks,
     labelling_from_set,
     non_decreasing_violations,
     non_increasing_violations,
@@ -22,7 +24,8 @@ from afrob import (
     sigma_equivalent,
 )
 from afrob.framework import Attack
-from afrob.oracle import candidate_attacks, canonical_names, framework_from_mask
+from afrob.invariance import candidate_attacks
+from afrob.oracle import canonical_names, framework_from_mask
 from afrob.semantics import extension_sort_key
 from conftest import frameworks
 
@@ -229,6 +232,27 @@ def test_enumerate_invariant_attacks_examples(g3, mutual, empty_af):
     )
     with pytest.raises(UnsupportedSemantics):
         enumerate_invariant_attacks(g3, Semantics.PREFERRED)
+
+
+def test_shared_classifier_matches_per_candidate_classification_exhaustively():
+    # one labelling enumeration and one odd-walk memo per framework must
+    # give, in canonical order, exactly what a fresh classification of each
+    # candidate gives
+    names = canonical_names(3)
+    for mask in range(1 << 9):
+        af = framework_from_mask(names, mask)
+        for semantics in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
+            fresh = [
+                attack
+                for attack in candidate_attacks(af)
+                if classify_attack(af, attack, semantics).verdict is Verdict.INVARIANT
+            ]
+            assert list(invariant_attacks(af, semantics)) == fresh, (mask, semantics)
+
+
+def test_framework_classifier_rejects_unsupported_semantics(g3):
+    with pytest.raises(UnsupportedSemantics):
+        framework_classifier(g3, Semantics.STABLE)
 
 
 def test_enumerated_attacks_are_new(g3):

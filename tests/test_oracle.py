@@ -8,7 +8,8 @@ from afrob import (
     oracle_invariant,
 )
 from afrob.framework import Attack
-from afrob.oracle import NO_RULE_FIRED, candidate_attacks, canonical_names, framework_from_mask
+from afrob.invariance import candidate_attacks
+from afrob.oracle import NO_RULE_FIRED, canonical_names, framework_from_mask
 
 
 def test_oracle_invariant_examples(g3):
@@ -66,6 +67,23 @@ def test_audit_two_arguments_adm_characterisation():
         assert (lost, gained) == (discrepancy.lost, discrepancy.gained)
         assert discrepancy.oracle_verdict == (not lost and not gained)
         assert (discrepancy.predicate_verdict is Verdict.INVARIANT) != discrepancy.oracle_verdict
+
+
+def test_audit_three_arguments_ledger():
+    # the exhaustive n=3 ledger pins the gain-side (NI) rules: a rule that
+    # fires more or less often than today moves these counts
+    adm = exhaustive_audit(3, Semantics.ADMISSIBLE)
+    assert (adm.frameworks_checked, adm.candidates_checked) == (512, 2304)
+    assert len(adm.discrepancies) == 324
+    assert adm.by_rule() == {
+        "NI-in-out-reinstates": 6,
+        "NI-in-undec-defends-undec": 6,
+        "NI-out-self-defense": 174,
+        NO_RULE_FIRED: 144,
+    }
+    cf = exhaustive_audit(3, Semantics.CONFLICT_FREE)
+    assert (cf.frameworks_checked, cf.candidates_checked) == (512, 2304)
+    assert cf.discrepancies == ()
 
 
 def test_missed_gain_discrepancy_is_a_real_gain():

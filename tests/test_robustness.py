@@ -4,14 +4,19 @@ import pytest
 
 from afrob import (
     ArgumentationFramework,
+    RobustnessResult,
     Semantics,
     UnknownArgument,
     UnsupportedSemantics,
+    Verdict,
+    classify_attack,
     enumerate_invariant_attacks,
+    oracle_invariant,
     robustness_degree,
     verify_witness,
 )
 from afrob.framework import Attack
+from afrob.invariance import candidate_attacks
 from afrob.oracle import canonical_names, framework_from_mask
 
 
@@ -62,6 +67,77 @@ def _random_frameworks(count, seed, max_args=4):
         n = rng.randint(1, max_args)
         cases.append(framework_from_mask(canonical_names(n), rng.getrandbits(n * n)))
     return cases
+
+
+def _fresh_candidates(af, semantics, paranoid):
+    # every candidate classified on its own, sharing nothing between them
+    return [
+        attack
+        for attack in candidate_attacks(af)
+        if classify_attack(af, attack, semantics).verdict is Verdict.INVARIANT
+        and (not paranoid or oracle_invariant(af, attack, semantics))
+    ]
+
+
+def _reference_greedy(af, semantics, paranoid, max_steps=None):
+    current, witness, truncated = af, [], False
+    while True:
+        candidates = _fresh_candidates(current, semantics, paranoid)
+        if not candidates:
+            break
+        if max_steps is not None and len(witness) >= max_steps:
+            truncated = True
+            break
+        current = current.add_attack(*candidates[0])
+        witness.append(candidates[0])
+    return RobustnessResult(len(witness), tuple(witness), len(witness) + 1, "greedy", truncated)
+
+
+def _reference_exhaustive(af, semantics, max_steps):
+    memo = {}
+    truncated = False
+
+    def search(current):
+        nonlocal truncated
+        if current.attacks not in memo:
+            candidates = _fresh_candidates(current, semantics, False)
+            best = (0, ())
+            if len(current.attacks) - len(af.attacks) >= max_steps:
+                truncated = truncated or bool(candidates)
+            else:
+                for attack in candidates:
+                    degree, witness = search(current.add_attack(*attack))
+                    if 1 + degree > best[0]:
+                        best = (1 + degree, (attack,) + witness)
+            memo[current.attacks] = best
+        return memo[current.attacks]
+
+    degree, witness = search(af)
+    return RobustnessResult(degree, witness, len(memo), "exhaustive", truncated)
+
+
+def test_lazy_greedy_takes_the_first_of_the_full_candidate_list():
+    names = canonical_names(3)
+    for mask in range(1 << 9):
+        af = framework_from_mask(names, mask)
+        for semantics in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
+            for paranoid in (False, True):
+                expected = _reference_greedy(af, semantics, paranoid)
+                found = robustness_degree(af, semantics, strategy="greedy", paranoid=paranoid)
+                assert found == expected, (mask, semantics, paranoid)
+            capped = robustness_degree(af, semantics, strategy="greedy", max_steps=1)
+            assert capped == _reference_greedy(af, semantics, False, max_steps=1)
+
+
+def test_capped_exhaustive_search_matches_per_candidate_classification():
+    # the depth cap only asks whether a candidate exists; every eighth
+    # three-argument relation keeps the per-candidate reference quick
+    names = canonical_names(3)
+    for mask in range(0, 1 << 9, 8):
+        af = framework_from_mask(names, mask)
+        for semantics in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
+            expected = _reference_exhaustive(af, semantics, max_steps=2)
+            assert robustness_degree(af, semantics, max_steps=2) == expected, (mask, semantics)
 
 
 def test_greedy_never_beats_exhaustive():

@@ -38,6 +38,7 @@ from .labelling import (
     Labelling,
     complete_labellings,
     credulous_sets,
+    extension_labellings,
     labelling_from_set,
     labelling_of_extension,
     labellings_for,
@@ -60,6 +61,8 @@ from .semantics import (
     admissible_sets,
     complete_sets,
     conflict_free_sets,
+    extension_difference,
+    extension_masks,
     extension_sort_key,
     extensions,
     grounded_set,

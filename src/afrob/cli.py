@@ -20,18 +20,22 @@ import sys
 from .apx import parse_apx
 from .errors import (
     AfrobError,
-    ArgumentSetMismatch,
     InternalInvariantViolation,
     ParseError,
     SizeLimit,
     UndeclaredArgument,
 )
 from .framework import ArgumentationFramework
-from .invariance import AttackClassification, classify_attack, enumerate_invariant_attacks
+from .invariance import (
+    AttackClassification,
+    classify_attack,
+    enumerate_invariant_attacks,
+    sigma_equivalent,
+)
 from .labelling import labellings_for
 from .oracle import AuditReport, exhaustive_audit, extension_changes, oracle_invariant
 from .robustness import RobustnessResult, robustness_degree
-from .semantics import Semantics, extension_sort_key, extensions
+from .semantics import Semantics, extension_difference, extension_sort_key, extensions
 
 SCHEMA = "afrob/1"
 
@@ -215,21 +219,18 @@ def _cmd_equivalent(args) -> int:
     af = _load(args.input)
     other = _load(args.other)
     semantics = Semantics(args.semantics)
-    if af.arguments != other.arguments:
-        raise ArgumentSetMismatch("the two frameworks do not share an argument set")
-    before = extensions(af, semantics)
-    after = extensions(other, semantics)
-    equivalent = before == after
+    equivalent = sigma_equivalent(af, other, semantics)
+    lost, gained = extension_difference(af, other, semantics)
     result = {
         "semantics": semantics.value,
         "equivalent": equivalent,
-        "lost": _sorted_extensions(before - after),
-        "gained": _sorted_extensions(after - before),
+        "lost": _sorted_extensions(lost),
+        "gained": _sorted_extensions(gained),
     }
     text = [
         f"equivalent: {'true' if equivalent else 'false'}",
-        f"lost: {_fmt_extensions(before - after)}",
-        f"gained: {_fmt_extensions(after - before)}",
+        f"lost: {_fmt_extensions(lost)}",
+        f"gained: {_fmt_extensions(gained)}",
     ]
     return _emit(args, "equivalent", result, text)
 

@@ -20,13 +20,12 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ArgumentSetMismatch, UnsupportedSemantics
 from .framework import ArgumentationFramework, Attack
-from .labelling import Labelling, credulous_sets, labelling_from_set
+from .labelling import Labelling, credulous_sets, extension_labellings
 from .semantics import (
     ExtensionSet,
     Semantics,
     admissible_sets,
-    extension_sort_key,
-    extensions,
+    extension_masks,
     preferred_sets,
 )
 
@@ -76,10 +75,14 @@ def extension_set_included(candidate: ExtensionSet, reference: ExtensionSet) -> 
 def sigma_equivalent(
     af: ArgumentationFramework, other: ArgumentationFramework, semantics: Semantics
 ) -> bool:
-    """True when both frameworks have identical extension sets."""
+    """True when both frameworks have identical extension sets.
+
+    The shared argument set gives both one argument order, so their
+    ascending mask families are compared directly.
+    """
     if af.arguments != other.arguments:
-        raise ArgumentSetMismatch("frameworks do not share an argument set")
-    return extensions(af, semantics) == extensions(other, semantics)
+        raise ArgumentSetMismatch("the two frameworks do not share an argument set")
+    return extension_masks(af, semantics) == extension_masks(other, semantics)
 
 
 def non_decreasing_violations(
@@ -177,15 +180,6 @@ def non_increasing_violations(
     return found
 
 
-def _extension_labellings(
-    af: ArgumentationFramework, extension_family: ExtensionSet
-) -> list[Labelling]:
-    return [
-        labelling_from_set(af, ext)
-        for ext in sorted(extension_family, key=extension_sort_key)
-    ]
-
-
 def classify_conflict_free_attack(
     af: ArgumentationFramework,
     attack: tuple[str, str],
@@ -234,7 +228,7 @@ def classify_admissible_attack(
         return AttackClassification(attack, Semantics.ADMISSIBLE, Verdict.INVARIANT, ())
     if labellings is None:
         family = preferred_sets(af) if preferred_only else admissible_sets(af)
-        labellings = _extension_labellings(af, family)
+        labellings = extension_labellings(af, family)
     losses = non_decreasing_violations(af, attack, labellings)
     gains = non_increasing_violations(af, attack, labellings)
     if losses and gains:
@@ -289,7 +283,7 @@ def framework_classifier(
         credulous_in = credulous_sets(af, Semantics.CONFLICT_FREE).in_set
         return lambda attack: classify_conflict_free_attack(af, attack, credulous_in)
     if semantics is Semantics.ADMISSIBLE:
-        labellings = _extension_labellings(af, admissible_sets(af))
+        labellings = extension_labellings(af, admissible_sets(af))
         return lambda attack: classify_admissible_attack(af, attack, labellings=labellings)
     raise UnsupportedSemantics(f"attack classification supports cf and adm, not {semantics.value}")
 

@@ -17,9 +17,9 @@ from typing import Iterable, NamedTuple
 from .errors import NotAdmissible, SizeLimit, UnsupportedSemantics
 from .framework import ArgumentationFramework
 from .semantics import (
+    ExtensionSet,
     Semantics,
     admissible_sets,
-    conflict_free_sets,
     extension_sort_key,
 )
 
@@ -86,6 +86,12 @@ def labelling_from_set(af: ArgumentationFramework, members: Iterable[str]) -> La
         af._require(name)
     attacked = frozenset(t for m in members for t in af.targets(m))
     return Labelling(members, attacked - members, af.arguments - members - attacked)
+
+
+def extension_labellings(af: ArgumentationFramework, family: ExtensionSet) -> list[Labelling]:
+    """The labellings induced by the members of an extension family, in
+    canonical extension order."""
+    return [labelling_from_set(af, ext) for ext in sorted(family, key=extension_sort_key)]
 
 
 def labelling_of_extension(af: ArgumentationFramework, extension: Iterable[str]) -> Labelling:
@@ -193,18 +199,22 @@ def credulous_sets(af: ArgumentationFramework, semantics: Semantics) -> Credulou
     induced by the extensions themselves; for the rest they come from
     :func:`labellings_for`.  The in-component is exactly the credulously
     accepted arguments.
+
+    The conflict-free union has a closed form: every argument that does not
+    attack itself is in its own conflict-free singleton, whose labelling
+    puts that argument's targets out, and the empty set leaves every
+    argument undec.
     """
     semantics = Semantics(semantics)
     if semantics is Semantics.CONFLICT_FREE:
-        labellings = [
-            labelling_from_set(af, ext)
-            for ext in sorted(conflict_free_sets(af), key=extension_sort_key)
-        ]
-    elif semantics is Semantics.ADMISSIBLE:
-        labellings = [
-            labelling_from_set(af, ext)
-            for ext in sorted(admissible_sets(af), key=extension_sort_key)
-        ]
+        acceptable = [name for name in af.arguments if name not in af.targets(name)]
+        return CredulousSets(
+            frozenset(acceptable),
+            frozenset(target for name in acceptable for target in af.targets(name)),
+            af.arguments,
+        )
+    if semantics is Semantics.ADMISSIBLE:
+        labellings = extension_labellings(af, admissible_sets(af))
     else:
         labellings = labellings_for(af, semantics)
     in_set: frozenset[str] = frozenset()

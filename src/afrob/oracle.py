@@ -23,7 +23,7 @@ from .invariance import (
     candidate_attacks,
     framework_classifier,
 )
-from .semantics import ExtensionSet, Semantics, extensions
+from .semantics import ExtensionSet, Semantics, extension_difference, extension_masks
 
 # aggregation key for divergences where no rule fired at all
 NO_RULE_FIRED = "no-rule-fired"
@@ -67,18 +67,20 @@ class AuditReport:
 def oracle_invariant(
     af: ArgumentationFramework, attack: tuple[str, str], semantics: Semantics
 ) -> bool:
-    """Ground truth: does adding the attack leave the extension set equal?"""
+    """Ground truth: does adding the attack leave the extension set equal?
+
+    Both frameworks share one argument order, so their ascending mask
+    families are compared directly, without decoding them into sets.
+    """
     expanded = af.add_attack(*attack)
-    return extensions(af, semantics) == extensions(expanded, semantics)
+    return extension_masks(af, semantics) == extension_masks(expanded, semantics)
 
 
 def extension_changes(
     af: ArgumentationFramework, attack: tuple[str, str], semantics: Semantics
 ) -> tuple[ExtensionSet, ExtensionSet]:
     """Extensions lost and gained by adding the attack."""
-    before = extensions(af, semantics)
-    after = extensions(af.add_attack(*attack), semantics)
-    return before - after, after - before
+    return extension_difference(af, af.add_attack(*attack), semantics)
 
 
 def _distinct_rules(classification: AttackClassification) -> tuple[Rule, ...]:

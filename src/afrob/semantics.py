@@ -1,11 +1,18 @@
 """Extension enumeration for the classical acceptance semantics.
 
-Deliberately exhaustive: every subset of the argument set is tested against
-the defining condition of each semantics, using bitmasks indexed by the
-canonical argument order.  At desk scale this is fast, and the directness
-makes the enumerators trustworthy enough to serve as ground truth for the
-attack-classification layer.  Frameworks larger than the guardrail are
-rejected instead of silently hanging.
+Extensions are bitmasks over the canonical argument order: bit i stands for
+the i-th argument of ``af.sorted_arguments``.  Only conflict-free sets are
+ever built.  A set grows by one argument above its highest member, and only
+when that argument attacks no member and is attacked by none, so each
+conflict-free set is reached exactly once and no other subset is visited.
+Each set carries the union of its members' targets and the union of their
+attackers, which makes the admissibility test one bit operation; the
+completeness test runs once per admissible set.  The other semantics filter
+these families.  Every family is an ascending tuple of masks, so two
+frameworks over one argument set have equal extension sets exactly when
+their tuples are equal, and masks are decoded into sets of names only for
+output.  Frameworks larger than the guardrail are rejected instead of
+silently hanging.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Callable, Iterable
 
 from .errors import InternalInvariantViolation, SizeLimit
 from .framework import ArgumentationFramework
@@ -46,26 +54,26 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _decode(order: tuple[str, ...], masks: Iterable[int]) -> ExtensionSet:
+    return frozenset(frozenset(order[i] for i in _bits(m)) for m in masks)
+
+
 @dataclass(frozen=True)
 class _Enumeration:
-    order: tuple[str, ...]
     targets: tuple[int, ...]
-    attackers: tuple[int, ...]
     cf: tuple[int, ...]
     adm: tuple[int, ...]
     com: tuple[int, ...]
+
+    @property
+    def full(self) -> int:
+        return (1 << len(self.targets)) - 1
 
     def attacked_by(self, mask: int) -> int:
         acc = 0
         for i in _bits(mask):
             acc |= self.targets[i]
         return acc
-
-    def to_extension(self, mask: int) -> frozenset[str]:
-        return frozenset(self.order[i] for i in _bits(mask))
-
-    def to_extension_set(self, masks) -> ExtensionSet:
-        return frozenset(self.to_extension(m) for m in masks)
 
 
 @lru_cache(maxsize=32768)
@@ -81,21 +89,28 @@ def _enumerate(af: ArgumentationFramework) -> _Enumeration:
         targets[position[source]] |= 1 << position[target]
         attackers[position[target]] |= 1 << position[source]
 
-    cf: list[int] = []
+    # Argument k is offered to every set found before it, each of which has
+    # only members below k.  So every conflict-free set is built once, from
+    # itself minus its highest member, and the list stays ascending.
+    cf = [0]
+    hit = [0]  # per set: the union of its members' targets
+    threat = [0]  # per set: the union of its members' attackers
+    for k in range(n):
+        bit = 1 << k
+        t, a = targets[k], attackers[k]
+        if t & bit:
+            continue  # a self-attacker is in no conflict-free set
+        clash = t | a
+        for i in range(len(cf)):
+            if not cf[i] & clash:
+                cf.append(cf[i] | bit)
+                hit.append(hit[i] | t)
+                threat.append(threat[i] | a)
+
     adm: list[int] = []
     com: list[int] = []
-    for mask in range(1 << n):
-        attacked = 0
-        conflict = False
-        for i in _bits(mask):
-            if targets[i] & mask:
-                conflict = True
-                break
-            attacked |= targets[i]
-        if conflict:
-            continue
-        cf.append(mask)
-        if any(attackers[i] & ~attacked for i in _bits(mask)):
+    for mask, attacked, attacking in zip(cf, hit, threat):
+        if attacking & ~attacked:
             continue
         adm.append(mask)
         # complete: the set already contains every argument it defends
@@ -106,86 +121,127 @@ def _enumerate(af: ArgumentationFramework) -> _Enumeration:
                 break
         if complete:
             com.append(mask)
-    return _Enumeration(order, tuple(targets), tuple(attackers), tuple(cf), tuple(adm), tuple(com))
+    return _Enumeration(tuple(targets), tuple(cf), tuple(adm), tuple(com))
+
+
+def _minimal(masks: Iterable[int], key: Callable[[int], int]) -> tuple[int, ...]:
+    """The masks whose key is inclusion-minimal among the keys of all the
+    masks, ascending.  Keys are visited by ascending popcount, so every
+    strict subset of a key is visited before it, and each key is compared
+    only with the minimal keys found so far."""
+    kept: list[int] = []
+    found: list[int] = []
+    for k, mask in sorted(((key(m), m) for m in masks), key=lambda pair: pair[0].bit_count()):
+        if not any(u & k == u and u != k for u in kept):
+            kept.append(k)
+            found.append(mask)
+    return tuple(sorted(found))
+
+
+def _conflict_free_masks(af: ArgumentationFramework) -> tuple[int, ...]:
+    return _enumerate(af).cf
+
+
+def _admissible_masks(af: ArgumentationFramework) -> tuple[int, ...]:
+    return _enumerate(af).adm
+
+
+def _complete_masks(af: ArgumentationFramework) -> tuple[int, ...]:
+    return _enumerate(af).com
+
+
+def _stable_masks(af: ArgumentationFramework) -> tuple[int, ...]:
+    enum = _enumerate(af)
+    return tuple(m for m in enum.cf if m | enum.attacked_by(m) == enum.full)
+
+
+def _preferred_masks(af: ArgumentationFramework) -> tuple[int, ...]:
+    enum = _enumerate(af)
+    # a set is maximal exactly when its complement is minimal
+    return _minimal(enum.adm, lambda m: enum.full & ~m)
+
+
+def _grounded_masks(af: ArgumentationFramework) -> tuple[int, ...]:
+    minimal = _minimal(_enumerate(af).com, lambda m: m)
+    if len(minimal) != 1:
+        raise InternalInvariantViolation(
+            f"expected exactly one minimal complete set, found {len(minimal)}"
+        )
+    return minimal
+
+
+def _semi_stable_masks(af: ArgumentationFramework) -> tuple[int, ...]:
+    enum = _enumerate(af)
+    return _minimal(enum.com, lambda m: enum.full & ~(m | enum.attacked_by(m)))
+
+
+_DISPATCH = {
+    Semantics.CONFLICT_FREE: _conflict_free_masks,
+    Semantics.ADMISSIBLE: _admissible_masks,
+    Semantics.COMPLETE: _complete_masks,
+    Semantics.STABLE: _stable_masks,
+    Semantics.PREFERRED: _preferred_masks,
+    Semantics.GROUNDED: _grounded_masks,
+    Semantics.SEMI_STABLE: _semi_stable_masks,
+}
+
+
+def extension_masks(af: ArgumentationFramework, semantics: Semantics) -> tuple[int, ...]:
+    """Extension set of ``af`` as an ascending tuple of bitmasks over
+    ``af.sorted_arguments``.  Frameworks with one argument set share that
+    order, so their extension sets are equal exactly when these tuples are."""
+    return _DISPATCH[Semantics(semantics)](af)
+
+
+def extensions(af: ArgumentationFramework, semantics: Semantics) -> ExtensionSet:
+    """Extension set of ``af`` under the given semantics."""
+    return _decode(af.sorted_arguments, extension_masks(af, semantics))
+
+
+def extension_difference(
+    af: ArgumentationFramework, other: ArgumentationFramework, semantics: Semantics
+) -> tuple[ExtensionSet, ExtensionSet]:
+    """The extensions of ``af`` that ``other`` lacks (lost) and those of
+    ``other`` that ``af`` lacks (gained).  Both frameworks must have the
+    same argument set; only the differing extensions are decoded."""
+    before = set(extension_masks(af, semantics))
+    after = set(extension_masks(other, semantics))
+    order = af.sorted_arguments
+    return _decode(order, before - after), _decode(order, after - before)
 
 
 def conflict_free_sets(af: ArgumentationFramework) -> ExtensionSet:
     """All subsets containing no internal attack.  Always contains the
     empty set."""
-    enum = _enumerate(af)
-    return enum.to_extension_set(enum.cf)
+    return extensions(af, Semantics.CONFLICT_FREE)
 
 
 def admissible_sets(af: ArgumentationFramework) -> ExtensionSet:
     """Conflict-free sets that defend each of their members."""
-    enum = _enumerate(af)
-    return enum.to_extension_set(enum.adm)
+    return extensions(af, Semantics.ADMISSIBLE)
 
 
 def complete_sets(af: ArgumentationFramework) -> ExtensionSet:
     """Admissible sets containing every argument they defend."""
-    enum = _enumerate(af)
-    return enum.to_extension_set(enum.com)
+    return extensions(af, Semantics.COMPLETE)
 
 
 def stable_sets(af: ArgumentationFramework) -> ExtensionSet:
     """Conflict-free sets attacking every outside argument.  May be empty."""
-    enum = _enumerate(af)
-    full = (1 << len(enum.order)) - 1
-    return enum.to_extension_set(m for m in enum.cf if m | enum.attacked_by(m) == full)
+    return extensions(af, Semantics.STABLE)
 
 
 def preferred_sets(af: ArgumentationFramework) -> ExtensionSet:
     """Inclusion-maximal admissible sets."""
-    enum = _enumerate(af)
-    masks = [
-        m
-        for m in enum.adm
-        if not any(other != m and other & m == m for other in enum.adm)
-    ]
-    return enum.to_extension_set(masks)
+    return extensions(af, Semantics.PREFERRED)
 
 
 def grounded_set(af: ArgumentationFramework) -> ExtensionSet:
     """The unique inclusion-minimal complete set, as a one-element family."""
-    enum = _enumerate(af)
-    minimal = [
-        m
-        for m in enum.com
-        if not any(other != m and other & m == other for other in enum.com)
-    ]
-    if len(minimal) != 1:
-        raise InternalInvariantViolation(
-            f"expected exactly one minimal complete set, found {len(minimal)}"
-        )
-    return enum.to_extension_set(minimal)
+    return extensions(af, Semantics.GROUNDED)
 
 
 def semi_stable_sets(af: ArgumentationFramework) -> ExtensionSet:
     """Complete sets whose undecided region (arguments neither in the set
     nor attacked by it) is inclusion-minimal."""
-    enum = _enumerate(af)
-    full = (1 << len(enum.order)) - 1
-    undec = {m: full & ~(m | enum.attacked_by(m)) for m in enum.com}
-    masks = [
-        m
-        for m in enum.com
-        if not any(u != undec[m] and u & undec[m] == u for u in undec.values())
-    ]
-    return enum.to_extension_set(masks)
-
-
-_DISPATCH = {
-    Semantics.CONFLICT_FREE: conflict_free_sets,
-    Semantics.ADMISSIBLE: admissible_sets,
-    Semantics.COMPLETE: complete_sets,
-    Semantics.STABLE: stable_sets,
-    Semantics.PREFERRED: preferred_sets,
-    Semantics.GROUNDED: grounded_set,
-    Semantics.SEMI_STABLE: semi_stable_sets,
-}
-
-
-def extensions(af: ArgumentationFramework, semantics: Semantics) -> ExtensionSet:
-    """Extension set of ``af`` under the given semantics."""
-    return _DISPATCH[Semantics(semantics)](af)
+    return extensions(af, Semantics.SEMI_STABLE)

@@ -5,7 +5,9 @@ from afrob import (
     cross_validate,
     exhaustive_audit,
     extension_changes,
+    extensions,
     oracle_invariant,
+    sigma_equivalent,
 )
 from afrob.framework import Attack
 from afrob.invariance import candidate_attacks
@@ -26,6 +28,24 @@ def test_extension_changes(g3):
     lost, gained = extension_changes(g3, ("1", "4"), Semantics.CONFLICT_FREE)
     assert lost == frozenset({frozenset({"1", "4"}), frozenset({"1", "3", "4"})})
     assert gained == frozenset()
+
+
+def test_mask_level_checks_match_name_level_extension_sets():
+    # oracle_invariant and sigma_equivalent compare mask tuples; here they
+    # must agree with equality of the decoded extension sets, and the
+    # lost/gained sets with their set differences, for every semantics on
+    # every candidate of every three-argument framework
+    names = canonical_names(3)
+    for mask in range(1 << 9):
+        af = framework_from_mask(names, mask)
+        for attack in candidate_attacks(af):
+            expanded = af.add_attack(*attack)
+            for semantics in Semantics:
+                before = extensions(af, semantics)
+                after = extensions(expanded, semantics)
+                assert oracle_invariant(af, attack, semantics) == (before == after)
+                assert sigma_equivalent(af, expanded, semantics) == (before == after)
+                assert extension_changes(af, attack, semantics) == (before - after, after - before)
 
 
 def test_candidate_attacks_excludes_existing(g3):

@@ -9,6 +9,7 @@ from afrob import (
     admissible_sets,
     complete_sets,
     conflict_free_sets,
+    extension_masks,
     extensions,
     grounded_set,
     preferred_sets,
@@ -16,6 +17,7 @@ from afrob import (
     stable_sets,
 )
 from afrob.oracle import canonical_names, framework_from_mask
+from afrob.semantics import _enumerate
 from conftest import frameworks
 
 
@@ -77,13 +79,26 @@ def test_extensions_dispatch(g3, empty_af):
     assert extensions(g3, "stb") == sets("134")
 
 
+def _decoded(af, masks):
+    order = af.sorted_arguments
+    return {frozenset(name for i, name in enumerate(order) if (m >> i) & 1) for m in masks}
+
+
+def _assert_ascending_and_decodes_to(af, masks, expected):
+    assert all(one < two for one, two in zip(masks, masks[1:])), (masks, af)
+    assert _decoded(af, masks) == expected, af
+
+
 def _assert_matches_oracle(af):
     args = set(af.arguments)
     attacks = {(a.source, a.target) for a in af.attacks}
     for semantics in Semantics:
-        assert extensions(af, semantics) == frozenset(
-            oracles.extensions(args, attacks, semantics.value)
-        ), (semantics, af)
+        expected = frozenset(oracles.extensions(args, attacks, semantics.value))
+        assert extensions(af, semantics) == expected, (semantics, af)
+        _assert_ascending_and_decodes_to(af, extension_masks(af, semantics), expected)
+    enum = _enumerate(af)
+    for masks, semantics in ((enum.cf, "cf"), (enum.adm, "adm"), (enum.com, "com")):
+        _assert_ascending_and_decodes_to(af, masks, oracles.extensions(args, attacks, semantics))
 
 
 def test_all_semantics_match_oracle_exhaustively():
@@ -130,6 +145,18 @@ def test_preferred_sets_are_pairwise_incomparable(af):
 @given(frameworks())
 def test_grounded_is_unique(af):
     assert len(grounded_set(af)) == 1
+
+
+def test_maximality_filters_compare_only_with_the_extremal_sets():
+    # 2^16 admissible sets and one preferred one: a pairwise filter would
+    # make billions of comparisons here
+    names = [f"x{i}" for i in range(16)]
+    af = ArgumentationFramework(names)
+    everything = sets(names)
+    assert len(_enumerate(af).adm) == 1 << 16
+    assert preferred_sets(af) == everything
+    assert semi_stable_sets(af) == everything
+    assert grounded_set(af) == everything
 
 
 def test_size_limit():

@@ -21,6 +21,7 @@ from .invariance import (
     Rule,
     Verdict,
     Witness,
+    candidate_attacks,
     classify_admissible_attack,
     classify_attack,
     classify_conflict_free_attack,
@@ -42,12 +43,10 @@ from .labelling import (
     labelling_from_set,
     labelling_of_extension,
     labellings_for,
-    reinstatement_labellings,
 )
 from .oracle import (
     AuditReport,
     DiscrepancyReport,
-    candidate_attacks,
     canonical_names,
     cross_validate,
     exhaustive_audit,

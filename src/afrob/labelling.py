@@ -1,29 +1,30 @@
 """Three-valued labellings and their correspondence with the semantics.
 
-A labelling assigns each argument one of ``in``, ``out`` or ``undec``.  The
-reinstatement conditions are: every in-argument has all attackers out, and
-every out-argument has at least one in attacker.  Complete labellings also
-satisfy the converse directions.  Enumeration walks all 3^n assignments, so
-it is guarded by a size limit.
+A labelling assigns each argument one of ``in``, ``out`` or ``undec``.  A
+complete labelling has every in-argument's attackers out, every
+out-argument attacked by an in-argument, and the converse directions.  By
+Caminada's correspondence the complete labellings are exactly the labellings
+of the complete extensions (the set in, its targets out, the rest undec),
+and the restrictions per semantics are the labellings of that semantics'
+extensions.  So labellings are built from the extension enumeration and
+share its size limit.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .errors import NotAdmissible, SizeLimit, UnsupportedSemantics
+from .errors import NotAdmissible, UnsupportedSemantics
 from .framework import ArgumentationFramework
 from .semantics import (
     ExtensionSet,
     Semantics,
     admissible_sets,
     extension_sort_key,
+    extensions,
 )
-
-MAX_LABELLING_ARGUMENTS = 16
 
 
 class Label(str, Enum):
@@ -104,101 +105,34 @@ def labelling_of_extension(af: ArgumentationFramework, extension: Iterable[str])
     return labelling_from_set(af, extension)
 
 
-def _check_size(af: ArgumentationFramework) -> None:
-    if len(af.arguments) > MAX_LABELLING_ARGUMENTS:
-        raise SizeLimit(
-            f"{len(af.arguments)} arguments exceed the labelling limit of {MAX_LABELLING_ARGUMENTS}"
-        )
-
-
-def _satisfies_reinstatement(af: ArgumentationFramework, labels: dict[str, Label]) -> bool:
-    for name, label in labels.items():
-        attackers = af.attackers(name)
-        if label is Label.IN:
-            if any(labels[b] is not Label.OUT for b in attackers):
-                return False
-        elif label is Label.OUT:
-            if not any(labels[b] is Label.IN for b in attackers):
-                return False
-    return True
-
-
-def _satisfies_converse(af: ArgumentationFramework, labelling: Labelling) -> bool:
-    for name in labelling.arguments:
-        attackers = af.attackers(name)
-        if all(b in labelling.out_set for b in attackers) and name not in labelling.in_set:
-            return False
-        if any(b in labelling.in_set for b in attackers) and name not in labelling.out_set:
-            return False
-    return True
-
-
-def reinstatement_labellings(af: ArgumentationFramework) -> list[Labelling]:
-    """All labellings satisfying the two reinstatement conditions, in
-    canonical order."""
-    _check_size(af)
-    order = af.sorted_arguments
-    found = []
-    for assignment in itertools.product(tuple(Label), repeat=len(order)):
-        labels = dict(zip(order, assignment))
-        if _satisfies_reinstatement(af, labels):
-            found.append(
-                Labelling(
-                    (a for a in order if labels[a] is Label.IN),
-                    (a for a in order if labels[a] is Label.OUT),
-                    (a for a in order if labels[a] is Label.UNDEC),
-                )
-            )
-    found.sort(key=_sort_key)
-    return found
-
-
-def complete_labellings(af: ArgumentationFramework) -> list[Labelling]:
-    """Reinstatement labellings that also satisfy the converse directions:
-    arguments with all attackers out are in, arguments with an in attacker
-    are out."""
-    return [lab for lab in reinstatement_labellings(af) if _satisfies_converse(af, lab)]
-
-
 def labellings_for(af: ArgumentationFramework, semantics: Semantics) -> list[Labelling]:
-    """Complete labellings restricted per the requested semantics."""
+    """The complete labellings restricted per the requested semantics, in
+    canonical labelling order.
+
+    Each is the labelling of one extension of that semantics: stb has no
+    undec, prf maximal in, gde minimal in and sst minimal undec among the
+    complete labellings, exactly as the stable, preferred, grounded and
+    semi-stable sets are among the complete sets.
+    """
     semantics = Semantics(semantics)
     if semantics in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
         raise UnsupportedSemantics(f"no labelling restriction is defined for {semantics.value}")
-    complete = complete_labellings(af)
-    if semantics is Semantics.COMPLETE:
-        return complete
-    if semantics is Semantics.STABLE:
-        return [lab for lab in complete if not lab.undec_set]
-    if semantics is Semantics.PREFERRED:
-        return [
-            lab
-            for lab in complete
-            if not any(other.in_set > lab.in_set for other in complete)
-        ]
-    if semantics is Semantics.GROUNDED:
-        return [
-            lab
-            for lab in complete
-            if not any(other.in_set < lab.in_set for other in complete)
-        ]
-    if semantics is Semantics.SEMI_STABLE:
-        return [
-            lab
-            for lab in complete
-            if not any(other.undec_set < lab.undec_set for other in complete)
-        ]
-    raise UnsupportedSemantics(semantics.value)
+    return sorted(extension_labellings(af, extensions(af, semantics)), key=_sort_key)
+
+
+def complete_labellings(af: ArgumentationFramework) -> list[Labelling]:
+    """The complete labellings: every in-argument has all attackers out,
+    every out-argument has an in attacker, and the converse directions
+    hold."""
+    return labellings_for(af, Semantics.COMPLETE)
 
 
 def credulous_sets(af: ArgumentationFramework, semantics: Semantics) -> CredulousSets:
     """Union of the in/out/undec classes over the labellings associated
     with the semantics.
 
-    For conflict-free and admissible semantics the labellings are the ones
-    induced by the extensions themselves; for the rest they come from
-    :func:`labellings_for`.  The in-component is exactly the credulously
-    accepted arguments.
+    The labellings are the ones induced by the extensions of the semantics,
+    so the in-component is exactly the credulously accepted arguments.
 
     The conflict-free union has a closed form: every argument that does not
     attack itself is in its own conflict-free singleton, whose labelling
@@ -213,10 +147,7 @@ def credulous_sets(af: ArgumentationFramework, semantics: Semantics) -> Credulou
             frozenset(target for name in acceptable for target in af.targets(name)),
             af.arguments,
         )
-    if semantics is Semantics.ADMISSIBLE:
-        labellings = extension_labellings(af, admissible_sets(af))
-    else:
-        labellings = labellings_for(af, semantics)
+    labellings = extension_labellings(af, extensions(af, semantics))
     in_set: frozenset[str] = frozenset()
     out_set: frozenset[str] = frozenset()
     undec_set: frozenset[str] = frozenset()

@@ -25,7 +25,11 @@ from typing import Callable, Iterable
 from .errors import InternalInvariantViolation, SizeLimit
 from .framework import ArgumentationFramework
 
-MAX_ENUMERATION_ARGUMENTS = 24
+# With no attacks every subset is conflict-free and admissible, the worst
+# case.  Peak RSS of a fresh process enumerating such a framework (Python
+# 3.11): 21 MB at n=16, 36 MB at n=18, 96 MB in 1.1 s at n=20, 176 MB in
+# 2.2 s at n=21, doubling with each further argument.
+MAX_ENUMERATION_ARGUMENTS = 20
 
 ExtensionSet = frozenset[frozenset[str]]
 

@@ -5,7 +5,7 @@ itertools, deliberately sharing no code (and no bitmask tricks) with the
 package under test.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 
 def subsets(args):
@@ -89,6 +89,62 @@ _BY_NAME = {
 
 def extensions(args, attacks, semantics):
     return _BY_NAME[semantics](args, attacks)
+
+
+def reinstatement_labellings(args, attacks):
+    """All (in, out, undec) triples of frozensets, tried over every one of
+    the 3^n assignments, in which every in-argument has all its attackers
+    out and every out-argument has an in attacker.  Sorted by in, then out,
+    each as a sorted tuple."""
+    order = sorted(args)
+    labels = ("in", "out", "undec")
+    attackers = {x: [b for b in order if (b, x) in attacks] for x in order}
+    found = []
+    for assignment in product(labels, repeat=len(order)):
+        label = dict(zip(order, assignment))
+        if all(
+            (label[x] != "in" or all(label[b] == "out" for b in attackers[x]))
+            and (label[x] != "out" or any(label[b] == "in" for b in attackers[x]))
+            for x in order
+        ):
+            found.append(
+                tuple(frozenset(x for x in order if label[x] == value) for value in labels)
+            )
+    return sorted(found, key=lambda lab: (tuple(sorted(lab[0])), tuple(sorted(lab[1]))))
+
+
+def complete_labellings(args, attacks):
+    """Reinstatement labellings that also satisfy the converse directions:
+    an argument whose attackers are all out is in, and an argument with an
+    in attacker is out."""
+    attackers = {x: {b for b in args if (b, x) in attacks} for x in args}
+
+    def converse(lab):
+        in_set, out_set, _ = lab
+        for x in args:
+            if attackers[x] <= out_set and x not in in_set:
+                return False
+            if attackers[x] & in_set and x not in out_set:
+                return False
+        return True
+
+    return [lab for lab in reinstatement_labellings(args, attacks) if converse(lab)]
+
+
+def restrict_labellings(complete, semantics):
+    """The complete labellings kept by each semantics, in the given order:
+    stb has no undec, prf maximal in, gde minimal in, sst minimal undec."""
+    if semantics == "com":
+        return list(complete)
+    if semantics == "stb":
+        return [lab for lab in complete if not lab[2]]
+    if semantics == "prf":
+        return [lab for lab in complete if not any(o[0] > lab[0] for o in complete)]
+    if semantics == "gde":
+        return [lab for lab in complete if not any(o[0] < lab[0] for o in complete)]
+    if semantics == "sst":
+        return [lab for lab in complete if not any(o[2] < lab[2] for o in complete)]
+    raise ValueError(semantics)
 
 
 def odd_walk(attacks, source, target, max_len):

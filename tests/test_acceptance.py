@@ -321,6 +321,15 @@ def test_criterion_5_expansions_never_enlarge_conflict_free_sets(capsys):
     assert elapsed < 10.0
 
 
+LABELLING_SEMANTICS = (
+    Semantics.COMPLETE,
+    Semantics.STABLE,
+    Semantics.PREFERRED,
+    Semantics.GROUNDED,
+    Semantics.SEMI_STABLE,
+)
+
+
 def test_criterion_6_labelling_correspondence(capsys):
     started = time.perf_counter()
     failures = []
@@ -339,12 +348,19 @@ def test_criterion_6_labelling_correspondence(capsys):
         grounded = labellings_for(af, Semantics.GROUNDED)
         if len(grounded) != 1 or frozenset(l.in_set for l in grounded) != grounded_set(af):
             failures.append(("gde", af))
+        # the library derives labellings from extensions, so the in-set
+        # checks above cannot see a wrong extension family; the 3^n walk can
+        oracle_complete = oracles.complete_labellings(af.arguments, {tuple(a) for a in af.attacks})
+        for semantics in LABELLING_SEMANTICS:
+            found = [(l.in_set, l.out_set, l.undec_set) for l in labellings_for(af, semantics)]
+            if found != oracles.restrict_labellings(oracle_complete, semantics.value):
+                failures.append((f"{semantics.value} vs 3^n oracle", af))
     elapsed = time.perf_counter() - started
     ok = not failures and elapsed < 120.0
     with capsys.disabled():
         report(
             6,
-            "labelling filters match extension enumerators",
+            "labellings match extension enumerators and the 3^n labelling oracle",
             ok,
             f"{len(correspondence_suite())} frameworks, {elapsed:.1f}s",
         )

@@ -221,6 +221,14 @@ def test_size_limit_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+def test_labellings_size_limit_exit_code(capsys, tmp_path):
+    big = tmp_path / "big.apx"
+    big.write_text("".join(f"arg(x{i}).\n" for i in range(21)))
+    code, _, err = run(capsys, "labellings", "--semantics", "com", "--input", str(big))
+    assert code == 3
+    assert "enumeration limit of 20" in err
+
+
 def test_json_output_is_byte_identical_across_runs(capsys, g3_file):
     argv = ["extensions", "--semantics", "adm", "--input", g3_file, "--format", "json"]
     assert run_cli(argv) == 0

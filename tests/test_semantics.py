@@ -163,3 +163,11 @@ def test_size_limit():
     big = ArgumentationFramework([f"x{i}" for i in range(25)])
     with pytest.raises(SizeLimit):
         conflict_free_sets(big)
+
+
+def test_size_limit_follows_measured_memory():
+    # 21 unattacked arguments would take about 176 MB before any result
+    big = ArgumentationFramework([f"x{i}" for i in range(21)])
+    for semantics in Semantics:
+        with pytest.raises(SizeLimit):
+            extensions(big, semantics)

@@ -59,6 +59,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _default_jobs() -> int:
     raw = os.environ.get("AFROB_JOBS", "1")
     try:
@@ -339,7 +345,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("robustness", help="measure the robustness degree")
     p.add_argument("--semantics", choices=_CLASSIFY_SEMANTICS, required=True)
     p.add_argument("--strategy", choices=["exhaustive", "greedy"], required=True)
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps", type=_count, default=None)
     p.add_argument("--paranoid", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_robustness)
@@ -351,10 +357,10 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_equivalent)
 
     p = sub.add_parser("audit", help="cross-validate classifier vs recomputation")
-    p.add_argument("--args", type=int, required=True, help="number of arguments")
+    p.add_argument("--args", type=_count, required=True, help="number of arguments")
     p.add_argument("--semantics", choices=_CLASSIFY_SEMANTICS, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_count, default=1000)
     common(p, with_input=False)
     p.set_defaults(func=_cmd_audit)
 

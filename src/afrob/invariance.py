@@ -1,11 +1,13 @@
 """Attack classification: does adding one attack preserve the extension set?
 
-For conflict-free semantics a single credulous-acceptance test decides
-invariance exactly.  For admissible semantics the decision is made by
-scanning labelling-based rules over the labellings of the admissible
-extensions: the "ND" rules detect additions that can delete an extension,
-the "NI" rules detect additions that can create one.  An addition is
-classified invariant when no rule fires for any labelling.
+For conflict-free semantics a closed form decides invariance exactly.  For
+admissible semantics the decision is made by labelling-based rules over the
+admissible sets: the "ND" rules detect additions that can delete an
+extension, the "NI" rules detect additions that can create one.  An
+addition is classified invariant when no rule fires for any labelling.  By
+Caminada's correspondence the labelling of a set S is fixed by S (S in, its
+targets out, the rest undec), so the rules are read directly off the
+extension bitmasks of :mod:`afrob.semantics`.
 
 The rule scan is a fast structural predicate, not a recomputation; the
 :mod:`afrob.oracle` module cross-validates it against the definitional
@@ -16,18 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import ArgumentSetMismatch, UnsupportedSemantics
+from . import semantics as _semantics
 from .framework import ArgumentationFramework, Attack
-from .labelling import Labelling, credulous_sets, extension_labellings
-from .semantics import (
-    ExtensionSet,
-    Semantics,
-    admissible_sets,
-    extension_masks,
-    preferred_sets,
-)
+from .semantics import ExtensionSet, Semantics, _bits, _Enumeration, extension_masks
 
 
 class Verdict(str, Enum):
@@ -40,7 +36,6 @@ class Verdict(str, Enum):
 class Rule(str, Enum):
     """Identifiers of the preservation rules an attack can violate."""
 
-    CF_EXISTING_CONFLICT = "CF-existing-conflict"
     CF_NEVER_IN = "CF-never-in"
     ND_IN_IN = "ND-in-in"
     ND_OUT_IN_UNDEFENDED = "ND-out-in-undefended"
@@ -49,6 +44,9 @@ class Rule(str, Enum):
     NI_IN_OUT_REINSTATES = "NI-in-out-reinstates"
     NI_IN_UNDEC_DEFENDS_UNDEC = "NI-in-undec-defends-undec"
     NI_OUT_SELF_DEFENSE = "NI-out-self-defense"
+
+
+_DELETION_RULES = frozenset({Rule.ND_IN_IN, Rule.ND_OUT_IN_UNDEFENDED, Rule.ND_UNDEC_IN})
 
 
 class Witness(NamedTuple):
@@ -85,123 +83,111 @@ def sigma_equivalent(
     return extension_masks(af, semantics) == extension_masks(other, semantics)
 
 
-def non_decreasing_violations(
-    af: ArgumentationFramework, attack: Attack, labellings: Iterable[Labelling]
-) -> list[Witness]:
-    """Rules under which adding the attack can delete an admissible set.
+def _having(rows: tuple[int, ...], among: int, hits: int) -> int:
+    """The arguments i in ``among`` whose ``rows[i]`` meets ``hits``."""
+    return sum(1 << i for i in _bits(among) if rows[i] & hits)
 
-    For attack (a, b) and a labelling L:
+
+def _self_defense_row(af: ArgumentationFramework, a: int) -> int:
+    """The targets b that meet the walk conditions of NI-out-self-defense
+    for source a: an odd walk leads from b to a, and no c other than b has
+    an odd walk to a without a matching odd walk from a back to c."""
+    order = af.sorted_arguments
+    source = order[a]
+    reaching = blocking = 0
+    for c, name in enumerate(order):
+        if af.odd_walk_exists(name, source):
+            reaching |= 1 << c
+            if not af.odd_walk_exists(source, name):
+                blocking |= 1 << c
+    if blocking & (blocking - 1):
+        return 0  # two blockers: every b leaves one that is not b
+    return blocking or reaching
+
+
+def _rule_rows(
+    af: ArgumentationFramework, enum: _Enumeration, s: int, sources: int, defense: dict[int, int]
+) -> Iterator[tuple[int, tuple[tuple[Rule, int], ...]]]:
+    """The rules that fire on the labelling of the admissible set ``s``,
+    for each source a in ``sources``: yields a with a (rule, row) pair per
+    rule that can fire, the row holding the targets b it fires on.
+
+    With IN = s, OUT its targets and UNDEC the rest, for attack (a, b):
 
     * ND-in-in: a and b are both in.
     * ND-out-in-undefended: a is out, b is in, b does not already attack a,
       and no out-argument attacks b.
     * ND-undec-in: a is undec and b is in.
-
-    Over the labellings of all admissible sets, the addition is
-    non-decreasing exactly when no labelling matches any rule: by Dung's
-    definition an admissible S is lost exactly when b is in S and either a
-    is in S or S does not attack a (ND-in-in, ND-undec-in), and
-    ND-out-in-undefended fires only for an unattacked b, whose {b} is lost.
-    """
-    a, b = attack
-    found = []
-    attackers_of_b = af.attackers(b)
-    b_attacks_a = Attack(b, a) in af.attacks
-    for lab in labellings:
-        if a in lab.in_set and b in lab.in_set:
-            found.append(Witness(lab.in_set, Rule.ND_IN_IN))
-        if (
-            a in lab.out_set
-            and b in lab.in_set
-            and not b_attacks_a
-            and attackers_of_b.isdisjoint(lab.out_set)
-        ):
-            found.append(Witness(lab.in_set, Rule.ND_OUT_IN_UNDEFENDED))
-        if a in lab.undec_set and b in lab.in_set:
-            found.append(Witness(lab.in_set, Rule.ND_UNDEC_IN))
-    return found
-
-
-def non_increasing_violations(
-    af: ArgumentationFramework, attack: Attack, labellings: Iterable[Labelling]
-) -> list[Witness]:
-    """Rules under which adding the attack can create an admissible set.
-
-    For attack (a, b) and a labelling L:
-
     * NI-in-in-defends: a and b are in and some out-argument c is attacked
       by b but not by a.
     * NI-in-out-reinstates: a is in, b is out, and b attacks some
       in-argument.
     * NI-in-undec-defends-undec: a is in, b is undec, and b attacks some
       non-self-attacking undec argument.
-    * NI-out-self-defense: a is out, an odd-length attack walk leads from b
-      to a, and no c other than b has an odd walk to a without a matching
-      odd walk from a back to c.
+    * NI-out-self-defense: a is out and b meets the walk conditions of
+      :func:`_self_defense_row`, memoised per source in ``defense``.
 
-    These rules are not exact: a gain can occur with no rule matching any
-    labelling, and a rule can fire when nothing is gained.
-    :mod:`afrob.oracle` audits them against recomputation.
+    The ND rules are exact over all admissible sets: by Dung's definition
+    an admissible S is lost exactly when b is in S and either a is in S or
+    S does not attack a (ND-in-in, ND-undec-in), and ND-out-in-undefended
+    fires only for an unattacked b, whose {b} is lost.  The NI rules are
+    not: a gain can occur with no rule firing, and a rule can fire when
+    nothing is gained.  :mod:`afrob.oracle` audits them against
+    recomputation.  a's label selects the rules, so at most one ND and one
+    NI rule fire per labelling and candidate.
     """
-    a, b = attack
-    found = []
-    # the walk conditions of NI-out-self-defense do not depend on the labelling
-    self_defense_core = af.odd_walk_exists(b, a) and not any(
-        c != b and af.odd_walk_exists(c, a) and not af.odd_walk_exists(a, c)
-        for c in af.sorted_arguments
-    )
-    for lab in labellings:
-        if (
-            a in lab.in_set
-            and b in lab.in_set
-            and any(
-                Attack(a, c) not in af.attacks and Attack(b, c) in af.attacks
-                for c in lab.out_set
+    targets, attackers = enum.targets, enum.attackers
+    out = enum.attacked_by(s)
+    undec = enum.full & ~(s | out)
+    # the rows shared by all sources with one label, built only if needed
+    if s & sources:
+        reinstating = _having(targets, out, s)
+        acceptable = sum(1 << c for c in _bits(undec) if not targets[c] >> c & 1)
+        defending_undec = _having(targets, undec, acceptable)
+    if out & sources:
+        unguarded = s & ~_having(attackers, s, out)
+    for a in _bits(sources):
+        if s >> a & 1:
+            yield a, (
+                (Rule.ND_IN_IN, s),
+                (Rule.NI_IN_IN_DEFENDS, _having(targets, s, out & ~targets[a])),
+                (Rule.NI_IN_OUT_REINSTATES, reinstating),
+                (Rule.NI_IN_UNDEC_DEFENDS_UNDEC, defending_undec),
             )
-        ):
-            found.append(Witness(lab.in_set, Rule.NI_IN_IN_DEFENDS))
-        if (
-            a in lab.in_set
-            and b in lab.out_set
-            and any(Attack(b, c) in af.attacks for c in lab.in_set)
-        ):
-            found.append(Witness(lab.in_set, Rule.NI_IN_OUT_REINSTATES))
-        if (
-            a in lab.in_set
-            and b in lab.undec_set
-            and any(
-                Attack(c, c) not in af.attacks and Attack(b, c) in af.attacks
-                for c in lab.undec_set
+        elif out >> a & 1:
+            if a not in defense:
+                defense[a] = _self_defense_row(af, a)
+            yield a, (
+                (Rule.ND_OUT_IN_UNDEFENDED, unguarded & ~attackers[a]),
+                (Rule.NI_OUT_SELF_DEFENSE, defense[a]),
             )
-        ):
-            found.append(Witness(lab.in_set, Rule.NI_IN_UNDEC_DEFENDS_UNDEC))
-        if a in lab.out_set and self_defense_core:
-            found.append(Witness(lab.in_set, Rule.NI_OUT_SELF_DEFENSE))
-    return found
+        else:
+            yield a, ((Rule.ND_UNDEC_IN, s),)
+
+
+def _conflict_kept(af: ArgumentationFramework, a: str, b: str) -> bool:
+    """Adding (a, b) leaves every conflict-free set conflict-free: a and b
+    already conflict, or one of them attacks itself (and so is in no
+    conflict-free set)."""
+    return any(Attack(s, t) in af.attacks for s, t in ((a, b), (b, a), (a, a), (b, b)))
 
 
 def classify_conflict_free_attack(
-    af: ArgumentationFramework,
-    attack: tuple[str, str],
-    credulous_in: frozenset[str] | None = None,
+    af: ArgumentationFramework, attack: tuple[str, str]
 ) -> AttackClassification:
     """Classify an attack addition for the conflict-free semantics.
 
     Invariant exactly when the endpoints are already in conflict or one of
-    them occurs in no conflict-free set.  A non-invariant addition always
-    shrinks the family (expansions can never enlarge it), so the verdict is
-    then ``breaks_non_decreasing``, witnessed by the two-element set that
-    gets lost.
+    them attacks itself.  A non-invariant addition always shrinks the
+    family (expansions can never enlarge it), so the verdict is then
+    ``breaks_non_decreasing``, witnessed by the two-element set that gets
+    lost.
     """
     attack = Attack(*attack)
     af._require(attack.source)
     af._require(attack.target)
     a, b = attack
-    if attack in af.attacks or Attack(b, a) in af.attacks:
-        return AttackClassification(attack, Semantics.CONFLICT_FREE, Verdict.INVARIANT, ())
-    if credulous_in is None:
-        credulous_in = credulous_sets(af, Semantics.CONFLICT_FREE).in_set
-    if a not in credulous_in or b not in credulous_in:
+    if _conflict_kept(af, a, b):
         return AttackClassification(attack, Semantics.CONFLICT_FREE, Verdict.INVARIANT, ())
     witness = Witness(frozenset({a, b}), Rule.CF_NEVER_IN)
     return AttackClassification(
@@ -213,11 +199,12 @@ def classify_admissible_attack(
     af: ArgumentationFramework,
     attack: tuple[str, str],
     preferred_only: bool = False,
-    labellings: list[Labelling] | None = None,
 ) -> AttackClassification:
-    """Classify an attack addition for the admissible semantics by running
-    both rule scans over the labellings of the admissible extensions (or
-    only the preferred ones when ``preferred_only`` is set).
+    """Classify an attack addition for the admissible semantics by scanning
+    the rules of :func:`_rule_rows` over the labellings of the admissible
+    sets (or only the preferred ones when ``preferred_only`` is set), in
+    canonical extension order.  The witnesses list every ND match, then
+    every NI match.
 
     Re-adding an existing attack is trivially invariant.
     """
@@ -226,11 +213,21 @@ def classify_admissible_attack(
     af._require(attack.target)
     if attack in af.attacks:
         return AttackClassification(attack, Semantics.ADMISSIBLE, Verdict.INVARIANT, ())
-    if labellings is None:
-        family = preferred_sets(af) if preferred_only else admissible_sets(af)
-        labellings = extension_labellings(af, family)
-    losses = non_decreasing_violations(af, attack, labellings)
-    gains = non_increasing_violations(af, attack, labellings)
+    order = af.sorted_arguments
+    a, b = order.index(attack.source), order.index(attack.target)
+    # through the module, so a patched _enumerate (a tracer) sees this call
+    enum = _semantics._enumerate(af)
+    family = extension_masks(af, Semantics.PREFERRED) if preferred_only else enum.adm
+    losses: list[Witness] = []
+    gains: list[Witness] = []
+    defense: dict[int, int] = {}
+    # extension_sort_key's order: by size, then by names
+    for s in sorted(family, key=lambda m: (m.bit_count(), tuple(_bits(m)))):
+        for _, rows in _rule_rows(af, enum, s, 1 << a, defense):
+            for rule, row in rows:
+                if row >> b & 1:
+                    witness = Witness(frozenset(order[i] for i in _bits(s)), rule)
+                    (losses if rule in _DELETION_RULES else gains).append(witness)
     if losses and gains:
         verdict = Verdict.BREAKS_BOTH
     elif losses:
@@ -267,36 +264,34 @@ def candidate_attacks(af: ArgumentationFramework) -> list[Attack]:
     ]
 
 
-def framework_classifier(
-    af: ArgumentationFramework, semantics: Semantics
-) -> Callable[[tuple[str, str]], AttackClassification]:
-    """A classifier for attacks added to ``af``, equivalent to
-    :func:`classify_attack` with the same arguments.
+def invariant_attacks(af: ArgumentationFramework, semantics: Semantics) -> list[Attack]:
+    """The candidate attacks classified invariant, in canonical order:
+    exactly those :func:`classify_attack` classifies invariant.
 
-    The per-framework state (the conflict-free credulous in-set, or the
-    labellings of the admissible sets) is built once, here,
-    and shared by every call, so classifying all n^2 candidates of a
-    framework costs one enumeration instead of one per candidate.
+    For adm the rule rows of every admissible set are ORed once per
+    framework, and a candidate is invariant when no rule fires on it.
     """
     semantics = Semantics(semantics)
     if semantics is Semantics.CONFLICT_FREE:
-        credulous_in = credulous_sets(af, Semantics.CONFLICT_FREE).in_set
-        return lambda attack: classify_conflict_free_attack(af, attack, credulous_in)
-    if semantics is Semantics.ADMISSIBLE:
-        labellings = extension_labellings(af, admissible_sets(af))
-        return lambda attack: classify_admissible_attack(af, attack, labellings=labellings)
-    raise UnsupportedSemantics(f"attack classification supports cf and adm, not {semantics.value}")
-
-
-def invariant_attacks(af: ArgumentationFramework, semantics: Semantics) -> Iterator[Attack]:
-    """The candidate attacks classified invariant, lazily in canonical
-    order, all classified by one :func:`framework_classifier`."""
-    classify = framework_classifier(af, semantics)
-    return (
-        attack
-        for attack in candidate_attacks(af)
-        if classify(attack).verdict is Verdict.INVARIANT
-    )
+        return [attack for attack in candidate_attacks(af) if _conflict_kept(af, *attack)]
+    if semantics is not Semantics.ADMISSIBLE:
+        raise UnsupportedSemantics(
+            f"attack classification supports cf and adm, not {semantics.value}"
+        )
+    enum = _semantics._enumerate(af)
+    fired = list(enum.targets)  # existing attacks are no candidates
+    defense: dict[int, int] = {}
+    for s in enum.adm:
+        for a, rows in _rule_rows(af, enum, s, enum.full, defense):
+            for _, row in rows:
+                fired[a] |= row
+    order = af.sorted_arguments
+    return [
+        Attack(order[a], order[b])
+        for a in range(len(order))
+        for b in range(len(order))
+        if not fired[a] >> b & 1
+    ]
 
 
 def enumerate_invariant_attacks(

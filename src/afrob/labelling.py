@@ -21,7 +21,7 @@ from .framework import ArgumentationFramework
 from .semantics import (
     ExtensionSet,
     Semantics,
-    admissible_sets,
+    extension_masks,
     extension_sort_key,
     extensions,
 )
@@ -100,7 +100,8 @@ def labelling_of_extension(af: ArgumentationFramework, extension: Iterable[str])
     extension = frozenset(extension)
     for name in extension:
         af._require(name)
-    if extension not in admissible_sets(af):
+    mask = sum(1 << af.sorted_arguments.index(name) for name in extension)
+    if mask not in extension_masks(af, Semantics.ADMISSIBLE):
         raise NotAdmissible(f"{sorted(extension)} is not admissible")
     return labelling_from_set(af, extension)
 

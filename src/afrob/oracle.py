@@ -17,11 +17,11 @@ from multiprocessing import Pool
 
 from .framework import ArgumentationFramework, Attack
 from .invariance import (
-    AttackClassification,
     Rule,
     Verdict,
     candidate_attacks,
-    framework_classifier,
+    classify_attack,
+    invariant_attacks,
 )
 from .semantics import ExtensionSet, Semantics, extension_difference, extension_masks
 
@@ -83,24 +83,17 @@ def extension_changes(
     return extension_difference(af, af.add_attack(*attack), semantics)
 
 
-def _distinct_rules(classification: AttackClassification) -> tuple[Rule, ...]:
-    seen: list[Rule] = []
-    for witness in classification.witnesses:
-        if witness.rule not in seen:
-            seen.append(witness.rule)
-    return tuple(seen)
-
-
 def cross_validate(af: ArgumentationFramework, semantics: Semantics) -> list[DiscrepancyReport]:
     """Compare the classifier with the ground truth on every candidate
-    attack; return all disagreements."""
+    attack; return all disagreements.  Only the disagreeing candidates are
+    classified one by one, for their verdicts and rules."""
     semantics = Semantics(semantics)
-    classify = framework_classifier(af, semantics)
+    invariant = set(invariant_attacks(af, semantics))
     found = []
     for attack in candidate_attacks(af):
-        classification = classify(attack)
         truth = oracle_invariant(af, attack, semantics)
-        if (classification.verdict is Verdict.INVARIANT) != truth:
+        if (attack in invariant) != truth:
+            classification = classify_attack(af, attack, semantics)
             lost, gained = extension_changes(af, attack, semantics)
             found.append(
                 DiscrepancyReport(
@@ -109,7 +102,7 @@ def cross_validate(af: ArgumentationFramework, semantics: Semantics) -> list[Dis
                     semantics=semantics,
                     predicate_verdict=classification.verdict,
                     oracle_verdict=truth,
-                    rules=_distinct_rules(classification),
+                    rules=tuple(dict.fromkeys(w.rule for w in classification.witnesses)),
                     lost=lost,
                     gained=gained,
                 )
@@ -161,6 +154,8 @@ def exhaustive_audit(
     reports.
     """
     semantics = Semantics(semantics)
+    if n < 0 or samples < 0:
+        raise ValueError(f"negative argument or sample count: n={n}, samples={samples}")
     exhaustive = n <= 3
     if exhaustive:
         masks: list[int] = list(range(1 << (n * n)))

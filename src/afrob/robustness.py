@@ -31,12 +31,12 @@ class RobustnessResult:
 
 
 def _steps(af: ArgumentationFramework, semantics: Semantics, paranoid: bool) -> Iterator[Attack]:
-    # invariant candidates in canonical order, classified lazily; under
+    # invariant candidates in canonical order, all classified at once; under
     # paranoid each one is confirmed by recomputation only when reached
     steps = invariant_attacks(af, semantics)
     if paranoid:
         return (attack for attack in steps if oracle_invariant(af, attack, semantics))
-    return steps
+    return iter(steps)
 
 
 def robustness_degree(
@@ -60,6 +60,8 @@ def robustness_degree(
         raise UnsupportedSemantics(
             f"robustness supports cf and adm, not {semantics.value}"
         )
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, not {max_steps}")
     if strategy == "greedy":
         return _greedy(af, semantics, max_steps, paranoid)
     if strategy == "exhaustive":
@@ -108,7 +110,8 @@ def _exhaustive(af, semantics, max_steps, paranoid) -> RobustnessResult:
             memo[key] = (0, ())
             return memo[key]
         best: tuple[int, tuple[Attack, ...]] = (0, ())
-        # classified in full before recursing, so the labellings are freed
+        # under paranoid, confirmed in full before recursing, while this
+        # framework's enumeration is still in _enumerate's cache
         for attack in list(steps):
             sub_degree, sub_witness = search(current.add_attack(*attack))
             if 1 + sub_degree > best[0]:

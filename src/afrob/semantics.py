@@ -64,7 +64,8 @@ def _decode(order: tuple[str, ...], masks: Iterable[int]) -> ExtensionSet:
 
 @dataclass(frozen=True)
 class _Enumeration:
-    targets: tuple[int, ...]
+    targets: tuple[int, ...]  # per argument: the arguments it attacks
+    attackers: tuple[int, ...]  # per argument: the arguments attacking it
     cf: tuple[int, ...]
     adm: tuple[int, ...]
     com: tuple[int, ...]
@@ -125,7 +126,7 @@ def _enumerate(af: ArgumentationFramework) -> _Enumeration:
                 break
         if complete:
             com.append(mask)
-    return _Enumeration(tuple(targets), tuple(cf), tuple(adm), tuple(com))
+    return _Enumeration(tuple(targets), tuple(attackers), tuple(cf), tuple(adm), tuple(com))
 
 
 def _minimal(masks: Iterable[int], key: Callable[[int], int]) -> tuple[int, ...]:

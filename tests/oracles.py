@@ -158,3 +158,66 @@ def odd_walk(attacks, source, target, max_len):
         if not current:
             return False
     return False
+
+
+def rule_scan(args, attacks, family, attack):
+    """The name-level labelling-rule scan of one candidate attack (a, b)
+    over the labellings of an extension family: (verdict, witnesses), each
+    witness an (in-set, rule name) pair.  The labellings are visited by
+    size, then names; every ND (deletion) match comes before every NI
+    (gain) match.  An existing attack is invariant."""
+    if attack in attacks:
+        return "invariant", ()
+    a, b = attack
+    args = frozenset(args)
+    order = sorted(args)
+
+    def attacks_pair(s, t):
+        return (s, t) in attacks
+
+    def odd(s, t):
+        return odd_walk(attacks, s, t, 2 * len(args))
+
+    self_defense_core = odd(b, a) and not any(
+        c != b and odd(c, a) and not odd(a, c) for c in order
+    )
+    losses, gains = [], []
+    for in_set in sorted(family, key=lambda e: (len(e), tuple(sorted(e)))):
+        out_set = frozenset(t for (s, t) in attacks if s in in_set) - in_set
+        undec_set = args - in_set - out_set
+        if a in in_set and b in in_set:
+            losses.append((in_set, "ND-in-in"))
+        if (
+            a in out_set
+            and b in in_set
+            and not attacks_pair(b, a)
+            and not any(attacks_pair(c, b) for c in out_set)
+        ):
+            losses.append((in_set, "ND-out-in-undefended"))
+        if a in undec_set and b in in_set:
+            losses.append((in_set, "ND-undec-in"))
+        if (
+            a in in_set
+            and b in in_set
+            and any(not attacks_pair(a, c) and attacks_pair(b, c) for c in out_set)
+        ):
+            gains.append((in_set, "NI-in-in-defends"))
+        if a in in_set and b in out_set and any(attacks_pair(b, c) for c in in_set):
+            gains.append((in_set, "NI-in-out-reinstates"))
+        if (
+            a in in_set
+            and b in undec_set
+            and any(not attacks_pair(c, c) and attacks_pair(b, c) for c in undec_set)
+        ):
+            gains.append((in_set, "NI-in-undec-defends-undec"))
+        if a in out_set and self_defense_core:
+            gains.append((in_set, "NI-out-self-defense"))
+    if losses and gains:
+        verdict = "breaks_both"
+    elif losses:
+        verdict = "breaks_non_decreasing"
+    elif gains:
+        verdict = "breaks_non_increasing"
+    else:
+        verdict = "invariant"
+    return verdict, tuple(losses + gains)

@@ -199,6 +199,24 @@ def test_usage_error_exit_code(capsys, g3_file):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--args", "-1", "--semantics", "adm"],
+        ["audit", "--args", "2", "--samples", "-1", "--semantics", "adm"],
+        ["robustness", "--semantics", "cf", "--strategy", "greedy", "--max-steps", "-1"],
+    ],
+    ids=["args", "samples", "max-steps"],
+)
+def test_negative_counts_are_usage_errors(capsys, g3_file, argv):
+    if argv[0] == "robustness":
+        argv = argv + ["--input", g3_file]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "non-negative integer" in err
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, err = run(
         capsys, "extensions", "--semantics", "cf", "--input", str(tmp_path / "nope.apx")
@@ -270,3 +288,20 @@ def test_module_entry_point(g3_file):
     payload = json.loads(completed.stdout)
     assert payload["schema"] == "afrob/1"
     assert len(payload["result"]["extensions"]) == 6
+
+
+def _golden_cases():
+    with open(os.path.join(os.path.dirname(__file__), "data", "g3_cli_golden.json")) as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize(
+    "case", _golden_cases(), ids=lambda case: " ".join(case["argv"][1:])
+)
+def test_g3_json_matches_the_pinned_output(capsys, g3_file, case):
+    # pinned: check-attack (adm, with and without --preferred-only) for every
+    # candidate of g3, with full witness lists, and invariant-attacks for cf
+    # and adm; the afrob/1 output must stay byte-identical
+    code, out, err = run(capsys, *case["argv"], "--input", g3_file, "--format", "json")
+    assert code == 0, err
+    assert out == json.dumps(case["output"], indent=2) + "\n"

@@ -1,3 +1,6 @@
+import random
+
+import oracles
 import pytest
 from hypothesis import given, settings
 
@@ -8,25 +11,19 @@ from afrob import (
     Semantics,
     UnsupportedSemantics,
     Verdict,
-    admissible_sets,
     classify_admissible_attack,
     classify_attack,
     classify_conflict_free_attack,
     conflict_free_sets,
     enumerate_invariant_attacks,
     extension_set_included,
-    framework_classifier,
     invariant_attacks,
-    labelling_from_set,
-    non_decreasing_violations,
-    non_increasing_violations,
     oracle_invariant,
     sigma_equivalent,
 )
 from afrob.framework import Attack
 from afrob.invariance import candidate_attacks
 from afrob.oracle import canonical_names, framework_from_mask
-from afrob.semantics import extension_sort_key
 from conftest import frameworks
 
 
@@ -34,11 +31,10 @@ def sets(*members):
     return frozenset(frozenset(m) for m in members)
 
 
-def _adm_labellings(af):
-    return [
-        labelling_from_set(af, ext)
-        for ext in sorted(admissible_sets(af), key=extension_sort_key)
-    ]
+def _witnesses(af, attack, prefix):
+    # the witnesses of the ND (deletion) or NI (gain) rules, in scan order
+    found = classify_admissible_attack(af, attack).witnesses
+    return [w for w in found if w.rule.value.startswith(prefix)]
 
 
 # --- inclusion and equivalence ---------------------------------------------
@@ -130,19 +126,17 @@ def test_classify_cf_matches_oracle_exhaustively():
 
 
 def test_non_decreasing_violations_examples(g3):
-    labellings = _adm_labellings(g3)
-    rules = {w.rule for w in non_decreasing_violations(g3, Attack("1", "4"), labellings)}
+    rules = {w.rule for w in _witnesses(g3, Attack("1", "4"), "ND")}
     assert Rule.ND_IN_IN in rules
-    witnesses = non_decreasing_violations(g3, Attack("2", "4"), labellings)
+    witnesses = _witnesses(g3, Attack("2", "4"), "ND")
     assert (frozenset({"1", "4"}), Rule.ND_OUT_IN_UNDEFENDED) in witnesses
-    assert non_decreasing_violations(g3, Attack("2", "2"), labellings) == []
+    assert _witnesses(g3, Attack("2", "2"), "ND") == []
 
 
 def test_non_increasing_violations_examples(g3):
-    labellings = _adm_labellings(g3)
-    witnesses = non_increasing_violations(g3, Attack("4", "2"), labellings)
+    witnesses = _witnesses(g3, Attack("4", "2"), "NI")
     assert (frozenset({"1", "3", "4"}), Rule.NI_IN_OUT_REINSTATES) in witnesses
-    self_defense = non_increasing_violations(g3, Attack("2", "1"), labellings)
+    self_defense = _witnesses(g3, Attack("2", "1"), "NI")
     assert {w.rule for w in self_defense} == {Rule.NI_OUT_SELF_DEFENSE}
     assert {w.in_set for w in self_defense} == {
         frozenset({"1"}),
@@ -150,7 +144,7 @@ def test_non_increasing_violations_examples(g3):
         frozenset({"1", "4"}),
         frozenset({"1", "3", "4"}),
     }
-    assert non_increasing_violations(g3, Attack("2", "2"), labellings) == []
+    assert _witnesses(g3, Attack("2", "2"), "NI") == []
 
 
 def test_classify_adm_worked_example(g3):
@@ -218,6 +212,38 @@ def test_preferred_only_diverges_on_a_known_four_argument_case():
     assert not oracle_invariant(af, attack, Semantics.ADMISSIBLE)
 
 
+def _rule_scan_population():
+    # every framework on up to three arguments, plus seeded samples on four
+    # and five arguments (each pair attacked with probability one half)
+    for n in (0, 1, 2, 3):
+        names = canonical_names(n)
+        for mask in range(1 << (n * n)):
+            yield framework_from_mask(names, mask)
+    rng = random.Random(11)
+    for n, count in ((4, 300), (5, 100)):
+        names = canonical_names(n)
+        for _ in range(count):
+            yield framework_from_mask(names, rng.getrandbits(n * n))
+
+
+def test_rule_scan_matches_the_name_level_reference():
+    # pins every rule, the NI (gain) rules included, witness by witness and
+    # in order, under the full scan and under preferred_only
+    for af in _rule_scan_population():
+        args = af.arguments
+        attacks = {tuple(attack) for attack in af.attacks}
+        families = {
+            False: oracles.admissible(args, attacks),
+            True: oracles.preferred(args, attacks),
+        }
+        for attack in candidate_attacks(af):
+            for preferred_only, family in families.items():
+                found = classify_admissible_attack(af, attack, preferred_only=preferred_only)
+                witnesses = tuple((w.in_set, w.rule.value) for w in found.witnesses)
+                expected = oracles.rule_scan(args, attacks, family, tuple(attack))
+                assert (found.verdict.value, witnesses) == expected, (af, attack, preferred_only)
+
+
 # --- invariant attack enumeration -------------------------------------------
 
 
@@ -235,9 +261,8 @@ def test_enumerate_invariant_attacks_examples(g3, mutual, empty_af):
 
 
 def test_shared_classifier_matches_per_candidate_classification_exhaustively():
-    # one labelling enumeration and one odd-walk memo per framework must
-    # give, in canonical order, exactly what a fresh classification of each
-    # candidate gives
+    # the rule rows ORed over all admissible sets must give, in canonical
+    # order, exactly what a fresh classification of each candidate gives
     names = canonical_names(3)
     for mask in range(1 << 9):
         af = framework_from_mask(names, mask)
@@ -248,11 +273,6 @@ def test_shared_classifier_matches_per_candidate_classification_exhaustively():
                 if classify_attack(af, attack, semantics).verdict is Verdict.INVARIANT
             ]
             assert list(invariant_attacks(af, semantics)) == fresh, (mask, semantics)
-
-
-def test_framework_classifier_rejects_unsupported_semantics(g3):
-    with pytest.raises(UnsupportedSemantics):
-        framework_classifier(g3, Semantics.STABLE)
 
 
 def test_enumerated_attacks_are_new(g3):

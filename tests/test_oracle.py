@@ -1,3 +1,5 @@
+import pytest
+
 from afrob import (
     ArgumentationFramework,
     Semantics,
@@ -7,6 +9,7 @@ from afrob import (
     extension_changes,
     extensions,
     oracle_invariant,
+    robustness_degree,
     sigma_equivalent,
 )
 from afrob.framework import Attack
@@ -147,3 +150,17 @@ def test_framework_from_mask_round_trip():
     af = framework_from_mask(names, 0b101)
     assert af.arguments == frozenset(names)
     assert af.attacks == frozenset({Attack("a1", "a1"), Attack("a1", "a3")})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g3: exhaustive_audit(-1, Semantics.ADMISSIBLE),
+        lambda g3: exhaustive_audit(4, Semantics.ADMISSIBLE, samples=-1),
+        lambda g3: robustness_degree(g3, Semantics.CONFLICT_FREE, max_steps=-1),
+    ],
+    ids=["audit-arguments", "audit-samples", "robustness-max-steps"],
+)
+def test_negative_counts_are_rejected(g3, call):
+    with pytest.raises(ValueError):
+        call(g3)

@@ -65,12 +65,10 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("AFROB_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _positive(text: str) -> int:
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _load(path: str) -> ArgumentationFramework:
@@ -312,8 +310,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=["json", "text"], default="text")
         p.add_argument(
             "--jobs",
-            type=int,
-            default=_default_jobs(),
+            type=_positive,
+            # a string default goes through the type too, so a bad
+            # AFROB_JOBS is the same usage error as a bad --jobs
+            default=os.environ.get("AFROB_JOBS", "1"),
             help="worker processes for audits (default from AFROB_JOBS)",
         )
 

@@ -25,6 +25,39 @@ class Attack(NamedTuple):
     target: str
 
 
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _odd_closure(successors: tuple[int, ...]) -> tuple[int, ...]:
+    """Per vertex i, the bitmask of the vertices at the end of an odd walk
+    from i, where ``successors[i]`` is the bitmask of i's successors.
+
+    The least fixpoint of odd(i) = the union of even(j) and even(i) = {i}
+    with the union of odd(j), over the successors j of i, iterated from
+    below until a whole round leaves every row as it was.
+    """
+    successor_lists = [tuple(_bits(row)) for row in successors]
+    even = [1 << i for i in range(len(successors))]
+    odd = [0] * len(successors)
+    changed = True
+    while changed:
+        changed = False
+        for i, successors_of_i in enumerate(successor_lists):
+            o, e = 0, 1 << i
+            for j in successors_of_i:
+                o |= even[j]
+                e |= odd[j]
+            if o != odd[i] or e != even[i]:
+                odd[i], even[i] = o, e
+                changed = True
+    return tuple(odd)
+
+
 @dataclass(frozen=True, init=False)
 class ArgumentationFramework:
     """A finite argument set with a binary attack relation over it.
@@ -52,6 +85,27 @@ class ArgumentationFramework:
     def sorted_arguments(self) -> tuple[str, ...]:
         """Arguments in the canonical (lexicographic) order."""
         return tuple(sorted(self.arguments))
+
+    @cached_property
+    def bit_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per argument of ``sorted_arguments``, the bitmask of its targets
+        and the bitmask of its attackers; bit i stands for the i-th
+        argument of that order."""
+        position = {name: i for i, name in enumerate(self.sorted_arguments)}
+        targets = [0] * len(position)
+        attackers = [0] * len(position)
+        for source, target in self.attacks:
+            targets[position[source]] |= 1 << position[target]
+            attackers[position[target]] |= 1 << position[source]
+        return tuple(targets), tuple(attackers)
+
+    @cached_property
+    def odd_walk_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per argument, the bitmask of the arguments an odd walk leads to
+        from it ("reaches") and of those with an odd walk to it ("is
+        reached from"), over the order of :attr:`bit_rows`."""
+        targets, attackers = self.bit_rows
+        return _odd_closure(targets), _odd_closure(attackers)
 
     @cached_property
     def _attackers_of(self) -> dict[str, frozenset[str]]:
@@ -110,37 +164,11 @@ class ArgumentationFramework:
         self._require(argument)
         return all(self.set_attacks(members, attacker) for attacker in self._attackers_of[argument])
 
-    @cached_property
-    def _odd_reach(self) -> dict[str, frozenset[str]]:
-        # filled per source by odd_walk_exists; a fresh instance (say from
-        # add_attack) starts empty, so an entry never outlives its relation.
-        # Two threads racing on one source store the same set.
-        return {}
-
     def odd_walk_exists(self, source: str, target: str) -> bool:
         """True if a directed walk with an odd number of attacks leads from
-        ``source`` to ``target``.
-
-        Walks may repeat vertices and attacks, so this is decided by a
-        breadth-first search over (argument, parity) states.  The arguments
-        reached at odd parity are memoised per source on this instance, so
-        each source is searched at most once per framework.
-        """
+        ``source`` to ``target``.  Walks may repeat vertices and attacks."""
         self._require(source)
         self._require(target)
-        reach = self._odd_reach.get(source)
-        if reach is None:
-            seen = {(source, 0)}
-            frontier = [(source, 0)]
-            while frontier:
-                next_frontier = []
-                for node, parity in frontier:
-                    for successor in self._targets_of[node]:
-                        state = (successor, parity ^ 1)
-                        if state not in seen:
-                            seen.add(state)
-                            next_frontier.append(state)
-                frontier = next_frontier
-            reach = frozenset(node for node, parity in seen if parity)
-            self._odd_reach[source] = reach
-        return target in reach
+        order = self.sorted_arguments
+        reaches, _ = self.odd_walk_rows
+        return bool(reaches[order.index(source)] >> order.index(target) & 1)

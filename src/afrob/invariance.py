@@ -22,8 +22,8 @@ from typing import Iterator, NamedTuple
 
 from .errors import ArgumentSetMismatch, UnsupportedSemantics
 from . import semantics as _semantics
-from .framework import ArgumentationFramework, Attack
-from .semantics import ExtensionSet, Semantics, _bits, _Enumeration, extension_masks
+from .framework import ArgumentationFramework, Attack, _bits
+from .semantics import ExtensionSet, Semantics, _Enumeration, extension_masks
 
 
 class Verdict(str, Enum):
@@ -92,21 +92,15 @@ def _self_defense_row(af: ArgumentationFramework, a: int) -> int:
     """The targets b that meet the walk conditions of NI-out-self-defense
     for source a: an odd walk leads from b to a, and no c other than b has
     an odd walk to a without a matching odd walk from a back to c."""
-    order = af.sorted_arguments
-    source = order[a]
-    reaching = blocking = 0
-    for c, name in enumerate(order):
-        if af.odd_walk_exists(name, source):
-            reaching |= 1 << c
-            if not af.odd_walk_exists(source, name):
-                blocking |= 1 << c
+    reaches, reached_from = af.odd_walk_rows
+    blocking = reached_from[a] & ~reaches[a]
     if blocking & (blocking - 1):
         return 0  # two blockers: every b leaves one that is not b
-    return blocking or reaching
+    return blocking or reached_from[a]
 
 
 def _rule_rows(
-    af: ArgumentationFramework, enum: _Enumeration, s: int, sources: int, defense: dict[int, int]
+    af: ArgumentationFramework, enum: _Enumeration, s: int, sources: int
 ) -> Iterator[tuple[int, tuple[tuple[Rule, int], ...]]]:
     """The rules that fire on the labelling of the admissible set ``s``,
     for each source a in ``sources``: yields a with a (rule, row) pair per
@@ -125,7 +119,7 @@ def _rule_rows(
     * NI-in-undec-defends-undec: a is in, b is undec, and b attacks some
       non-self-attacking undec argument.
     * NI-out-self-defense: a is out and b meets the walk conditions of
-      :func:`_self_defense_row`, memoised per source in ``defense``.
+      :func:`_self_defense_row`.
 
     The ND rules are exact over all admissible sets: by Dung's definition
     an admissible S is lost exactly when b is in S and either a is in S or
@@ -155,11 +149,9 @@ def _rule_rows(
                 (Rule.NI_IN_UNDEC_DEFENDS_UNDEC, defending_undec),
             )
         elif out >> a & 1:
-            if a not in defense:
-                defense[a] = _self_defense_row(af, a)
             yield a, (
                 (Rule.ND_OUT_IN_UNDEFENDED, unguarded & ~attackers[a]),
-                (Rule.NI_OUT_SELF_DEFENSE, defense[a]),
+                (Rule.NI_OUT_SELF_DEFENSE, _self_defense_row(af, a)),
             )
         else:
             yield a, ((Rule.ND_UNDEC_IN, s),)
@@ -217,13 +209,12 @@ def classify_admissible_attack(
     a, b = order.index(attack.source), order.index(attack.target)
     # through the module, so a patched _enumerate (a tracer) sees this call
     enum = _semantics._enumerate(af)
-    family = extension_masks(af, Semantics.PREFERRED) if preferred_only else enum.adm
+    family = enum.preferred if preferred_only else enum.adm
     losses: list[Witness] = []
     gains: list[Witness] = []
-    defense: dict[int, int] = {}
     # extension_sort_key's order: by size, then by names
     for s in sorted(family, key=lambda m: (m.bit_count(), tuple(_bits(m)))):
-        for _, rows in _rule_rows(af, enum, s, 1 << a, defense):
+        for _, rows in _rule_rows(af, enum, s, 1 << a):
             for rule, row in rows:
                 if row >> b & 1:
                     witness = Witness(frozenset(order[i] for i in _bits(s)), rule)
@@ -280,9 +271,8 @@ def invariant_attacks(af: ArgumentationFramework, semantics: Semantics) -> list[
         )
     enum = _semantics._enumerate(af)
     fired = list(enum.targets)  # existing attacks are no candidates
-    defense: dict[int, int] = {}
     for s in enum.adm:
-        for a, rows in _rule_rows(af, enum, s, enum.full, defense):
+        for a, rows in _rule_rows(af, enum, s, enum.full):
             for _, row in rows:
                 fired[a] |= row
     order = af.sorted_arguments

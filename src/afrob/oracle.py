@@ -156,6 +156,8 @@ def exhaustive_audit(
     semantics = Semantics(semantics)
     if n < 0 or samples < 0:
         raise ValueError(f"negative argument or sample count: n={n}, samples={samples}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, not {jobs}")
     exhaustive = n <= 3
     if exhaustive:
         masks: list[int] = list(range(1 << (n * n)))

@@ -2,16 +2,18 @@
 
 The robustness degree of a framework is the longest sequence of
 single-attack additions, each classified invariant for the framework it is
-applied to, after which no further invariant addition exists.  The
-exhaustive strategy explores the reachable attack-relation sets
-depth-first with memoization (the reached relation set fully determines
-further search, whatever order produced it); the greedy strategy gives a
-cheap lower bound.
+applied to, after which no further invariant addition exists.  One
+depth-first search with memoization serves both strategies (the reached
+relation set fully determines further search, whatever order produced
+it).  The exhaustive strategy follows every candidate of a state; the
+greedy strategy follows only the first in canonical order, so its memo is
+its path and it gives a cheap lower bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from .errors import UnsupportedSemantics
@@ -62,44 +64,14 @@ def robustness_degree(
         )
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, not {max_steps}")
-    if strategy == "greedy":
-        return _greedy(af, semantics, max_steps, paranoid)
-    if strategy == "exhaustive":
-        return _exhaustive(af, semantics, max_steps, paranoid)
-    raise ValueError(f"unknown strategy: {strategy!r}")
-
-
-def _greedy(af, semantics, max_steps, paranoid) -> RobustnessResult:
-    current = af
-    witness: list[Attack] = []
-    truncated = False
-    while True:
-        step = next(_steps(current, semantics, paranoid), None)
-        if step is None:
-            break
-        if max_steps is not None and len(witness) >= max_steps:
-            truncated = True
-            break
-        current = current.add_attack(*step)
-        witness.append(step)
-    return RobustnessResult(
-        degree=len(witness),
-        witness=tuple(witness),
-        explored_states=len(witness) + 1,
-        strategy="greedy",
-        truncated=truncated,
-    )
-
-
-def _exhaustive(af, semantics, max_steps, paranoid) -> RobustnessResult:
+    if strategy not in ("exhaustive", "greedy"):
+        raise ValueError(f"unknown strategy: {strategy!r}")
     memo: dict[frozenset[Attack], tuple[int, tuple[Attack, ...]]] = {}
     truncated = False
 
     def search(current: ArgumentationFramework) -> tuple[int, tuple[Attack, ...]]:
         nonlocal truncated
         key = current.attacks
-        if key in memo:
-            return memo[key]
         steps = _steps(current, semantics, paranoid)
         # depth so far is determined by the relation size, so memoising on
         # the relation set alone stays sound even under a depth cap
@@ -109,11 +81,18 @@ def _exhaustive(af, semantics, max_steps, paranoid) -> RobustnessResult:
                 truncated = True
             memo[key] = (0, ())
             return memo[key]
+        if strategy == "greedy":
+            steps = islice(steps, 1)
         best: tuple[int, tuple[Attack, ...]] = (0, ())
-        # under paranoid, confirmed in full before recursing, while this
-        # framework's enumeration is still in _enumerate's cache
+        # under paranoid, the steps to follow are confirmed before recursing,
+        # while this framework's enumeration is still in _enumerate's cache
         for attack in list(steps):
-            sub_degree, sub_witness = search(current.add_attack(*attack))
+            # a state is never its own descendant, so a memoised successor
+            # needs neither a framework nor a search
+            found = memo.get(key | {attack})
+            if found is None:
+                found = search(current.add_attack(*attack))
+            sub_degree, sub_witness = found
             if 1 + sub_degree > best[0]:
                 best = (1 + sub_degree, (attack,) + sub_witness)
         memo[key] = best
@@ -124,7 +103,7 @@ def _exhaustive(af, semantics, max_steps, paranoid) -> RobustnessResult:
         degree=degree,
         witness=witness,
         explored_states=len(memo),
-        strategy="exhaustive",
+        strategy=strategy,
         truncated=truncated,
     )
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
 from .errors import InternalInvariantViolation, SizeLimit
-from .framework import ArgumentationFramework
+from .framework import ArgumentationFramework, _bits
 
 # With no attacks every subset is conflict-free and admissible, the worst
 # case.  Peak RSS of a fresh process enumerating such a framework (Python
@@ -51,13 +51,6 @@ def extension_sort_key(extension: frozenset[str]) -> tuple[int, tuple[str, ...]]
     return (len(extension), tuple(sorted(extension)))
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _decode(order: tuple[str, ...], masks: Iterable[int]) -> ExtensionSet:
     return frozenset(frozenset(order[i] for i in _bits(m)) for m in masks)
 
@@ -80,19 +73,18 @@ class _Enumeration:
             acc |= self.targets[i]
         return acc
 
+    @cached_property
+    def preferred(self) -> tuple[int, ...]:
+        # a set is maximal exactly when its complement is minimal
+        return _minimal(self.adm, lambda m: self.full & ~m)
+
 
 @lru_cache(maxsize=32768)
 def _enumerate(af: ArgumentationFramework) -> _Enumeration:
-    order = af.sorted_arguments
-    n = len(order)
+    n = len(af.arguments)
     if n > MAX_ENUMERATION_ARGUMENTS:
         raise SizeLimit(f"{n} arguments exceed the enumeration limit of {MAX_ENUMERATION_ARGUMENTS}")
-    position = {name: i for i, name in enumerate(order)}
-    targets = [0] * n
-    attackers = [0] * n
-    for source, target in af.attacks:
-        targets[position[source]] |= 1 << position[target]
-        attackers[position[target]] |= 1 << position[source]
+    targets, attackers = af.bit_rows
 
     # Argument k is offered to every set found before it, each of which has
     # only members below k.  So every conflict-free set is built once, from
@@ -126,7 +118,7 @@ def _enumerate(af: ArgumentationFramework) -> _Enumeration:
                 break
         if complete:
             com.append(mask)
-    return _Enumeration(tuple(targets), tuple(attackers), tuple(cf), tuple(adm), tuple(com))
+    return _Enumeration(targets, attackers, tuple(cf), tuple(adm), tuple(com))
 
 
 def _minimal(masks: Iterable[int], key: Callable[[int], int]) -> tuple[int, ...]:
@@ -161,9 +153,7 @@ def _stable_masks(af: ArgumentationFramework) -> tuple[int, ...]:
 
 
 def _preferred_masks(af: ArgumentationFramework) -> tuple[int, ...]:
-    enum = _enumerate(af)
-    # a set is maximal exactly when its complement is minimal
-    return _minimal(enum.adm, lambda m: enum.full & ~m)
+    return _enumerate(af).preferred
 
 
 def _grounded_masks(af: ArgumentationFramework) -> tuple[int, ...]:

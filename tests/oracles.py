@@ -1,11 +1,13 @@
 """Definitional re-implementations used as an independent route in tests.
 
-Everything here works on plain sets of names and tuples of names with
-itertools, deliberately sharing no code (and no bitmask tricks) with the
-package under test.
+Everything here except :func:`greedy_robustness` works on plain sets of
+names and tuples of names with itertools, deliberately sharing no code (and
+no bitmask tricks) with the package under test.
 """
 
 from itertools import combinations, product
+
+from afrob import RobustnessResult, invariant_attacks, oracle_invariant
 
 
 def subsets(args):
@@ -221,3 +223,28 @@ def rule_scan(args, attacks, family, attack):
     else:
         verdict = "invariant"
     return verdict, tuple(losses + gains)
+
+
+def greedy_robustness(af, semantics, paranoid=False, max_steps=None):
+    """The greedy robustness search as a plain loop on the public API: take
+    the first invariant candidate in canonical order (under ``paranoid`` the
+    first one recomputation confirms) until none is left, or until
+    ``max_steps`` steps are taken while a candidate remains (truncated)."""
+    current, witness, truncated = af, [], False
+    while True:
+        step = next(
+            (
+                attack
+                for attack in invariant_attacks(current, semantics)
+                if not paranoid or oracle_invariant(current, attack, semantics)
+            ),
+            None,
+        )
+        if step is None:
+            break
+        if max_steps is not None and len(witness) >= max_steps:
+            truncated = True
+            break
+        current = current.add_attack(*step)
+        witness.append(step)
+    return RobustnessResult(len(witness), tuple(witness), len(witness) + 1, "greedy", truncated)

@@ -200,21 +200,34 @@ def test_usage_error_exit_code(capsys, g3_file):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["audit", "--args", "-1", "--semantics", "adm"],
-        ["audit", "--args", "2", "--samples", "-1", "--semantics", "adm"],
-        ["robustness", "--semantics", "cf", "--strategy", "greedy", "--max-steps", "-1"],
+        (["audit", "--args", "-1", "--semantics", "adm"], "non-negative integer"),
+        (["audit", "--args", "2", "--samples", "-1", "--semantics", "adm"], "non-negative integer"),
+        (
+            ["robustness", "--semantics", "cf", "--strategy", "greedy", "--max-steps", "-1"],
+            "non-negative integer",
+        ),
+        (["audit", "--args", "2", "--semantics", "cf", "--jobs", "0"], "positive integer"),
+        (["audit", "--args", "2", "--semantics", "cf", "--jobs", "-5"], "positive integer"),
     ],
-    ids=["args", "samples", "max-steps"],
+    ids=["args", "samples", "max-steps", "jobs-zero", "jobs-negative"],
 )
-def test_negative_counts_are_usage_errors(capsys, g3_file, argv):
+def test_negative_counts_are_usage_errors(capsys, g3_file, argv, message):
     if argv[0] == "robustness":
         argv = argv + ["--input", g3_file]
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert "non-negative integer" in err
+    assert message in err
+
+
+def test_bad_afrob_jobs_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("AFROB_JOBS", "x")
+    code, out, err = run(capsys, "audit", "--args", "2", "--semantics", "cf")
+    assert code == 1
+    assert out == ""
+    assert "positive integer" in err
 
 
 def test_missing_file_exit_code(capsys, tmp_path):

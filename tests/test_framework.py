@@ -123,10 +123,12 @@ def test_defends_is_monotone_in_the_set(af, data):
 def _all_pairs_agree_with_enumeration(af):
     attacks = {(a.source, a.target) for a in af.attacks}
     bound = 2 * len(af.arguments)
-    for source in af.sorted_arguments:
-        for target in af.sorted_arguments:
+    _, reached_from = af.odd_walk_rows
+    for i, source in enumerate(af.sorted_arguments):
+        for j, target in enumerate(af.sorted_arguments):
             expected = oracles.odd_walk(attacks, source, target, bound)
             assert af.odd_walk_exists(source, target) == expected
+            assert (reached_from[j] >> i & 1 == 1) == expected
 
 
 def test_odd_walk_matches_enumeration_exhaustively():

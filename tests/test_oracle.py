@@ -158,8 +158,9 @@ def test_framework_from_mask_round_trip():
         lambda g3: exhaustive_audit(-1, Semantics.ADMISSIBLE),
         lambda g3: exhaustive_audit(4, Semantics.ADMISSIBLE, samples=-1),
         lambda g3: robustness_degree(g3, Semantics.CONFLICT_FREE, max_steps=-1),
+        lambda g3: exhaustive_audit(2, Semantics.ADMISSIBLE, jobs=0),
     ],
-    ids=["audit-arguments", "audit-samples", "robustness-max-steps"],
+    ids=["audit-arguments", "audit-samples", "robustness-max-steps", "audit-jobs"],
 )
 def test_negative_counts_are_rejected(g3, call):
     with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import oracles
+
 from afrob import (
     ArgumentationFramework,
     RobustnessResult,
@@ -127,6 +129,38 @@ def test_lazy_greedy_takes_the_first_of_the_full_candidate_list():
                 assert found == expected, (mask, semantics, paranoid)
             capped = robustness_degree(af, semantics, strategy="greedy", max_steps=1)
             assert capped == _reference_greedy(af, semantics, False, max_steps=1)
+
+
+def test_greedy_is_the_greedy_loop_on_every_three_argument_framework():
+    names = canonical_names(3)
+    for mask in range(1 << 9):
+        af = framework_from_mask(names, mask)
+        for semantics in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
+            for paranoid in (False, True):
+                for max_steps in (None, 0, 1, 2):
+                    expected = oracles.greedy_robustness(af, semantics, paranoid, max_steps)
+                    found = robustness_degree(
+                        af, semantics, strategy="greedy", max_steps=max_steps, paranoid=paranoid
+                    )
+                    assert found == expected, (mask, semantics, paranoid, max_steps)
+
+
+def test_exhaustive_search_builds_each_state_once(monkeypatch, g3):
+    # a successor already in the memo is looked up, not built again
+    built = []
+    add_attack = ArgumentationFramework.add_attack
+
+    def counting_add_attack(self, source, target):
+        built.append((source, target))
+        return add_attack(self, source, target)
+
+    monkeypatch.setattr(ArgumentationFramework, "add_attack", counting_add_attack)
+    cases = [(g3, Semantics.CONFLICT_FREE), (g3, Semantics.ADMISSIBLE)]
+    cases += [(af, Semantics.ADMISSIBLE) for af in _random_frameworks(20, seed=29)]
+    for af, semantics in cases:
+        built.clear()
+        result = robustness_degree(af, semantics)
+        assert len(built) == result.explored_states - 1, (af, semantics)
 
 
 def test_capped_exhaustive_search_matches_per_candidate_classification():

@@ -304,7 +304,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="afrob", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
+    def common(p, with_input=True, jobs="1"):
         if with_input:
             p.add_argument("--input", required=True, help="apx file, or - for stdin")
         p.add_argument("--format", choices=["json", "text"], default="text")
@@ -313,8 +313,8 @@ def _build_parser() -> _Parser:
             type=_positive,
             # a string default goes through the type too, so a bad
             # AFROB_JOBS is the same usage error as a bad --jobs
-            default=os.environ.get("AFROB_JOBS", "1"),
-            help="worker processes for audits (default from AFROB_JOBS)",
+            default=jobs,
+            help="worker processes for audits",
         )
 
     p = sub.add_parser("extensions", help="enumerate the extension set")
@@ -361,7 +361,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--semantics", choices=_CLASSIFY_SEMANTICS, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_count, default=1000)
-    common(p, with_input=False)
+    # only audit uses workers, so only audit takes its default from AFROB_JOBS
+    common(p, with_input=False, jobs=os.environ.get("AFROB_JOBS", "1"))
     p.set_defaults(func=_cmd_audit)
 
     return parser

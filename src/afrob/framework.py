@@ -1,9 +1,13 @@
 """Immutable argumentation frameworks and attack-relation queries.
 
 A framework is a finite set of named arguments plus a set of directed
-attacks between them.  Everything here is value-semantic: operations never
-mutate, they return fresh frameworks, so instances can be shared freely
-(across threads included) and used as dictionary keys.
+attacks between them, stored once: the arguments in canonical
+(lexicographic) order and, per argument, the bitmask of its targets, where
+bit i stands for the i-th argument of that order.  Every other view (the
+attack set, the attacker rows, the name-level queries) is read off these
+rows.  Everything here is value-semantic: operations never mutate, they
+return fresh frameworks, so instances can be shared freely (across threads
+included) and used as dictionary keys.
 """
 
 from __future__ import annotations
@@ -31,6 +35,17 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _attacks_in(order: tuple[str, ...], rows: Iterable[int]) -> list[Attack]:
+    """The attack (order[a], order[b]) for each bit b of ``rows[a]``, in
+    canonical order."""
+    return [Attack(order[a], order[b]) for a, row in enumerate(rows) for b in _bits(row)]
+
+
+def _with_attack(rows: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """``rows`` with bit b of row a set."""
+    return rows[:a] + (rows[a] | 1 << b,) + rows[a + 1 :]
 
 
 def _odd_closure(successors: tuple[int, ...]) -> tuple[int, ...]:
@@ -63,41 +78,48 @@ class ArgumentationFramework:
     """A finite argument set with a binary attack relation over it.
 
     Equality compares the argument set and the attack set; the order in
-    which attacks were inserted is irrelevant.  Self-attacks are allowed.
+    which arguments and attacks were inserted is irrelevant.  Self-attacks
+    are allowed.
     """
 
-    arguments: frozenset[str]
-    attacks: frozenset[Attack]
+    sorted_arguments: tuple[str, ...]
+    target_rows: tuple[int, ...]
 
     def __init__(self, arguments: Iterable[str] = (), attacks: Iterable[tuple[str, str]] = ()):
-        object.__setattr__(self, "arguments", frozenset(arguments))
-        object.__setattr__(self, "attacks", frozenset(Attack(s, t) for s, t in attacks))
-        for name in self.arguments:
+        order = tuple(sorted(set(arguments)))
+        for name in order:
             if not _NAME_RE.match(name):
                 raise ValueError(f"invalid argument name: {name!r}")
-        for attack in self.attacks:
-            if attack.source not in self.arguments:
-                raise UnknownArgument(f"attack source {attack.source!r} is not an argument")
-            if attack.target not in self.arguments:
-                raise UnknownArgument(f"attack target {attack.target!r} is not an argument")
+        position = {name: i for i, name in enumerate(order)}
+        rows = [0] * len(order)
+        for source, target in attacks:
+            if source not in position:
+                raise UnknownArgument(f"attack source {source!r} is not an argument")
+            if target not in position:
+                raise UnknownArgument(f"attack target {target!r} is not an argument")
+            rows[position[source]] |= 1 << position[target]
+        object.__setattr__(self, "sorted_arguments", order)
+        object.__setattr__(self, "target_rows", tuple(rows))
 
     @cached_property
-    def sorted_arguments(self) -> tuple[str, ...]:
-        """Arguments in the canonical (lexicographic) order."""
-        return tuple(sorted(self.arguments))
+    def arguments(self) -> frozenset[str]:
+        """The argument names, as a set."""
+        return frozenset(self.sorted_arguments)
+
+    @cached_property
+    def attacks(self) -> frozenset[Attack]:
+        """The attack relation, decoded from ``target_rows``."""
+        return frozenset(_attacks_in(self.sorted_arguments, self.target_rows))
 
     @cached_property
     def bit_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Per argument of ``sorted_arguments``, the bitmask of its targets
-        and the bitmask of its attackers; bit i stands for the i-th
-        argument of that order."""
-        position = {name: i for i, name in enumerate(self.sorted_arguments)}
-        targets = [0] * len(position)
-        attackers = [0] * len(position)
-        for source, target in self.attacks:
-            targets[position[source]] |= 1 << position[target]
-            attackers[position[target]] |= 1 << position[source]
-        return tuple(targets), tuple(attackers)
+        (``target_rows``) and the bitmask of its attackers."""
+        attackers = [0] * len(self.target_rows)
+        for a, row in enumerate(self.target_rows):
+            for b in _bits(row):
+                attackers[b] |= 1 << a
+        return self.target_rows, tuple(attackers)
 
     @cached_property
     def odd_walk_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -107,68 +129,65 @@ class ArgumentationFramework:
         targets, attackers = self.bit_rows
         return _odd_closure(targets), _odd_closure(attackers)
 
-    @cached_property
-    def _attackers_of(self) -> dict[str, frozenset[str]]:
-        table: dict[str, set[str]] = {name: set() for name in self.arguments}
-        for source, target in self.attacks:
-            table[target].add(source)
-        return {name: frozenset(sources) for name, sources in table.items()}
+    def _index(self, name: str) -> int:
+        try:
+            return self.sorted_arguments.index(name)
+        except ValueError:
+            raise UnknownArgument(f"unknown argument: {name!r}") from None
 
-    @cached_property
-    def _targets_of(self) -> dict[str, frozenset[str]]:
-        table: dict[str, set[str]] = {name: set() for name in self.arguments}
-        for source, target in self.attacks:
-            table[source].add(target)
-        return {name: frozenset(targets) for name, targets in table.items()}
+    def _mask(self, names: Iterable[str]) -> int:
+        mask = 0
+        for name in names:
+            mask |= 1 << self._index(name)
+        return mask
 
-    def _require(self, name: str) -> None:
-        if name not in self.arguments:
-            raise UnknownArgument(f"unknown argument: {name!r}")
+    def _names(self, mask: int) -> frozenset[str]:
+        return frozenset(self.sorted_arguments[i] for i in _bits(mask))
+
+    def attacked_by(self, mask: int) -> int:
+        """The bitmask of the arguments that some member of the set
+        ``mask`` attacks."""
+        attacked = 0
+        for i in _bits(mask):
+            attacked |= self.target_rows[i]
+        return attacked
 
     def add_attack(self, source: str, target: str) -> "ArgumentationFramework":
         """Return a copy with the attack added; adding an existing attack
-        returns an equal framework."""
-        self._require(source)
-        self._require(target)
-        attack = Attack(source, target)
-        if attack in self.attacks:
+        returns an equal framework.  The copy shares this framework's
+        argument order, so nothing is validated again."""
+        a, b = self._index(source), self._index(target)
+        if self.target_rows[a] >> b & 1:
             return self
-        return ArgumentationFramework(self.arguments, self.attacks | {attack})
+        expanded = object.__new__(ArgumentationFramework)
+        object.__setattr__(expanded, "sorted_arguments", self.sorted_arguments)
+        object.__setattr__(expanded, "target_rows", _with_attack(self.target_rows, a, b))
+        return expanded
 
     def attackers(self, argument: str) -> frozenset[str]:
         """All arguments attacking ``argument``."""
-        self._require(argument)
-        return self._attackers_of[argument]
+        return self._names(self.bit_rows[1][self._index(argument)])
 
     def targets(self, argument: str) -> frozenset[str]:
         """All arguments attacked by ``argument``."""
-        self._require(argument)
-        return self._targets_of[argument]
+        return self._names(self.target_rows[self._index(argument)])
 
     def set_attacks(self, members: Iterable[str], target: str) -> bool:
         """True if some member of the set attacks ``target``."""
-        members = frozenset(members)
-        for name in members:
-            self._require(name)
-        self._require(target)
-        return not members.isdisjoint(self._attackers_of[target])
+        mask = self._mask(members)
+        return bool(self.attacked_by(mask) >> self._index(target) & 1)
 
     def defends(self, members: Iterable[str], argument: str) -> bool:
         """True if the set counterattacks every attacker of ``argument``.
 
         Vacuously true for unattacked arguments.
         """
-        members = frozenset(members)
-        for name in members:
-            self._require(name)
-        self._require(argument)
-        return all(self.set_attacks(members, attacker) for attacker in self._attackers_of[argument])
+        mask = self._mask(members)
+        return not self.bit_rows[1][self._index(argument)] & ~self.attacked_by(mask)
 
     def odd_walk_exists(self, source: str, target: str) -> bool:
         """True if a directed walk with an odd number of attacks leads from
         ``source`` to ``target``.  Walks may repeat vertices and attacks."""
-        self._require(source)
-        self._require(target)
-        order = self.sorted_arguments
+        a, b = self._index(source), self._index(target)
         reaches, _ = self.odd_walk_rows
-        return bool(reaches[order.index(source)] >> order.index(target) & 1)
+        return bool(reaches[a] >> b & 1)

@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import ArgumentSetMismatch, UnsupportedSemantics
 from . import semantics as _semantics
-from .framework import ArgumentationFramework, Attack, _bits
+from .framework import ArgumentationFramework, Attack, _attacks_in, _bits
 from .semantics import ExtensionSet, Semantics, _Enumeration, extension_masks
 
 
@@ -78,7 +78,7 @@ def sigma_equivalent(
     The shared argument set gives both one argument order, so their
     ascending mask families are compared directly.
     """
-    if af.arguments != other.arguments:
+    if af.sorted_arguments != other.sorted_arguments:
         raise ArgumentSetMismatch("the two frameworks do not share an argument set")
     return extension_masks(af, semantics) == extension_masks(other, semantics)
 
@@ -130,8 +130,8 @@ def _rule_rows(
     recomputation.  a's label selects the rules, so at most one ND and one
     NI rule fire per labelling and candidate.
     """
-    targets, attackers = enum.targets, enum.attackers
-    out = enum.attacked_by(s)
+    targets, attackers = af.bit_rows
+    out = af.attacked_by(s)
     undec = enum.full & ~(s | out)
     # the rows shared by all sources with one label, built only if needed
     if s & sources:
@@ -157,11 +157,17 @@ def _rule_rows(
             yield a, ((Rule.ND_UNDEC_IN, s),)
 
 
-def _conflict_kept(af: ArgumentationFramework, a: str, b: str) -> bool:
-    """Adding (a, b) leaves every conflict-free set conflict-free: a and b
-    already conflict, or one of them attacks itself (and so is in no
-    conflict-free set)."""
-    return any(Attack(s, t) in af.attacks for s, t in ((a, b), (b, a), (a, a), (b, b)))
+def _conflict_kept(af: ArgumentationFramework) -> list[int]:
+    """Per argument a, the targets b for which adding (a, b) leaves every
+    conflict-free set conflict-free: a and b already conflict, or one of
+    them attacks itself (and so is in no conflict-free set)."""
+    targets, attackers = af.bit_rows
+    loops = sum(1 << a for a, row in enumerate(targets) if row >> a & 1)
+    full = (1 << len(targets)) - 1
+    return [
+        full if loops >> a & 1 else targets[a] | attackers[a] | loops
+        for a in range(len(targets))
+    ]
 
 
 def classify_conflict_free_attack(
@@ -176,12 +182,10 @@ def classify_conflict_free_attack(
     lost.
     """
     attack = Attack(*attack)
-    af._require(attack.source)
-    af._require(attack.target)
-    a, b = attack
-    if _conflict_kept(af, a, b):
+    a, b = af._index(attack.source), af._index(attack.target)
+    if _conflict_kept(af)[a] >> b & 1:
         return AttackClassification(attack, Semantics.CONFLICT_FREE, Verdict.INVARIANT, ())
-    witness = Witness(frozenset({a, b}), Rule.CF_NEVER_IN)
+    witness = Witness(frozenset(attack), Rule.CF_NEVER_IN)
     return AttackClassification(
         attack, Semantics.CONFLICT_FREE, Verdict.BREAKS_NON_DECREASING, (witness,)
     )
@@ -201,12 +205,9 @@ def classify_admissible_attack(
     Re-adding an existing attack is trivially invariant.
     """
     attack = Attack(*attack)
-    af._require(attack.source)
-    af._require(attack.target)
-    if attack in af.attacks:
+    a, b = af._index(attack.source), af._index(attack.target)
+    if af.target_rows[a] >> b & 1:
         return AttackClassification(attack, Semantics.ADMISSIBLE, Verdict.INVARIANT, ())
-    order = af.sorted_arguments
-    a, b = order.index(attack.source), order.index(attack.target)
     # through the module, so a patched _enumerate (a tracer) sees this call
     enum = _semantics._enumerate(af)
     family = enum.preferred if preferred_only else enum.adm
@@ -217,7 +218,7 @@ def classify_admissible_attack(
         for _, rows in _rule_rows(af, enum, s, 1 << a):
             for rule, row in rows:
                 if row >> b & 1:
-                    witness = Witness(frozenset(order[i] for i in _bits(s)), rule)
+                    witness = Witness(af._names(s), rule)
                     (losses if rule in _DELETION_RULES else gains).append(witness)
     if losses and gains:
         verdict = Verdict.BREAKS_BOTH
@@ -247,12 +248,8 @@ def classify_attack(
 
 def candidate_attacks(af: ArgumentationFramework) -> list[Attack]:
     """All attacks not yet present, in canonical order."""
-    return [
-        Attack(source, target)
-        for source in af.sorted_arguments
-        for target in af.sorted_arguments
-        if Attack(source, target) not in af.attacks
-    ]
+    full = (1 << len(af.target_rows)) - 1
+    return _attacks_in(af.sorted_arguments, [full & ~row for row in af.target_rows])
 
 
 def invariant_attacks(af: ArgumentationFramework, semantics: Semantics) -> list[Attack]:
@@ -263,25 +260,21 @@ def invariant_attacks(af: ArgumentationFramework, semantics: Semantics) -> list[
     framework, and a candidate is invariant when no rule fires on it.
     """
     semantics = Semantics(semantics)
+    targets = af.target_rows
     if semantics is Semantics.CONFLICT_FREE:
-        return [attack for attack in candidate_attacks(af) if _conflict_kept(af, *attack)]
+        kept = _conflict_kept(af)
+        return _attacks_in(af.sorted_arguments, [k & ~t for k, t in zip(kept, targets)])
     if semantics is not Semantics.ADMISSIBLE:
         raise UnsupportedSemantics(
             f"attack classification supports cf and adm, not {semantics.value}"
         )
     enum = _semantics._enumerate(af)
-    fired = list(enum.targets)  # existing attacks are no candidates
+    fired = list(targets)  # existing attacks are no candidates
     for s in enum.adm:
         for a, rows in _rule_rows(af, enum, s, enum.full):
             for _, row in rows:
                 fired[a] |= row
-    order = af.sorted_arguments
-    return [
-        Attack(order[a], order[b])
-        for a in range(len(order))
-        for b in range(len(order))
-        if not fired[a] >> b & 1
-    ]
+    return _attacks_in(af.sorted_arguments, [enum.full & ~row for row in fired])
 
 
 def enumerate_invariant_attacks(

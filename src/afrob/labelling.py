@@ -82,11 +82,10 @@ def _sort_key(labelling: Labelling) -> tuple:
 def labelling_from_set(af: ArgumentationFramework, members: Iterable[str]) -> Labelling:
     """The labelling induced by a set: members in, their targets out,
     everything else undec.  No admissibility requirement."""
-    members = frozenset(members)
-    for name in members:
-        af._require(name)
-    attacked = frozenset(t for m in members for t in af.targets(m))
-    return Labelling(members, attacked - members, af.arguments - members - attacked)
+    mask = af._mask(members)
+    members = af._names(mask)
+    out = af._names(af.attacked_by(mask) & ~mask)
+    return Labelling(members, out, af.arguments - members - out)
 
 
 def extension_labellings(af: ArgumentationFramework, family: ExtensionSet) -> list[Labelling]:
@@ -98,9 +97,7 @@ def extension_labellings(af: ArgumentationFramework, family: ExtensionSet) -> li
 def labelling_of_extension(af: ArgumentationFramework, extension: Iterable[str]) -> Labelling:
     """As :func:`labelling_from_set`, but the set must be admissible."""
     extension = frozenset(extension)
-    for name in extension:
-        af._require(name)
-    mask = sum(1 << af.sorted_arguments.index(name) for name in extension)
+    mask = af._mask(extension)
     if mask not in extension_masks(af, Semantics.ADMISSIBLE):
         raise NotAdmissible(f"{sorted(extension)} is not admissible")
     return labelling_from_set(af, extension)
@@ -142,11 +139,9 @@ def credulous_sets(af: ArgumentationFramework, semantics: Semantics) -> Credulou
     """
     semantics = Semantics(semantics)
     if semantics is Semantics.CONFLICT_FREE:
-        acceptable = [name for name in af.arguments if name not in af.targets(name)]
+        acceptable = sum(1 << a for a, row in enumerate(af.target_rows) if not row >> a & 1)
         return CredulousSets(
-            frozenset(acceptable),
-            frozenset(target for name in acceptable for target in af.targets(name)),
-            af.arguments,
+            af._names(acceptable), af._names(af.attacked_by(acceptable)), af.arguments
         )
     labellings = extension_labellings(af, extensions(af, semantics))
     in_set: frozenset[str] = frozenset()

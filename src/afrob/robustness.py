@@ -17,7 +17,7 @@ from itertools import islice
 from typing import Iterator
 
 from .errors import UnsupportedSemantics
-from .framework import ArgumentationFramework, Attack
+from .framework import ArgumentationFramework, Attack, _with_attack
 from .invariance import Verdict, classify_attack, invariant_attacks, sigma_equivalent
 from .oracle import oracle_invariant
 from .semantics import Semantics
@@ -66,16 +66,16 @@ def robustness_degree(
         raise ValueError(f"max_steps must be non-negative, not {max_steps}")
     if strategy not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown strategy: {strategy!r}")
-    memo: dict[frozenset[Attack], tuple[int, tuple[Attack, ...]]] = {}
+    # keyed on the relation alone: each step adds one attack, so a state's
+    # depth is fixed by its relation and the memo stays sound under a cap
+    memo: dict[tuple[int, ...], tuple[int, tuple[Attack, ...]]] = {}
     truncated = False
+    order = af.sorted_arguments
 
-    def search(current: ArgumentationFramework) -> tuple[int, tuple[Attack, ...]]:
+    def search(current: ArgumentationFramework, depth: int) -> tuple[int, tuple[Attack, ...]]:
         nonlocal truncated
-        key = current.attacks
+        key = current.target_rows
         steps = _steps(current, semantics, paranoid)
-        # depth so far is determined by the relation size, so memoising on
-        # the relation set alone stays sound even under a depth cap
-        depth = len(current.attacks) - len(af.attacks)
         if max_steps is not None and depth >= max_steps:
             if next(steps, None) is not None:
                 truncated = True
@@ -89,16 +89,17 @@ def robustness_degree(
         for attack in list(steps):
             # a state is never its own descendant, so a memoised successor
             # needs neither a framework nor a search
-            found = memo.get(key | {attack})
+            a, b = order.index(attack.source), order.index(attack.target)
+            found = memo.get(_with_attack(key, a, b))
             if found is None:
-                found = search(current.add_attack(*attack))
+                found = search(current.add_attack(*attack), depth + 1)
             sub_degree, sub_witness = found
             if 1 + sub_degree > best[0]:
                 best = (1 + sub_degree, (attack,) + sub_witness)
         memo[key] = best
         return best
 
-    degree, witness = search(af)
+    degree, witness = search(af, 0)
     return RobustnessResult(
         degree=degree,
         witness=witness,

@@ -6,13 +6,14 @@ ever built.  A set grows by one argument above its highest member, and only
 when that argument attacks no member and is attacked by none, so each
 conflict-free set is reached exactly once and no other subset is visited.
 Each set carries the union of its members' targets and the union of their
-attackers, which makes the admissibility test one bit operation; the
-completeness test runs once per admissible set.  The other semantics filter
-these families.  Every family is an ascending tuple of masks, so two
-frameworks over one argument set have equal extension sets exactly when
-their tuples are equal, and masks are decoded into sets of names only for
-output.  Frameworks larger than the guardrail are rejected instead of
-silently hanging.
+attackers (read off the framework's ``bit_rows``), which makes the
+admissibility test one bit operation; the completeness test runs once per
+admissible set.  The other semantics filter these families, asking the
+framework which arguments a set attacks.  Every family is an ascending
+tuple of masks, so two frameworks over one argument set have equal
+extension sets exactly when their tuples are equal, and masks are decoded
+into sets of names only for output.  Frameworks larger than the guardrail
+are rejected instead of silently hanging.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
 from .errors import InternalInvariantViolation, SizeLimit
-from .framework import ArgumentationFramework, _bits
+from .framework import ArgumentationFramework
 
 # With no attacks every subset is conflict-free and admissible, the worst
 # case.  Peak RSS of a fresh process enumerating such a framework (Python
@@ -51,27 +52,16 @@ def extension_sort_key(extension: frozenset[str]) -> tuple[int, tuple[str, ...]]
     return (len(extension), tuple(sorted(extension)))
 
 
-def _decode(order: tuple[str, ...], masks: Iterable[int]) -> ExtensionSet:
-    return frozenset(frozenset(order[i] for i in _bits(m)) for m in masks)
+def _decode(af: ArgumentationFramework, masks: Iterable[int]) -> ExtensionSet:
+    return frozenset(map(af._names, masks))
 
 
 @dataclass(frozen=True)
 class _Enumeration:
-    targets: tuple[int, ...]  # per argument: the arguments it attacks
-    attackers: tuple[int, ...]  # per argument: the arguments attacking it
+    full: int  # the mask of all arguments
     cf: tuple[int, ...]
     adm: tuple[int, ...]
     com: tuple[int, ...]
-
-    @property
-    def full(self) -> int:
-        return (1 << len(self.targets)) - 1
-
-    def attacked_by(self, mask: int) -> int:
-        acc = 0
-        for i in _bits(mask):
-            acc |= self.targets[i]
-        return acc
 
     @cached_property
     def preferred(self) -> tuple[int, ...]:
@@ -81,7 +71,7 @@ class _Enumeration:
 
 @lru_cache(maxsize=32768)
 def _enumerate(af: ArgumentationFramework) -> _Enumeration:
-    n = len(af.arguments)
+    n = len(af.sorted_arguments)
     if n > MAX_ENUMERATION_ARGUMENTS:
         raise SizeLimit(f"{n} arguments exceed the enumeration limit of {MAX_ENUMERATION_ARGUMENTS}")
     targets, attackers = af.bit_rows
@@ -118,7 +108,7 @@ def _enumerate(af: ArgumentationFramework) -> _Enumeration:
                 break
         if complete:
             com.append(mask)
-    return _Enumeration(targets, attackers, tuple(cf), tuple(adm), tuple(com))
+    return _Enumeration((1 << n) - 1, tuple(cf), tuple(adm), tuple(com))
 
 
 def _minimal(masks: Iterable[int], key: Callable[[int], int]) -> tuple[int, ...]:
@@ -149,7 +139,7 @@ def _complete_masks(af: ArgumentationFramework) -> tuple[int, ...]:
 
 def _stable_masks(af: ArgumentationFramework) -> tuple[int, ...]:
     enum = _enumerate(af)
-    return tuple(m for m in enum.cf if m | enum.attacked_by(m) == enum.full)
+    return tuple(m for m in enum.cf if m | af.attacked_by(m) == enum.full)
 
 
 def _preferred_masks(af: ArgumentationFramework) -> tuple[int, ...]:
@@ -167,7 +157,7 @@ def _grounded_masks(af: ArgumentationFramework) -> tuple[int, ...]:
 
 def _semi_stable_masks(af: ArgumentationFramework) -> tuple[int, ...]:
     enum = _enumerate(af)
-    return _minimal(enum.com, lambda m: enum.full & ~(m | enum.attacked_by(m)))
+    return _minimal(enum.com, lambda m: enum.full & ~(m | af.attacked_by(m)))
 
 
 _DISPATCH = {
@@ -190,7 +180,7 @@ def extension_masks(af: ArgumentationFramework, semantics: Semantics) -> tuple[i
 
 def extensions(af: ArgumentationFramework, semantics: Semantics) -> ExtensionSet:
     """Extension set of ``af`` under the given semantics."""
-    return _decode(af.sorted_arguments, extension_masks(af, semantics))
+    return _decode(af, extension_masks(af, semantics))
 
 
 def extension_difference(
@@ -201,8 +191,7 @@ def extension_difference(
     same argument set; only the differing extensions are decoded."""
     before = set(extension_masks(af, semantics))
     after = set(extension_masks(other, semantics))
-    order = af.sorted_arguments
-    return _decode(order, before - after), _decode(order, after - before)
+    return _decode(af, before - after), _decode(af, after - before)
 
 
 def conflict_free_sets(af: ArgumentationFramework) -> ExtensionSet:

@@ -230,6 +230,16 @@ def test_bad_afrob_jobs_is_a_usage_error(capsys, monkeypatch):
     assert "positive integer" in err
 
 
+@pytest.mark.parametrize("value", ["0", "x"])
+def test_afrob_jobs_is_read_by_audit_alone(capsys, monkeypatch, g3_file, value):
+    argv = ["extensions", "--semantics", "adm", "--input", g3_file]
+    monkeypatch.delenv("AFROB_JOBS", raising=False)
+    expected = run(capsys, *argv)
+    monkeypatch.setenv("AFROB_JOBS", value)
+    assert run(capsys, *argv) == expected
+    assert expected[0] == 0
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, err = run(
         capsys, "extensions", "--semantics", "cf", "--input", str(tmp_path / "nope.apx")

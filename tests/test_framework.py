@@ -3,7 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from afrob import ArgumentationFramework, Attack, UnknownArgument
+from afrob import ArgumentationFramework, Attack, Semantics, UnknownArgument, extension_masks
+from afrob.semantics import _enumerate
 from conftest import frameworks
 
 
@@ -48,6 +49,28 @@ def test_add_attack_leaves_original_unmodified(g3):
     expanded = g3.add_attack("1", "4")
     assert expanded.attacks == g3.attacks | {Attack("1", "4")}
     assert g3.attacks == frozenset({Attack("1", "2"), Attack("2", "3")})
+
+
+def test_add_attack_agrees_with_construction_exhaustively():
+    # _enumerate's cache is keyed on the framework, so a framework built by
+    # add_attack must be equal, hash equal and answer alike to one built
+    # from its names
+    names = ("x", "y", "z")
+    pairs = [(s, t) for s in names for t in names]
+    for mask in range(1 << 9):
+        af = ArgumentationFramework(names, [pairs[k] for k in range(9) if mask >> k & 1])
+        for pair in pairs:
+            expanded = af.add_attack(*pair)
+            built = ArgumentationFramework(af.arguments, af.attacks | {pair})
+            assert expanded == built and hash(expanded) == hash(built), (mask, pair)
+            assert expanded.attacks == built.attacks
+            assert expanded.bit_rows == built.bit_rows
+            assert expanded.odd_walk_rows == built.odd_walk_rows
+            for semantics in Semantics:
+                _enumerate.cache_clear()
+                masks = extension_masks(expanded, semantics)
+                _enumerate.cache_clear()
+                assert masks == extension_masks(built, semantics), (mask, pair, semantics)
 
 
 def test_add_attack_rejects_unknown_endpoints(g3):

@@ -163,6 +163,28 @@ def test_exhaustive_search_builds_each_state_once(monkeypatch, g3):
         assert len(built) == result.explored_states - 1, (af, semantics)
 
 
+def test_exhaustive_search_builds_no_framework_through_init(monkeypatch, g3):
+    # every state after the root comes from add_attack, which shares the
+    # root's validated argument order instead of constructing a framework
+    constructed = []
+    init = ArgumentationFramework.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(args)
+        init(self, *args, **kwargs)
+
+    cases = [
+        (af, semantics)
+        for af in [g3] + _random_frameworks(20, seed=29)
+        for semantics in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE)
+    ]
+    monkeypatch.setattr(ArgumentationFramework, "__init__", counting_init)
+    for af, semantics in cases:
+        constructed.clear()
+        result = robustness_degree(af, semantics)
+        assert constructed == [], (af, semantics, result.explored_states)
+
+
 def test_capped_exhaustive_search_matches_per_candidate_classification():
     # the depth cap only asks whether a candidate exists; every eighth
     # three-argument relation keeps the per-candidate reference quick

@@ -11,7 +11,7 @@ an error.  Duplicate declarations are tolerated.
 from __future__ import annotations
 
 from .errors import ParseError, UndeclaredArgument
-from .framework import ArgumentationFramework
+from .framework import ArgumentationFramework, _attacks_in
 
 _NAME_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
 
@@ -96,5 +96,6 @@ def parse_apx(text: str) -> ArgumentationFramework:
 def emit_apx(af: ArgumentationFramework) -> str:
     """Render a framework as a canonical apx document (sorted, deduplicated)."""
     lines = [f"arg({name})." for name in af.sorted_arguments]
-    lines += [f"att({a.source},{a.target})." for a in sorted(af.attacks)]
+    attacks = _attacks_in(af.sorted_arguments, af.target_rows)
+    lines += [f"att({a.source},{a.target})." for a in attacks]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -16,6 +16,8 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
+from typing import Iterable
 
 from .apx import parse_apx
 from .errors import (
@@ -25,7 +27,7 @@ from .errors import (
     SizeLimit,
     UndeclaredArgument,
 )
-from .framework import ArgumentationFramework
+from .framework import ArgumentationFramework, _attacks_in, _bits
 from .invariance import (
     AttackClassification,
     classify_attack,
@@ -35,7 +37,7 @@ from .invariance import (
 from .labelling import labellings_for
 from .oracle import AuditReport, exhaustive_audit, extension_changes, oracle_invariant
 from .robustness import RobustnessResult, robustness_degree
-from .semantics import Semantics, extension_difference, extension_sort_key, extensions
+from .semantics import Semantics, extension_difference, extension_masks, extension_sort_key
 
 SCHEMA = "afrob/1"
 
@@ -90,7 +92,7 @@ def _fmt_extensions(family) -> str:
     return ",".join(_fmt_set(ext) for ext in sorted(family, key=extension_sort_key)) or "-"
 
 
-def _emit(args, command: str, result: dict, text_lines: list[str]) -> int:
+def _emit(args, command: str, result: dict, text_lines: Iterable[str]) -> int:
     if args.format == "json":
         print(json.dumps({"schema": SCHEMA, "command": command, "result": result}, indent=2))
     else:
@@ -121,12 +123,24 @@ def _classification_text(classification: AttackClassification) -> list[str]:
     return lines
 
 
+def _extension_lists(af: ArgumentationFramework, semantics: Semantics) -> list[list[str]]:
+    """The extensions as sorted name lists, in ``extension_sort_key``'s
+    order, named straight from the masks."""
+    # each list is ascending because sorted_arguments is, so ordering the
+    # lists by (size, members) is ordering the sets by (size, sorted names)
+    names = af.sorted_arguments
+    found = [[names[i] for i in _bits(m)] for m in extension_masks(af, semantics)]
+    found.sort(key=lambda ext: (len(ext), ext))
+    return found
+
+
 def _cmd_extensions(args) -> int:
     af = _load(args.input)
     semantics = Semantics(args.semantics)
-    family = extensions(af, semantics)
-    result = {"semantics": semantics.value, "extensions": _sorted_extensions(family)}
-    text = [_fmt_set(ext) for ext in sorted(family, key=extension_sort_key)]
+    found = _extension_lists(af, semantics)
+    result = {"semantics": semantics.value, "extensions": found}
+    # a generator, so the text is only built when it is printed
+    text = ("{" + ",".join(ext) + "}" for ext in found)
     return _emit(args, "extensions", result, text)
 
 
@@ -253,7 +267,7 @@ def _audit_json(report: AuditReport) -> dict:
             {
                 "attacks": [
                     {"source": a.source, "target": a.target}
-                    for a in sorted(d.framework.attacks)
+                    for a in _attacks_in(d.framework.sorted_arguments, d.framework.target_rows)
                 ],
                 "attack": {"source": d.attack.source, "target": d.attack.target},
                 "predicate_verdict": d.predicate_verdict.value,
@@ -279,7 +293,10 @@ def format_audit_text(report: AuditReport) -> list[str]:
     for rule, count in report.by_rule().items():
         lines.append(f"by rule: {rule}={count}")
     for d in report.discrepancies:
-        attacks = ",".join(f"({a.source},{a.target})" for a in sorted(d.framework.attacks))
+        attacks = ",".join(
+            f"({a.source},{a.target})"
+            for a in _attacks_in(d.framework.sorted_arguments, d.framework.target_rows)
+        )
         lines.append(
             f"disagreement: R={{{attacks}}} add=({d.attack.source},{d.attack.target})"
             f" predicate={d.predicate_verdict.value}"
@@ -300,11 +317,14 @@ def _cmd_audit(args) -> int:
     return _emit(args, "audit", _audit_json(report), format_audit_text(report))
 
 
-def _build_parser() -> _Parser:
+@cache
+def _parsers() -> tuple[_Parser, _Parser]:
+    """The command parser and its ``audit`` subparser, built on first use
+    and then shared by every call in the process."""
     parser = _Parser(prog="afrob", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True, jobs="1"):
+    def common(p, with_input=True):
         if with_input:
             p.add_argument("--input", required=True, help="apx file, or - for stdin")
         p.add_argument("--format", choices=["json", "text"], default="text")
@@ -313,7 +333,7 @@ def _build_parser() -> _Parser:
             type=_positive,
             # a string default goes through the type too, so a bad
             # AFROB_JOBS is the same usage error as a bad --jobs
-            default=jobs,
+            default="1",
             help="worker processes for audits",
         )
 
@@ -361,15 +381,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--semantics", choices=_CLASSIFY_SEMANTICS, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_count, default=1000)
-    # only audit uses workers, so only audit takes its default from AFROB_JOBS
-    common(p, with_input=False, jobs=os.environ.get("AFROB_JOBS", "1"))
+    common(p, with_input=False)
     p.set_defaults(func=_cmd_audit)
 
-    return parser
+    return parser, p
 
 
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
+    parser, audit = _parsers()
+    # only audit uses workers, so only audit takes its --jobs default from
+    # AFROB_JOBS, read on every call because the parser outlives it
+    audit.set_defaults(jobs=os.environ.get("AFROB_JOBS", "1"))
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -17,13 +17,12 @@ from enum import Enum
 from typing import Iterable, NamedTuple
 
 from .errors import NotAdmissible, UnsupportedSemantics
-from .framework import ArgumentationFramework
+from .framework import ArgumentationFramework, _bits
 from .semantics import (
     ExtensionSet,
     Semantics,
     extension_masks,
     extension_sort_key,
-    extensions,
 )
 
 
@@ -75,17 +74,18 @@ class CredulousSets(NamedTuple):
     undec_set: frozenset[str]
 
 
-def _sort_key(labelling: Labelling) -> tuple:
-    return (tuple(sorted(labelling.in_set)), tuple(sorted(labelling.out_set)))
+def _labelling_of_mask(af: ArgumentationFramework, mask: int) -> Labelling:
+    """The labelling induced by the set ``mask``: its members in, their
+    targets out, everything else undec."""
+    out = af.attacked_by(mask) & ~mask
+    undec = (1 << len(af.sorted_arguments)) - 1 & ~(mask | out)
+    return Labelling(af._names(mask), af._names(out), af._names(undec))
 
 
 def labelling_from_set(af: ArgumentationFramework, members: Iterable[str]) -> Labelling:
     """The labelling induced by a set: members in, their targets out,
     everything else undec.  No admissibility requirement."""
-    mask = af._mask(members)
-    members = af._names(mask)
-    out = af._names(af.attacked_by(mask) & ~mask)
-    return Labelling(members, out, af.arguments - members - out)
+    return _labelling_of_mask(af, af._mask(members))
 
 
 def extension_labellings(af: ArgumentationFramework, family: ExtensionSet) -> list[Labelling]:
@@ -100,7 +100,7 @@ def labelling_of_extension(af: ArgumentationFramework, extension: Iterable[str])
     mask = af._mask(extension)
     if mask not in extension_masks(af, Semantics.ADMISSIBLE):
         raise NotAdmissible(f"{sorted(extension)} is not admissible")
-    return labelling_from_set(af, extension)
+    return _labelling_of_mask(af, mask)
 
 
 def labellings_for(af: ArgumentationFramework, semantics: Semantics) -> list[Labelling]:
@@ -115,7 +115,10 @@ def labellings_for(af: ArgumentationFramework, semantics: Semantics) -> list[Lab
     semantics = Semantics(semantics)
     if semantics in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
         raise UnsupportedSemantics(f"no labelling restriction is defined for {semantics.value}")
-    return sorted(extension_labellings(af, extensions(af, semantics)), key=_sort_key)
+    # canonical labelling order is by sorted in-set names, which are the
+    # masks' ascending member indices
+    masks = sorted(extension_masks(af, semantics), key=lambda m: tuple(_bits(m)))
+    return [_labelling_of_mask(af, m) for m in masks]
 
 
 def complete_labellings(af: ArgumentationFramework) -> list[Labelling]:
@@ -143,7 +146,7 @@ def credulous_sets(af: ArgumentationFramework, semantics: Semantics) -> Credulou
         return CredulousSets(
             af._names(acceptable), af._names(af.attacked_by(acceptable)), af.arguments
         )
-    labellings = extension_labellings(af, extensions(af, semantics))
+    labellings = [_labelling_of_mask(af, m) for m in extension_masks(af, semantics)]
     in_set: frozenset[str] = frozenset()
     out_set: frozenset[str] = frozenset()
     undec_set: frozenset[str] = frozenset()

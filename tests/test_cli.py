@@ -1,13 +1,16 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import afrob
-from afrob.cli import run_cli
+from afrob import Semantics, extension_sort_key, extensions
+from afrob.cli import _extension_lists, _parsers, run_cli
+from afrob.oracle import canonical_names, framework_from_mask
 
 G3_APX = "arg(1).\narg(2).\narg(3).\narg(4).\natt(1,2).\natt(2,3).\n"
 
@@ -230,6 +233,46 @@ def test_bad_afrob_jobs_is_a_usage_error(capsys, monkeypatch):
     assert "positive integer" in err
 
 
+def test_afrob_jobs_is_read_on_every_call(capsys, monkeypatch):
+    # the parser is built once per process, so its AFROB_JOBS default must
+    # follow the environment from one call to the next
+    codes = []
+    for value in ["x", None, "0"]:
+        if value is None:
+            monkeypatch.delenv("AFROB_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("AFROB_JOBS", value)
+        codes.append(run(capsys, "audit", "--args", "2", "--semantics", "cf")[0])
+    assert codes == [1, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["extensions", "--semantics", "adm"], ["audit", "--args", "2", "--semantics", "adm"]],
+    ids=["extensions", "audit"],
+)
+def test_help_and_usage_errors_leave_the_parser_as_it_was(capsys, g3_file, argv):
+    if argv[0] != "audit":
+        argv = argv + ["--input", g3_file]
+    alone = run(capsys, *argv)
+    assert alone[0] == 0
+    assert run(capsys, "--help")[0] == 0
+    assert run(capsys, *argv) == alone
+    assert run(capsys, argv[0], "--help")[0] == 0
+    assert run(capsys, *argv) == alone
+    assert run(capsys, *argv, "--jobs", "0")[0] == 1
+    assert run(capsys, *argv) == alone
+    assert run(capsys, "extensions", "--semantics", "nope", "--input", g3_file)[0] == 1
+    assert run(capsys, *argv) == alone
+
+
+def test_parser_is_built_once_per_process(capsys, g3_file):
+    _parsers.cache_clear()
+    for semantics in ["cf", "adm", "prf"]:
+        assert run(capsys, "extensions", "--semantics", semantics, "--input", g3_file)[0] == 0
+    assert _parsers.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("value", ["0", "x"])
 def test_afrob_jobs_is_read_by_audit_alone(capsys, monkeypatch, g3_file, value):
     argv = ["extensions", "--semantics", "adm", "--input", g3_file]
@@ -313,13 +356,13 @@ def test_module_entry_point(g3_file):
     assert len(payload["result"]["extensions"]) == 6
 
 
-def _golden_cases():
-    with open(os.path.join(os.path.dirname(__file__), "data", "g3_cli_golden.json")) as handle:
+def _golden_cases(name):
+    with open(os.path.join(os.path.dirname(__file__), "data", name)) as handle:
         return json.load(handle)
 
 
 @pytest.mark.parametrize(
-    "case", _golden_cases(), ids=lambda case: " ".join(case["argv"][1:])
+    "case", _golden_cases("g3_cli_golden.json"), ids=lambda case: " ".join(case["argv"][1:])
 )
 def test_g3_json_matches_the_pinned_output(capsys, g3_file, case):
     # pinned: check-attack (adm, with and without --preferred-only) for every
@@ -328,3 +371,32 @@ def test_g3_json_matches_the_pinned_output(capsys, g3_file, case):
     code, out, err = run(capsys, *case["argv"], "--input", g3_file, "--format", "json")
     assert code == 0, err
     assert out == json.dumps(case["output"], indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "case", _golden_cases("g3_enumeration_golden.json"), ids=lambda case: " ".join(case["argv"])
+)
+def test_g3_enumerations_match_the_pinned_output(capsys, g3_file, case):
+    # pinned: extensions under all seven semantics and labellings under the
+    # five restrictions, JSON and text; the output must stay byte-identical
+    code, out, err = run(capsys, *case["argv"], "--input", g3_file)
+    assert code == 0, err
+    assert out == case["output"]
+
+
+def test_extension_lists_follow_extension_sort_key():
+    # every framework with at most three arguments, where ascending masks
+    # happen to be in this order already, and sparse seeded ones on five,
+    # where they are not ({a1,a4} is a larger mask than {a2,a3})
+    rng = random.Random(0)
+    frameworks = [
+        framework_from_mask(canonical_names(n), mask) for n in range(4) for mask in range(1 << n * n)
+    ]
+    frameworks += [
+        framework_from_mask(canonical_names(5), rng.getrandbits(25) & rng.getrandbits(25))
+        for _ in range(100)
+    ]
+    for af in frameworks:
+        for semantics in Semantics:
+            family = sorted(extensions(af, semantics), key=extension_sort_key)
+            assert _extension_lists(af, semantics) == [sorted(ext) for ext in family]

@@ -314,7 +314,8 @@ def _cmd_audit(args) -> int:
         samples=args.samples,
         jobs=args.jobs,
     )
-    return _emit(args, "audit", _audit_json(report), format_audit_text(report))
+    text = format_audit_text(report) if args.format == "text" else ()
+    return _emit(args, "audit", _audit_json(report), text)
 
 
 @cache

@@ -48,6 +48,16 @@ def _with_attack(rows: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     return rows[:a] + (rows[a] | 1 << b,) + rows[a + 1 :]
 
 
+def _transpose(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The rows of the reversed relation: bit a of row b is bit b of
+    ``rows[a]``."""
+    reversed_rows = [0] * len(rows)
+    for a, row in enumerate(rows):
+        for b in _bits(row):
+            reversed_rows[b] |= 1 << a
+    return tuple(reversed_rows)
+
+
 def _odd_closure(successors: tuple[int, ...]) -> tuple[int, ...]:
     """Per vertex i, the bitmask of the vertices at the end of an odd walk
     from i, where ``successors[i]`` is the bitmask of i's successors.
@@ -115,19 +125,16 @@ class ArgumentationFramework:
     def bit_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Per argument of ``sorted_arguments``, the bitmask of its targets
         (``target_rows``) and the bitmask of its attackers."""
-        attackers = [0] * len(self.target_rows)
-        for a, row in enumerate(self.target_rows):
-            for b in _bits(row):
-                attackers[b] |= 1 << a
-        return self.target_rows, tuple(attackers)
+        return self.target_rows, _transpose(self.target_rows)
 
     @cached_property
     def odd_walk_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Per argument, the bitmask of the arguments an odd walk leads to
         from it ("reaches") and of those with an odd walk to it ("is
-        reached from"), over the order of :attr:`bit_rows`."""
-        targets, attackers = self.bit_rows
-        return _odd_closure(targets), _odd_closure(attackers)
+        reached from"), over the order of :attr:`bit_rows`.  The second
+        table is the transpose of the first."""
+        reaches = _odd_closure(self.target_rows)
+        return reaches, _transpose(reaches)
 
     def _index(self, name: str) -> int:
         try:

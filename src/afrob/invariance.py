@@ -210,7 +210,7 @@ def classify_admissible_attack(
         return AttackClassification(attack, Semantics.ADMISSIBLE, Verdict.INVARIANT, ())
     # through the module, so a patched _enumerate (a tracer) sees this call
     enum = _semantics._enumerate(af)
-    family = enum.preferred if preferred_only else enum.adm
+    family = enum.prf if preferred_only else enum.adm
     losses: list[Witness] = []
     gains: list[Witness] = []
     # extension_sort_key's order: by size, then by names

@@ -132,7 +132,7 @@ def _audit_chunk(args: tuple[int, str, tuple[int, ...]]) -> tuple[int, list[Disc
     found: list[DiscrepancyReport] = []
     for mask in masks:
         af = framework_from_mask(names, mask)
-        candidates += n * n - len(af.attacks)
+        candidates += n * n - sum(row.bit_count() for row in af.target_rows)
         found.extend(cross_validate(af, semantics))
     return candidates, found
 

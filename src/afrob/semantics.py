@@ -1,19 +1,21 @@
 """Extension enumeration for the classical acceptance semantics.
 
 Extensions are bitmasks over the canonical argument order: bit i stands for
-the i-th argument of ``af.sorted_arguments``.  Only conflict-free sets are
-ever built.  A set grows by one argument above its highest member, and only
-when that argument attacks no member and is attacked by none, so each
-conflict-free set is reached exactly once and no other subset is visited.
-Each set carries the union of its members' targets and the union of their
-attackers (read off the framework's ``bit_rows``), which makes the
-admissibility test one bit operation; the completeness test runs once per
-admissible set.  The other semantics filter these families, asking the
-framework which arguments a set attacks.  Every family is an ascending
-tuple of masks, so two frameworks over one argument set have equal
-extension sets exactly when their tuples are equal, and masks are decoded
-into sets of names only for output.  Frameworks larger than the guardrail
-are rejected instead of silently hanging.
+the i-th argument of ``af.sorted_arguments``.  One pass builds the
+conflict-free sets: a set grows by one argument above its highest member,
+and only when that argument attacks no member and is attacked by none, so
+each conflict-free set is reached exactly once and no other subset is
+visited.  Each set carries the union of its members' targets and the union
+of their attackers (read off the framework's ``bit_rows``), which makes the
+admissibility test one bit operation.  That pass yields one record per
+framework (cached on the framework) whose fields are the seven families;
+the complete, stable, preferred, grounded and semi-stable families are
+derived from the admissible ones the first time they are read, so a caller
+asking only for cf or adm never pays for them.  Every family is an
+ascending tuple of masks, so two frameworks over one argument set have
+equal extension sets exactly when their tuples are equal, and masks are
+decoded into sets of names only for output.  Frameworks larger than the
+guardrail are rejected instead of silently hanging.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
-from .errors import InternalInvariantViolation, SizeLimit
-from .framework import ArgumentationFramework
+from .errors import ArgumentSetMismatch, InternalInvariantViolation, SizeLimit
+from .framework import ArgumentationFramework, _bits
 
 # With no attacks every subset is conflict-free and admissible, the worst
 # case.  Peak RSS of a fresh process enumerating such a framework (Python
@@ -58,15 +60,49 @@ def _decode(af: ArgumentationFramework, masks: Iterable[int]) -> ExtensionSet:
 
 @dataclass(frozen=True)
 class _Enumeration:
+    """Every extension family of ``af``, one field per :class:`Semantics`
+    value.  ``cf`` and ``adm`` come from :func:`_enumerate`'s pass; the
+    other families are derived from them on first read."""
+
+    af: ArgumentationFramework
     full: int  # the mask of all arguments
     cf: tuple[int, ...]
     adm: tuple[int, ...]
-    com: tuple[int, ...]
 
     @cached_property
-    def preferred(self) -> tuple[int, ...]:
+    def com(self) -> tuple[int, ...]:
+        # the admissible sets that leave out no argument they defend: each
+        # argument outside has an attacker the set does not attack
+        attackers = self.af.bit_rows[1]
+        found = []
+        for m in self.adm:
+            unanswered = ~self.af.attacked_by(m)
+            if all(attackers[j] & unanswered for j in _bits(self.full & ~m)):
+                found.append(m)
+        return tuple(found)
+
+    @cached_property
+    def stb(self) -> tuple[int, ...]:
+        # every stable set is complete (Dung 1995)
+        return tuple(m for m in self.com if m | self.af.attacked_by(m) == self.full)
+
+    @cached_property
+    def prf(self) -> tuple[int, ...]:
         # a set is maximal exactly when its complement is minimal
         return _minimal(self.adm, lambda m: self.full & ~m)
+
+    @cached_property
+    def gde(self) -> tuple[int, ...]:
+        minimal = _minimal(self.com, lambda m: m)
+        if len(minimal) != 1:
+            raise InternalInvariantViolation(
+                f"expected exactly one minimal complete set, found {len(minimal)}"
+            )
+        return minimal
+
+    @cached_property
+    def sst(self) -> tuple[int, ...]:
+        return _minimal(self.com, lambda m: self.full & ~(m | self.af.attacked_by(m)))
 
 
 @lru_cache(maxsize=32768)
@@ -94,21 +130,8 @@ def _enumerate(af: ArgumentationFramework) -> _Enumeration:
                 hit.append(hit[i] | t)
                 threat.append(threat[i] | a)
 
-    adm: list[int] = []
-    com: list[int] = []
-    for mask, attacked, attacking in zip(cf, hit, threat):
-        if attacking & ~attacked:
-            continue
-        adm.append(mask)
-        # complete: the set already contains every argument it defends
-        complete = True
-        for j in range(n):
-            if attackers[j] & ~attacked == 0 and not (mask >> j) & 1:
-                complete = False
-                break
-        if complete:
-            com.append(mask)
-    return _Enumeration((1 << n) - 1, tuple(cf), tuple(adm), tuple(com))
+    adm = tuple(m for m, attacked, attacking in zip(cf, hit, threat) if not attacking & ~attacked)
+    return _Enumeration(af, (1 << n) - 1, tuple(cf), adm)
 
 
 def _minimal(masks: Iterable[int], key: Callable[[int], int]) -> tuple[int, ...]:
@@ -125,57 +148,11 @@ def _minimal(masks: Iterable[int], key: Callable[[int], int]) -> tuple[int, ...]
     return tuple(sorted(found))
 
 
-def _conflict_free_masks(af: ArgumentationFramework) -> tuple[int, ...]:
-    return _enumerate(af).cf
-
-
-def _admissible_masks(af: ArgumentationFramework) -> tuple[int, ...]:
-    return _enumerate(af).adm
-
-
-def _complete_masks(af: ArgumentationFramework) -> tuple[int, ...]:
-    return _enumerate(af).com
-
-
-def _stable_masks(af: ArgumentationFramework) -> tuple[int, ...]:
-    enum = _enumerate(af)
-    return tuple(m for m in enum.cf if m | af.attacked_by(m) == enum.full)
-
-
-def _preferred_masks(af: ArgumentationFramework) -> tuple[int, ...]:
-    return _enumerate(af).preferred
-
-
-def _grounded_masks(af: ArgumentationFramework) -> tuple[int, ...]:
-    minimal = _minimal(_enumerate(af).com, lambda m: m)
-    if len(minimal) != 1:
-        raise InternalInvariantViolation(
-            f"expected exactly one minimal complete set, found {len(minimal)}"
-        )
-    return minimal
-
-
-def _semi_stable_masks(af: ArgumentationFramework) -> tuple[int, ...]:
-    enum = _enumerate(af)
-    return _minimal(enum.com, lambda m: enum.full & ~(m | af.attacked_by(m)))
-
-
-_DISPATCH = {
-    Semantics.CONFLICT_FREE: _conflict_free_masks,
-    Semantics.ADMISSIBLE: _admissible_masks,
-    Semantics.COMPLETE: _complete_masks,
-    Semantics.STABLE: _stable_masks,
-    Semantics.PREFERRED: _preferred_masks,
-    Semantics.GROUNDED: _grounded_masks,
-    Semantics.SEMI_STABLE: _semi_stable_masks,
-}
-
-
 def extension_masks(af: ArgumentationFramework, semantics: Semantics) -> tuple[int, ...]:
     """Extension set of ``af`` as an ascending tuple of bitmasks over
     ``af.sorted_arguments``.  Frameworks with one argument set share that
     order, so their extension sets are equal exactly when these tuples are."""
-    return _DISPATCH[Semantics(semantics)](af)
+    return getattr(_enumerate(af), Semantics(semantics).value)
 
 
 def extensions(af: ArgumentationFramework, semantics: Semantics) -> ExtensionSet:
@@ -189,6 +166,8 @@ def extension_difference(
     """The extensions of ``af`` that ``other`` lacks (lost) and those of
     ``other`` that ``af`` lacks (gained).  Both frameworks must have the
     same argument set; only the differing extensions are decoded."""
+    if af.sorted_arguments != other.sorted_arguments:
+        raise ArgumentSetMismatch("the two frameworks do not share an argument set")
     before = set(extension_masks(af, semantics))
     after = set(extension_masks(other, semantics))
     return _decode(af, before - after), _decode(af, after - before)

@@ -184,6 +184,17 @@ def test_audit(capsys):
     assert result["disagreements"] == 0
 
 
+def test_audit_json_builds_no_text(capsys, monkeypatch):
+    def refuse(report):
+        raise AssertionError("the text report is built only when it is printed")
+
+    monkeypatch.setattr(afrob.cli, "format_audit_text", refuse)
+    payload = run_json(
+        capsys, "audit", "--args", "2", "--semantics", "adm", "--format", "json"
+    )
+    assert payload["result"]["disagreements"] == 4
+
+
 def test_audit_text_reports_disagreements(capsys):
     code, out, _ = run(capsys, "audit", "--args", "2", "--semantics", "adm")
     assert code == 0

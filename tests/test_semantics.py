@@ -4,14 +4,17 @@ from hypothesis import given, settings
 import oracles
 from afrob import (
     ArgumentationFramework,
+    ArgumentSetMismatch,
     Semantics,
     SizeLimit,
     admissible_sets,
     complete_sets,
     conflict_free_sets,
+    extension_difference,
     extension_masks,
     extensions,
     grounded_set,
+    invariant_attacks,
     preferred_sets,
     semi_stable_sets,
     stable_sets,
@@ -171,3 +174,27 @@ def test_size_limit_follows_measured_memory():
     for semantics in Semantics:
         with pytest.raises(SizeLimit):
             extensions(big, semantics)
+
+
+def test_every_semantics_is_a_field_of_the_record(g3):
+    enum = _enumerate(g3)
+    for semantics in Semantics:
+        assert getattr(enum, semantics.value) == extension_masks(g3, semantics)
+
+
+def test_cf_and_adm_callers_derive_no_other_family():
+    af = ArgumentationFramework("abcd", [("a", "b"), ("b", "a"), ("b", "c"), ("c", "d")])
+    _enumerate.cache_clear()
+    invariant_attacks(af, "adm")
+    extension_masks(af, "cf")
+    derived = {"com", "stb", "prf", "gde", "sst"} & set(vars(_enumerate(af)))
+    assert not derived
+
+
+def test_extension_difference_requires_same_arguments():
+    af = ArgumentationFramework("abc", [("a", "b")])
+    renamed = ArgumentationFramework("xyz", [("z", "x")])
+    with pytest.raises(ArgumentSetMismatch):
+        extension_difference(af, renamed, Semantics.ADMISSIBLE)
+    with pytest.raises(ArgumentSetMismatch):
+        extension_difference(ArgumentationFramework("ab"), af, Semantics.ADMISSIBLE)

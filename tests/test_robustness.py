@@ -1,3 +1,5 @@
+import json
+import os
 import random
 
 import pytest
@@ -260,3 +262,28 @@ def test_plain_greedy_adm_can_emit_a_witness_replay_rejects():
     assert not verify_witness(af, Semantics.ADMISSIBLE, plain.witness)
     paranoid = robustness_degree(af, Semantics.ADMISSIBLE, strategy="greedy", paranoid=True)
     assert verify_witness(af, Semantics.ADMISSIBLE, paranoid.witness)
+
+
+def test_seeded_searches_match_the_recorded_goldens():
+    # recorded before search states were derived from their parents: seeded
+    # four- and five-argument frameworks under cf and adm, exhaustive and
+    # greedy, with and without paranoid, uncapped and capped
+    with open(os.path.join(os.path.dirname(__file__), "data", "robustness_golden.json")) as handle:
+        cases = json.load(handle)
+    for case in cases:
+        af = ArgumentationFramework(case["arguments"], map(tuple, case["attacks"]))
+        result = robustness_degree(
+            af,
+            case["semantics"],
+            strategy=case["strategy"],
+            max_steps=case["max_steps"],
+            paranoid=case["paranoid"],
+        )
+        expected = RobustnessResult(
+            case["degree"],
+            tuple(Attack(*attack) for attack in case["witness"]),
+            case["explored_states"],
+            case["strategy"],
+            case["truncated"],
+        )
+        assert result == expected, case

@@ -58,9 +58,11 @@ def _transpose(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed_rows)
 
 
-def _odd_closure(successors: tuple[int, ...]) -> tuple[int, ...]:
+def _odd_closure(successors: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per vertex i, the bitmask of the vertices at the end of an odd walk
-    from i, where ``successors[i]`` is the bitmask of i's successors.
+    from i and that of the vertices at the end of an even walk from i (the
+    empty walk included), where ``successors[i]`` is the bitmask of i's
+    successors.
 
     The least fixpoint of odd(i) = the union of even(j) and even(i) = {i}
     with the union of odd(j), over the successors j of i, iterated from
@@ -80,7 +82,7 @@ def _odd_closure(successors: tuple[int, ...]) -> tuple[int, ...]:
             if o != odd[i] or e != even[i]:
                 odd[i], even[i] = o, e
                 changed = True
-    return tuple(odd)
+    return tuple(odd), tuple(even)
 
 
 @dataclass(frozen=True, init=False)
@@ -133,7 +135,7 @@ class ArgumentationFramework:
         from it ("reaches") and of those with an odd walk to it ("is
         reached from"), over the order of :attr:`bit_rows`.  The second
         table is the transpose of the first."""
-        reaches = _odd_closure(self.target_rows)
+        reaches, _ = _odd_closure(self.target_rows)
         return reaches, _transpose(reaches)
 
     def _index(self, name: str) -> int:

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ArgumentSetMismatch, UnsupportedSemantics
 from . import semantics as _semantics
 from .framework import ArgumentationFramework, Attack, _attacks_in, _bits
-from .semantics import ExtensionSet, Semantics, _Enumeration, extension_masks
+from .semantics import ExtensionSet, Semantics, extension_masks
 
 
 class Verdict(str, Enum):
@@ -88,11 +88,15 @@ def _having(rows: tuple[int, ...], among: int, hits: int) -> int:
     return sum(1 << i for i in _bits(among) if rows[i] & hits)
 
 
-def _self_defense_row(af: ArgumentationFramework, a: int) -> int:
+# the odd-walk tables (reaches, reached_from) of ArgumentationFramework.odd_walk_rows
+Walks = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _self_defense_row(walks: Walks, a: int) -> int:
     """The targets b that meet the walk conditions of NI-out-self-defense
     for source a: an odd walk leads from b to a, and no c other than b has
     an odd walk to a without a matching odd walk from a back to c."""
-    reaches, reached_from = af.odd_walk_rows
+    reaches, reached_from = walks
     blocking = reached_from[a] & ~reaches[a]
     if blocking & (blocking - 1):
         return 0  # two blockers: every b leaves one that is not b
@@ -100,13 +104,22 @@ def _self_defense_row(af: ArgumentationFramework, a: int) -> int:
 
 
 def _rule_rows(
-    af: ArgumentationFramework, enum: _Enumeration, s: int, sources: int
+    targets: tuple[int, ...],
+    attackers: tuple[int, ...],
+    walks: Callable[[], Walks],
+    full: int,
+    s: int,
+    out: int,
+    sources: int,
 ) -> Iterator[tuple[int, tuple[tuple[Rule, int], ...]]]:
     """The rules that fire on the labelling of the admissible set ``s``,
     for each source a in ``sources``: yields a with a (rule, row) pair per
     rule that can fire, the row holding the targets b it fires on.
 
-    With IN = s, OUT its targets and UNDEC the rest, for attack (a, b):
+    ``targets`` and ``attackers`` are the relation's bit rows, ``full`` the
+    mask of all arguments and ``out`` the targets of ``s``; ``walks()``
+    returns the odd-walk tables and is called only for a source that is out.
+    With IN = s, OUT = out and UNDEC the rest, for attack (a, b):
 
     * ND-in-in: a and b are both in.
     * ND-out-in-undefended: a is out, b is in, b does not already attack a,
@@ -130,9 +143,7 @@ def _rule_rows(
     recomputation.  a's label selects the rules, so at most one ND and one
     NI rule fire per labelling and candidate.
     """
-    targets, attackers = af.bit_rows
-    out = af.attacked_by(s)
-    undec = enum.full & ~(s | out)
+    undec = full & ~(s | out)
     # the rows shared by all sources with one label, built only if needed
     if s & sources:
         reinstating = _having(targets, out, s)
@@ -151,17 +162,34 @@ def _rule_rows(
         elif out >> a & 1:
             yield a, (
                 (Rule.ND_OUT_IN_UNDEFENDED, unguarded & ~attackers[a]),
-                (Rule.NI_OUT_SELF_DEFENSE, _self_defense_row(af, a)),
+                (Rule.NI_OUT_SELF_DEFENSE, _self_defense_row(walks(), a)),
             )
         else:
             yield a, ((Rule.ND_UNDEC_IN, s),)
 
 
-def _conflict_kept(af: ArgumentationFramework) -> list[int]:
+def _admissible_invariant_rows(
+    targets: tuple[int, ...],
+    attackers: tuple[int, ...],
+    walks: Callable[[], Walks],
+    full: int,
+    admissible: Iterable[tuple[int, int]],
+) -> list[int]:
+    """Per source a, the absent targets b on which no rule fires for any
+    labelling, given each admissible set with its targets: the rule rows of
+    every set ORed once."""
+    fired = list(targets)  # existing attacks are no candidates
+    for s, out in admissible:
+        for a, rows in _rule_rows(targets, attackers, walks, full, s, out, full):
+            for _, row in rows:
+                fired[a] |= row
+    return [full & ~row for row in fired]
+
+
+def _conflict_kept(targets: tuple[int, ...], attackers: tuple[int, ...]) -> list[int]:
     """Per argument a, the targets b for which adding (a, b) leaves every
     conflict-free set conflict-free: a and b already conflict, or one of
     them attacks itself (and so is in no conflict-free set)."""
-    targets, attackers = af.bit_rows
     loops = sum(1 << a for a, row in enumerate(targets) if row >> a & 1)
     full = (1 << len(targets)) - 1
     return [
@@ -183,7 +211,7 @@ def classify_conflict_free_attack(
     """
     attack = Attack(*attack)
     a, b = af._index(attack.source), af._index(attack.target)
-    if _conflict_kept(af)[a] >> b & 1:
+    if _conflict_kept(*af.bit_rows)[a] >> b & 1:
         return AttackClassification(attack, Semantics.CONFLICT_FREE, Verdict.INVARIANT, ())
     witness = Witness(frozenset(attack), Rule.CF_NEVER_IN)
     return AttackClassification(
@@ -213,9 +241,12 @@ def classify_admissible_attack(
     family = enum.prf if preferred_only else enum.adm
     losses: list[Witness] = []
     gains: list[Witness] = []
+    targets, attackers = af.bit_rows
+    walks = lambda: af.odd_walk_rows  # built only if a is out in some set
     # extension_sort_key's order: by size, then by names
     for s in sorted(family, key=lambda m: (m.bit_count(), tuple(_bits(m)))):
-        for _, rows in _rule_rows(af, enum, s, 1 << a):
+        out = af.attacked_by(s)
+        for _, rows in _rule_rows(targets, attackers, walks, enum.full, s, out, 1 << a):
             for rule, row in rows:
                 if row >> b & 1:
                     witness = Witness(af._names(s), rule)
@@ -260,21 +291,20 @@ def invariant_attacks(af: ArgumentationFramework, semantics: Semantics) -> list[
     framework, and a candidate is invariant when no rule fires on it.
     """
     semantics = Semantics(semantics)
-    targets = af.target_rows
+    targets, attackers = af.bit_rows
     if semantics is Semantics.CONFLICT_FREE:
-        kept = _conflict_kept(af)
+        kept = _conflict_kept(targets, attackers)
         return _attacks_in(af.sorted_arguments, [k & ~t for k, t in zip(kept, targets)])
     if semantics is not Semantics.ADMISSIBLE:
         raise UnsupportedSemantics(
             f"attack classification supports cf and adm, not {semantics.value}"
         )
     enum = _semantics._enumerate(af)
-    fired = list(targets)  # existing attacks are no candidates
-    for s in enum.adm:
-        for a, rows in _rule_rows(af, enum, s, enum.full):
-            for _, row in rows:
-                fired[a] |= row
-    return _attacks_in(af.sorted_arguments, [enum.full & ~row for row in fired])
+    admissible = ((s, af.attacked_by(s)) for s in enum.adm)
+    rows = _admissible_invariant_rows(
+        targets, attackers, lambda: af.odd_walk_rows, enum.full, admissible
+    )
+    return _attacks_in(af.sorted_arguments, rows)
 
 
 def enumerate_invariant_attacks(

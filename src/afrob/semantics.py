@@ -6,9 +6,10 @@ conflict-free sets: a set grows by one argument above its highest member,
 and only when that argument attacks no member and is attacked by none, so
 each conflict-free set is reached exactly once and no other subset is
 visited.  Each set carries the union of its members' targets and the union
-of their attackers (read off the framework's ``bit_rows``), which makes the
-admissibility test one bit operation.  That pass yields one record per
-framework (cached on the framework) whose fields are the seven families;
+of their attackers (read off the relation's bit rows), which makes the
+admissibility test one bit operation (the robustness search builds its
+root state with the same pass).  The pass yields one record per framework
+(cached on the framework) whose fields are the seven families;
 the complete, stable, preferred, grounded and semi-stable families are
 derived from the admissible ones the first time they are read, so a caller
 asking only for cf or adm never pays for them.  Every family is an
@@ -105,19 +106,21 @@ class _Enumeration:
         return _minimal(self.com, lambda m: self.full & ~(m | self.af.attacked_by(m)))
 
 
-@lru_cache(maxsize=32768)
-def _enumerate(af: ArgumentationFramework) -> _Enumeration:
-    n = len(af.sorted_arguments)
+def _conflict_free(
+    targets: tuple[int, ...], attackers: tuple[int, ...]
+) -> tuple[list[int], list[int], list[int]]:
+    """The conflict-free sets of the relation with these target and attacker
+    rows, ascending, and per set the union of its members' targets and the
+    union of their attackers."""
+    n = len(targets)
     if n > MAX_ENUMERATION_ARGUMENTS:
         raise SizeLimit(f"{n} arguments exceed the enumeration limit of {MAX_ENUMERATION_ARGUMENTS}")
-    targets, attackers = af.bit_rows
-
     # Argument k is offered to every set found before it, each of which has
     # only members below k.  So every conflict-free set is built once, from
     # itself minus its highest member, and the list stays ascending.
     cf = [0]
-    hit = [0]  # per set: the union of its members' targets
-    threat = [0]  # per set: the union of its members' attackers
+    hit = [0]
+    threat = [0]
     for k in range(n):
         bit = 1 << k
         t, a = targets[k], attackers[k]
@@ -129,9 +132,14 @@ def _enumerate(af: ArgumentationFramework) -> _Enumeration:
                 cf.append(cf[i] | bit)
                 hit.append(hit[i] | t)
                 threat.append(threat[i] | a)
+    return cf, hit, threat
 
+
+@lru_cache(maxsize=32768)
+def _enumerate(af: ArgumentationFramework) -> _Enumeration:
+    cf, hit, threat = _conflict_free(*af.bit_rows)
     adm = tuple(m for m, attacked, attacking in zip(cf, hit, threat) if not attacking & ~attacked)
-    return _Enumeration(af, (1 << n) - 1, tuple(cf), adm)
+    return _Enumeration(af, (1 << len(af.sorted_arguments)) - 1, tuple(cf), adm)
 
 
 def _minimal(masks: Iterable[int], key: Callable[[int], int]) -> tuple[int, ...]:

@@ -316,6 +316,15 @@ def test_size_limit_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+def test_robustness_state_budget_exit_code(capsys, monkeypatch, g3_file):
+    monkeypatch.setattr(afrob.robustness, "MAX_SEARCH_STATES", 3)
+    argv = ["robustness", "--semantics", "cf", "--strategy", "exhaustive", "--input", g3_file]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "exceeds 3 states" in err
+
+
 def test_labellings_size_limit_exit_code(capsys, tmp_path):
     big = tmp_path / "big.apx"
     big.write_text("".join(f"arg(x{i}).\n" for i in range(21)))

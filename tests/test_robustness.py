@@ -10,6 +10,7 @@ from afrob import (
     ArgumentationFramework,
     RobustnessResult,
     Semantics,
+    SizeLimit,
     UnknownArgument,
     UnsupportedSemantics,
     Verdict,
@@ -22,6 +23,9 @@ from afrob import (
 from afrob.framework import Attack
 from afrob.invariance import candidate_attacks
 from afrob.oracle import canonical_names, framework_from_mask
+from afrob import robustness
+from afrob.robustness import _State
+from afrob.semantics import _enumerate
 
 
 def test_golden_degrees(g3, mutual, empty_af):
@@ -62,6 +66,14 @@ def test_verify_witness_examples(g3):
     assert verify_witness(g3, Semantics.CONFLICT_FREE, [])
     with pytest.raises(UnknownArgument):
         verify_witness(g3, Semantics.CONFLICT_FREE, [("1", "z")])
+
+
+def test_verify_witness_rejects_steps_that_add_nothing(g3):
+    # re-adding an attack classifies invariant but is no expansion
+    assert not verify_witness(g3, Semantics.CONFLICT_FREE, [("2", "1"), ("2", "1")])
+    assert not verify_witness(g3, Semantics.ADMISSIBLE, [("1", "2")] * 3)
+    assert not verify_witness(g3, Semantics.CONFLICT_FREE, [("1", "2")])
+    assert verify_witness(g3, Semantics.CONFLICT_FREE, [("2", "1")])
 
 
 def _random_frameworks(count, seed, max_args=4):
@@ -148,15 +160,15 @@ def test_greedy_is_the_greedy_loop_on_every_three_argument_framework():
 
 
 def test_exhaustive_search_builds_each_state_once(monkeypatch, g3):
-    # a successor already in the memo is looked up, not built again
+    # a successor already in the memo is looked up, not derived again
     built = []
-    add_attack = ArgumentationFramework.add_attack
+    child = _State.child
 
-    def counting_add_attack(self, source, target):
-        built.append((source, target))
-        return add_attack(self, source, target)
+    def counting_child(self, a, b):
+        built.append((a, b))
+        return child(self, a, b)
 
-    monkeypatch.setattr(ArgumentationFramework, "add_attack", counting_add_attack)
+    monkeypatch.setattr(_State, "child", counting_child)
     cases = [(g3, Semantics.CONFLICT_FREE), (g3, Semantics.ADMISSIBLE)]
     cases += [(af, Semantics.ADMISSIBLE) for af in _random_frameworks(20, seed=29)]
     for af, semantics in cases:
@@ -287,3 +299,52 @@ def test_seeded_searches_match_the_recorded_goldens():
             case["truncated"],
         )
         assert result == expected, case
+
+
+def _states_agree(derived, built):
+    assert derived.targets == built.targets
+    assert derived.attackers == built.attackers
+    assert derived.cf == built.cf  # with each set's targets and attackers
+    assert derived.adm == built.adm
+    assert derived.reach == built.reach
+
+
+def test_derived_states_equal_a_rebuild():
+    # every relation on three arguments (self-attacks included) and seeded
+    # ones on six: the child a state derives for each absent attack has the
+    # tables a root built from the expanded framework has
+    frameworks = [framework_from_mask(canonical_names(3), m) for m in range(1 << 9)]
+    rng = random.Random(41)
+    frameworks += [framework_from_mask(canonical_names(6), rng.getrandbits(36)) for _ in range(300)]
+    for af in frameworks:
+        root = _State(*af.bit_rows)
+        enum = _enumerate(af)
+        assert [m for m, _, _ in root.cf] == list(enum.cf)
+        assert [m for m, _ in root.adm] == list(enum.adm)
+        assert (root.reach[0], root.reach[2]) == af.odd_walk_rows
+        for attack in candidate_attacks(af):
+            a, b = af._index(attack.source), af._index(attack.target)
+            built = _State(*af.add_attack(*attack).bit_rows)
+            _states_agree(root.child(a, b), built)
+
+
+def test_derived_states_equal_a_rebuild_along_a_search_path():
+    # a grandchild derives from tables that were derived themselves
+    rng = random.Random(43)
+    for _ in range(100):
+        af = framework_from_mask(canonical_names(5), rng.getrandbits(25) & rng.getrandbits(25))
+        state = _State(*af.bit_rows)
+        for attack in rng.sample(candidate_attacks(af), 4):
+            af = af.add_attack(*attack)
+            state = state.child(af._index(attack.source), af._index(attack.target))
+            _states_agree(state, _State(*af.bit_rows))
+
+
+def test_search_state_budget(monkeypatch, g3):
+    # g3's cf search explores four states: a budget of four admits it,
+    # three stops it with the size-limit error
+    monkeypatch.setattr(robustness, "MAX_SEARCH_STATES", 4)
+    assert robustness_degree(g3, Semantics.CONFLICT_FREE).explored_states == 4
+    monkeypatch.setattr(robustness, "MAX_SEARCH_STATES", 3)
+    with pytest.raises(SizeLimit):
+        robustness_degree(g3, Semantics.CONFLICT_FREE)

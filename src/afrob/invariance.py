@@ -300,7 +300,7 @@ def invariant_attacks(af: ArgumentationFramework, semantics: Semantics) -> list[
             f"attack classification supports cf and adm, not {semantics.value}"
         )
     enum = _semantics._enumerate(af)
-    admissible = ((s, af.attacked_by(s)) for s in enum.adm)
+    admissible = zip(enum.adm, map(af.attacked_by, enum.adm))
     rows = _admissible_invariant_rows(
         targets, attackers, lambda: af.odd_walk_rows, enum.full, admissible
     )

@@ -252,10 +252,10 @@ def verify_witness(
     semantics = Semantics(semantics)
     current = af
     for source, target in witness:
+        if current.target_rows[current._index(source)] >> current._index(target) & 1:
+            return False  # re-adding an attack adds nothing
         classification = classify_attack(current, (source, target), semantics)
         if classification.verdict is not Verdict.INVARIANT:
             return False
-        if current.target_rows[current._index(source)] >> current._index(target) & 1:
-            return False  # re-adding an attack adds nothing
         current = current.add_attack(source, target)
     return sigma_equivalent(af, current, semantics)

@@ -32,13 +32,13 @@ from .invariance import (
 from .semantics import Semantics, _conflict_free
 
 # A search exploring more states than this raises SizeLimit.  Exhaustive
-# adm searches explore 3,000-8,000 states per second on six arguments (2
-# vCPUs, Python 3.11), so one at the budget stops after 6-17 s.  A state's
-# cost grows with its conflict-free sets: 11,000-32,000 states per second
-# on five arguments, 300-1,500 on nine; cf searches 37,000-54,000.  The
-# largest search in the test suite explores 4,016 states, the largest in
-# perfbench's robustness workload 1,024.
-MAX_SEARCH_STATES = 50_000
+# adm searches on five arguments explore 22,000-28,000 states per second (2
+# vCPUs, Python 3.11), so one at the budget stops after 7-9 s, at a peak RSS
+# of 86 MB.  A state's cost grows with its conflict-free sets: 3,000-8,000
+# states per second on six arguments, 300-1,500 on nine; cf searches
+# 37,000-54,000.  The largest search in the test suite explores 4,016
+# states, the largest in perfbench's robustness workload 1,024.
+MAX_SEARCH_STATES = 200_000
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class _State:
         targets: tuple[int, ...],
         attackers: tuple[int, ...],
         parent: "_State | None" = None,
-        step: tuple[int, int] = (0, 0),
+        step: tuple[int, int] | None = None,
     ):
         self.targets = targets
         self.attackers = attackers

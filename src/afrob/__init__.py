@@ -45,7 +45,9 @@ from .oracle import (
     AuditReport,
     DiscrepancyReport,
     canonical_names,
+    changed_rows,
     cross_validate,
+    delta_rows,
     exhaustive_audit,
     extension_changes,
     framework_from_mask,

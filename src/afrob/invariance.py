@@ -283,9 +283,9 @@ def candidate_attacks(af: ArgumentationFramework) -> list[Attack]:
     return _attacks_in(af.sorted_arguments, [full & ~row for row in af.target_rows])
 
 
-def invariant_attacks(af: ArgumentationFramework, semantics: Semantics) -> list[Attack]:
-    """The candidate attacks classified invariant, in canonical order:
-    exactly those :func:`classify_attack` classifies invariant.
+def _invariant_rows(af: ArgumentationFramework, semantics: Semantics) -> list[int]:
+    """Per source a, the absent targets b for which (a, b) is classified
+    invariant.
 
     For adm the rule rows of every admissible set are ORed once per
     framework, and a candidate is invariant when no rule fires on it.
@@ -293,18 +293,22 @@ def invariant_attacks(af: ArgumentationFramework, semantics: Semantics) -> list[
     semantics = Semantics(semantics)
     targets, attackers = af.bit_rows
     if semantics is Semantics.CONFLICT_FREE:
-        kept = _conflict_kept(targets, attackers)
-        return _attacks_in(af.sorted_arguments, [k & ~t for k, t in zip(kept, targets)])
+        return [k & ~t for k, t in zip(_conflict_kept(targets, attackers), targets)]
     if semantics is not Semantics.ADMISSIBLE:
         raise UnsupportedSemantics(
             f"attack classification supports cf and adm, not {semantics.value}"
         )
     enum = _semantics._enumerate(af)
     admissible = zip(enum.adm, map(af.attacked_by, enum.adm))
-    rows = _admissible_invariant_rows(
+    return _admissible_invariant_rows(
         targets, attackers, lambda: af.odd_walk_rows, enum.full, admissible
     )
-    return _attacks_in(af.sorted_arguments, rows)
+
+
+def invariant_attacks(af: ArgumentationFramework, semantics: Semantics) -> list[Attack]:
+    """The candidate attacks classified invariant, in canonical order:
+    exactly those :func:`classify_attack` classifies invariant."""
+    return _attacks_in(af.sorted_arguments, _invariant_rows(af, semantics))
 
 
 def enumerate_invariant_attacks(

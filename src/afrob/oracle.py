@@ -1,12 +1,16 @@
-"""Brute-force ground truth and audits of the rule-based classifier.
+"""Ground truth and audits of the rule-based classifier.
 
 Invariance is, by definition, equality of the extension sets before and
-after the addition.  The functions here decide it by recomputing both
-sides, never consulting labellings, which makes them an independent check
-of the whole classification pipeline.  ``cross_validate`` compares the
-classifier against this ground truth attack by attack; ``exhaustive_audit``
-sweeps entire framework populations and aggregates every divergence into a
-report instead of smoothing it over.
+after the addition.  Two routes decide it without consulting labellings,
+which makes them an independent check of the whole classification
+pipeline.  ``oracle_invariant`` and ``extension_changes`` recompute both
+sides for one candidate, under any semantics.  ``delta_rows`` decides
+every candidate of a framework at once, for cf and adm, by Dung's delta:
+one pass over the conflict-free sets finds, per set, the additions that
+lose or gain it.  ``cross_validate`` compares the classifier against the
+delta and recomputes only the candidates where they disagree;
+``exhaustive_audit`` sweeps entire framework populations and aggregates
+every divergence into a report instead of smoothing it over.
 """
 
 from __future__ import annotations
@@ -14,16 +18,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from multiprocessing import Pool
+from typing import Sequence
 
-from .framework import ArgumentationFramework, Attack
-from .invariance import (
-    Rule,
-    Verdict,
-    candidate_attacks,
-    classify_attack,
-    invariant_attacks,
+from .errors import SizeLimit, UnsupportedSemantics
+from .framework import ArgumentationFramework, Attack, _bits
+from .invariance import Rule, Verdict, _invariant_rows, classify_attack
+from .semantics import (
+    MAX_ENUMERATION_ARGUMENTS,
+    ExtensionSet,
+    Semantics,
+    _conflict_free,
+    extension_difference,
+    extension_masks,
 )
-from .semantics import ExtensionSet, Semantics, extension_difference, extension_masks
 
 # aggregation key for divergences where no rule fired at all
 NO_RULE_FIRED = "no-rule-fired"
@@ -83,16 +90,80 @@ def extension_changes(
     return extension_difference(af, af.add_attack(*attack), semantics)
 
 
+def delta_rows(
+    semantics: Semantics,
+    full: int,
+    cf: Sequence[int],
+    hit: Sequence[int],
+    threat: Sequence[int],
+) -> list[int]:
+    """Per argument a, the targets b for which adding (a, b) changes the cf
+    or adm extension set, read off the conflict-free sets ``cf`` with the
+    union of their members' targets (``hit``) and of their attackers
+    (``threat``), as :func:`semantics._conflict_free` returns them; ``full``
+    is the mask of all arguments.
+
+    By Dung's definitions, for a conflict-free S with unanswered attackers
+    U = threat & ~hit:
+
+    * cf: S is lost iff a, b ∈ S; an addition never makes a set
+      conflict-free, so nothing is gained.
+    * adm, loss: an admissible S (U empty) is lost iff b ∈ S and a ∉ hit:
+      S then has the new attacker a and does not attack it (a ∈ S is
+      covered, since S does not attack its own members).
+    * adm, gain: a non-admissible S becomes admissible iff a ∈ S and
+      U = {b}: S gains a target only if a ∈ S, and then b ∉ S (or S would
+      not stay conflict-free), so S gains no attacker and its one new
+      target b answers U exactly when U = {b}.
+
+    An existing attack never gets a bit: a and b do not share a
+    conflict-free set, an admissible S holding b attacks its attacker a,
+    and a set holding a attacks b already, so b is not unanswered.
+    """
+    semantics = Semantics(semantics)
+    changed = [0] * full.bit_length()
+    if semantics is Semantics.CONFLICT_FREE:
+        for s in cf:
+            for a in _bits(s):
+                changed[a] |= s
+        return changed
+    if semantics is not Semantics.ADMISSIBLE:
+        raise UnsupportedSemantics(f"the delta covers cf and adm, not {semantics.value}")
+    for s, attacked, attacking in zip(cf, hit, threat):
+        unanswered = attacking & ~attacked
+        if not unanswered:
+            if s:
+                for a in _bits(full & ~attacked):
+                    changed[a] |= s
+        elif not unanswered & (unanswered - 1):
+            for a in _bits(s):
+                changed[a] |= unanswered
+    return changed
+
+
+def changed_rows(af: ArgumentationFramework, semantics: Semantics) -> list[int]:
+    """:func:`delta_rows` for the framework ``af``, indexed like
+    ``af.sorted_arguments``."""
+    targets, attackers = af.bit_rows
+    return delta_rows(semantics, (1 << len(targets)) - 1, *_conflict_free(targets, attackers))
+
+
 def cross_validate(af: ArgumentationFramework, semantics: Semantics) -> list[DiscrepancyReport]:
     """Compare the classifier with the ground truth on every candidate
-    attack; return all disagreements.  Only the disagreeing candidates are
-    classified one by one, for their verdicts and rules."""
+    attack; return all disagreements.  The ground truth is
+    :func:`delta_rows`; only the disagreeing candidates are classified one
+    by one, for their verdicts and rules, and recomputed, for the
+    extensions they lose and gain."""
     semantics = Semantics(semantics)
-    invariant = set(invariant_attacks(af, semantics))
+    invariant = _invariant_rows(af, semantics)
+    changed = changed_rows(af, semantics)
+    names = af.sorted_arguments
+    full = (1 << len(names)) - 1
     found = []
-    for attack in candidate_attacks(af):
-        truth = oracle_invariant(af, attack, semantics)
-        if (attack in invariant) != truth:
+    for a, (rule_row, changed_row, present) in enumerate(zip(invariant, changed, af.target_rows)):
+        # the candidates the rules call invariant, XOR those that are
+        for b in _bits(rule_row ^ (full & ~(changed_row | present))):
+            attack = Attack(names[a], names[b])
             classification = classify_attack(af, attack, semantics)
             lost, gained = extension_changes(af, attack, semantics)
             found.append(
@@ -101,7 +172,7 @@ def cross_validate(af: ArgumentationFramework, semantics: Semantics) -> list[Dis
                     attack=attack,
                     semantics=semantics,
                     predicate_verdict=classification.verdict,
-                    oracle_verdict=truth,
+                    oracle_verdict=not changed_row >> b & 1,
                     rules=tuple(dict.fromkeys(w.rule for w in classification.witnesses)),
                     lost=lost,
                     gained=gained,
@@ -158,6 +229,10 @@ def exhaustive_audit(
         raise ValueError(f"negative argument or sample count: n={n}, samples={samples}")
     if jobs < 1:
         raise ValueError(f"jobs must be positive, not {jobs}")
+    # every framework would be rejected by the enumerator; say so before
+    # drawing and decoding the samples
+    if n > MAX_ENUMERATION_ARGUMENTS:
+        raise SizeLimit(f"{n} arguments exceed the enumeration limit of {MAX_ENUMERATION_ARGUMENTS}")
     exhaustive = n <= 3
     if exhaustive:
         masks: list[int] = list(range(1 << (n * n)))
@@ -196,7 +271,9 @@ __all__ = [
     "AuditReport",
     "DiscrepancyReport",
     "canonical_names",
+    "changed_rows",
     "cross_validate",
+    "delta_rows",
     "exhaustive_audit",
     "extension_changes",
     "framework_from_mask",

@@ -123,6 +123,48 @@ def test_invariant_attacks_oracle(capsys, g3_file):
     assert payload["result"]["oracle_disagreements"] == []
 
 
+def _count_add_attack(monkeypatch) -> list:
+    calls = []
+    original = afrob.ArgumentationFramework.add_attack
+
+    def counted(self, *attack):
+        calls.append(attack)
+        return original(self, *attack)
+
+    monkeypatch.setattr(afrob.ArgumentationFramework, "add_attack", counted)
+    return calls
+
+
+def test_invariant_attacks_oracle_reads_the_delta(capsys, monkeypatch, tmp_path):
+    # a1 attacks itself and a2; no rule sees that (a2, a1) lets {a2} defend
+    # itself, and the oracle check finds that without adding any attack
+    path = tmp_path / "miss.apx"
+    path.write_text("arg(a1).\narg(a2).\natt(a1,a1).\natt(a1,a2).\n")
+    calls = _count_add_attack(monkeypatch)
+    payload = run_json(
+        capsys,
+        "invariant-attacks", "--semantics", "adm", "--oracle",
+        "--input", str(path), "--format", "json",
+    )
+    assert payload["result"]["attacks"] == [
+        {"source": "a2", "target": "a1"},
+        {"source": "a2", "target": "a2"},
+    ]
+    assert payload["result"]["oracle_disagreements"] == [{"source": "a2", "target": "a1"}]
+    assert calls == []
+
+
+def test_check_attack_oracle_recomputes_once(capsys, monkeypatch, g3_file):
+    calls = _count_add_attack(monkeypatch)
+    payload = run_json(
+        capsys,
+        "check-attack", "--from", "4", "--to", "2", "--semantics", "adm",
+        "--oracle", "--input", g3_file, "--format", "json",
+    )
+    assert payload["result"]["oracle"] == {"invariant": False, "lost": [], "gained": [["3", "4"]]}
+    assert calls == [("4", "2")]
+
+
 def test_robustness(capsys, g3_file):
     payload = run_json(
         capsys,
@@ -330,6 +372,14 @@ def test_labellings_size_limit_exit_code(capsys, tmp_path):
     big.write_text("".join(f"arg(x{i}).\n" for i in range(21)))
     code, _, err = run(capsys, "labellings", "--semantics", "com", "--input", str(big))
     assert code == 3
+    assert "enumeration limit of 20" in err
+
+
+def test_audit_size_limit_exits_before_sampling(capsys):
+    # 2000 arguments would mean drawing 1000 masks of four million bits
+    code, out, err = run(capsys, "audit", "--args", "2000", "--semantics", "adm")
+    assert code == 3
+    assert out == ""
     assert "enumeration limit of 20" in err
 
 

@@ -1,9 +1,14 @@
+import random
+
 import pytest
 
+import afrob.semantics
 from afrob import (
     ArgumentationFramework,
+    SizeLimit,
     Semantics,
     Verdict,
+    changed_rows,
     cross_validate,
     exhaustive_audit,
     extension_changes,
@@ -49,6 +54,75 @@ def test_mask_level_checks_match_name_level_extension_sets():
                 assert oracle_invariant(af, attack, semantics) == (before == after)
                 assert sigma_equivalent(af, expanded, semantics) == (before == after)
                 assert extension_changes(af, attack, semantics) == (before - after, after - before)
+
+
+def _assert_delta_is_recomputation(af):
+    # every ordered pair, present attacks and self-attacks included
+    names = af.sorted_arguments
+    for semantics in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
+        changed = changed_rows(af, semantics)
+        assert len(changed) == len(names)
+        for a, source in enumerate(names):
+            for b, target in enumerate(names):
+                invariant = oracle_invariant(af, (source, target), semantics)
+                assert invariant == (not changed[a] >> b & 1), (af, source, target, semantics)
+
+
+def test_delta_matches_recomputation_on_every_small_relation():
+    for n in range(4):
+        names = canonical_names(n)
+        for mask in range(1 << (n * n)):
+            _assert_delta_is_recomputation(framework_from_mask(names, mask))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_delta_matches_recomputation_on_seeded_relations(n):
+    rng = random.Random(n)
+    names = canonical_names(n)
+    for p in (0.1, 0.25, 0.5):
+        for _ in range(50):
+            attacks = [(s, t) for s in names for t in names if rng.random() < p]
+            _assert_delta_is_recomputation(ArgumentationFramework(names, attacks))
+
+
+def test_delta_rejects_other_semantics(g3):
+    with pytest.raises(afrob.UnsupportedSemantics):
+        changed_rows(g3, Semantics.COMPLETE)
+
+
+def test_audit_recomputes_only_disagreements(monkeypatch):
+    # the delta decides every candidate; only the 324 disagreements of the
+    # n=3 adm ledger add their attack (once, for the changed extensions)
+    # and enumerate anything beyond the framework's own admissible sets
+    added = []
+    enumerated = []
+    add_attack = ArgumentationFramework.add_attack
+    enumerate_ = afrob.semantics._enumerate
+
+    def counted_add(self, *attack):
+        added.append(attack)
+        return add_attack(self, *attack)
+
+    def counted_enumerate(af):
+        enumerated.append(af)
+        return enumerate_(af)
+
+    monkeypatch.setattr(ArgumentationFramework, "add_attack", counted_add)
+    monkeypatch.setattr(afrob.semantics, "_enumerate", counted_enumerate)
+    cf = exhaustive_audit(3, Semantics.CONFLICT_FREE)
+    assert (cf.candidates_checked, len(cf.discrepancies)) == (2304, 0)
+    assert (len(added), len(enumerated)) == (0, 0)
+    adm = exhaustive_audit(3, Semantics.ADMISSIBLE)
+    assert (adm.candidates_checked, len(adm.discrepancies)) == (2304, 324)
+    assert len(added) == 324
+    # one rule scan per framework, and per disagreement its classification
+    # and both sides of its recomputed changes
+    assert len(enumerated) == 512 + 3 * 324
+
+
+def test_audit_checks_the_enumeration_limit_first():
+    with pytest.raises(SizeLimit, match="enumeration limit of 20"):
+        exhaustive_audit(2000, Semantics.ADMISSIBLE)
 
 
 def test_candidate_attacks_excludes_existing(g3):

@@ -47,7 +47,6 @@ from .oracle import (
     canonical_names,
     changed_rows,
     cross_validate,
-    delta_rows,
     exhaustive_audit,
     extension_changes,
     framework_from_mask,

@@ -28,14 +28,9 @@ from .errors import (
     UndeclaredArgument,
 )
 from .framework import ArgumentationFramework, _attacks_in, _bits
-from .invariance import (
-    AttackClassification,
-    classify_attack,
-    enumerate_invariant_attacks,
-    sigma_equivalent,
-)
+from .invariance import AttackClassification, _State, classify_attack
 from .labelling import labellings_for
-from .oracle import AuditReport, changed_rows, exhaustive_audit, extension_changes
+from .oracle import AuditReport, exhaustive_audit, extension_changes
 from .robustness import RobustnessResult, robustness_degree
 from .semantics import Semantics, extension_difference, extension_masks, extension_sort_key
 
@@ -187,18 +182,21 @@ def _cmd_check_attack(args) -> int:
 def _cmd_invariant_attacks(args) -> int:
     af = _load(args.input)
     semantics = Semantics(args.semantics)
-    found = sorted(enumerate_invariant_attacks(af, semantics))
+    state = _State(*af.bit_rows)
+    rows = state.invariant_rows(semantics)
+    found = _attacks_in(af.sorted_arguments, rows)
     result = {
         "semantics": semantics.value,
         "attacks": [{"source": a.source, "target": a.target} for a in found],
     }
     text = [f"{a.source} -> {a.target}" for a in found]
     if args.oracle:
-        changed = changed_rows(af, semantics)
+        # the candidates the rules call invariant that Dung's delta changes
+        changed = state.changed_rows(semantics)
+        wrong = [row & changed_row for row, changed_row in zip(rows, changed)]
         disagreements = [
             {"source": a.source, "target": a.target}
-            for a in found
-            if changed[af._index(a.source)] >> af._index(a.target) & 1
+            for a in _attacks_in(af.sorted_arguments, wrong)
         ]
         result["oracle_disagreements"] = disagreements
         text.append(f"oracle disagreements: {len(disagreements)}")
@@ -238,8 +236,8 @@ def _cmd_equivalent(args) -> int:
     af = _load(args.input)
     other = _load(args.other)
     semantics = Semantics(args.semantics)
-    equivalent = sigma_equivalent(af, other, semantics)
     lost, gained = extension_difference(af, other, semantics)
+    equivalent = not lost and not gained
     result = {
         "semantics": semantics.value,
         "equivalent": equivalent,

@@ -9,21 +9,33 @@ Caminada's correspondence the labelling of a set S is fixed by S (S in, its
 targets out, the rest undec), so the rules are read directly off the
 extension bitmasks of :mod:`afrob.semantics`.
 
-The rule scan is a fast structural predicate, not a recomputation; the
-:mod:`afrob.oracle` module cross-validates it against the definitional
-ground truth and reports every divergence instead of hiding it.
+The rule scan is a fast structural predicate, not a recomputation.  One
+state of a relation (:class:`_State`) answers both all-candidates
+questions: which additions the rules classify invariant, and which ones
+change the extension set by Dung's delta, the definitional ground truth.
+The :mod:`afrob.oracle` module cross-validates the first against the
+second and reports every divergence instead of hiding it; the robustness
+search derives each of its states from its parent's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import ArgumentSetMismatch, UnsupportedSemantics
 from . import semantics as _semantics
-from .framework import ArgumentationFramework, Attack, _attacks_in, _bits
-from .semantics import ExtensionSet, Semantics, extension_masks
+from .framework import (
+    ArgumentationFramework,
+    Attack,
+    _attacks_in,
+    _bits,
+    _odd_closure,
+    _transpose,
+    _with_attack,
+)
+from .semantics import ExtensionSet, Semantics, _conflict_free, extension_masks
 
 
 class Verdict(str, Enum):
@@ -168,24 +180,6 @@ def _rule_rows(
             yield a, ((Rule.ND_UNDEC_IN, s),)
 
 
-def _admissible_invariant_rows(
-    targets: tuple[int, ...],
-    attackers: tuple[int, ...],
-    walks: Callable[[], Walks],
-    full: int,
-    admissible: Iterable[tuple[int, int]],
-) -> list[int]:
-    """Per source a, the absent targets b on which no rule fires for any
-    labelling, given each admissible set with its targets: the rule rows of
-    every set ORed once."""
-    fired = list(targets)  # existing attacks are no candidates
-    for s, out in admissible:
-        for a, rows in _rule_rows(targets, attackers, walks, full, s, out, full):
-            for _, row in rows:
-                fired[a] |= row
-    return [full & ~row for row in fired]
-
-
 def _conflict_kept(targets: tuple[int, ...], attackers: tuple[int, ...]) -> list[int]:
     """Per argument a, the targets b for which adding (a, b) leaves every
     conflict-free set conflict-free: a and b already conflict, or one of
@@ -196,6 +190,175 @@ def _conflict_kept(targets: tuple[int, ...], attackers: tuple[int, ...]) -> list
         full if loops >> a & 1 else targets[a] | attackers[a] | loops
         for a in range(len(targets))
     ]
+
+
+def _reach_with(
+    odd: tuple[int, ...], even: tuple[int, ...], a: int, b: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The odd and even reach tables of :func:`_odd_closure` after the edge
+    a -> b is added.
+
+    A new walk runs x ~> a -> b ~> a -> b ... ~> y with only old edges
+    between the uses of a -> b.  If b has an even walk to a, the loop
+    b ~> a -> b is odd, so such a walk takes either parity and x gains all
+    of b's reach in both rows.  Otherwise every loop is even and the parity
+    is that of x ~> a, plus one, plus that of b ~> y.
+    """
+    bit, gain_odd, gain_even = 1 << a, odd[b], even[b]
+    if gain_even & bit:
+        gain_odd = gain_even = gain_odd | gain_even
+    new_odd, new_even = [], []
+    for o, e in zip(odd, even):
+        new_odd.append(o | (gain_even if e & bit else 0) | (gain_odd if o & bit else 0))
+        new_even.append(e | (gain_odd if e & bit else 0) | (gain_even if o & bit else 0))
+    return tuple(new_odd), tuple(new_even)
+
+
+class _State:
+    """One attack relation and the tables that decide, for every candidate
+    attack at once, whether adding it keeps the cf or adm extension set: by
+    the paper's rules (:meth:`invariant_rows`) or by Dung's delta
+    (:meth:`changed_rows`).  A root state is built from a framework's
+    :attr:`~ArgumentationFramework.bit_rows` and builds each table from
+    scratch; a robustness search state derives it from its parent's, which
+    lacks exactly the attack ``step``.  Either reads a table the first time
+    it is needed, so a cf question never builds the tables only adm reads.
+
+    * ``targets`` and ``attackers``: the relation's bit rows.
+    * ``reach``: the odd and even reach tables of the relation
+      (:func:`_odd_closure`), then those of its reverse (their transposes).
+    * ``cf``: per conflict-free set, ascending, the set, its targets and
+      its attackers.
+    * ``adm``: per admissible set, the set and its targets.
+    """
+
+    __slots__ = ("targets", "attackers", "parent", "step", "_reach", "_cf", "_adm")
+
+    def __init__(
+        self,
+        targets: tuple[int, ...],
+        attackers: tuple[int, ...],
+        parent: "_State | None" = None,
+        step: tuple[int, int] | None = None,
+    ):
+        self.targets = targets
+        self.attackers = attackers
+        self.parent = parent
+        self.step = step
+        self._reach = self._cf = self._adm = None
+
+    def child(self, a: int, b: int) -> "_State":
+        """The state with the attack (a, b) added."""
+        return _State(
+            _with_attack(self.targets, a, b), _with_attack(self.attackers, b, a), self, (a, b)
+        )
+
+    @property
+    def reach(self) -> tuple[tuple[int, ...], ...]:
+        if self._reach is None:
+            if self.parent is None:
+                # a walk of the reverse relation is a walk of this one, backwards
+                odd, even = _odd_closure(self.targets)
+                self._reach = (odd, even, _transpose(odd), _transpose(even))
+            else:
+                a, b = self.step
+                odd, even, reverse_odd, reverse_even = self.parent.reach
+                self._reach = (
+                    *_reach_with(odd, even, a, b),
+                    *_reach_with(reverse_odd, reverse_even, b, a),
+                )
+        return self._reach
+
+    @property
+    def cf(self) -> list[tuple[int, int, int]]:
+        if self._cf is None:
+            if self.parent is None:
+                self._cf = list(zip(*_conflict_free(self.targets, self.attackers)))
+            else:
+                # the sets holding a and b are lost; a kept set holding a
+                # now also attacks b, and one holding b is now also
+                # attacked by a
+                a, b = self.step
+                bit_a, bit_b = 1 << a, 1 << b
+                both = bit_a | bit_b
+                self._cf = [
+                    (m, h | bit_b if m & bit_a else h, t | bit_a if m & bit_b else t)
+                    for m, h, t in self.parent.cf
+                    if m & both != both
+                ]
+        return self._cf
+
+    @property
+    def adm(self) -> list[tuple[int, int]]:
+        if self._adm is None:
+            self._adm = [(m, h) for m, h, t in self.cf if not t & ~h]
+        return self._adm
+
+    def invariant_rows(self, semantics: Semantics) -> list[int]:
+        """Per source a, the absent targets b for which (a, b) is classified
+        invariant: exactly those :func:`classify_attack` classifies
+        invariant.
+
+        For cf this is the closed form of :func:`_conflict_kept`.  For adm
+        the rule rows of every admissible set are ORed once, and a
+        candidate is invariant when no rule fires on it.
+        """
+        targets, attackers = self.targets, self.attackers
+        if semantics is Semantics.CONFLICT_FREE:
+            return [k & ~t for k, t in zip(_conflict_kept(targets, attackers), targets)]
+        if semantics is not Semantics.ADMISSIBLE:
+            raise UnsupportedSemantics(
+                f"attack classification supports cf and adm, not {semantics.value}"
+            )
+        odd, _, reverse_odd, _ = self.reach
+        walks = lambda: (odd, reverse_odd)
+        full = (1 << len(targets)) - 1
+        fired = list(targets)  # existing attacks are no candidates
+        for s, out in self.adm:
+            for a, rows in _rule_rows(targets, attackers, walks, full, s, out, full):
+                for _, row in rows:
+                    fired[a] |= row
+        return [full & ~row for row in fired]
+
+    def changed_rows(self, semantics: Semantics) -> list[int]:
+        """Per argument a, the targets b for which adding (a, b) changes the
+        cf or adm extension set: Dung's delta, read off the conflict-free
+        sets.
+
+        By Dung's definitions, for a conflict-free S with targets ``hit``,
+        attackers ``threat`` and unanswered attackers U = threat & ~hit:
+
+        * cf: S is lost iff a, b ∈ S, and an addition never makes a set
+          conflict-free, so (a, b) changes cf exactly when {a, b} is
+          conflict-free: the candidates :func:`_conflict_kept` excludes.
+        * adm, loss: an admissible S (U empty) is lost iff b ∈ S and a ∉ hit:
+          S then has the new attacker a and does not attack it (a ∈ S is
+          covered, since S does not attack its own members).
+        * adm, gain: a non-admissible S becomes admissible iff a ∈ S and
+          U = {b}: S gains a target only if a ∈ S, and then b ∉ S (or S
+          would not stay conflict-free), so S gains no attacker and its one
+          new target b answers U exactly when U = {b}.
+
+        An existing attack never gets a bit: a and b do not share a
+        conflict-free set, an admissible S holding b attacks its attacker a,
+        and a set holding a attacks b already, so b is not unanswered.
+        """
+        full = (1 << len(self.targets)) - 1
+        if semantics is Semantics.CONFLICT_FREE:
+            return [full & ~k for k in _conflict_kept(self.targets, self.attackers)]
+        if semantics is not Semantics.ADMISSIBLE:
+            raise UnsupportedSemantics(f"the delta covers cf and adm, not {semantics.value}")
+        changed = [0] * len(self.targets)
+        for s, attacked, attacking in self.cf:
+            unanswered = attacking & ~attacked
+            if not unanswered:
+                if s:
+                    for a in _bits(full & ~attacked):
+                        changed[a] |= s
+            elif not unanswered & (unanswered - 1):
+                for a in _bits(s):
+                    changed[a] |= unanswered
+        return changed
 
 
 def classify_conflict_free_attack(
@@ -268,9 +431,13 @@ def classify_attack(
     semantics: Semantics,
     preferred_only: bool = False,
 ) -> AttackClassification:
-    """Dispatch to the conflict-free or admissible classifier."""
+    """Dispatch to the conflict-free or admissible classifier.
+    ``preferred_only`` restricts the admissible scan; cf has no labellings
+    to restrict, so there it is refused."""
     semantics = Semantics(semantics)
     if semantics is Semantics.CONFLICT_FREE:
+        if preferred_only:
+            raise UnsupportedSemantics("preferred-only classification supports adm, not cf")
         return classify_conflict_free_attack(af, attack)
     if semantics is Semantics.ADMISSIBLE:
         return classify_admissible_attack(af, attack, preferred_only=preferred_only)
@@ -283,32 +450,11 @@ def candidate_attacks(af: ArgumentationFramework) -> list[Attack]:
     return _attacks_in(af.sorted_arguments, [full & ~row for row in af.target_rows])
 
 
-def _invariant_rows(af: ArgumentationFramework, semantics: Semantics) -> list[int]:
-    """Per source a, the absent targets b for which (a, b) is classified
-    invariant.
-
-    For adm the rule rows of every admissible set are ORed once per
-    framework, and a candidate is invariant when no rule fires on it.
-    """
-    semantics = Semantics(semantics)
-    targets, attackers = af.bit_rows
-    if semantics is Semantics.CONFLICT_FREE:
-        return [k & ~t for k, t in zip(_conflict_kept(targets, attackers), targets)]
-    if semantics is not Semantics.ADMISSIBLE:
-        raise UnsupportedSemantics(
-            f"attack classification supports cf and adm, not {semantics.value}"
-        )
-    enum = _semantics._enumerate(af)
-    admissible = zip(enum.adm, map(af.attacked_by, enum.adm))
-    return _admissible_invariant_rows(
-        targets, attackers, lambda: af.odd_walk_rows, enum.full, admissible
-    )
-
-
 def invariant_attacks(af: ArgumentationFramework, semantics: Semantics) -> list[Attack]:
     """The candidate attacks classified invariant, in canonical order:
     exactly those :func:`classify_attack` classifies invariant."""
-    return _attacks_in(af.sorted_arguments, _invariant_rows(af, semantics))
+    rows = _State(*af.bit_rows).invariant_rows(Semantics(semantics))
+    return _attacks_in(af.sorted_arguments, rows)
 
 
 def enumerate_invariant_attacks(

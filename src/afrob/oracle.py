@@ -4,11 +4,13 @@ Invariance is, by definition, equality of the extension sets before and
 after the addition.  Two routes decide it without consulting labellings,
 which makes them an independent check of the whole classification
 pipeline.  ``oracle_invariant`` and ``extension_changes`` recompute both
-sides for one candidate, under any semantics.  ``delta_rows`` decides
+sides for one candidate, under any semantics.  ``changed_rows`` decides
 every candidate of a framework at once, for cf and adm, by Dung's delta:
 one pass over the conflict-free sets finds, per set, the additions that
-lose or gain it.  ``cross_validate`` compares the classifier against the
-delta and recomputes only the candidates where they disagree;
+lose or gain it.  The delta and the rule scan are read off one state of
+the relation (:class:`afrob.invariance._State`).  ``cross_validate``
+compares the classifier against the delta and recomputes only the
+candidates where they disagree;
 ``exhaustive_audit`` sweeps entire framework populations and aggregates
 every divergence into a report instead of smoothing it over.
 """
@@ -18,16 +20,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Sequence
 
-from .errors import SizeLimit, UnsupportedSemantics
+from .errors import SizeLimit
 from .framework import ArgumentationFramework, Attack, _bits
-from .invariance import Rule, Verdict, _invariant_rows, classify_attack
+from .invariance import Rule, Verdict, _State, classify_attack
 from .semantics import (
     MAX_ENUMERATION_ARGUMENTS,
     ExtensionSet,
     Semantics,
-    _conflict_free,
     extension_difference,
     extension_masks,
 )
@@ -90,73 +90,23 @@ def extension_changes(
     return extension_difference(af, af.add_attack(*attack), semantics)
 
 
-def delta_rows(
-    semantics: Semantics,
-    full: int,
-    cf: Sequence[int],
-    hit: Sequence[int],
-    threat: Sequence[int],
-) -> list[int]:
-    """Per argument a, the targets b for which adding (a, b) changes the cf
-    or adm extension set, read off the conflict-free sets ``cf`` with the
-    union of their members' targets (``hit``) and of their attackers
-    (``threat``), as :func:`semantics._conflict_free` returns them; ``full``
-    is the mask of all arguments.
-
-    By Dung's definitions, for a conflict-free S with unanswered attackers
-    U = threat & ~hit:
-
-    * cf: S is lost iff a, b ∈ S; an addition never makes a set
-      conflict-free, so nothing is gained.
-    * adm, loss: an admissible S (U empty) is lost iff b ∈ S and a ∉ hit:
-      S then has the new attacker a and does not attack it (a ∈ S is
-      covered, since S does not attack its own members).
-    * adm, gain: a non-admissible S becomes admissible iff a ∈ S and
-      U = {b}: S gains a target only if a ∈ S, and then b ∉ S (or S would
-      not stay conflict-free), so S gains no attacker and its one new
-      target b answers U exactly when U = {b}.
-
-    An existing attack never gets a bit: a and b do not share a
-    conflict-free set, an admissible S holding b attacks its attacker a,
-    and a set holding a attacks b already, so b is not unanswered.
-    """
-    semantics = Semantics(semantics)
-    changed = [0] * full.bit_length()
-    if semantics is Semantics.CONFLICT_FREE:
-        for s in cf:
-            for a in _bits(s):
-                changed[a] |= s
-        return changed
-    if semantics is not Semantics.ADMISSIBLE:
-        raise UnsupportedSemantics(f"the delta covers cf and adm, not {semantics.value}")
-    for s, attacked, attacking in zip(cf, hit, threat):
-        unanswered = attacking & ~attacked
-        if not unanswered:
-            if s:
-                for a in _bits(full & ~attacked):
-                    changed[a] |= s
-        elif not unanswered & (unanswered - 1):
-            for a in _bits(s):
-                changed[a] |= unanswered
-    return changed
-
-
 def changed_rows(af: ArgumentationFramework, semantics: Semantics) -> list[int]:
-    """:func:`delta_rows` for the framework ``af``, indexed like
-    ``af.sorted_arguments``."""
-    targets, attackers = af.bit_rows
-    return delta_rows(semantics, (1 << len(targets)) - 1, *_conflict_free(targets, attackers))
+    """Per argument a of ``af.sorted_arguments``, the targets b for which
+    adding (a, b) changes the cf or adm extension set, by Dung's delta
+    (:meth:`~afrob.invariance._State.changed_rows`)."""
+    return _State(*af.bit_rows).changed_rows(Semantics(semantics))
 
 
 def cross_validate(af: ArgumentationFramework, semantics: Semantics) -> list[DiscrepancyReport]:
     """Compare the classifier with the ground truth on every candidate
-    attack; return all disagreements.  The ground truth is
-    :func:`delta_rows`; only the disagreeing candidates are classified one
-    by one, for their verdicts and rules, and recomputed, for the
-    extensions they lose and gain."""
+    attack; return all disagreements.  One state of the relation gives the
+    rule scan's rows and the ground truth's, Dung's delta; only the
+    disagreeing candidates are classified one by one, for their verdicts
+    and rules, and recomputed, for the extensions they lose and gain."""
     semantics = Semantics(semantics)
-    invariant = _invariant_rows(af, semantics)
-    changed = changed_rows(af, semantics)
+    state = _State(*af.bit_rows)
+    invariant = state.invariant_rows(semantics)
+    changed = state.changed_rows(semantics)
     names = af.sorted_arguments
     full = (1 << len(names)) - 1
     found = []
@@ -273,7 +223,6 @@ __all__ = [
     "canonical_names",
     "changed_rows",
     "cross_validate",
-    "delta_rows",
     "exhaustive_audit",
     "extension_changes",
     "framework_from_mask",

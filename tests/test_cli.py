@@ -105,6 +105,16 @@ def test_check_attack_preferred_only(capsys, g3_file):
     assert payload["result"]["verdict"] == "breaks_non_increasing"
 
 
+def test_check_attack_preferred_only_refuses_cf(capsys, g3_file):
+    code, out, err = run(
+        capsys,
+        "check-attack", "--from", "2", "--to", "1", "--semantics", "cf",
+        "--preferred-only", "--input", g3_file,
+    )
+    assert (code, out) == (1, "")
+    assert "preferred-only" in err
+
+
 def test_invariant_attacks(capsys, g3_file):
     code, out, _ = run(
         capsys, "invariant-attacks", "--semantics", "cf", "--input", g3_file
@@ -152,6 +162,31 @@ def test_invariant_attacks_oracle_reads_the_delta(capsys, monkeypatch, tmp_path)
     ]
     assert payload["result"]["oracle_disagreements"] == [{"source": "a2", "target": "a1"}]
     assert calls == []
+
+
+@pytest.mark.parametrize("semantics, passes", [("cf", 0), ("adm", 1)])
+def test_invariant_attacks_oracle_makes_one_conflict_free_pass(
+    capsys, monkeypatch, g3_file, semantics, passes
+):
+    # the rule rows and Dung's delta read one state of the relation: cf
+    # needs no conflict-free set at all, adm enumerates them once
+    calls = []
+    for module in (afrob.semantics, afrob.invariance, afrob.oracle, afrob.robustness):
+        original = getattr(module, "_conflict_free", None)
+        if original is not None:
+
+            def counted(*rows, original=original):
+                calls.append(rows)
+                return original(*rows)
+
+            monkeypatch.setattr(module, "_conflict_free", counted)
+    afrob.semantics._enumerate.cache_clear()  # a cached framework would hide a pass
+    run_json(
+        capsys,
+        "invariant-attacks", "--semantics", semantics, "--oracle",
+        "--input", g3_file, "--format", "json",
+    )
+    assert len(calls) == passes
 
 
 def test_check_attack_oracle_recomputes_once(capsys, monkeypatch, g3_file):

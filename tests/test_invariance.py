@@ -187,6 +187,12 @@ def test_classify_attack_dispatch(g3):
         classify_attack(g3, ("2", "2"), Semantics.STABLE)
 
 
+def test_preferred_only_is_refused_for_cf(g3):
+    # cf has no labellings to restrict, so the flag would be silently ignored
+    with pytest.raises(UnsupportedSemantics, match="preferred-only"):
+        classify_attack(g3, ("2", "1"), Semantics.CONFLICT_FREE, preferred_only=True)
+
+
 def test_preferred_only_agrees_on_small_frameworks():
     # exhaustive: no verdict differences for up to three arguments
     for n in (1, 2, 3):

@@ -93,7 +93,7 @@ def test_delta_rejects_other_semantics(g3):
 def test_audit_recomputes_only_disagreements(monkeypatch):
     # the delta decides every candidate; only the 324 disagreements of the
     # n=3 adm ledger add their attack (once, for the changed extensions)
-    # and enumerate anything beyond the framework's own admissible sets
+    # or enumerate anything
     added = []
     enumerated = []
     add_attack = ArgumentationFramework.add_attack
@@ -115,9 +115,10 @@ def test_audit_recomputes_only_disagreements(monkeypatch):
     adm = exhaustive_audit(3, Semantics.ADMISSIBLE)
     assert (adm.candidates_checked, len(adm.discrepancies)) == (2304, 324)
     assert len(added) == 324
-    # one rule scan per framework, and per disagreement its classification
-    # and both sides of its recomputed changes
-    assert len(enumerated) == 512 + 3 * 324
+    # the rule scan and the delta read one state per framework, outside the
+    # cache; per disagreement come its classification and both sides of its
+    # recomputed changes
+    assert len(enumerated) == 3 * 324
 
 
 def test_audit_checks_the_enumeration_limit_first():

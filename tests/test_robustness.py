@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -109,14 +110,14 @@ def _reference_greedy(af, semantics, paranoid, max_steps=None):
     return RobustnessResult(len(witness), tuple(witness), len(witness) + 1, "greedy", truncated)
 
 
-def _reference_exhaustive(af, semantics, max_steps):
+def _reference_exhaustive(af, semantics, max_steps, paranoid=False):
     memo = {}
     truncated = False
 
     def search(current):
         nonlocal truncated
         if current.attacks not in memo:
-            candidates = _fresh_candidates(current, semantics, False)
+            candidates = _fresh_candidates(current, semantics, paranoid)
             best = (0, ())
             if len(current.attacks) - len(af.attacks) >= max_steps:
                 truncated = truncated or bool(candidates)
@@ -200,14 +201,19 @@ def test_exhaustive_search_builds_no_framework_through_init(monkeypatch, g3):
 
 
 def test_capped_exhaustive_search_matches_per_candidate_classification():
-    # the depth cap only asks whether a candidate exists; every eighth
-    # three-argument relation keeps the per-candidate reference quick
+    # the depth cap only asks whether a candidate exists (nine steps never
+    # bind on three arguments); every eighth three-argument relation keeps
+    # the per-candidate reference quick.
+    # Under paranoid the reference recomputes every candidate, where the
+    # search masks the rule rows with Dung's delta.
     names = canonical_names(3)
     for mask in range(0, 1 << 9, 8):
         af = framework_from_mask(names, mask)
         for semantics in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
-            expected = _reference_exhaustive(af, semantics, max_steps=2)
-            assert robustness_degree(af, semantics, max_steps=2) == expected, (mask, semantics)
+            for paranoid, max_steps in itertools.product((False, True), (2, 9)):
+                expected = _reference_exhaustive(af, semantics, max_steps, paranoid)
+                found = robustness_degree(af, semantics, max_steps=max_steps, paranoid=paranoid)
+                assert found == expected, (mask, semantics, paranoid, max_steps)
 
 
 def test_greedy_never_beats_exhaustive():

@@ -13,10 +13,10 @@ Exit status: 0 success, 1 usage error, 2 parse error, 3 size limit,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
 from .apx import parse_apx
@@ -87,9 +87,47 @@ def _fmt_extensions(family) -> str:
     return ",".join(_fmt_set(ext) for ext in sorted(family, key=extension_sort_key)) or "-"
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for the values the
+    CLI prints: dicts with str keys, lists, str, int, bool and None.  Any
+    other type raises TypeError.  ``json.dumps`` runs its pure-Python
+    encoder whenever it indents; this writer leaves only the string escapes
+    (the C-accelerated ``ensure_ascii`` one) to ``json`` and writes a
+    string member without a call of its own."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    inner = indent + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        items = [_quote(v) if type(v) is str else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [
+            _quote(k) + ": " + (_quote(v) if type(v) is str else _json(v, inner))
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    # a str or int subclass (an enum member) prints as its value, as in json
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _quote(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _emit(args, command: str, result: dict, text_lines: Iterable[str]) -> int:
     if args.format == "json":
-        print(json.dumps({"schema": SCHEMA, "command": command, "result": result}, indent=2))
+        print(_json({"schema": SCHEMA, "command": command, "result": result}))
     else:
         for line in text_lines:
             print(line)
@@ -401,7 +439,8 @@ def run_cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, UndeclaredArgument) as exc:
+    # reading the input is the only decoding the commands do
+    except (ParseError, UndeclaredArgument, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SizeLimit as exc:

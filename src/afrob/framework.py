@@ -113,6 +113,15 @@ class ArgumentationFramework:
         object.__setattr__(self, "sorted_arguments", order)
         object.__setattr__(self, "target_rows", tuple(rows))
 
+    @classmethod
+    def _from_rows(cls, order: tuple[str, ...], rows: tuple[int, ...]) -> "ArgumentationFramework":
+        """The framework over ``order``, distinct valid names already in
+        canonical order, with the target rows ``rows``; neither is checked."""
+        af = object.__new__(cls)
+        object.__setattr__(af, "sorted_arguments", order)
+        object.__setattr__(af, "target_rows", rows)
+        return af
+
     @cached_property
     def arguments(self) -> frozenset[str]:
         """The argument names, as a set."""
@@ -168,10 +177,7 @@ class ArgumentationFramework:
         a, b = self._index(source), self._index(target)
         if self.target_rows[a] >> b & 1:
             return self
-        expanded = object.__new__(ArgumentationFramework)
-        object.__setattr__(expanded, "sorted_arguments", self.sorted_arguments)
-        object.__setattr__(expanded, "target_rows", _with_attack(self.target_rows, a, b))
-        return expanded
+        return self._from_rows(self.sorted_arguments, _with_attack(self.target_rows, a, b))
 
     def attackers(self, argument: str) -> frozenset[str]:
         """All arguments attacking ``argument``."""

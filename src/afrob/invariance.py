@@ -230,9 +230,11 @@ class _State:
     * ``cf``: per conflict-free set, ascending, the set, its targets and
       its attackers.
     * ``adm``: per admissible set, the set and its targets.
+    * ``kept``: per argument a, the targets b for which adding (a, b) keeps
+      every conflict-free set (:func:`_conflict_kept`).
     """
 
-    __slots__ = ("targets", "attackers", "parent", "step", "_reach", "_cf", "_adm")
+    __slots__ = ("targets", "attackers", "parent", "step", "_reach", "_cf", "_adm", "_kept")
 
     def __init__(
         self,
@@ -245,7 +247,7 @@ class _State:
         self.attackers = attackers
         self.parent = parent
         self.step = step
-        self._reach = self._cf = self._adm = None
+        self._reach = self._cf = self._adm = self._kept = None
 
     def child(self, a: int, b: int) -> "_State":
         """The state with the attack (a, b) added."""
@@ -294,6 +296,12 @@ class _State:
             self._adm = [(m, h) for m, h, t in self.cf if not t & ~h]
         return self._adm
 
+    @property
+    def kept(self) -> list[int]:
+        if self._kept is None:
+            self._kept = _conflict_kept(self.targets, self.attackers)
+        return self._kept
+
     def invariant_rows(self, semantics: Semantics) -> list[int]:
         """Per source a, the absent targets b for which (a, b) is classified
         invariant: exactly those :func:`classify_attack` classifies
@@ -305,7 +313,7 @@ class _State:
         """
         targets, attackers = self.targets, self.attackers
         if semantics is Semantics.CONFLICT_FREE:
-            return [k & ~t for k, t in zip(_conflict_kept(targets, attackers), targets)]
+            return [k & ~t for k, t in zip(self.kept, targets)]
         if semantics is not Semantics.ADMISSIBLE:
             raise UnsupportedSemantics(
                 f"attack classification supports cf and adm, not {semantics.value}"
@@ -345,7 +353,7 @@ class _State:
         """
         full = (1 << len(self.targets)) - 1
         if semantics is Semantics.CONFLICT_FREE:
-            return [full & ~k for k in _conflict_kept(self.targets, self.attackers)]
+            return [full & ~k for k in self.kept]
         if semantics is not Semantics.ADMISSIBLE:
             raise UnsupportedSemantics(f"the delta covers cf and adm, not {semantics.value}")
         changed = [0] * len(self.targets)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from multiprocessing import Pool
 
 from .errors import SizeLimit
@@ -135,14 +136,32 @@ def canonical_names(n: int) -> tuple[str, ...]:
     return tuple(f"a{i}" for i in range(1, n + 1))
 
 
+@lru_cache(maxsize=64)
+def _placement(names: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[int, ...] | None]:
+    """The canonical order of ``names``, checked once per name tuple, and
+    each name's position in it, or None when every name is already in place."""
+    order = ArgumentationFramework(names).sorted_arguments
+    position = tuple(order.index(name) for name in names)
+    return order, None if position == tuple(range(len(names))) else position
+
+
 def framework_from_mask(names: tuple[str, ...], mask: int) -> ArgumentationFramework:
     """Decode an attack relation from a bitmask over the n*n ordered pairs,
-    row-major in the given name order."""
+    row-major in the given name order: bit a*n + b is the attack
+    (names[a], names[b]), so the targets of names[a] are the n-bit slice
+    ``mask >> a*n``."""
     n = len(names)
-    attacks = [
-        (names[k // n], names[k % n]) for k in range(n * n) if (mask >> k) & 1
-    ]
-    return ArgumentationFramework(names, attacks)
+    width = (1 << n) - 1
+    rows = [mask >> a * n & width for a in range(n)]
+    order, position = _placement(tuple(names))
+    if position is not None:
+        # canonical order is not name order (from a10 on, a10 sorts before
+        # a2), so every row and every bit moves to its name's position
+        placed = [0] * len(order)
+        for a, row in enumerate(rows):
+            placed[position[a]] |= sum(1 << position[b] for b in _bits(row))
+        rows = placed
+    return ArgumentationFramework._from_rows(order, tuple(rows))
 
 
 def _audit_chunk(args: tuple[int, str, tuple[int, ...]]) -> tuple[int, list[DiscrepancyReport]]:

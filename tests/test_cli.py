@@ -6,10 +6,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import afrob
 from afrob import Semantics, extension_sort_key, extensions
-from afrob.cli import _extension_lists, _parsers, run_cli
+from afrob.cli import _extension_lists, _json, _parsers, run_cli
 from afrob.oracle import canonical_names, framework_from_mask
 
 G3_APX = "arg(1).\narg(2).\narg(3).\narg(4).\natt(1,2).\natt(2,3).\n"
@@ -386,6 +388,22 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_undecodable_input_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.apx"
+    bad.write_bytes(b"arg(a).\n% caf\xe9\n\xff\n")
+    code, out, err = run(capsys, "extensions", "--semantics", "cf", "--input", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: 'utf-8' codec can't decode byte 0xe9 in position 13")
+
+
+def test_undecodable_stdin_is_a_parse_error(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"arg(a).\n\xff\n"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run(capsys, "extensions", "--semantics", "cf", "--input", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ")
+
+
 def test_size_limit_exit_code(capsys, tmp_path):
     big = tmp_path / "big.apx"
     big.write_text("".join(f"arg(x{i}).\n" for i in range(25)))
@@ -505,3 +523,49 @@ def test_extension_lists_follow_extension_sort_key():
         for semantics in Semantics:
             family = sorted(extensions(af, semantics), key=extension_sort_key)
             assert _extension_lists(af, semantics) == [sorted(ext) for ext in family]
+
+
+def test_json_writer_matches_json_dumps_on_the_goldens():
+    values = [case["output"] for case in _golden_cases("g3_cli_golden.json")]
+    values.append(_golden_cases("robustness_golden.json"))
+    for value in values:
+        assert _json(value) == json.dumps(value, indent=2)
+
+
+_ESCAPED_TEXT = st.text(st.characters(categories=["Cc", "Cs", "Po", "Lo", "So"]))
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64))
+    | st.text()
+    | _ESCAPED_TEXT,
+    lambda children: st.lists(children) | st.dictionaries(st.text() | _ESCAPED_TEXT, children),
+    max_leaves=40,
+)
+
+
+@given(_JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['"quoted"', "back\\slash", "\x00\x1f\x7f\n\t", "caf\u00e9 \u65e5\u672c \U0001f600", "\ud800", "x\udfffy", ""],
+)
+def test_json_writer_escapes_strings_as_json_dumps(text):
+    for value in (text, [text], {text: [text, {text: text}], "empty": [[], {}]}):
+        assert _json(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_prints_enum_members_as_json_dumps():
+    value = [Semantics.ADMISSIBLE, {"verdict": afrob.Verdict.INVARIANT}]
+    assert _json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {"a"}, {1: "a"}, ["a", (1, 2)]])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json(value)

@@ -227,6 +227,25 @@ def test_framework_from_mask_round_trip():
     assert af.attacks == frozenset({Attack("a1", "a1"), Attack("a1", "a3")})
 
 
+def test_framework_from_mask_equals_the_name_level_decoder():
+    # from n = 10 on the canonical order is not the index order (a10 sorts
+    # before a2), so the row slices must be permuted
+    rng = random.Random(0)
+    for n in range(13):
+        names = canonical_names(n)
+        for _ in range(50):
+            mask = rng.getrandbits(n * n)
+            attacks = [(names[k // n], names[k % n]) for k in range(n * n) if mask >> k & 1]
+            assert framework_from_mask(names, mask) == ArgumentationFramework(names, attacks)
+    # bit a*n + b is (names[a], names[b]) in the order given, not the sorted one
+    mask = 1 << 0 * 3 + 1 | 1 << 1 * 3 + 0 | 1 << 2 * 3 + 0
+    assert framework_from_mask(["b", "c", "a"], mask).attacks == {
+        ("b", "c"),
+        ("c", "b"),
+        ("a", "b"),
+    }
+
+
 @pytest.mark.parametrize(
     "call",
     [

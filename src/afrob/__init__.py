@@ -25,7 +25,6 @@ from .invariance import (
     classify_admissible_attack,
     classify_attack,
     classify_conflict_free_attack,
-    enumerate_invariant_attacks,
     extension_set_included,
     invariant_attacks,
     sigma_equivalent,

@@ -28,9 +28,9 @@ from .errors import (
     UndeclaredArgument,
 )
 from .framework import ArgumentationFramework, _attacks_in, _bits
-from .invariance import AttackClassification, _State, classify_attack
+from .invariance import AttackClassification, _classify, _State
 from .labelling import labellings_for
-from .oracle import AuditReport, exhaustive_audit, extension_changes
+from .oracle import AuditReport, exhaustive_audit
 from .robustness import RobustnessResult, robustness_degree
 from .semantics import Semantics, extension_difference, extension_masks, extension_sort_key
 
@@ -70,7 +70,9 @@ def _positive(text: str) -> int:
 
 def _load(path: str) -> ArgumentationFramework:
     if path == "-":
-        return parse_apx(sys.stdin.read())
+        # the bytes, decoded as strictly as a file: sys.stdin itself may
+        # decode with surrogateescape (under the C and POSIX locales)
+        return parse_apx(sys.stdin.buffer.read().decode("utf-8"))
     with open(path, "r", encoding="utf-8") as handle:
         return parse_apx(handle.read())
 
@@ -198,12 +200,15 @@ def _cmd_labellings(args) -> int:
 def _cmd_check_attack(args) -> int:
     af = _load(args.input)
     semantics = Semantics(args.semantics)
+    # one state of the relation gives the rule scan and Dung's delta
+    state = _State(*af.bit_rows)
     attack = (args.source, args.target)
-    classification = classify_attack(af, attack, semantics, preferred_only=args.preferred_only)
+    classification = _classify(af, state, attack, semantics, args.preferred_only)
     result = _classification_json(classification)
     text = _classification_text(classification)
     if args.oracle:
-        lost, gained = extension_changes(af, attack, semantics)
+        a, b = af._index(args.source), af._index(args.target)
+        lost, gained = (frozenset(map(af._names, m)) for m in state.changes(a, b, semantics))
         invariant = not lost and not gained
         result["oracle"] = {
             "invariant": invariant,
@@ -389,7 +394,7 @@ def _parsers() -> tuple[_Parser, _Parser]:
     p.add_argument("--from", dest="source", required=True)
     p.add_argument("--to", dest="target", required=True)
     p.add_argument("--semantics", choices=_CLASSIFY_SEMANTICS, required=True)
-    p.add_argument("--oracle", action="store_true", help="append the recomputation verdict")
+    p.add_argument("--oracle", action="store_true", help="append Dung's delta: sets lost and gained")
     p.add_argument("--preferred-only", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_check_attack)

@@ -58,33 +58,6 @@ def _transpose(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed_rows)
 
 
-def _odd_closure(successors: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per vertex i, the bitmask of the vertices at the end of an odd walk
-    from i and that of the vertices at the end of an even walk from i (the
-    empty walk included), where ``successors[i]`` is the bitmask of i's
-    successors.
-
-    The least fixpoint of odd(i) = the union of even(j) and even(i) = {i}
-    with the union of odd(j), over the successors j of i, iterated from
-    below until a whole round leaves every row as it was.
-    """
-    successor_lists = [tuple(_bits(row)) for row in successors]
-    even = [1 << i for i in range(len(successors))]
-    odd = [0] * len(successors)
-    changed = True
-    while changed:
-        changed = False
-        for i, successors_of_i in enumerate(successor_lists):
-            o, e = 0, 1 << i
-            for j in successors_of_i:
-                o |= even[j]
-                e |= odd[j]
-            if o != odd[i] or e != even[i]:
-                odd[i], even[i] = o, e
-                changed = True
-    return tuple(odd), tuple(even)
-
-
 @dataclass(frozen=True, init=False)
 class ArgumentationFramework:
     """A finite argument set with a binary attack relation over it.
@@ -138,15 +111,6 @@ class ArgumentationFramework:
         (``target_rows``) and the bitmask of its attackers."""
         return self.target_rows, _transpose(self.target_rows)
 
-    @cached_property
-    def odd_walk_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Per argument, the bitmask of the arguments an odd walk leads to
-        from it ("reaches") and of those with an odd walk to it ("is
-        reached from"), over the order of :attr:`bit_rows`.  The second
-        table is the transpose of the first."""
-        reaches, _ = _odd_closure(self.target_rows)
-        return reaches, _transpose(reaches)
-
     def _index(self, name: str) -> int:
         try:
             return self.sorted_arguments.index(name)
@@ -199,10 +163,3 @@ class ArgumentationFramework:
         """
         mask = self._mask(members)
         return not self.bit_rows[1][self._index(argument)] & ~self.attacked_by(mask)
-
-    def odd_walk_exists(self, source: str, target: str) -> bool:
-        """True if a directed walk with an odd number of attacks leads from
-        ``source`` to ``target``.  Walks may repeat vertices and attacks."""
-        a, b = self._index(source), self._index(target)
-        reaches, _ = self.odd_walk_rows
-        return bool(reaches[a] >> b & 1)

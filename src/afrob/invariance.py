@@ -10,32 +10,22 @@ targets out, the rest undec), so the rules are read directly off the
 extension bitmasks of :mod:`afrob.semantics`.
 
 The rule scan is a fast structural predicate, not a recomputation.  One
-state of a relation (:class:`_State`) answers both all-candidates
-questions: which additions the rules classify invariant, and which ones
-change the extension set by Dung's delta, the definitional ground truth.
-The :mod:`afrob.oracle` module cross-validates the first against the
-second and reports every divergence instead of hiding it; the robustness
-search derives each of its states from its parent's.
+state of a relation (:class:`_State`) answers every question about adding
+attacks to it, by the rules and by Dung's delta, the definitional ground
+truth: for all candidates at once, or for one with its witnesses and the
+extensions it loses and gains.  :mod:`afrob.oracle` cross-validates the
+rules against the delta and reports every divergence instead of hiding it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import ArgumentSetMismatch, UnsupportedSemantics
-from . import semantics as _semantics
-from .framework import (
-    ArgumentationFramework,
-    Attack,
-    _attacks_in,
-    _bits,
-    _odd_closure,
-    _transpose,
-    _with_attack,
-)
-from .semantics import ExtensionSet, Semantics, _conflict_free, extension_masks
+from .framework import ArgumentationFramework, Attack, _attacks_in, _bits, _transpose, _with_attack
+from .semantics import ExtensionSet, Semantics, _conflict_free, _minimal, extension_masks
 
 
 class Verdict(str, Enum):
@@ -58,7 +48,9 @@ class Rule(str, Enum):
     NI_OUT_SELF_DEFENSE = "NI-out-self-defense"
 
 
-_DELETION_RULES = frozenset({Rule.ND_IN_IN, Rule.ND_OUT_IN_UNDEFENDED, Rule.ND_UNDEC_IN})
+_DELETION_RULES = frozenset(
+    {Rule.CF_NEVER_IN, Rule.ND_IN_IN, Rule.ND_OUT_IN_UNDEFENDED, Rule.ND_UNDEC_IN}
+)
 
 
 class Witness(NamedTuple):
@@ -100,38 +92,29 @@ def _having(rows: tuple[int, ...], among: int, hits: int) -> int:
     return sum(1 << i for i in _bits(among) if rows[i] & hits)
 
 
-# the odd-walk tables (reaches, reached_from) of ArgumentationFramework.odd_walk_rows
-Walks = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _self_defense_row(walks: Walks, a: int) -> int:
+def _self_defense_row(odd: tuple[int, ...], reverse_odd: tuple[int, ...], a: int) -> int:
     """The targets b that meet the walk conditions of NI-out-self-defense
     for source a: an odd walk leads from b to a, and no c other than b has
-    an odd walk to a without a matching odd walk from a back to c."""
-    reaches, reached_from = walks
-    blocking = reached_from[a] & ~reaches[a]
+    an odd walk to a without a matching odd walk from a back to c.  ``odd``
+    and ``reverse_odd`` are the odd reach tables of the relation and of its
+    reverse (:attr:`_State.reach`)."""
+    blocking = reverse_odd[a] & ~odd[a]
     if blocking & (blocking - 1):
         return 0  # two blockers: every b leaves one that is not b
-    return blocking or reached_from[a]
+    return blocking or reverse_odd[a]
 
 
 def _rule_rows(
-    targets: tuple[int, ...],
-    attackers: tuple[int, ...],
-    walks: Callable[[], Walks],
-    full: int,
-    s: int,
-    out: int,
-    sources: int,
+    state: "_State", s: int, out: int, sources: int
 ) -> Iterator[tuple[int, tuple[tuple[Rule, int], ...]]]:
-    """The rules that fire on the labelling of the admissible set ``s``,
-    for each source a in ``sources``: yields a with a (rule, row) pair per
-    rule that can fire, the row holding the targets b it fires on.
+    """The rules that fire on the labelling of the admissible set ``s`` of
+    ``state``'s relation, for each source a in ``sources``: yields a with a
+    (rule, row) pair per rule that can fire, the row holding the targets b
+    it fires on.
 
-    ``targets`` and ``attackers`` are the relation's bit rows, ``full`` the
-    mask of all arguments and ``out`` the targets of ``s``; ``walks()``
-    returns the odd-walk tables and is called only for a source that is out.
-    With IN = s, OUT = out and UNDEC the rest, for attack (a, b):
+    ``out`` is the set of the targets of ``s``; the reach tables are read
+    only when some source is out.  With IN = s, OUT = out and UNDEC the
+    rest, for attack (a, b):
 
     * ND-in-in: a and b are both in.
     * ND-out-in-undefended: a is out, b is in, b does not already attack a,
@@ -151,11 +134,12 @@ def _rule_rows(
     S does not attack a (ND-in-in, ND-undec-in), and ND-out-in-undefended
     fires only for an unattacked b, whose {b} is lost.  The NI rules are
     not: a gain can occur with no rule firing, and a rule can fire when
-    nothing is gained.  :mod:`afrob.oracle` audits them against
-    recomputation.  a's label selects the rules, so at most one ND and one
-    NI rule fire per labelling and candidate.
+    nothing is gained.  :mod:`afrob.oracle` audits them against Dung's
+    delta.  a's label selects the rules, so at most one ND and one NI rule
+    fire per labelling and candidate.
     """
-    undec = full & ~(s | out)
+    targets, attackers = state.targets, state.attackers
+    undec = ((1 << len(targets)) - 1) & ~(s | out)
     # the rows shared by all sources with one label, built only if needed
     if s & sources:
         reinstating = _having(targets, out, s)
@@ -163,6 +147,7 @@ def _rule_rows(
         defending_undec = _having(targets, undec, acceptable)
     if out & sources:
         unguarded = s & ~_having(attackers, s, out)
+        odd, _, reverse_odd, _ = state.reach
     for a in _bits(sources):
         if s >> a & 1:
             yield a, (
@@ -174,7 +159,7 @@ def _rule_rows(
         elif out >> a & 1:
             yield a, (
                 (Rule.ND_OUT_IN_UNDEFENDED, unguarded & ~attackers[a]),
-                (Rule.NI_OUT_SELF_DEFENSE, _self_defense_row(walks(), a)),
+                (Rule.NI_OUT_SELF_DEFENSE, _self_defense_row(odd, reverse_odd, a)),
             )
         else:
             yield a, ((Rule.ND_UNDEC_IN, s),)
@@ -190,6 +175,33 @@ def _conflict_kept(targets: tuple[int, ...], attackers: tuple[int, ...]) -> list
         full if loops >> a & 1 else targets[a] | attackers[a] | loops
         for a in range(len(targets))
     ]
+
+
+def _odd_closure(successors: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per vertex i, the bitmask of the vertices at the end of an odd walk
+    from i and that of the vertices at the end of an even walk from i (the
+    empty walk included), where ``successors[i]`` is the bitmask of i's
+    successors.  Walks may repeat vertices and edges.
+
+    The least fixpoint of odd(i) = the union of even(j) and even(i) = {i}
+    with the union of odd(j), over the successors j of i, iterated from
+    below until a whole round leaves every row as it was.
+    """
+    successor_lists = [tuple(_bits(row)) for row in successors]
+    even = [1 << i for i in range(len(successors))]
+    odd = [0] * len(successors)
+    changed = True
+    while changed:
+        changed = False
+        for i, successors_of_i in enumerate(successor_lists):
+            o, e = 0, 1 << i
+            for j in successors_of_i:
+                o |= even[j]
+                e |= odd[j]
+            if o != odd[i] or e != even[i]:
+                odd[i], even[i] = o, e
+                changed = True
+    return tuple(odd), tuple(even)
 
 
 def _reach_with(
@@ -215,14 +227,16 @@ def _reach_with(
 
 
 class _State:
-    """One attack relation and the tables that decide, for every candidate
-    attack at once, whether adding it keeps the cf or adm extension set: by
-    the paper's rules (:meth:`invariant_rows`) or by Dung's delta
-    (:meth:`changed_rows`).  A root state is built from a framework's
-    :attr:`~ArgumentationFramework.bit_rows` and builds each table from
-    scratch; a robustness search state derives it from its parent's, which
-    lacks exactly the attack ``step``.  Either reads a table the first time
-    it is needed, so a cf question never builds the tables only adm reads.
+    """One attack relation and the tables that decide whether adding an
+    attack keeps the cf or adm extension set: by the paper's rules, for
+    every candidate at once (:meth:`invariant_rows`) or for one with its
+    witnesses (:meth:`witnesses`), and by Dung's delta, likewise
+    (:meth:`changed_rows`, :meth:`changes`).  A root state is built from a
+    framework's :attr:`~ArgumentationFramework.bit_rows` and builds each
+    table from scratch; a robustness search state derives it from its
+    parent's, which lacks exactly the attack ``step``.  Either reads a table
+    the first time it is needed, so a cf question never builds the tables
+    only adm reads.
 
     * ``targets`` and ``attackers``: the relation's bit rows.
     * ``reach``: the odd and even reach tables of the relation
@@ -304,29 +318,54 @@ class _State:
 
     def invariant_rows(self, semantics: Semantics) -> list[int]:
         """Per source a, the absent targets b for which (a, b) is classified
-        invariant: exactly those :func:`classify_attack` classifies
-        invariant.
+        invariant: exactly those :meth:`witnesses` finds no rule for.
 
         For cf this is the closed form of :func:`_conflict_kept`.  For adm
         the rule rows of every admissible set are ORed once, and a
         candidate is invariant when no rule fires on it.
         """
-        targets, attackers = self.targets, self.attackers
+        targets = self.targets
         if semantics is Semantics.CONFLICT_FREE:
             return [k & ~t for k, t in zip(self.kept, targets)]
         if semantics is not Semantics.ADMISSIBLE:
             raise UnsupportedSemantics(
                 f"attack classification supports cf and adm, not {semantics.value}"
             )
-        odd, _, reverse_odd, _ = self.reach
-        walks = lambda: (odd, reverse_odd)
         full = (1 << len(targets)) - 1
         fired = list(targets)  # existing attacks are no candidates
         for s, out in self.adm:
-            for a, rows in _rule_rows(targets, attackers, walks, full, s, out, full):
+            for a, rows in _rule_rows(self, s, out, full):
                 for _, row in rows:
                     fired[a] |= row
         return [full & ~row for row in fired]
+
+    def witnesses(
+        self, a: int, b: int, semantics: Semantics, preferred_only: bool = False
+    ) -> list[tuple[int, Rule]]:
+        """The (in-set, rule) pairs that classify adding (a, b): none for an
+        attack already present.  For cf the one lost set {a, b}, unless
+        :func:`_conflict_kept` keeps it.  For adm the rules of
+        :func:`_rule_rows` over the labellings of the admissible sets, or of
+        the preferred ones only, in canonical extension order, every ND
+        match before every NI match."""
+        if self.targets[a] >> b & 1:
+            return []
+        if semantics is Semantics.CONFLICT_FREE:
+            return [] if self.kept[a] >> b & 1 else [(1 << a | 1 << b, Rule.CF_NEVER_IN)]
+        family = self.adm
+        if preferred_only:
+            # a set is maximal exactly when its complement is minimal
+            full = (1 << len(self.targets)) - 1
+            preferred = set(_minimal([s for s, _ in family], lambda s: full & ~s))
+            family = [(s, out) for s, out in family if s in preferred]
+        losses, gains = [], []
+        # extension_sort_key's order: by size, then by names
+        for s, out in sorted(family, key=lambda pair: (pair[0].bit_count(), tuple(_bits(pair[0])))):
+            for _, rows in _rule_rows(self, s, out, 1 << a):
+                for rule, row in rows:
+                    if row >> b & 1:
+                        (losses if rule in _DELETION_RULES else gains).append((s, rule))
+        return losses + gains
 
     def changed_rows(self, semantics: Semantics) -> list[int]:
         """Per argument a, the targets b for which adding (a, b) changes the
@@ -368,6 +407,50 @@ class _State:
                     changed[a] |= unanswered
         return changed
 
+    def changes(self, a: int, b: int, semantics: Semantics) -> tuple[list[int], list[int]]:
+        """The cf or adm extensions lost and gained by adding (a, b), by the
+        conditions of :meth:`changed_rows`: both empty for an attack
+        already present."""
+        bit_a, bit_b = 1 << a, 1 << b
+        if semantics is Semantics.CONFLICT_FREE:
+            both = bit_a | bit_b
+            return [s for s, _, _ in self.cf if s & both == both], []
+        lost = [s for s, attacked in self.adm if s & bit_b and not attacked & bit_a]
+        gained = [s for s, hit, threat in self.cf if s & bit_a and threat & ~hit == bit_b]
+        return lost, gained
+
+
+def _classify(
+    af: ArgumentationFramework,
+    state: _State,
+    attack: tuple[str, str],
+    semantics: Semantics,
+    preferred_only: bool = False,
+) -> AttackClassification:
+    """Classify adding ``attack`` to ``af`` from ``state``, the state of
+    ``af``'s relation, by :meth:`_State.witnesses`."""
+    semantics = Semantics(semantics)
+    if semantics is Semantics.CONFLICT_FREE and preferred_only:
+        raise UnsupportedSemantics("preferred-only classification supports adm, not cf")
+    if semantics not in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
+        raise UnsupportedSemantics(
+            f"attack classification supports cf and adm, not {semantics.value}"
+        )
+    attack = Attack(*attack)
+    a, b = af._index(attack.source), af._index(attack.target)
+    witnesses = tuple(
+        Witness(af._names(s), rule) for s, rule in state.witnesses(a, b, semantics, preferred_only)
+    )
+    rules = {w.rule for w in witnesses}
+    loses, gains = bool(rules & _DELETION_RULES), bool(rules - _DELETION_RULES)
+    if loses and gains:
+        verdict = Verdict.BREAKS_BOTH
+    elif loses or gains:
+        verdict = Verdict.BREAKS_NON_DECREASING if loses else Verdict.BREAKS_NON_INCREASING
+    else:
+        verdict = Verdict.INVARIANT
+    return AttackClassification(attack, semantics, verdict, witnesses)
+
 
 def classify_conflict_free_attack(
     af: ArgumentationFramework, attack: tuple[str, str]
@@ -380,14 +463,7 @@ def classify_conflict_free_attack(
     ``breaks_non_decreasing``, witnessed by the two-element set that gets
     lost.
     """
-    attack = Attack(*attack)
-    a, b = af._index(attack.source), af._index(attack.target)
-    if _conflict_kept(*af.bit_rows)[a] >> b & 1:
-        return AttackClassification(attack, Semantics.CONFLICT_FREE, Verdict.INVARIANT, ())
-    witness = Witness(frozenset(attack), Rule.CF_NEVER_IN)
-    return AttackClassification(
-        attack, Semantics.CONFLICT_FREE, Verdict.BREAKS_NON_DECREASING, (witness,)
-    )
+    return classify_attack(af, attack, Semantics.CONFLICT_FREE)
 
 
 def classify_admissible_attack(
@@ -403,34 +479,7 @@ def classify_admissible_attack(
 
     Re-adding an existing attack is trivially invariant.
     """
-    attack = Attack(*attack)
-    a, b = af._index(attack.source), af._index(attack.target)
-    if af.target_rows[a] >> b & 1:
-        return AttackClassification(attack, Semantics.ADMISSIBLE, Verdict.INVARIANT, ())
-    # through the module, so a patched _enumerate (a tracer) sees this call
-    enum = _semantics._enumerate(af)
-    family = enum.prf if preferred_only else enum.adm
-    losses: list[Witness] = []
-    gains: list[Witness] = []
-    targets, attackers = af.bit_rows
-    walks = lambda: af.odd_walk_rows  # built only if a is out in some set
-    # extension_sort_key's order: by size, then by names
-    for s in sorted(family, key=lambda m: (m.bit_count(), tuple(_bits(m)))):
-        out = af.attacked_by(s)
-        for _, rows in _rule_rows(targets, attackers, walks, enum.full, s, out, 1 << a):
-            for rule, row in rows:
-                if row >> b & 1:
-                    witness = Witness(af._names(s), rule)
-                    (losses if rule in _DELETION_RULES else gains).append(witness)
-    if losses and gains:
-        verdict = Verdict.BREAKS_BOTH
-    elif losses:
-        verdict = Verdict.BREAKS_NON_DECREASING
-    elif gains:
-        verdict = Verdict.BREAKS_NON_INCREASING
-    else:
-        verdict = Verdict.INVARIANT
-    return AttackClassification(attack, Semantics.ADMISSIBLE, verdict, tuple(losses + gains))
+    return classify_attack(af, attack, Semantics.ADMISSIBLE, preferred_only)
 
 
 def classify_attack(
@@ -439,17 +488,10 @@ def classify_attack(
     semantics: Semantics,
     preferred_only: bool = False,
 ) -> AttackClassification:
-    """Dispatch to the conflict-free or admissible classifier.
-    ``preferred_only`` restricts the admissible scan; cf has no labellings
-    to restrict, so there it is refused."""
-    semantics = Semantics(semantics)
-    if semantics is Semantics.CONFLICT_FREE:
-        if preferred_only:
-            raise UnsupportedSemantics("preferred-only classification supports adm, not cf")
-        return classify_conflict_free_attack(af, attack)
-    if semantics is Semantics.ADMISSIBLE:
-        return classify_admissible_attack(af, attack, preferred_only=preferred_only)
-    raise UnsupportedSemantics(f"attack classification supports cf and adm, not {semantics.value}")
+    """Classify an attack addition for cf or adm, from a fresh state of
+    ``af``'s relation.  ``preferred_only`` restricts the admissible scan;
+    cf has no labellings to restrict, so there it is refused."""
+    return _classify(af, _State(*af.bit_rows), attack, semantics, preferred_only)
 
 
 def candidate_attacks(af: ArgumentationFramework) -> list[Attack]:
@@ -463,10 +505,3 @@ def invariant_attacks(af: ArgumentationFramework, semantics: Semantics) -> list[
     exactly those :func:`classify_attack` classifies invariant."""
     rows = _State(*af.bit_rows).invariant_rows(Semantics(semantics))
     return _attacks_in(af.sorted_arguments, rows)
-
-
-def enumerate_invariant_attacks(
-    af: ArgumentationFramework, semantics: Semantics
-) -> frozenset[Attack]:
-    """All attacks not yet present whose addition is classified invariant."""
-    return frozenset(invariant_attacks(af, semantics))

@@ -4,15 +4,16 @@ Invariance is, by definition, equality of the extension sets before and
 after the addition.  Two routes decide it without consulting labellings,
 which makes them an independent check of the whole classification
 pipeline.  ``oracle_invariant`` and ``extension_changes`` recompute both
-sides for one candidate, under any semantics.  ``changed_rows`` decides
-every candidate of a framework at once, for cf and adm, by Dung's delta:
-one pass over the conflict-free sets finds, per set, the additions that
-lose or gain it.  The delta and the rule scan are read off one state of
-the relation (:class:`afrob.invariance._State`).  ``cross_validate``
-compares the classifier against the delta and recomputes only the
-candidates where they disagree;
-``exhaustive_audit`` sweeps entire framework populations and aggregates
-every divergence into a report instead of smoothing it over.
+sides for one candidate, under any semantics; the tests use them as the
+reference.  Dung's delta decides cf and adm from one state of the relation
+(:class:`afrob.invariance._State`), which also holds the rule scan: one
+pass over the conflict-free sets finds, per set, the additions that lose
+or gain it (``changed_rows``), and the same sets give one candidate's lost
+and gained extensions.  ``cross_validate`` compares the classifier against
+the delta and reads every disagreement's witnesses and changes off that
+state, recomputing nothing; ``exhaustive_audit`` sweeps entire framework
+populations and aggregates every divergence into a report instead of
+smoothing it over.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from multiprocessing import Pool
 
 from .errors import SizeLimit
 from .framework import ArgumentationFramework, Attack, _bits
-from .invariance import Rule, Verdict, _State, classify_attack
+from .invariance import Rule, Verdict, _classify, _State
 from .semantics import (
     MAX_ENUMERATION_ARGUMENTS,
     ExtensionSet,
     Semantics,
+    _decode,
     extension_difference,
     extension_masks,
 )
@@ -100,10 +102,10 @@ def changed_rows(af: ArgumentationFramework, semantics: Semantics) -> list[int]:
 
 def cross_validate(af: ArgumentationFramework, semantics: Semantics) -> list[DiscrepancyReport]:
     """Compare the classifier with the ground truth on every candidate
-    attack; return all disagreements.  One state of the relation gives the
-    rule scan's rows and the ground truth's, Dung's delta; only the
-    disagreeing candidates are classified one by one, for their verdicts
-    and rules, and recomputed, for the extensions they lose and gain."""
+    attack; return all disagreements.  One state of the relation answers
+    everything: the rule scan's rows and the ground truth's, Dung's delta,
+    and for each disagreeing candidate its witnesses and the extensions it
+    loses and gains."""
     semantics = Semantics(semantics)
     state = _State(*af.bit_rows)
     invariant = state.invariant_rows(semantics)
@@ -114,19 +116,18 @@ def cross_validate(af: ArgumentationFramework, semantics: Semantics) -> list[Dis
     for a, (rule_row, changed_row, present) in enumerate(zip(invariant, changed, af.target_rows)):
         # the candidates the rules call invariant, XOR those that are
         for b in _bits(rule_row ^ (full & ~(changed_row | present))):
-            attack = Attack(names[a], names[b])
-            classification = classify_attack(af, attack, semantics)
-            lost, gained = extension_changes(af, attack, semantics)
+            classification = _classify(af, state, (names[a], names[b]), semantics)
+            lost, gained = state.changes(a, b, semantics)
             found.append(
                 DiscrepancyReport(
                     framework=af,
-                    attack=attack,
+                    attack=classification.attack,
                     semantics=semantics,
                     predicate_verdict=classification.verdict,
                     oracle_verdict=not changed_row >> b & 1,
                     rules=tuple(dict.fromkeys(w.rule for w in classification.witnesses)),
-                    lost=lost,
-                    gained=gained,
+                    lost=_decode(af, lost),
+                    gained=_decode(af, gained),
                 )
             )
     return found

@@ -60,7 +60,7 @@ def test_extensions_text(capsys, g3_file):
 
 
 def test_extensions_from_stdin(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("arg(a).\n"))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"arg(a).\n"), encoding="utf-8"))
     code, out, _ = run(capsys, "extensions", "--semantics", "gde", "--input", "-")
     assert code == 0
     assert out == "{a}\n"
@@ -191,7 +191,9 @@ def test_invariant_attacks_oracle_makes_one_conflict_free_pass(
     assert len(calls) == passes
 
 
-def test_check_attack_oracle_recomputes_once(capsys, monkeypatch, g3_file):
+def test_check_attack_oracle_adds_no_attack(capsys, monkeypatch, g3_file):
+    # the classification and the oracle's lost and gained sets come from
+    # one state of the relation, without expanding the framework
     calls = _count_add_attack(monkeypatch)
     payload = run_json(
         capsys,
@@ -199,7 +201,7 @@ def test_check_attack_oracle_recomputes_once(capsys, monkeypatch, g3_file):
         "--oracle", "--input", g3_file, "--format", "json",
     )
     assert payload["result"]["oracle"] == {"invariant": False, "lost": [], "gained": [["3", "4"]]}
-    assert calls == [("4", "2")]
+    assert calls == []
 
 
 def test_robustness(capsys, g3_file):
@@ -402,6 +404,18 @@ def test_undecodable_stdin_is_a_parse_error(capsys, monkeypatch):
     code, out, err = run(capsys, "extensions", "--semantics", "cf", "--input", "-")
     assert (code, out) == (2, "")
     assert err.startswith("parse error: ")
+
+
+def test_stdin_decodes_strictly_under_surrogateescape(capsys, monkeypatch):
+    # under the C and POSIX locales sys.stdin decodes with surrogateescape,
+    # which would let a non-UTF-8 byte in a comment through
+    stdin = io.TextIOWrapper(
+        io.BytesIO(b"arg(a).\n% \xff\n"), encoding="utf-8", errors="surrogateescape"
+    )
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run(capsys, "extensions", "--semantics", "cf", "--input", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: 'utf-8' codec can't decode byte 0xff in position 10")
 
 
 def test_size_limit_exit_code(capsys, tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import oracles
 from afrob import ArgumentationFramework, Attack, Semantics, UnknownArgument, extension_masks
+from afrob.invariance import _State
 from afrob.semantics import _enumerate
 from conftest import frameworks
 
@@ -65,7 +66,6 @@ def test_add_attack_agrees_with_construction_exhaustively():
             assert expanded == built and hash(expanded) == hash(built), (mask, pair)
             assert expanded.attacks == built.attacks
             assert expanded.bit_rows == built.bit_rows
-            assert expanded.odd_walk_rows == built.odd_walk_rows
             for semantics in Semantics:
                 _enumerate.cache_clear()
                 masks = extension_masks(expanded, semantics)
@@ -103,25 +103,33 @@ def test_defends(g3):
     assert not g3.defends(set(), "3")
 
 
+def _odd_walk(state, af, source, target) -> bool:
+    """Whether ``state``'s odd reach table has a walk of odd length from
+    ``source`` to ``target`` of ``af``."""
+    return state.reach[0][af._index(source)] >> af._index(target) & 1 == 1
+
+
 def test_odd_walk_examples(g3, mutual, self_loop):
-    assert g3.odd_walk_exists("1", "2")  # direct attack
-    assert not g3.odd_walk_exists("1", "3")  # the only walk has length 2
-    assert not g3.odd_walk_exists("2", "2")  # not on any cycle
-    assert self_loop.odd_walk_exists("a", "a")
-    assert mutual.odd_walk_exists("a", "b")
-    assert not mutual.odd_walk_exists("a", "a")  # all closed walks are even
-    with pytest.raises(UnknownArgument):
-        g3.odd_walk_exists("1", "z")
+    g3_state = _State(*g3.bit_rows)
+    assert _odd_walk(g3_state, g3, "1", "2")  # direct attack
+    assert not _odd_walk(g3_state, g3, "1", "3")  # the only walk has length 2
+    assert not _odd_walk(g3_state, g3, "2", "2")  # not on any cycle
+    assert _odd_walk(_State(*self_loop.bit_rows), self_loop, "a", "a")
+    mutual_state = _State(*mutual.bit_rows)
+    assert _odd_walk(mutual_state, mutual, "a", "b")
+    assert not _odd_walk(mutual_state, mutual, "a", "a")  # all closed walks are even
 
 
 def test_odd_walk_memo_stays_with_its_instance(g3):
-    assert not g3.odd_walk_exists("1", "3")
-    assert g3.odd_walk_exists("1", "2")
-    # a self-loop on 2 opens the walk 1 -> 2 -> 2 -> 3 of length three
-    looped = g3.add_attack("2", "2")
-    assert looped.odd_walk_exists("1", "3")
-    assert not g3.odd_walk_exists("1", "3")
-    assert not looped.odd_walk_exists("3", "1")
+    state = _State(*g3.bit_rows)
+    assert not _odd_walk(state, g3, "1", "3")
+    assert _odd_walk(state, g3, "1", "2")
+    # a self-loop on 2 opens the walk 1 -> 2 -> 2 -> 3 of length three; the
+    # child derives its tables from its parent's and leaves them as they were
+    looped = state.child(g3._index("2"), g3._index("2"))
+    assert _odd_walk(looped, g3, "1", "3")
+    assert not _odd_walk(state, g3, "1", "3")
+    assert not _odd_walk(looped, g3, "3", "1")
 
 
 @given(frameworks())
@@ -146,11 +154,11 @@ def test_defends_is_monotone_in_the_set(af, data):
 def _all_pairs_agree_with_enumeration(af):
     attacks = {(a.source, a.target) for a in af.attacks}
     bound = 2 * len(af.arguments)
-    _, reached_from = af.odd_walk_rows
+    reaches, _, reached_from, _ = _State(*af.bit_rows).reach
     for i, source in enumerate(af.sorted_arguments):
         for j, target in enumerate(af.sorted_arguments):
             expected = oracles.odd_walk(attacks, source, target, bound)
-            assert af.odd_walk_exists(source, target) == expected
+            assert (reaches[i] >> j & 1 == 1) == expected
             assert (reached_from[j] >> i & 1 == 1) == expected
 
 

@@ -15,7 +15,6 @@ from afrob import (
     classify_attack,
     classify_conflict_free_attack,
     conflict_free_sets,
-    enumerate_invariant_attacks,
     extension_set_included,
     invariant_attacks,
     oracle_invariant,
@@ -254,16 +253,12 @@ def test_rule_scan_matches_the_name_level_reference():
 
 
 def test_enumerate_invariant_attacks_examples(g3, mutual, empty_af):
-    assert enumerate_invariant_attacks(g3, Semantics.CONFLICT_FREE) == frozenset(
-        {Attack("2", "1"), Attack("3", "2")}
-    )
-    assert enumerate_invariant_attacks(mutual, Semantics.CONFLICT_FREE) == frozenset()
-    assert enumerate_invariant_attacks(empty_af, Semantics.ADMISSIBLE) == frozenset()
-    assert enumerate_invariant_attacks(g3, Semantics.ADMISSIBLE) == frozenset(
-        {Attack("2", "2")}
-    )
+    assert invariant_attacks(g3, Semantics.CONFLICT_FREE) == [Attack("2", "1"), Attack("3", "2")]
+    assert invariant_attacks(mutual, Semantics.CONFLICT_FREE) == []
+    assert invariant_attacks(empty_af, Semantics.ADMISSIBLE) == []
+    assert invariant_attacks(g3, Semantics.ADMISSIBLE) == [Attack("2", "2")]
     with pytest.raises(UnsupportedSemantics):
-        enumerate_invariant_attacks(g3, Semantics.PREFERRED)
+        invariant_attacks(g3, Semantics.PREFERRED)
 
 
 def test_shared_classifier_matches_per_candidate_classification_exhaustively():
@@ -283,7 +278,7 @@ def test_shared_classifier_matches_per_candidate_classification_exhaustively():
 
 def test_enumerated_attacks_are_new(g3):
     for semantics in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
-        for attack in enumerate_invariant_attacks(g3, semantics):
+        for attack in invariant_attacks(g3, semantics):
             assert attack not in g3.attacks
 
 

@@ -18,8 +18,9 @@ from afrob import (
     sigma_equivalent,
 )
 from afrob.framework import Attack
-from afrob.invariance import candidate_attacks
+from afrob.invariance import _State, candidate_attacks
 from afrob.oracle import NO_RULE_FIRED, canonical_names, framework_from_mask
+from afrob.semantics import _decode
 
 
 def test_oracle_invariant_examples(g3):
@@ -57,8 +58,11 @@ def test_mask_level_checks_match_name_level_extension_sets():
 
 
 def _assert_delta_is_recomputation(af):
-    # every ordered pair, present attacks and self-attacks included
+    # every ordered pair, present attacks and self-attacks included: the
+    # candidates the delta marks changed, and per candidate the extensions
+    # it loses and gains, read off one state
     names = af.sorted_arguments
+    state = _State(*af.bit_rows)
     for semantics in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
         changed = changed_rows(af, semantics)
         assert len(changed) == len(names)
@@ -66,6 +70,11 @@ def _assert_delta_is_recomputation(af):
             for b, target in enumerate(names):
                 invariant = oracle_invariant(af, (source, target), semantics)
                 assert invariant == (not changed[a] >> b & 1), (af, source, target, semantics)
+                lost, gained = state.changes(a, b, semantics)
+                expected = extension_changes(af, (source, target), semantics)
+                assert (_decode(af, lost), _decode(af, gained)) == expected, (
+                    af, source, target, semantics
+                )
 
 
 def test_delta_matches_recomputation_on_every_small_relation():
@@ -90,10 +99,11 @@ def test_delta_rejects_other_semantics(g3):
         changed_rows(g3, Semantics.COMPLETE)
 
 
-def test_audit_recomputes_only_disagreements(monkeypatch):
-    # the delta decides every candidate; only the 324 disagreements of the
-    # n=3 adm ledger add their attack (once, for the changed extensions)
-    # or enumerate anything
+def test_audit_adds_and_enumerates_nothing(monkeypatch):
+    # one state per framework decides every candidate by the rules and by
+    # the delta, and gives each of the 324 disagreements of the n=3 adm
+    # ledger its witnesses and changed extensions: no framework is expanded
+    # or enumerated
     added = []
     enumerated = []
     add_attack = ArgumentationFramework.add_attack
@@ -111,14 +121,9 @@ def test_audit_recomputes_only_disagreements(monkeypatch):
     monkeypatch.setattr(afrob.semantics, "_enumerate", counted_enumerate)
     cf = exhaustive_audit(3, Semantics.CONFLICT_FREE)
     assert (cf.candidates_checked, len(cf.discrepancies)) == (2304, 0)
-    assert (len(added), len(enumerated)) == (0, 0)
     adm = exhaustive_audit(3, Semantics.ADMISSIBLE)
     assert (adm.candidates_checked, len(adm.discrepancies)) == (2304, 324)
-    assert len(added) == 324
-    # the rule scan and the delta read one state per framework, outside the
-    # cache; per disagreement come its classification and both sides of its
-    # recomputed changes
-    assert len(enumerated) == 3 * 324
+    assert (len(added), len(enumerated)) == (0, 0)
 
 
 def test_audit_checks_the_enumeration_limit_first():

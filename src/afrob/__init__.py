@@ -35,7 +35,6 @@ from .labelling import (
     Labelling,
     complete_labellings,
     credulous_sets,
-    extension_labellings,
     labelling_from_set,
     labelling_of_extension,
     labellings_for,

@@ -13,7 +13,6 @@ Exit status: 0 success, 1 usage error, 2 parse error, 3 size limit,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
@@ -354,16 +353,15 @@ def _cmd_audit(args) -> int:
         Semantics(args.semantics),
         seed=args.seed,
         samples=args.samples,
-        jobs=args.jobs,
     )
     text = format_audit_text(report) if args.format == "text" else ()
     return _emit(args, "audit", _audit_json(report), text)
 
 
 @cache
-def _parsers() -> tuple[_Parser, _Parser]:
-    """The command parser and its ``audit`` subparser, built on first use
-    and then shared by every call in the process."""
+def _parser() -> _Parser:
+    """The command parser, built on first use and then shared by every
+    call in the process."""
     parser = _Parser(prog="afrob", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -371,14 +369,9 @@ def _parsers() -> tuple[_Parser, _Parser]:
         if with_input:
             p.add_argument("--input", required=True, help="apx file, or - for stdin")
         p.add_argument("--format", choices=["json", "text"], default="text")
-        p.add_argument(
-            "--jobs",
-            type=_positive,
-            # a string default goes through the type too, so a bad
-            # AFROB_JOBS is the same usage error as a bad --jobs
-            default="1",
-            help="worker processes for audits",
-        )
+        # every command runs in one process: --jobs is validated and ignored,
+        # so that callers that still pass it keep working
+        p.add_argument("--jobs", type=_positive, default=1, help="ignored")
 
     p = sub.add_parser("extensions", help="enumerate the extension set")
     p.add_argument("--semantics", choices=_ALL_SEMANTICS, required=True)
@@ -401,7 +394,11 @@ def _parsers() -> tuple[_Parser, _Parser]:
 
     p = sub.add_parser("invariant-attacks", help="list all invariant new attacks")
     p.add_argument("--semantics", choices=_CLASSIFY_SEMANTICS, required=True)
-    p.add_argument("--oracle", action="store_true", help="double-check each attack")
+    p.add_argument(
+        "--oracle",
+        action="store_true",
+        help="also list the rule-invariant attacks that Dung's delta says change the extension set",
+    )
     common(p)
     p.set_defaults(func=_cmd_invariant_attacks)
 
@@ -419,7 +416,7 @@ def _parsers() -> tuple[_Parser, _Parser]:
     common(p)
     p.set_defaults(func=_cmd_equivalent)
 
-    p = sub.add_parser("audit", help="cross-validate classifier vs recomputation")
+    p = sub.add_parser("audit", help="compare the rule scan with Dung's delta")
     p.add_argument("--args", type=_count, required=True, help="number of arguments")
     p.add_argument("--semantics", choices=_CLASSIFY_SEMANTICS, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -427,16 +424,12 @@ def _parsers() -> tuple[_Parser, _Parser]:
     common(p, with_input=False)
     p.set_defaults(func=_cmd_audit)
 
-    return parser, p
+    return parser
 
 
 def run_cli(argv=None) -> int:
-    parser, audit = _parsers()
-    # only audit uses workers, so only audit takes its --jobs default from
-    # AFROB_JOBS, read on every call because the parser outlives it
-    audit.set_defaults(jobs=os.environ.get("AFROB_JOBS", "1"))
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,12 +18,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import NotAdmissible, UnsupportedSemantics
 from .framework import ArgumentationFramework, _bits
-from .semantics import (
-    ExtensionSet,
-    Semantics,
-    extension_masks,
-    extension_sort_key,
-)
+from .semantics import Semantics, extension_masks
 
 
 class Label(str, Enum):
@@ -86,12 +81,6 @@ def labelling_from_set(af: ArgumentationFramework, members: Iterable[str]) -> La
     """The labelling induced by a set: members in, their targets out,
     everything else undec.  No admissibility requirement."""
     return _labelling_of_mask(af, af._mask(members))
-
-
-def extension_labellings(af: ArgumentationFramework, family: ExtensionSet) -> list[Labelling]:
-    """The labellings induced by the members of an extension family, in
-    canonical extension order."""
-    return [labelling_from_set(af, ext) for ext in sorted(family, key=extension_sort_key)]
 
 
 def labelling_of_extension(af: ArgumentationFramework, extension: Iterable[str]) -> Labelling:

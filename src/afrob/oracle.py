@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from multiprocessing import Pool
 
 from .errors import SizeLimit
 from .framework import ArgumentationFramework, Attack, _bits
@@ -165,25 +164,11 @@ def framework_from_mask(names: tuple[str, ...], mask: int) -> ArgumentationFrame
     return ArgumentationFramework._from_rows(order, tuple(rows))
 
 
-def _audit_chunk(args: tuple[int, str, tuple[int, ...]]) -> tuple[int, list[DiscrepancyReport]]:
-    n, semantics_value, masks = args
-    names = canonical_names(n)
-    semantics = Semantics(semantics_value)
-    candidates = 0
-    found: list[DiscrepancyReport] = []
-    for mask in masks:
-        af = framework_from_mask(names, mask)
-        candidates += n * n - sum(row.bit_count() for row in af.target_rows)
-        found.extend(cross_validate(af, semantics))
-    return candidates, found
-
-
 def exhaustive_audit(
     n: int,
     semantics: Semantics,
     seed: int = 0,
     samples: int = 1000,
-    jobs: int = 1,
 ) -> AuditReport:
     """Cross-validate over a population of frameworks on n canonical
     arguments.
@@ -197,8 +182,6 @@ def exhaustive_audit(
     semantics = Semantics(semantics)
     if n < 0 or samples < 0:
         raise ValueError(f"negative argument or sample count: n={n}, samples={samples}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, not {jobs}")
     # every framework would be rejected by the enumerator; say so before
     # drawing and decoding the samples
     if n > MAX_ENUMERATION_ARGUMENTS:
@@ -212,19 +195,13 @@ def exhaustive_audit(
         masks = [rng.getrandbits(n * n) for _ in range(samples)]
         used_seed = seed
 
-    if jobs > 1 and len(masks) > 1:
-        chunk_size = (len(masks) + jobs - 1) // jobs
-        chunks = [
-            (n, semantics.value, tuple(masks[i : i + chunk_size]))
-            for i in range(0, len(masks), chunk_size)
-        ]
-        with Pool(jobs) as pool:
-            results = pool.map(_audit_chunk, chunks)
-    else:
-        results = [_audit_chunk((n, semantics.value, tuple(masks)))]
-
-    candidates = sum(count for count, _ in results)
-    discrepancies = tuple(report for _, found in results for report in found)
+    names = canonical_names(n)
+    candidates = 0
+    discrepancies: list[DiscrepancyReport] = []
+    for mask in masks:
+        af = framework_from_mask(names, mask)
+        candidates += n * n - sum(row.bit_count() for row in af.target_rows)
+        discrepancies.extend(cross_validate(af, semantics))
     return AuditReport(
         semantics=semantics,
         argument_count=n,
@@ -232,7 +209,7 @@ def exhaustive_audit(
         seed=used_seed,
         frameworks_checked=len(masks),
         candidates_checked=candidates,
-        discrepancies=discrepancies,
+        discrepancies=tuple(discrepancies),
     )
 
 

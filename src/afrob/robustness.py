@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import SizeLimit, UnsupportedSemantics
 from .framework import ArgumentationFramework, Attack, _bits, _with_attack
-from .invariance import Verdict, _State, classify_attack, sigma_equivalent
+from .invariance import _State, sigma_equivalent
 from .semantics import Semantics
 
 # A search exploring more states than this raises SizeLimit.  Exhaustive
@@ -120,14 +120,15 @@ def verify_witness(
     """Replay a witness sequence: every step must add an attack not yet
     present and classify invariant for the framework it is applied to, and
     the final framework must have exactly the original extension set
-    (checked by full recomputation)."""
+    (checked by full recomputation).  The steps are classified along one
+    chain of search states, each derived from the one before."""
     semantics = Semantics(semantics)
-    current = af
+    state = _State(*af.bit_rows)
     for source, target in witness:
-        if current.target_rows[current._index(source)] >> current._index(target) & 1:
-            return False  # re-adding an attack adds nothing
-        classification = classify_attack(current, (source, target), semantics)
-        if classification.verdict is not Verdict.INVARIANT:
+        a, b = af._index(source), af._index(target)
+        # an attack already present is no candidate, so its bit is 0 too
+        if not state.invariant_rows(semantics)[a] >> b & 1:
             return False
-        current = current.add_attack(source, target)
-    return sigma_equivalent(af, current, semantics)
+        state = state.child(a, b)
+    expanded = ArgumentationFramework._from_rows(af.sorted_arguments, state.targets)
+    return sigma_equivalent(af, expanded, semantics)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import afrob
 from afrob import Semantics, extension_sort_key, extensions
-from afrob.cli import _extension_lists, _json, _parsers, run_cli
+from afrob.cli import _extension_lists, _json, _parser, run_cli
 from afrob.oracle import canonical_names, framework_from_mask
 
 G3_APX = "arg(1).\narg(2).\narg(3).\narg(4).\natt(1,2).\natt(2,3).\n"
@@ -317,27 +317,6 @@ def test_negative_counts_are_usage_errors(capsys, g3_file, argv, message):
     assert message in err
 
 
-def test_bad_afrob_jobs_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("AFROB_JOBS", "x")
-    code, out, err = run(capsys, "audit", "--args", "2", "--semantics", "cf")
-    assert code == 1
-    assert out == ""
-    assert "positive integer" in err
-
-
-def test_afrob_jobs_is_read_on_every_call(capsys, monkeypatch):
-    # the parser is built once per process, so its AFROB_JOBS default must
-    # follow the environment from one call to the next
-    codes = []
-    for value in ["x", None, "0"]:
-        if value is None:
-            monkeypatch.delenv("AFROB_JOBS", raising=False)
-        else:
-            monkeypatch.setenv("AFROB_JOBS", value)
-        codes.append(run(capsys, "audit", "--args", "2", "--semantics", "cf")[0])
-    assert codes == [1, 0, 1]
-
-
 @pytest.mark.parametrize(
     "argv",
     [["extensions", "--semantics", "adm"], ["audit", "--args", "2", "--semantics", "adm"]],
@@ -359,15 +338,21 @@ def test_help_and_usage_errors_leave_the_parser_as_it_was(capsys, g3_file, argv)
 
 
 def test_parser_is_built_once_per_process(capsys, g3_file):
-    _parsers.cache_clear()
+    _parser.cache_clear()
     for semantics in ["cf", "adm", "prf"]:
         assert run(capsys, "extensions", "--semantics", semantics, "--input", g3_file)[0] == 0
-    assert _parsers.cache_info().misses == 1
+    assert _parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("value", ["0", "x"])
-def test_afrob_jobs_is_read_by_audit_alone(capsys, monkeypatch, g3_file, value):
-    argv = ["extensions", "--semantics", "adm", "--input", g3_file]
+@pytest.mark.parametrize(
+    "argv",
+    [["extensions", "--semantics", "adm"], ["audit", "--args", "2", "--semantics", "adm"]],
+    ids=["extensions", "audit"],
+)
+def test_afrob_jobs_is_ignored(capsys, monkeypatch, g3_file, argv, value):
+    if argv[0] != "audit":
+        argv = argv + ["--input", g3_file]
     monkeypatch.delenv("AFROB_JOBS", raising=False)
     expected = run(capsys, *argv)
     monkeypatch.setenv("AFROB_JOBS", value)
@@ -474,23 +459,33 @@ def test_text_and_json_verdicts_agree(capsys, g3_file):
     assert f"verdict: {payload['result']['verdict']}" in text_out
 
 
-def test_module_entry_point(g3_file):
+def _child_env():
     # the child imports the afrob under test, whether it came from PYTHONPATH
     # or from pytest's pythonpath setting
     source_root = os.path.dirname(os.path.dirname(afrob.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point(g3_file):
     completed = subprocess.run(
         [sys.executable, "-m", "afrob", "extensions", "--semantics", "adm",
          "--input", g3_file, "--format", "json"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert completed.returncode == 0
     payload = json.loads(completed.stdout)
     assert payload["schema"] == "afrob/1"
     assert len(payload["result"]["extensions"]) == 6
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # every command runs in one process, so no CLI process pays for it
+    code = "import sys, afrob.cli; sys.exit('multiprocessing' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=_child_env()).returncode == 0
 
 
 def _golden_cases(name):

@@ -263,17 +263,21 @@ def test_enumerate_invariant_attacks_examples(g3, mutual, empty_af):
 
 def test_shared_classifier_matches_per_candidate_classification_exhaustively():
     # the rule rows ORed over all admissible sets must give, in canonical
-    # order, exactly what a fresh classification of each candidate gives
-    names = canonical_names(3)
-    for mask in range(1 << 9):
-        af = framework_from_mask(names, mask)
+    # order, exactly what a fresh classification of each candidate gives:
+    # on every relation of three arguments and on seeded ones of four to six
+    rng = random.Random(11)
+    population = [(3, mask) for mask in range(1 << 9)]
+    for n, count in [(4, 300), (5, 100), (6, 100)]:
+        population += [(n, rng.getrandbits(n * n)) for _ in range(count)]
+    for n, mask in population:
+        af = framework_from_mask(canonical_names(n), mask)
         for semantics in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
             fresh = [
                 attack
                 for attack in candidate_attacks(af)
                 if classify_attack(af, attack, semantics).verdict is Verdict.INVARIANT
             ]
-            assert list(invariant_attacks(af, semantics)) == fresh, (mask, semantics)
+            assert list(invariant_attacks(af, semantics)) == fresh, (n, mask, semantics)
 
 
 def test_enumerated_attacks_are_new(g3):

@@ -219,12 +219,6 @@ def test_audit_is_deterministic_for_a_seed():
     assert one.frameworks_checked == 30
 
 
-def test_audit_with_worker_processes_matches_sequential():
-    sequential = exhaustive_audit(2, Semantics.ADMISSIBLE, jobs=1)
-    parallel = exhaustive_audit(2, Semantics.ADMISSIBLE, jobs=2)
-    assert sequential == parallel
-
-
 def test_framework_from_mask_round_trip():
     names = canonical_names(3)
     af = framework_from_mask(names, 0b101)
@@ -257,9 +251,8 @@ def test_framework_from_mask_equals_the_name_level_decoder():
         lambda g3: exhaustive_audit(-1, Semantics.ADMISSIBLE),
         lambda g3: exhaustive_audit(4, Semantics.ADMISSIBLE, samples=-1),
         lambda g3: robustness_degree(g3, Semantics.CONFLICT_FREE, max_steps=-1),
-        lambda g3: exhaustive_audit(2, Semantics.ADMISSIBLE, jobs=0),
     ],
-    ids=["audit-arguments", "audit-samples", "robustness-max-steps", "audit-jobs"],
+    ids=["audit-arguments", "audit-samples", "robustness-max-steps"],
 )
 def test_negative_counts_are_rejected(g3, call):
     with pytest.raises(ValueError):

@@ -77,6 +77,23 @@ def test_verify_witness_rejects_steps_that_add_nothing(g3):
     assert verify_witness(g3, Semantics.CONFLICT_FREE, [("2", "1")])
 
 
+def test_verify_witness_builds_no_framework_per_step(g3, monkeypatch):
+    # the replay classifies each step on a chain of states, not on a new
+    # framework per step
+    witnesses = [
+        (semantics, list(robustness_degree(g3, semantics).witness))
+        for semantics in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE)
+    ]
+
+    def refuse(*attack):
+        raise AssertionError(f"add_attack{attack}")
+
+    monkeypatch.setattr(ArgumentationFramework, "add_attack", refuse)
+    for semantics, witness in witnesses:
+        assert witness
+        assert verify_witness(g3, semantics, witness)
+
+
 def _random_frameworks(count, seed, max_args=4):
     rng = random.Random(seed)
     cases = []

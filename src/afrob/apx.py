@@ -10,66 +10,14 @@ an error.  Duplicate declarations are tolerated.
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError, UndeclaredArgument
-from .framework import ArgumentationFramework, _attacks_in
+from .framework import _NAME, ArgumentationFramework, _attacks_in
 
-_NAME_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
-
-
-class _LineScanner:
-    def __init__(self, text: str, lineno: int):
-        self.text = text
-        self.lineno = lineno
-        self.pos = 0
-
-    def fail(self, reason: str):
-        raise ParseError(self.lineno, self.pos + 1, reason)
-
-    def skip_spaces(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def literal(self, expected: str) -> None:
-        if not self.text.startswith(expected, self.pos):
-            self.fail(f"expected {expected!r}")
-        self.pos += len(expected)
-
-    def name(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _NAME_CHARS:
-            self.pos += 1
-        if self.pos == start:
-            self.fail("expected an argument name ([A-Za-z0-9_]+)")
-        return self.text[start : self.pos]
-
-    def end_of_line(self) -> None:
-        self.skip_spaces()
-        if self.pos != len(self.text):
-            self.fail("unexpected trailing characters")
-
-
-def _parse_line(text: str, lineno: int):
-    scanner = _LineScanner(text, lineno)
-    scanner.skip_spaces()
-    if scanner.pos == len(text):
-        return None
-    if text[scanner.pos] == "%":
-        return None
-    if text.startswith("arg(", scanner.pos):
-        scanner.pos += 4
-        name = scanner.name()
-        scanner.literal(").")
-        scanner.end_of_line()
-        return ("arg", name)
-    if text.startswith("att(", scanner.pos):
-        scanner.pos += 4
-        source = scanner.name()
-        scanner.literal(",")
-        target = scanner.name()
-        scanner.literal(").")
-        scanner.end_of_line()
-        return ("att", (source, target))
-    scanner.fail("expected 'arg(NAME).' or 'att(NAME,NAME).'")
+_SPACE = re.compile(r"\s*")
+# the separator that follows each name a declaration expects
+_SEPARATORS = {"arg(": (").",), "att(": (",", ").")}
 
 
 def parse_apx(text: str) -> ArgumentationFramework:
@@ -77,14 +25,30 @@ def parse_apx(text: str) -> ArgumentationFramework:
     arguments: set[str] = set()
     attacks: list[tuple[int, str, str]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        declaration = _parse_line(line, lineno)
-        if declaration is None:
+        pos = _SPACE.match(line).end()
+        if pos == len(line) or line[pos] == "%":
             continue
-        kind, payload = declaration
-        if kind == "arg":
-            arguments.add(payload)
+        separators = _SEPARATORS.get(line[pos : pos + 4])
+        if separators is None:
+            raise ParseError(lineno, pos + 1, "expected 'arg(NAME).' or 'att(NAME,NAME).'")
+        pos += 4
+        names = []
+        for separator in separators:
+            name = _NAME.match(line, pos)
+            if name is None:
+                raise ParseError(lineno, pos + 1, "expected an argument name ([A-Za-z0-9_]+)")
+            pos = name.end()
+            if not line.startswith(separator, pos):
+                raise ParseError(lineno, pos + 1, f"expected {separator!r}")
+            pos += len(separator)
+            names.append(name.group())
+        pos = _SPACE.match(line, pos).end()
+        if pos != len(line):
+            raise ParseError(lineno, pos + 1, "unexpected trailing characters")
+        if len(names) == 1:
+            arguments.add(names[0])
         else:
-            attacks.append((lineno, *payload))
+            attacks.append((lineno, *names))
     for lineno, source, target in attacks:
         if source not in arguments:
             raise UndeclaredArgument(source, lineno)

@@ -447,10 +447,7 @@ def run_cli(argv=None) -> int:
     except InternalInvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except AfrobError as exc:
+    except (OSError, AfrobError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

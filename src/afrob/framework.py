@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import UnknownArgument
 
-_NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_NAME = re.compile(r"[A-Za-z0-9_]+")
 
 
 class Attack(NamedTuple):
@@ -73,7 +73,7 @@ class ArgumentationFramework:
     def __init__(self, arguments: Iterable[str] = (), attacks: Iterable[tuple[str, str]] = ()):
         order = tuple(sorted(set(arguments)))
         for name in order:
-            if not _NAME_RE.match(name):
+            if not _NAME.fullmatch(name):
                 raise ValueError(f"invalid argument name: {name!r}")
         position = {name: i for i, name in enumerate(order)}
         rows = [0] * len(order)

@@ -1,11 +1,14 @@
 """Ground truth and audits of the rule-based classifier.
 
 Invariance is, by definition, equality of the extension sets before and
-after the addition.  Two routes decide it without consulting labellings,
-which makes them an independent check of the whole classification
-pipeline.  ``oracle_invariant`` and ``extension_changes`` recompute both
-sides for one candidate, under any semantics; the tests use them as the
-reference.  Dung's delta decides cf and adm from one state of the relation
+after the addition.  Two routes decide it without consulting labellings.
+For adm they are an independent check of the rule scan.  For cf the rule
+and the delta read one closed form, so an audit only shows that they agree
+with each other; cf exactness rests on the tests that compare the delta
+with recomputation and on acceptance criterion 3.  ``oracle_invariant``
+and ``extension_changes`` recompute both sides for one candidate, under
+any semantics; the tests use them as the reference.  Dung's delta decides
+cf and adm from one state of the relation
 (:class:`afrob.invariance._State`), which also holds the rule scan: one
 pass over the conflict-free sets finds, per set, the additions that lose
 or gain it (``changed_rows``), and the same sets give one candidate's lost

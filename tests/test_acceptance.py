@@ -36,6 +36,7 @@ from afrob import (
     Semantics,
     Verdict,
     classify_admissible_attack,
+    classify_conflict_free_attack,
     complete_labellings,
     complete_sets,
     conflict_free_sets,
@@ -166,15 +167,22 @@ def test_criterion_3_conflict_free_audit(capsys):
     started = time.perf_counter()
     audit = exhaustive_audit(3, Semantics.CONFLICT_FREE)
     elapsed = time.perf_counter() - started
-    ok = not audit.discrepancies and elapsed < 10.0
+    failures = adjudicate_conflict_free_audit(audit, audit_population(3))
+    ok = not audit.discrepancies and not failures and elapsed < 10.0
     with capsys.disabled():
         report(
             3,
             "conflict-free classifier vs recomputation (512 frameworks)",
             ok,
-            f"{len(audit.discrepancies)} disagreements, {elapsed:.1f}s",
+            f"{len(audit.discrepancies)} disagreements, {len(failures)} broken promises, "
+            f"{elapsed:.1f}s",
         )
+    assert (audit.frameworks_checked, audit.candidates_checked) == (512, 2304)
     assert not audit.discrepancies, clipped(format_audit_text(audit))
+    assert not failures, (
+        f"{len(failures)} broken promises of the conflict-free audit against the "
+        "definitional recomputation\n" + clipped(failures)
+    )
     assert elapsed < 10.0
 
 
@@ -195,6 +203,48 @@ def audit_population(n, seed=0, samples=1000):
 def describe(af, attack):
     relation = ",".join(f"({a.source},{a.target})" for a in sorted(af.attacks))
     return f"R={{{relation}}} add=({attack[0]},{attack[1]})"
+
+
+def count_failures(audit, population, candidates):
+    """One line per count of ``audit`` that differs from the population's."""
+    failures = []
+    if audit.frameworks_checked != len(population):
+        failures.append(
+            f"{audit.frameworks_checked} frameworks checked, expected {len(population)}"
+        )
+    if audit.candidates_checked != candidates:
+        failures.append(f"{audit.candidates_checked} candidates checked, expected {candidates}")
+    return failures
+
+
+def adjudicate_conflict_free_audit(audit, population):
+    """Check a conflict-free audit against the definitional recomputation in
+    tests/oracles.py; return one line per broken promise.
+
+    The audit's two routes, the cf rule and Dung's delta, read one closed
+    form, so they cannot disagree with each other.  So every candidate
+    verdict is checked against conflict-freeness recomputed before and
+    after the addition: an addition never makes a set conflict-free, so the
+    verdict is a deletion exactly when a set is lost, and invariant
+    otherwise.
+    """
+    failures = []
+    candidates = 0
+    for af in population:
+        attacks = {tuple(attack) for attack in af.attacks}
+        before = oracles.conflict_free(af.arguments, attacks)
+        for attack in product(af.sorted_arguments, repeat=2):
+            if attack in attacks:
+                continue
+            candidates += 1
+            lost = before - oracles.conflict_free(af.arguments, attacks | {attack})
+            verdict = classify_conflict_free_attack(af, attack).verdict
+            if verdict is not (Verdict.BREAKS_NON_DECREASING if lost else Verdict.INVARIANT):
+                failures.append(
+                    f"{describe(af, attack)}: verdict {verdict.value} but "
+                    f"{len(lost)} conflict-free set(s) lost"
+                )
+    return failures + count_failures(audit, population, candidates)
 
 
 def adjudicate_admissible_audit(audit, population):
@@ -231,12 +281,7 @@ def adjudicate_admissible_audit(audit, population):
             if (verdict is Verdict.INVARIANT) != (not lost and not gained):
                 truth[af, attack] = (verdict, lost, gained)
                 disagreeing[af, attack] += 1
-    if audit.frameworks_checked != len(population):
-        failures.append(
-            f"{audit.frameworks_checked} frameworks checked, expected {len(population)}"
-        )
-    if audit.candidates_checked != candidates:
-        failures.append(f"{audit.candidates_checked} candidates checked, expected {candidates}")
+    failures.extend(count_failures(audit, population, candidates))
     reported = Counter((report.framework, report.attack) for report in audit.discrepancies)
     for (af, attack), count in (disagreeing - reported).items():
         failures.append(f"{describe(af, attack)}: disagreement missing from the audit ({count}x)")

@@ -1,7 +1,10 @@
+import sys
+
 import pytest
 from hypothesis import given
 
 from afrob import ArgumentationFramework, ParseError, UndeclaredArgument, emit_apx, parse_apx
+from afrob.apx import _SPACE
 from afrob.framework import Attack
 from conftest import frameworks
 
@@ -45,29 +48,44 @@ def test_undeclared_argument_reports_name_and_line():
     assert excinfo.value.line == 2
 
 
-def test_parse_error_reports_position():
-    with pytest.raises(ParseError) as excinfo:
-        parse_apx("arg(a).\nfoo(a).")
-    assert excinfo.value.line == 2
-    assert excinfo.value.column == 1
+NAME_EXPECTED = "expected an argument name ([A-Za-z0-9_]+)"
+DECLARATION_EXPECTED = "expected 'arg(NAME).' or 'att(NAME,NAME).'"
+TRAILING = "unexpected trailing characters"
 
-    with pytest.raises(ParseError) as excinfo:
-        parse_apx("arg(a)")
-    assert excinfo.value.line == 1
-    assert excinfo.value.column == 6
 
+@pytest.mark.parametrize(
+    "text, line, column, reason",
+    [
+        pytest.param("arg(a).\nfoo(a).", 2, 1, DECLARATION_EXPECTED, id="unknown-declaration"),
+        pytest.param("\xa0foo", 1, 2, DECLARATION_EXPECTED, id="unknown-after-nbsp"),
+        pytest.param("arg().", 1, 5, NAME_EXPECTED, id="missing-name"),
+        pytest.param("att(a,)", 1, 7, NAME_EXPECTED, id="missing-second-name"),
+        pytest.param("att(a b).", 1, 6, "expected ','", id="missing-comma"),
+        pytest.param("arg(a)", 1, 6, "expected ').'", id="missing-close"),
+        pytest.param("att(a,b)", 1, 8, "expected ').'", id="missing-attack-close"),
+        pytest.param("\u3000arg(a)", 1, 7, "expected ').'", id="ideographic-space"),
+        pytest.param("arg(a). trailing", 1, 9, TRAILING, id="trailing-text"),
+        pytest.param("arg(a).%x", 1, 8, TRAILING, id="trailing-comment"),
+    ],
+)
+def test_parse_error_reports_position(text, line, column, reason):
     with pytest.raises(ParseError) as excinfo:
-        parse_apx("att(a b).")
-    assert excinfo.value.line == 1
-    assert excinfo.value.column == 6
+        parse_apx(text)
+    error = excinfo.value
+    assert (error.line, error.column, error.reason) == (line, column, reason)
 
-    with pytest.raises(ParseError) as excinfo:
-        parse_apx("arg(a). trailing")
-    assert excinfo.value.column == 9
 
-    with pytest.raises(ParseError) as excinfo:
-        parse_apx("arg().")
-    assert excinfo.value.column == 5
+def test_parse_comment_after_unicode_space():
+    assert parse_apx("\u3000% note\narg(a).") == ArgumentationFramework(["a"])
+
+
+def test_parser_whitespace_is_str_isspace():
+    mismatches = [
+        code
+        for code in range(sys.maxunicode + 1)
+        if (_SPACE.match(chr(code)).end() == 1) != chr(code).isspace()
+    ]
+    assert mismatches == []
 
 
 def test_emit_is_canonical(g3):

@@ -1,11 +1,12 @@
 """Reading and writing the line-based apx interchange format.
 
-A document is a sequence of lines.  Blank lines and lines whose first
-non-space character is ``%`` are ignored; every other line must be exactly
-``arg(NAME).`` or ``att(NAME,NAME).`` with optional surrounding whitespace,
-where NAME is a nonempty token over [A-Za-z0-9_].  Attacks may reference
-arguments declared later in the file; endpoints never declared at all are
-an error.  Duplicate declarations are tolerated.
+A document is a sequence of lines, each ended by ``\n``, ``\r\n`` or
+``\r``.  Blank lines and lines whose first non-space character is ``%``
+are ignored; every other line must be exactly ``arg(NAME).`` or
+``att(NAME,NAME).`` with optional surrounding whitespace, where NAME is a
+nonempty token over [A-Za-z0-9_].  Attacks may reference arguments
+declared later in the file; endpoints never declared at all are an error.
+Duplicate declarations are tolerated.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ def parse_apx(text: str) -> ArgumentationFramework:
     """Parse an apx document into a framework."""
     arguments: set[str] = set()
     attacks: list[tuple[int, str, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # not splitlines(), which also breaks at \v, \f, \x1c-\x1e, \x85, \u2028, \u2029
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         pos = _SPACE.match(line).end()
         if pos == len(line) or line[pos] == "%":
             continue

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import ArgumentSetMismatch, UnsupportedSemantics
 from .framework import ArgumentationFramework, Attack, _attacks_in, _bits, _transpose, _with_attack
@@ -104,17 +104,22 @@ def _self_defense_row(odd: tuple[int, ...], reverse_odd: tuple[int, ...], a: int
     return blocking or reverse_odd[a]
 
 
-def _rule_rows(
-    state: "_State", s: int, out: int, sources: int
-) -> Iterator[tuple[int, tuple[tuple[Rule, int], ...]]]:
-    """The rules that fire on the labelling of the admissible set ``s`` of
-    ``state``'s relation, for each source a in ``sources``: yields a with a
-    (rule, row) pair per rule that can fire, the row holding the targets b
+def _in_source_gains(targets: tuple[int, ...], s: int, out: int) -> tuple[int, int]:
+    """The rows of NI-in-out-reinstates and NI-in-undec-defends-undec on the
+    labelling of the admissible set ``s`` with targets ``out``, the same for
+    every source in ``s``."""
+    undec = ((1 << len(targets)) - 1) & ~(s | out)
+    acceptable = sum(1 << c for c in _bits(undec) if not targets[c] >> c & 1)
+    return _having(targets, out, s), _having(targets, undec, acceptable)
+
+
+def _rule_rows(state: "_State", s: int, out: int, a: int) -> tuple[tuple[Rule, int], ...]:
+    """The rules that can fire on the labelling of the admissible set ``s``
+    of ``state``'s relation for source a, each with its row: the targets b
     it fires on.
 
-    ``out`` is the set of the targets of ``s``; the reach tables are read
-    only when some source is out.  With IN = s, OUT = out and UNDEC the
-    rest, for attack (a, b):
+    ``out`` is the set of the targets of ``s``.  With IN = s, OUT = out and
+    UNDEC the rest, for attack (a, b):
 
     * ND-in-in: a and b are both in.
     * ND-out-in-undefended: a is out, b is in, b does not already attack a,
@@ -129,40 +134,32 @@ def _rule_rows(
     * NI-out-self-defense: a is out and b meets the walk conditions of
       :func:`_self_defense_row`.
 
-    The ND rules are exact over all admissible sets: by Dung's definition
-    an admissible S is lost exactly when b is in S and either a is in S or
-    S does not attack a (ND-in-in, ND-undec-in), and ND-out-in-undefended
-    fires only for an unattacked b, whose {b} is lost.  The NI rules are
-    not: a gain can occur with no rule firing, and a rule can fire when
-    nothing is gained.  :mod:`afrob.oracle` audits them against Dung's
-    delta.  a's label selects the rules, so at most one ND and one NI rule
-    fire per labelling and candidate.
+    The ND rules are exact: an admissible S is lost exactly when b is in S
+    and S does not attack a, that is when a is in S (ND-in-in) or undec
+    (ND-undec-in), and ND-out-in-undefended fires only for an unattacked b,
+    whose {b} is lost; so their rows over all admissible sets make up
+    :attr:`_State.loss`.  The NI rules are not exact: a gain can occur with
+    no rule firing, and a rule can fire when nothing is gained.
+    :mod:`afrob.oracle` audits them against Dung's delta.  a's label selects
+    the rules, so at most one ND and one NI rule fire per labelling and
+    candidate.
     """
     targets, attackers = state.targets, state.attackers
-    undec = ((1 << len(targets)) - 1) & ~(s | out)
-    # the rows shared by all sources with one label, built only if needed
-    if s & sources:
-        reinstating = _having(targets, out, s)
-        acceptable = sum(1 << c for c in _bits(undec) if not targets[c] >> c & 1)
-        defending_undec = _having(targets, undec, acceptable)
-    if out & sources:
-        unguarded = s & ~_having(attackers, s, out)
+    if s >> a & 1:
+        reinstating, defending_undec = _in_source_gains(targets, s, out)
+        return (
+            (Rule.ND_IN_IN, s),
+            (Rule.NI_IN_IN_DEFENDS, _having(targets, s, out & ~targets[a])),
+            (Rule.NI_IN_OUT_REINSTATES, reinstating),
+            (Rule.NI_IN_UNDEC_DEFENDS_UNDEC, defending_undec),
+        )
+    if out >> a & 1:
         odd, _, reverse_odd, _ = state.reach
-    for a in _bits(sources):
-        if s >> a & 1:
-            yield a, (
-                (Rule.ND_IN_IN, s),
-                (Rule.NI_IN_IN_DEFENDS, _having(targets, s, out & ~targets[a])),
-                (Rule.NI_IN_OUT_REINSTATES, reinstating),
-                (Rule.NI_IN_UNDEC_DEFENDS_UNDEC, defending_undec),
-            )
-        elif out >> a & 1:
-            yield a, (
-                (Rule.ND_OUT_IN_UNDEFENDED, unguarded & ~attackers[a]),
-                (Rule.NI_OUT_SELF_DEFENSE, _self_defense_row(odd, reverse_odd, a)),
-            )
-        else:
-            yield a, ((Rule.ND_UNDEC_IN, s),)
+        return (
+            (Rule.ND_OUT_IN_UNDEFENDED, s & ~_having(attackers, s, out) & ~attackers[a]),
+            (Rule.NI_OUT_SELF_DEFENSE, _self_defense_row(odd, reverse_odd, a)),
+        )
+    return ((Rule.ND_UNDEC_IN, s),)
 
 
 def _conflict_kept(targets: tuple[int, ...], attackers: tuple[int, ...]) -> list[int]:
@@ -244,11 +241,14 @@ class _State:
     * ``cf``: per conflict-free set, ascending, the set, its targets and
       its attackers.
     * ``adm``: per admissible set, the set and its targets.
+    * ``loss``: per argument a, the union of the admissible sets that do
+      not attack a: the targets b for which adding (a, b) loses one
+      (:meth:`changed_rows`), which are those the ND rules fire on.
     * ``kept``: per argument a, the targets b for which adding (a, b) keeps
       every conflict-free set (:func:`_conflict_kept`).
     """
 
-    __slots__ = ("targets", "attackers", "parent", "step", "_reach", "_cf", "_adm", "_kept")
+    __slots__ = ("targets", "attackers", "parent", "step", "_reach", "_cf", "_adm", "_loss", "_kept")
 
     def __init__(
         self,
@@ -261,7 +261,7 @@ class _State:
         self.attackers = attackers
         self.parent = parent
         self.step = step
-        self._reach = self._cf = self._adm = self._kept = None
+        self._reach = self._cf = self._adm = self._loss = self._kept = None
 
     def child(self, a: int, b: int) -> "_State":
         """The state with the attack (a, b) added."""
@@ -311,6 +311,17 @@ class _State:
         return self._adm
 
     @property
+    def loss(self) -> list[int]:
+        if self._loss is None:
+            full = (1 << len(self.targets)) - 1
+            self._loss = [0] * len(self.targets)
+            for s, out in self.adm:
+                if s:
+                    for a in _bits(full & ~out):
+                        self._loss[a] |= s
+        return self._loss
+
+    @property
     def kept(self) -> list[int]:
         if self._kept is None:
             self._kept = _conflict_kept(self.targets, self.attackers)
@@ -321,8 +332,10 @@ class _State:
         invariant: exactly those :meth:`witnesses` finds no rule for.
 
         For cf this is the closed form of :func:`_conflict_kept`.  For adm
-        the rule rows of every admissible set are ORed once, and a
-        candidate is invariant when no rule fires on it.
+        the ND rows are :attr:`loss`; NI-in-in-defends fires only inside
+        it, the other in-source NI rows hold for every source in a set, and
+        NI-out-self-defense reads its source only through "out in some
+        admissible set".
         """
         targets = self.targets
         if semantics is Semantics.CONFLICT_FREE:
@@ -331,12 +344,20 @@ class _State:
             raise UnsupportedSemantics(
                 f"attack classification supports cf and adm, not {semantics.value}"
             )
-        full = (1 << len(targets)) - 1
-        fired = list(targets)  # existing attacks are no candidates
+        # existing attacks are no candidates
+        fired = [t | lost for t, lost in zip(targets, self.loss)]
+        outs = 0
         for s, out in self.adm:
-            for a, rows in _rule_rows(self, s, out, full):
-                for _, row in rows:
-                    fired[a] |= row
+            outs |= out
+            if s:
+                reinstating, defending_undec = _in_source_gains(targets, s, out)
+                for a in _bits(s):
+                    fired[a] |= reinstating | defending_undec
+        if outs:
+            odd, _, reverse_odd, _ = self.reach
+            for a in _bits(outs):
+                fired[a] |= _self_defense_row(odd, reverse_odd, a)
+        full = (1 << len(targets)) - 1
         return [full & ~row for row in fired]
 
     def witnesses(
@@ -361,10 +382,9 @@ class _State:
         losses, gains = [], []
         # extension_sort_key's order: by size, then by names
         for s, out in sorted(family, key=lambda pair: (pair[0].bit_count(), tuple(_bits(pair[0])))):
-            for _, rows in _rule_rows(self, s, out, 1 << a):
-                for rule, row in rows:
-                    if row >> b & 1:
-                        (losses if rule in _DELETION_RULES else gains).append((s, rule))
+            for rule, row in _rule_rows(self, s, out, a):
+                if row >> b & 1:
+                    (losses if rule in _DELETION_RULES else gains).append((s, rule))
         return losses + gains
 
     def changed_rows(self, semantics: Semantics) -> list[int]:
@@ -395,14 +415,10 @@ class _State:
             return [full & ~k for k in self.kept]
         if semantics is not Semantics.ADMISSIBLE:
             raise UnsupportedSemantics(f"the delta covers cf and adm, not {semantics.value}")
-        changed = [0] * len(self.targets)
+        changed = list(self.loss)
         for s, attacked, attacking in self.cf:
             unanswered = attacking & ~attacked
-            if not unanswered:
-                if s:
-                    for a in _bits(full & ~attacked):
-                        changed[a] |= s
-            elif not unanswered & (unanswered - 1):
+            if unanswered and not unanswered & (unanswered - 1):
                 for a in _bits(s):
                     changed[a] |= unanswered
         return changed

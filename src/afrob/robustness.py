@@ -2,12 +2,13 @@
 
 The robustness degree of a framework is the longest sequence of
 single-attack additions, each classified invariant for the framework it is
-applied to, after which no further invariant addition exists.  One
-depth-first search with memoization serves both strategies (the reached
-relation set fully determines further search, whatever order produced
-it).  The exhaustive strategy follows every candidate of a state; the
-greedy strategy follows only the first in canonical order, so its memo is
-its path and it gives a cheap lower bound.
+applied to, after which no further invariant addition exists.  For cf it
+has a closed form (:func:`robustness_degree`); for adm one depth-first
+search with memoization serves both strategies (the reached relation set
+fully determines further search, whatever order produced it).  The
+exhaustive strategy follows every candidate of a state; the greedy
+strategy follows only the first in canonical order, so its memo is its
+path and it gives a cheap lower bound.
 
 A search state differs from its parent by one attack, so it derives the
 tables that classify its candidates from the parent's instead of
@@ -19,19 +20,17 @@ fixpoint again (see :class:`afrob.invariance._State`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import SizeLimit, UnsupportedSemantics
-from .framework import ArgumentationFramework, Attack, _bits, _with_attack
+from .framework import ArgumentationFramework, Attack, _attacks_in, _bits, _with_attack
 from .invariance import _State, sigma_equivalent
 from .semantics import Semantics
 
-# A search exploring more states than this raises SizeLimit.  Exhaustive
-# adm searches on five arguments explore 22,000-28,000 states per second (2
-# vCPUs, Python 3.11), so one at the budget stops after 7-9 s, at a peak RSS
-# of 86 MB.  A state's cost grows with its conflict-free sets: 3,000-8,000
-# states per second on six arguments, 300-1,500 on nine; cf searches
-# 37,000-54,000.  The largest search in the test suite explores 4,016
-# states, the largest in perfbench's robustness workload 1,024.
+# An adm search exploring more states than this raises SizeLimit.  On five
+# arguments they explore 22,000-28,000 states per second (2 vCPUs, Python
+# 3.11), so one stops after 7-9 s at a peak RSS of 86 MB; on six 3,000-8,000,
+# on nine 300-1,500, as a state's cost grows with its conflict-free sets.
 MAX_SEARCH_STATES = 200_000
 
 
@@ -59,8 +58,15 @@ def robustness_degree(
     cap is flagged ``truncated`` and is then only a lower bound.  With
     ``paranoid`` a step is accepted only if it also leaves the extension
     family unchanged by Dung's delta, so steps the rule scan wrongly admits
-    are skipped.  A search exploring more than :data:`MAX_SEARCH_STATES`
-    states raises :class:`SizeLimit`.
+    are skipped.  An adm search exploring more than
+    :data:`MAX_SEARCH_STATES` states raises :class:`SizeLimit`.
+
+    For cf no search runs: an invariant attack keeps every conflict-free
+    set, so with k invariant candidates and d = min(k, ``max_steps``) the
+    degree is d, the witness the first d candidates in canonical order,
+    ``paranoid`` changes nothing, and ``explored_states`` counts the states
+    a search would visit, not work done: Σ_{i≤d} C(k, i) (2^k uncapped) for
+    exhaustive, d + 1 for greedy.
     """
     semantics = Semantics(semantics)
     if semantics not in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
@@ -71,6 +77,13 @@ def robustness_degree(
         raise ValueError(f"max_steps must be non-negative, not {max_steps}")
     if strategy not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown strategy: {strategy!r}")
+    order = af.sorted_arguments
+    if semantics is Semantics.CONFLICT_FREE:
+        candidates = _attacks_in(order, _State(*af.bit_rows).invariant_rows(semantics))
+        k = len(candidates)
+        d = k if max_steps is None else min(k, max_steps)
+        explored = d + 1 if strategy == "greedy" else sum(comb(k, i) for i in range(d + 1))
+        return RobustnessResult(d, tuple(candidates[:d]), explored, strategy, d < k)
     # keyed on the relation alone: each step adds one attack, so a state's
     # depth is fixed by its relation and the memo stays sound under a cap
     memo: dict[tuple[int, ...], tuple[int, tuple[tuple[int, int], ...]]] = {}
@@ -104,7 +117,6 @@ def robustness_degree(
         return best
 
     degree, witness = search(_State(*af.bit_rows), 0)
-    order = af.sorted_arguments
     return RobustnessResult(
         degree=degree,
         witness=tuple(Attack(order[a], order[b]) for a, b in witness),

@@ -248,3 +248,38 @@ def greedy_robustness(af, semantics, paranoid=False, max_steps=None):
         current = current.add_attack(*step)
         witness.append(step)
     return RobustnessResult(len(witness), tuple(witness), len(witness) + 1, "greedy", truncated)
+
+
+def cf_robustness(args, attacks, max_steps=None):
+    """The exhaustive cf robustness search, definitionally: from each
+    relation, the absent attacks in sorted order after which the
+    conflict-free sets, recomputed, are the same are the steps, and a chain
+    stops after ``max_steps`` of them.  Returns (degree, first longest
+    chain, relations visited, whether the cap cut a chain short)."""
+    order = sorted(args)
+    memo = {}
+    truncated = False
+
+    def search(current):
+        nonlocal truncated
+        if current not in memo:
+            before = conflict_free(args, current)
+            steps = [
+                (a, b)
+                for a in order
+                for b in order
+                if (a, b) not in current and conflict_free(args, current | {(a, b)}) == before
+            ]
+            best = (0, ())
+            if steps and max_steps is not None and len(current) - len(attacks) >= max_steps:
+                truncated = True
+            else:
+                for step in steps:
+                    degree, witness = search(current | {step})
+                    if 1 + degree > best[0]:
+                        best = (1 + degree, (step,) + witness)
+            memo[current] = best
+        return memo[current]
+
+    degree, witness = search(frozenset(attacks))
+    return degree, witness, len(memo), truncated

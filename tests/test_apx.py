@@ -66,6 +66,8 @@ TRAILING = "unexpected trailing characters"
         pytest.param("\u3000arg(a)", 1, 7, "expected ').'", id="ideographic-space"),
         pytest.param("arg(a). trailing", 1, 9, TRAILING, id="trailing-text"),
         pytest.param("arg(a).%x", 1, 8, TRAILING, id="trailing-comment"),
+        pytest.param("% x\x85y\narg(a)\n", 2, 6, "expected ').'", id="next-line-in-comment"),
+        pytest.param("arg(a).\r\n\rarg(b", 3, 6, "expected ').'", id="carriage-returns"),
     ],
 )
 def test_parse_error_reports_position(text, line, column, reason):
@@ -77,6 +79,14 @@ def test_parse_error_reports_position(text, line, column, reason):
 
 def test_parse_comment_after_unicode_space():
     assert parse_apx("\u3000% note\narg(a).") == ArgumentationFramework(["a"])
+
+
+def test_only_newline_and_carriage_return_end_a_line():
+    # str.splitlines also ends a line at each of these, which would end the
+    # comment and parse its tail as a declaration
+    for space in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        text = f"% note{space}more\narg(a).{space}\r\natt(a,a)."
+        assert parse_apx(text) == ArgumentationFramework(["a"], [("a", "a")]), repr(space)
 
 
 def test_parser_whitespace_is_str_isspace():

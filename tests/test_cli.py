@@ -411,12 +411,31 @@ def test_size_limit_exit_code(capsys, tmp_path):
 
 
 def test_robustness_state_budget_exit_code(capsys, monkeypatch, g3_file):
-    monkeypatch.setattr(afrob.robustness, "MAX_SEARCH_STATES", 3)
-    argv = ["robustness", "--semantics", "cf", "--strategy", "exhaustive", "--input", g3_file]
+    # g3's exhaustive adm search explores two states
+    monkeypatch.setattr(afrob.robustness, "MAX_SEARCH_STATES", 1)
+    argv = ["robustness", "--semantics", "adm", "--strategy", "exhaustive", "--input", g3_file]
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
-    assert "exceeds 3 states" in err
+    assert "exceeds 1 states" in err
+
+
+def test_exhaustive_cf_robustness_runs_no_search(capsys, tmp_path):
+    # the seven-argument tournament has 21 cf-invariant candidates, and
+    # 2^21 states exceed the search budget
+    names = canonical_names(7)
+    tournament = tmp_path / "tournament.apx"
+    tournament.write_text(
+        "".join(f"arg({a}).\n" for a in names)
+        + "".join(f"att({a},{b}).\n" for i, a in enumerate(names) for b in names[i + 1 :])
+    )
+    payload = run_json(
+        capsys,
+        "robustness", "--semantics", "cf", "--strategy", "exhaustive",
+        "--input", str(tournament), "--format", "json",
+    )
+    result = payload["result"]
+    assert (result["degree"], result["explored_states"]) == (21, 2**21)
 
 
 def test_labellings_size_limit_exit_code(capsys, tmp_path):

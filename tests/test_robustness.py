@@ -177,8 +177,14 @@ def test_greedy_is_the_greedy_loop_on_every_three_argument_framework():
                     assert found == expected, (mask, semantics, paranoid, max_steps)
 
 
+def _chain():
+    # a1 -> a2 on three arguments: its exhaustive adm search explores 8 states
+    return ArgumentationFramework(canonical_names(3), [("a1", "a2")])
+
+
 def test_exhaustive_search_builds_each_state_once(monkeypatch, g3):
-    # a successor already in the memo is looked up, not derived again
+    # a successor already in the memo is looked up, not derived again; cf
+    # is answered in closed form and derives no state at all
     built = []
     child = _State.child
 
@@ -187,12 +193,13 @@ def test_exhaustive_search_builds_each_state_once(monkeypatch, g3):
         return child(self, a, b)
 
     monkeypatch.setattr(_State, "child", counting_child)
-    cases = [(g3, Semantics.CONFLICT_FREE), (g3, Semantics.ADMISSIBLE)]
-    cases += [(af, Semantics.ADMISSIBLE) for af in _random_frameworks(20, seed=29)]
-    for af, semantics in cases:
+    for af in [_chain(), g3] + _random_frameworks(20, seed=29):
         built.clear()
-        result = robustness_degree(af, semantics)
-        assert len(built) == result.explored_states - 1, (af, semantics)
+        result = robustness_degree(af, Semantics.ADMISSIBLE)
+        assert len(built) == result.explored_states - 1, af
+    built.clear()
+    assert robustness_degree(g3, Semantics.CONFLICT_FREE).explored_states == 4
+    assert built == []
 
 
 def test_exhaustive_search_builds_no_framework_through_init(monkeypatch, g3):
@@ -362,11 +369,40 @@ def test_derived_states_equal_a_rebuild_along_a_search_path():
             _states_agree(state, _State(*af.bit_rows))
 
 
-def test_search_state_budget(monkeypatch, g3):
-    # g3's cf search explores four states: a budget of four admits it,
-    # three stops it with the size-limit error
-    monkeypatch.setattr(robustness, "MAX_SEARCH_STATES", 4)
-    assert robustness_degree(g3, Semantics.CONFLICT_FREE).explored_states == 4
-    monkeypatch.setattr(robustness, "MAX_SEARCH_STATES", 3)
+def test_search_state_budget(monkeypatch):
+    # the chain's adm search explores eight states: a budget of eight
+    # admits it, seven stops it with the size-limit error
+    monkeypatch.setattr(robustness, "MAX_SEARCH_STATES", 8)
+    assert robustness_degree(_chain(), Semantics.ADMISSIBLE).explored_states == 8
+    monkeypatch.setattr(robustness, "MAX_SEARCH_STATES", 7)
     with pytest.raises(SizeLimit):
-        robustness_degree(g3, Semantics.CONFLICT_FREE)
+        robustness_degree(_chain(), Semantics.ADMISSIBLE)
+
+
+def test_cf_closed_form_on_the_seven_argument_tournament(monkeypatch):
+    # a_i -> a_j for i < j leaves the 21 reverse attacks cf-invariant; an
+    # exhaustive search over their 2^21 subsets would exceed the budget
+    names = canonical_names(7)
+    tournament = ArgumentationFramework(names, itertools.combinations(names, 2))
+    reverse = tuple(Attack(b, a) for b in names for a in names if a < b)
+    expected = RobustnessResult(21, reverse, 2**21, "exhaustive", False)
+    assert robustness_degree(tournament, Semantics.CONFLICT_FREE) == expected
+    monkeypatch.setattr(robustness, "MAX_SEARCH_STATES", 1)
+    assert robustness_degree(tournament, Semantics.CONFLICT_FREE, paranoid=True) == expected
+    greedy = robustness_degree(tournament, Semantics.CONFLICT_FREE, strategy="greedy")
+    assert greedy == RobustnessResult(21, reverse, 22, "greedy", False)
+    capped = robustness_degree(tournament, Semantics.CONFLICT_FREE, max_steps=3)
+    assert capped == RobustnessResult(3, reverse[:3], 1 + 21 + 210 + 1330, "exhaustive", True)
+
+
+def test_cf_closed_form_matches_a_definitional_search_on_every_small_relation():
+    # conflict-freeness recomputed before and after every step of every chain
+    for n in (1, 2, 3):
+        names = canonical_names(n)
+        for mask in range(1 << (n * n)):
+            af = framework_from_mask(names, mask)
+            for max_steps in (None, 0, 1, 2):
+                expected = oracles.cf_robustness(af.arguments, af.attacks, max_steps)
+                result = robustness_degree(af, Semantics.CONFLICT_FREE, max_steps=max_steps)
+                found = (result.degree, result.witness, result.explored_states, result.truncated)
+                assert found == expected, (mask, max_steps)

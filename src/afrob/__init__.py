@@ -6,7 +6,6 @@ from .dot import emit_dot
 from .errors import (
     AfrobError,
     ArgumentSetMismatch,
-    InternalInvariantViolation,
     LabellingMismatch,
     NotAdmissible,
     ParseError,
@@ -22,9 +21,7 @@ from .invariance import (
     Verdict,
     Witness,
     candidate_attacks,
-    classify_admissible_attack,
     classify_attack,
-    classify_conflict_free_attack,
     extension_set_included,
     invariant_attacks,
     sigma_equivalent,
@@ -33,7 +30,6 @@ from .labelling import (
     CredulousSets,
     Label,
     Labelling,
-    complete_labellings,
     credulous_sets,
     labelling_from_set,
     labelling_of_extension,
@@ -53,17 +49,10 @@ from .oracle import (
 from .robustness import RobustnessResult, robustness_degree, verify_witness
 from .semantics import (
     Semantics,
-    admissible_sets,
-    complete_sets,
-    conflict_free_sets,
     extension_difference,
     extension_masks,
     extension_sort_key,
     extensions,
-    grounded_set,
-    preferred_sets,
-    semi_stable_sets,
-    stable_sets,
 )
 
 __version__ = "0.1.0"

@@ -6,8 +6,7 @@ either human-readable text or JSON with the stable top-level shape
 are emitted in canonical order, so identical inputs and seeds produce
 byte-identical output.
 
-Exit status: 0 success, 1 usage error, 2 parse error, 3 size limit,
-4 internal invariant violation.
+Exit status: 0 success, 1 usage error, 2 parse error, 3 size limit.
 """
 
 from __future__ import annotations
@@ -19,13 +18,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
 from .apx import parse_apx
-from .errors import (
-    AfrobError,
-    InternalInvariantViolation,
-    ParseError,
-    SizeLimit,
-    UndeclaredArgument,
-)
+from .errors import AfrobError, ParseError, SizeLimit, UndeclaredArgument
 from .framework import ArgumentationFramework, _attacks_in, _bits
 from .invariance import AttackClassification, _classify, _State
 from .labelling import labellings_for
@@ -39,7 +32,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_SIZE = 3
-EXIT_INTERNAL = 4
 
 _ALL_SEMANTICS = [s.value for s in Semantics]
 _LABELLING_SEMANTICS = ["com", "stb", "prf", "gde", "sst"]
@@ -444,9 +436,6 @@ def run_cli(argv=None) -> int:
     except SizeLimit as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_SIZE
-    except InternalInvariantViolation as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except (OSError, AfrobError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -25,10 +25,6 @@ class SizeLimit(AfrobError):
     """The framework exceeds the exhaustive-enumeration guardrail."""
 
 
-class InternalInvariantViolation(AfrobError):
-    """An internal consistency check failed; indicates an enumeration bug."""
-
-
 class LabellingMismatch(AfrobError):
     """A labelling does not cover exactly the framework's arguments."""
 

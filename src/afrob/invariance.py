@@ -468,36 +468,6 @@ def _classify(
     return AttackClassification(attack, semantics, verdict, witnesses)
 
 
-def classify_conflict_free_attack(
-    af: ArgumentationFramework, attack: tuple[str, str]
-) -> AttackClassification:
-    """Classify an attack addition for the conflict-free semantics.
-
-    Invariant exactly when the endpoints are already in conflict or one of
-    them attacks itself.  A non-invariant addition always shrinks the
-    family (expansions can never enlarge it), so the verdict is then
-    ``breaks_non_decreasing``, witnessed by the two-element set that gets
-    lost.
-    """
-    return classify_attack(af, attack, Semantics.CONFLICT_FREE)
-
-
-def classify_admissible_attack(
-    af: ArgumentationFramework,
-    attack: tuple[str, str],
-    preferred_only: bool = False,
-) -> AttackClassification:
-    """Classify an attack addition for the admissible semantics by scanning
-    the rules of :func:`_rule_rows` over the labellings of the admissible
-    sets (or only the preferred ones when ``preferred_only`` is set), in
-    canonical extension order.  The witnesses list every ND match, then
-    every NI match.
-
-    Re-adding an existing attack is trivially invariant.
-    """
-    return classify_attack(af, attack, Semantics.ADMISSIBLE, preferred_only)
-
-
 def classify_attack(
     af: ArgumentationFramework,
     attack: tuple[str, str],
@@ -505,8 +475,19 @@ def classify_attack(
     preferred_only: bool = False,
 ) -> AttackClassification:
     """Classify an attack addition for cf or adm, from a fresh state of
-    ``af``'s relation.  ``preferred_only`` restricts the admissible scan;
-    cf has no labellings to restrict, so there it is refused."""
+    ``af``'s relation.  Re-adding an existing attack is invariant.
+
+    For cf the closed form is exact: the addition is invariant exactly when
+    the endpoints already conflict or one of them attacks itself.
+    Otherwise it can only shrink the family (an expansion never makes a set
+    conflict-free), so the verdict is ``breaks_non_decreasing``, witnessed
+    by the lost pair {a, b}.
+
+    For adm the rules of :func:`_rule_rows` are scanned over the labellings
+    of the admissible sets, or of the preferred ones only under
+    ``preferred_only``, in canonical extension order; the witnesses list
+    every ND match, then every NI match.  cf has no labellings to restrict,
+    so ``preferred_only`` is refused there."""
     return _classify(af, _State(*af.bit_rows), attack, semantics, preferred_only)
 
 

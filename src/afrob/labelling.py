@@ -110,13 +110,6 @@ def labellings_for(af: ArgumentationFramework, semantics: Semantics) -> list[Lab
     return [_labelling_of_mask(af, m) for m in masks]
 
 
-def complete_labellings(af: ArgumentationFramework) -> list[Labelling]:
-    """The complete labellings: every in-argument has all attackers out,
-    every out-argument has an in attacker, and the converse directions
-    hold."""
-    return labellings_for(af, Semantics.COMPLETE)
-
-
 def credulous_sets(af: ArgumentationFramework, semantics: Semantics) -> CredulousSets:
     """Union of the in/out/undec classes over the labellings associated
     with the semantics.

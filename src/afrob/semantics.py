@@ -9,14 +9,16 @@ visited.  Each set carries the union of its members' targets and the union
 of their attackers (read off the relation's bit rows), which makes the
 admissibility test one bit operation (the robustness search builds its
 root state with the same pass).  The pass yields one record per framework
-(cached on the framework) whose fields are the seven families;
-the complete, stable, preferred, grounded and semi-stable families are
-derived from the admissible ones the first time they are read, so a caller
-asking only for cf or adm never pays for them.  Every family is an
-ascending tuple of masks, so two frameworks over one argument set have
-equal extension sets exactly when their tuples are equal, and masks are
-decoded into sets of names only for output.  Frameworks larger than the
-guardrail are rejected instead of silently hanging.
+(cached on the framework) whose fields are the seven families.  The
+grounded set is the least fixpoint of Dung's characteristic function,
+iterated from the empty set; the complete, stable, preferred and
+semi-stable families are derived from the admissible ones.  Each is
+computed the first time it is read, so a caller asking only for cf or adm
+never pays for them.  Every family is an ascending tuple of masks, so two
+frameworks over one argument set have equal extension sets exactly when
+their tuples are equal, and masks are decoded into sets of names only for
+output.  Frameworks larger than the guardrail are rejected instead of
+silently hanging.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
-from .errors import ArgumentSetMismatch, InternalInvariantViolation, SizeLimit
+from .errors import ArgumentSetMismatch, SizeLimit
 from .framework import ArgumentationFramework, _bits
 
 # With no attacks every subset is conflict-free and admissible, the worst
@@ -63,7 +65,7 @@ def _decode(af: ArgumentationFramework, masks: Iterable[int]) -> ExtensionSet:
 class _Enumeration:
     """Every extension family of ``af``, one field per :class:`Semantics`
     value.  ``cf`` and ``adm`` come from :func:`_enumerate`'s pass; the
-    other families are derived from them on first read."""
+    other families are computed on first read."""
 
     af: ArgumentationFramework
     full: int  # the mask of all arguments
@@ -94,12 +96,15 @@ class _Enumeration:
 
     @cached_property
     def gde(self) -> tuple[int, ...]:
-        minimal = _minimal(self.com, lambda m: m)
-        if len(minimal) != 1:
-            raise InternalInvariantViolation(
-                f"expected exactly one minimal complete set, found {len(minimal)}"
-            )
-        return minimal
+        # the least fixpoint of Dung's characteristic function: from the
+        # empty set, take the arguments whose every attacker the set
+        # attacks, until the set stops changing
+        attackers = self.af.bit_rows[1]
+        grounded, previous = 0, -1
+        while grounded != previous:
+            previous, attacked = grounded, self.af.attacked_by(grounded)
+            grounded = sum(1 << a for a, row in enumerate(attackers) if not row & ~attacked)
+        return (grounded,)
 
     @cached_property
     def sst(self) -> tuple[int, ...]:
@@ -180,39 +185,3 @@ def extension_difference(
     after = set(extension_masks(other, semantics))
     return _decode(af, before - after), _decode(af, after - before)
 
-
-def conflict_free_sets(af: ArgumentationFramework) -> ExtensionSet:
-    """All subsets containing no internal attack.  Always contains the
-    empty set."""
-    return extensions(af, Semantics.CONFLICT_FREE)
-
-
-def admissible_sets(af: ArgumentationFramework) -> ExtensionSet:
-    """Conflict-free sets that defend each of their members."""
-    return extensions(af, Semantics.ADMISSIBLE)
-
-
-def complete_sets(af: ArgumentationFramework) -> ExtensionSet:
-    """Admissible sets containing every argument they defend."""
-    return extensions(af, Semantics.COMPLETE)
-
-
-def stable_sets(af: ArgumentationFramework) -> ExtensionSet:
-    """Conflict-free sets attacking every outside argument.  May be empty."""
-    return extensions(af, Semantics.STABLE)
-
-
-def preferred_sets(af: ArgumentationFramework) -> ExtensionSet:
-    """Inclusion-maximal admissible sets."""
-    return extensions(af, Semantics.PREFERRED)
-
-
-def grounded_set(af: ArgumentationFramework) -> ExtensionSet:
-    """The unique inclusion-minimal complete set, as a one-element family."""
-    return extensions(af, Semantics.GROUNDED)
-
-
-def semi_stable_sets(af: ArgumentationFramework) -> ExtensionSet:
-    """Complete sets whose undecided region (arguments neither in the set
-    nor attacked by it) is inclusion-minimal."""
-    return extensions(af, Semantics.SEMI_STABLE)

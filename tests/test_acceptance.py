@@ -35,20 +35,13 @@ from afrob import (
     Rule,
     Semantics,
     Verdict,
-    classify_admissible_attack,
-    classify_conflict_free_attack,
-    complete_labellings,
-    complete_sets,
-    conflict_free_sets,
+    classify_attack,
     exhaustive_audit,
     extension_set_included,
-    grounded_set,
+    extensions,
     labellings_for,
     oracle_invariant,
-    preferred_sets,
     robustness_degree,
-    semi_stable_sets,
-    stable_sets,
     verify_witness,
 )
 from afrob.cli import format_audit_text, run_cli
@@ -151,7 +144,7 @@ def test_criterion_2_worked_example_classification(capsys):
     }
     failures = []
     for attack, (verdict, rule) in expected.items():
-        classification = classify_admissible_attack(G3, attack)
+        classification = classify_attack(G3, attack, Semantics.ADMISSIBLE)
         rules = {w.rule.value for w in classification.witnesses}
         if classification.verdict is not verdict or rule not in rules:
             failures.append((attack, classification.verdict.value, sorted(rules)))
@@ -238,7 +231,7 @@ def adjudicate_conflict_free_audit(audit, population):
                 continue
             candidates += 1
             lost = before - oracles.conflict_free(af.arguments, attacks | {attack})
-            verdict = classify_conflict_free_attack(af, attack).verdict
+            verdict = classify_attack(af, attack, Semantics.CONFLICT_FREE).verdict
             if verdict is not (Verdict.BREAKS_NON_DECREASING if lost else Verdict.INVARIANT):
                 failures.append(
                     f"{describe(af, attack)}: verdict {verdict.value} but "
@@ -272,7 +265,7 @@ def adjudicate_admissible_audit(audit, population):
             candidates += 1
             after = oracles.admissible(af.arguments, attacks | {attack})
             lost, gained = frozenset(before - after), frozenset(after - before)
-            verdict = classify_admissible_attack(af, attack).verdict
+            verdict = classify_attack(af, attack, Semantics.ADMISSIBLE).verdict
             if (verdict in DELETION_VERDICTS) != bool(lost):
                 failures.append(
                     f"{describe(af, attack)}: verdict {verdict.value} but "
@@ -353,10 +346,11 @@ def test_criterion_5_expansions_never_enlarge_conflict_free_sets(capsys):
     violations = []
     for mask in range(1 << 9):
         af = framework_from_mask(names, mask)
-        before = conflict_free_sets(af)
+        before = extensions(af, Semantics.CONFLICT_FREE)
         for attack in candidate_attacks(af):
             checked += 1
-            if not extension_set_included(conflict_free_sets(af.add_attack(*attack)), before):
+            after = extensions(af.add_attack(*attack), Semantics.CONFLICT_FREE)
+            if not extension_set_included(after, before):
                 violations.append((af, attack))
     elapsed = time.perf_counter() - started
     ok = not violations and elapsed < 10.0
@@ -379,19 +373,20 @@ def test_criterion_6_labelling_correspondence(capsys):
     started = time.perf_counter()
     failures = []
     for af in correspondence_suite():
-        complete = complete_labellings(af)
-        if frozenset(l.in_set for l in complete) != complete_sets(af):
+        complete = labellings_for(af, Semantics.COMPLETE)
+        if frozenset(l.in_set for l in complete) != extensions(af, Semantics.COMPLETE):
             failures.append(("com", af))
         pairs = [
-            (Semantics.STABLE, stable_sets(af)),
-            (Semantics.PREFERRED, preferred_sets(af)),
-            (Semantics.SEMI_STABLE, semi_stable_sets(af)),
+            (Semantics.STABLE, extensions(af, Semantics.STABLE)),
+            (Semantics.PREFERRED, extensions(af, Semantics.PREFERRED)),
+            (Semantics.SEMI_STABLE, extensions(af, Semantics.SEMI_STABLE)),
         ]
         for semantics, expected in pairs:
             if frozenset(l.in_set for l in labellings_for(af, semantics)) != expected:
                 failures.append((semantics.value, af))
         grounded = labellings_for(af, Semantics.GROUNDED)
-        if len(grounded) != 1 or frozenset(l.in_set for l in grounded) != grounded_set(af):
+        grounded_in = frozenset(l.in_set for l in grounded)
+        if len(grounded) != 1 or grounded_in != extensions(af, Semantics.GROUNDED):
             failures.append(("gde", af))
         # the library derives labellings from extensions, so the in-set
         # checks above cannot see a wrong extension family; the 3^n walk can
@@ -422,8 +417,8 @@ def test_criterion_7_preferred_only_shortcut(capsys):
         preferred = oracles.preferred(af.arguments, {tuple(attack) for attack in af.attacks})
         for attack in candidate_attacks(af):
             checked += 1
-            full = classify_admissible_attack(af, attack)
-            pruned = classify_admissible_attack(af, attack, preferred_only=True)
+            full = classify_attack(af, attack, Semantics.ADMISSIBLE)
+            pruned = classify_attack(af, attack, Semantics.ADMISSIBLE, preferred_only=True)
             restricted = tuple(w for w in full.witnesses if w.in_set in preferred)
             if pruned.witnesses != restricted:
                 mismatches.append((af, attack, restricted, pruned.witnesses))

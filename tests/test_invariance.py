@@ -11,11 +11,9 @@ from afrob import (
     Semantics,
     UnsupportedSemantics,
     Verdict,
-    classify_admissible_attack,
     classify_attack,
-    classify_conflict_free_attack,
-    conflict_free_sets,
     extension_set_included,
+    extensions,
     invariant_attacks,
     oracle_invariant,
     sigma_equivalent,
@@ -32,7 +30,7 @@ def sets(*members):
 
 def _witnesses(af, attack, prefix):
     # the witnesses of the ND (deletion) or NI (gain) rules, in scan order
-    found = classify_admissible_attack(af, attack).witnesses
+    found = classify_attack(af, attack, Semantics.ADMISSIBLE).witnesses
     return [w for w in found if w.rule.value.startswith(prefix)]
 
 
@@ -55,7 +53,7 @@ def test_inclusion_both_ways_does_not_imply_equality():
 
 @given(frameworks(), frameworks(), frameworks())
 def test_inclusion_is_reflexive_and_transitive(af1, af2, af3):
-    families = [conflict_free_sets(af) for af in (af1, af2, af3)]
+    families = [extensions(af, Semantics.CONFLICT_FREE) for af in (af1, af2, af3)]
     for fam in families:
         assert extension_set_included(fam, fam)
     a, b, c = families
@@ -90,24 +88,24 @@ def test_sigma_equivalent_is_an_equivalence_relation(g3):
 
 
 def test_classify_cf_examples(g3, mutual):
-    assert classify_conflict_free_attack(g3, ("2", "1")).verdict is Verdict.INVARIANT
-    non_invariant = classify_conflict_free_attack(g3, ("1", "4"))
+    assert classify_attack(g3, ("2", "1"), Semantics.CONFLICT_FREE).verdict is Verdict.INVARIANT
+    non_invariant = classify_attack(g3, ("1", "4"), Semantics.CONFLICT_FREE)
     assert non_invariant.verdict is Verdict.BREAKS_NON_DECREASING
     assert non_invariant.witnesses == (
         (frozenset({"1", "4"}), Rule.CF_NEVER_IN),
     )
-    assert classify_conflict_free_attack(mutual, ("a", "b")).verdict is Verdict.INVARIANT
+    assert classify_attack(mutual, ("a", "b"), Semantics.CONFLICT_FREE).verdict is Verdict.INVARIANT
 
 
 def test_classify_cf_invariant_verdicts_carry_no_witnesses(g3):
-    assert classify_conflict_free_attack(g3, ("3", "2")).witnesses == ()
+    assert classify_attack(g3, ("3", "2"), Semantics.CONFLICT_FREE).witnesses == ()
 
 
 @settings(deadline=None, max_examples=60)
 @given(frameworks())
 def test_classify_cf_never_reports_gains(af):
     for attack in candidate_attacks(af):
-        verdict = classify_conflict_free_attack(af, attack).verdict
+        verdict = classify_attack(af, attack, Semantics.CONFLICT_FREE).verdict
         assert verdict in (Verdict.INVARIANT, Verdict.BREAKS_NON_DECREASING)
 
 
@@ -117,8 +115,9 @@ def test_classify_cf_matches_oracle_exhaustively():
     for mask in range(1 << 4):
         af = framework_from_mask(names, mask)
         for attack in candidate_attacks(af):
-            predicted = classify_conflict_free_attack(af, attack).verdict is Verdict.INVARIANT
-            assert predicted == oracle_invariant(af, attack, Semantics.CONFLICT_FREE)
+            cf = Semantics.CONFLICT_FREE
+            predicted = classify_attack(af, attack, cf).verdict is Verdict.INVARIANT
+            assert predicted == oracle_invariant(af, attack, cf)
 
 
 # --- admissible rule scans ---------------------------------------------------
@@ -154,20 +153,20 @@ def test_classify_adm_worked_example(g3):
         ("2", "1"): (Verdict.BREAKS_NON_INCREASING, Rule.NI_OUT_SELF_DEFENSE),
     }
     for attack, (verdict, rule) in byattack.items():
-        classification = classify_admissible_attack(g3, attack)
+        classification = classify_attack(g3, attack, Semantics.ADMISSIBLE)
         assert classification.verdict is verdict, attack
         assert rule in {w.rule for w in classification.witnesses}, attack
 
 
 def test_classify_adm_invariant_example(g3):
-    classification = classify_admissible_attack(g3, ("2", "2"))
+    classification = classify_attack(g3, ("2", "2"), Semantics.ADMISSIBLE)
     assert classification.verdict is Verdict.INVARIANT
     assert classification.witnesses == ()
 
 
 def test_classify_adm_can_break_both(g3):
     # (3,1) deletes {1,3} and also matches a gain rule
-    classification = classify_admissible_attack(g3, ("3", "1"))
+    classification = classify_attack(g3, ("3", "1"), Semantics.ADMISSIBLE)
     assert classification.verdict is Verdict.BREAKS_BOTH
     rules = {w.rule for w in classification.witnesses}
     assert Rule.ND_IN_IN in rules
@@ -175,8 +174,8 @@ def test_classify_adm_can_break_both(g3):
 
 
 def test_classify_existing_attack_is_invariant(g3):
-    assert classify_admissible_attack(g3, ("1", "2")).verdict is Verdict.INVARIANT
-    assert classify_conflict_free_attack(g3, ("1", "2")).verdict is Verdict.INVARIANT
+    assert classify_attack(g3, ("1", "2"), Semantics.ADMISSIBLE).verdict is Verdict.INVARIANT
+    assert classify_attack(g3, ("1", "2"), Semantics.CONFLICT_FREE).verdict is Verdict.INVARIANT
 
 
 def test_classify_attack_dispatch(g3):
@@ -199,9 +198,9 @@ def test_preferred_only_agrees_on_small_frameworks():
         for mask in range(1 << (n * n)):
             af = framework_from_mask(names, mask)
             for attack in candidate_attacks(af):
-                full = classify_admissible_attack(af, attack).verdict
-                pruned = classify_admissible_attack(af, attack, preferred_only=True).verdict
-                assert full == pruned, (af, attack)
+                full = classify_attack(af, attack, Semantics.ADMISSIBLE)
+                pruned = classify_attack(af, attack, Semantics.ADMISSIBLE, preferred_only=True)
+                assert full.verdict == pruned.verdict, (af, attack)
 
 
 def test_preferred_only_diverges_on_a_known_four_argument_case():
@@ -212,8 +211,10 @@ def test_preferred_only_diverges_on_a_known_four_argument_case():
         [("1", "1"), ("3", "2"), ("2", "3"), ("4", "1")],
     )
     attack = ("1", "2")
-    assert classify_admissible_attack(af, attack).verdict is Verdict.BREAKS_NON_DECREASING
-    assert classify_admissible_attack(af, attack, preferred_only=True).verdict is Verdict.INVARIANT
+    full = classify_attack(af, attack, Semantics.ADMISSIBLE)
+    pruned = classify_attack(af, attack, Semantics.ADMISSIBLE, preferred_only=True)
+    assert full.verdict is Verdict.BREAKS_NON_DECREASING
+    assert pruned.verdict is Verdict.INVARIANT
     assert not oracle_invariant(af, attack, Semantics.ADMISSIBLE)
 
 
@@ -243,7 +244,7 @@ def test_rule_scan_matches_the_name_level_reference():
         }
         for attack in candidate_attacks(af):
             for preferred_only, family in families.items():
-                found = classify_admissible_attack(af, attack, preferred_only=preferred_only)
+                found = classify_attack(af, attack, Semantics.ADMISSIBLE, preferred_only)
                 witnesses = tuple((w.in_set, w.rule.value) for w in found.witnesses)
                 expected = oracles.rule_scan(args, attacks, family, tuple(attack))
                 assert (found.verdict.value, witnesses) == expected, (af, attack, preferred_only)
@@ -289,7 +290,7 @@ def test_enumerated_attacks_are_new(g3):
 @settings(deadline=None, max_examples=40)
 @given(frameworks())
 def test_every_expansion_is_weakly_non_increasing_for_cf(af):
-    before = conflict_free_sets(af)
+    before = extensions(af, Semantics.CONFLICT_FREE)
     for attack in candidate_attacks(af):
-        after = conflict_free_sets(af.add_attack(*attack))
+        after = extensions(af.add_attack(*attack), Semantics.CONFLICT_FREE)
         assert extension_set_included(after, before)

@@ -12,18 +12,11 @@ from afrob import (
     SizeLimit,
     UnknownArgument,
     UnsupportedSemantics,
-    admissible_sets,
-    complete_labellings,
-    complete_sets,
-    conflict_free_sets,
     credulous_sets,
-    grounded_set,
+    extensions,
     labelling_from_set,
     labelling_of_extension,
     labellings_for,
-    preferred_sets,
-    semi_stable_sets,
-    stable_sets,
 )
 from afrob.oracle import canonical_names, framework_from_mask
 from conftest import frameworks
@@ -118,31 +111,34 @@ def test_reinstatement_in_sets_are_admissible_exhaustively():
         names = canonical_names(n)
         for mask in range(1 << (n * n)):
             af = framework_from_mask(names, mask)
-            assert _oracle_in_sets(reinstatement_labellings(af)) == admissible_sets(af), af
+            admissible = extensions(af, Semantics.ADMISSIBLE)
+            assert _oracle_in_sets(reinstatement_labellings(af)) == admissible, af
 
 
 @settings(deadline=None, max_examples=40)
 @given(frameworks())
 def test_reinstatement_in_sets_are_admissible(af):
-    assert _oracle_in_sets(reinstatement_labellings(af)) == admissible_sets(af)
+    admissible = extensions(af, Semantics.ADMISSIBLE)
+    assert _oracle_in_sets(reinstatement_labellings(af)) == admissible
     # extension labellings are a right inverse on in-sets
-    for extension in admissible_sets(af):
+    for extension in admissible:
         built = labelling_of_extension(af, extension)
         assert built.in_set == extension
         assert (built.in_set, built.out_set, built.undec_set) in reinstatement_labellings(af)
 
 
 def test_complete_labellings_examples(g3, mutual, self_loop):
-    assert complete_labellings(g3) == [lab({"1", "3", "4"}, {"2"}, set())]
-    assert complete_labellings(ArgumentationFramework(["a"])) == [lab({"a"}, set(), set())]
-    assert complete_labellings(self_loop) == [lab(set(), set(), {"a"})]
-    assert len(complete_labellings(mutual)) == 3
+    assert labellings_for(g3, Semantics.COMPLETE) == [lab({"1", "3", "4"}, {"2"}, set())]
+    unattacked = ArgumentationFramework(["a"])
+    assert labellings_for(unattacked, Semantics.COMPLETE) == [lab({"a"}, set(), set())]
+    assert labellings_for(self_loop, Semantics.COMPLETE) == [lab(set(), set(), {"a"})]
+    assert len(labellings_for(mutual, Semantics.COMPLETE)) == 3
 
 
 @settings(deadline=None, max_examples=40)
 @given(frameworks())
 def test_complete_labelling_in_sets_match_complete_sets(af):
-    assert _in_sets(complete_labellings(af)) == complete_sets(af)
+    assert _in_sets(labellings_for(af, Semantics.COMPLETE)) == extensions(af, Semantics.COMPLETE)
 
 
 def test_labellings_for_examples(g3, self_loop):
@@ -159,18 +155,17 @@ def test_labellings_for_examples(g3, self_loop):
 @settings(deadline=None, max_examples=40)
 @given(frameworks())
 def test_labelling_filters_match_extension_enumerators(af):
-    assert _in_sets(labellings_for(af, Semantics.STABLE)) == stable_sets(af)
-    assert _in_sets(labellings_for(af, Semantics.PREFERRED)) == preferred_sets(af)
-    assert _in_sets(labellings_for(af, Semantics.SEMI_STABLE)) == semi_stable_sets(af)
+    for semantics in (Semantics.STABLE, Semantics.PREFERRED, Semantics.SEMI_STABLE):
+        assert _in_sets(labellings_for(af, semantics)) == extensions(af, semantics)
     grounded = labellings_for(af, Semantics.GROUNDED)
     assert len(grounded) == 1
-    assert _in_sets(grounded) == grounded_set(af)
+    assert _in_sets(grounded) == extensions(af, Semantics.GROUNDED)
 
 
 @settings(deadline=None, max_examples=40)
 @given(frameworks())
 def test_preferred_filter_agrees_between_in_and_out_maximality(af):
-    complete = complete_labellings(af)
+    complete = labellings_for(af, Semantics.COMPLETE)
     by_out = [l for l in complete if not any(o.out_set > l.out_set for o in complete)]
     assert _in_sets(by_out) == _in_sets(labellings_for(af, Semantics.PREFERRED))
 
@@ -192,7 +187,8 @@ def test_conflict_free_credulous_sets_are_the_union_over_conflict_free_labelling
         names = canonical_names(n)
         for mask in range(1 << (n * n)):
             af = framework_from_mask(names, mask)
-            labellings = [labelling_from_set(af, ext) for ext in conflict_free_sets(af)]
+            cf = extensions(af, Semantics.CONFLICT_FREE)
+            labellings = [labelling_from_set(af, ext) for ext in cf]
             assert credulous_sets(af, Semantics.CONFLICT_FREE) == (
                 frozenset().union(*(l.in_set for l in labellings)),
                 frozenset().union(*(l.out_set for l in labellings)),

@@ -7,17 +7,10 @@ from afrob import (
     ArgumentSetMismatch,
     Semantics,
     SizeLimit,
-    admissible_sets,
-    complete_sets,
-    conflict_free_sets,
     extension_difference,
     extension_masks,
     extensions,
-    grounded_set,
     invariant_attacks,
-    preferred_sets,
-    semi_stable_sets,
-    stable_sets,
 )
 from afrob.oracle import canonical_names, framework_from_mask
 from afrob.semantics import _enumerate
@@ -29,54 +22,54 @@ def sets(*members):
 
 
 def test_conflict_free_examples(g3, mutual, empty_af):
-    assert conflict_free_sets(mutual) == sets("", "a", "b")
-    assert conflict_free_sets(empty_af) == sets("")
+    assert extensions(mutual, Semantics.CONFLICT_FREE) == sets("", "a", "b")
+    assert extensions(empty_af, Semantics.CONFLICT_FREE) == sets("")
     # all 10 subsets of g3 without an attacked pair, derived by brute force
-    assert conflict_free_sets(g3) == sets(
+    assert extensions(g3, Semantics.CONFLICT_FREE) == sets(
         "", "1", "2", "3", "4", "13", "14", "24", "34", "134"
     )
 
 
 def test_admissible_examples(g3, mutual):
-    assert admissible_sets(g3) == sets("", "4", "1", "14", "13", "134")
-    assert admissible_sets(ArgumentationFramework(["a"])) == sets("", "a")
-    assert admissible_sets(mutual) == sets("", "a", "b")
+    assert extensions(g3, Semantics.ADMISSIBLE) == sets("", "4", "1", "14", "13", "134")
+    assert extensions(ArgumentationFramework(["a"]), Semantics.ADMISSIBLE) == sets("", "a")
+    assert extensions(mutual, Semantics.ADMISSIBLE) == sets("", "a", "b")
 
 
 def test_complete_examples(g3, mutual):
     # 1 and 4 are unattacked, so every complete set contains them, and the
     # only admissible superset of {1, 4} closed under defence is {1, 3, 4}
-    assert complete_sets(g3) == sets("134")
-    assert complete_sets(ArgumentationFramework(["a"])) == sets("a")
-    assert complete_sets(mutual) == sets("", "a", "b")
+    assert extensions(g3, Semantics.COMPLETE) == sets("134")
+    assert extensions(ArgumentationFramework(["a"]), Semantics.COMPLETE) == sets("a")
+    assert extensions(mutual, Semantics.COMPLETE) == sets("", "a", "b")
 
 
 def test_stable_examples(g3, mutual, self_loop):
-    assert stable_sets(g3) == sets("134")
-    assert stable_sets(self_loop) == frozenset()
-    assert stable_sets(mutual) == sets("a", "b")
+    assert extensions(g3, Semantics.STABLE) == sets("134")
+    assert extensions(self_loop, Semantics.STABLE) == frozenset()
+    assert extensions(mutual, Semantics.STABLE) == sets("a", "b")
 
 
 def test_preferred_examples(g3, mutual, empty_af):
-    assert preferred_sets(g3) == sets("134")
-    assert preferred_sets(empty_af) == sets("")
-    assert preferred_sets(mutual) == sets("a", "b")
+    assert extensions(g3, Semantics.PREFERRED) == sets("134")
+    assert extensions(empty_af, Semantics.PREFERRED) == sets("")
+    assert extensions(mutual, Semantics.PREFERRED) == sets("a", "b")
 
 
 def test_grounded_examples(g3, mutual):
-    assert grounded_set(g3) == sets("134")
-    assert grounded_set(mutual) == sets("")
-    assert grounded_set(ArgumentationFramework(["a"])) == sets("a")
+    assert extensions(g3, Semantics.GROUNDED) == sets("134")
+    assert extensions(mutual, Semantics.GROUNDED) == sets("")
+    assert extensions(ArgumentationFramework(["a"]), Semantics.GROUNDED) == sets("a")
 
 
 def test_semi_stable_examples(g3, self_loop, empty_af):
-    assert semi_stable_sets(g3) == sets("134")
-    assert semi_stable_sets(self_loop) == sets("")
-    assert semi_stable_sets(empty_af) == sets("")
+    assert extensions(g3, Semantics.SEMI_STABLE) == sets("134")
+    assert extensions(self_loop, Semantics.SEMI_STABLE) == sets("")
+    assert extensions(empty_af, Semantics.SEMI_STABLE) == sets("")
 
 
 def test_extensions_dispatch(g3, empty_af):
-    assert extensions(g3, Semantics.ADMISSIBLE) == admissible_sets(g3)
+    assert extensions(g3, Semantics.ADMISSIBLE) == sets("", "4", "1", "14", "13", "134")
     assert extensions(empty_af, Semantics.CONFLICT_FREE) == sets("")
     assert extensions(g3, Semantics.STABLE) == sets("134")
     assert extensions(g3, "stb") == sets("134")
@@ -120,25 +113,25 @@ def test_all_semantics_match_oracle(af):
 @settings(deadline=None)
 @given(frameworks())
 def test_ordering_chain(af):
-    stb = stable_sets(af)
-    sst = semi_stable_sets(af)
-    prf = preferred_sets(af)
-    com = complete_sets(af)
-    adm = admissible_sets(af)
-    cf = conflict_free_sets(af)
+    stb = extensions(af, Semantics.STABLE)
+    sst = extensions(af, Semantics.SEMI_STABLE)
+    prf = extensions(af, Semantics.PREFERRED)
+    com = extensions(af, Semantics.COMPLETE)
+    adm = extensions(af, Semantics.ADMISSIBLE)
+    cf = extensions(af, Semantics.CONFLICT_FREE)
     assert stb <= sst <= prf <= com <= adm <= cf
-    assert grounded_set(af) <= com
+    assert extensions(af, Semantics.GROUNDED) <= com
 
 
 @given(frameworks())
 def test_empty_set_is_always_conflict_free_and_admissible(af):
-    assert frozenset() in conflict_free_sets(af)
-    assert frozenset() in admissible_sets(af)
+    assert frozenset() in extensions(af, Semantics.CONFLICT_FREE)
+    assert frozenset() in extensions(af, Semantics.ADMISSIBLE)
 
 
 @given(frameworks())
 def test_preferred_sets_are_pairwise_incomparable(af):
-    prf = preferred_sets(af)
+    prf = extensions(af, Semantics.PREFERRED)
     for one in prf:
         for two in prf:
             if one != two:
@@ -147,7 +140,7 @@ def test_preferred_sets_are_pairwise_incomparable(af):
 
 @given(frameworks())
 def test_grounded_is_unique(af):
-    assert len(grounded_set(af)) == 1
+    assert len(extensions(af, Semantics.GROUNDED)) == 1
 
 
 def test_maximality_filters_compare_only_with_the_extremal_sets():
@@ -157,15 +150,15 @@ def test_maximality_filters_compare_only_with_the_extremal_sets():
     af = ArgumentationFramework(names)
     everything = sets(names)
     assert len(_enumerate(af).adm) == 1 << 16
-    assert preferred_sets(af) == everything
-    assert semi_stable_sets(af) == everything
-    assert grounded_set(af) == everything
+    assert extensions(af, Semantics.PREFERRED) == everything
+    assert extensions(af, Semantics.SEMI_STABLE) == everything
+    assert extensions(af, Semantics.GROUNDED) == everything
 
 
 def test_size_limit():
     big = ArgumentationFramework([f"x{i}" for i in range(25)])
     with pytest.raises(SizeLimit):
-        conflict_free_sets(big)
+        extensions(big, Semantics.CONFLICT_FREE)
 
 
 def test_size_limit_follows_measured_memory():
@@ -189,6 +182,10 @@ def test_cf_and_adm_callers_derive_no_other_family():
     extension_masks(af, "cf")
     derived = {"com", "stb", "prf", "gde", "sst"} & set(vars(_enumerate(af)))
     assert not derived
+    # the grounded set is a fixpoint, not the least complete set
+    assert extension_masks(af, "gde") == (0,)
+    derived = {"com", "stb", "prf", "gde", "sst"} & set(vars(_enumerate(af)))
+    assert derived == {"gde"}
 
 
 def test_extension_difference_requires_same_arguments():

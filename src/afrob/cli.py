@@ -15,7 +15,7 @@ import argparse
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 from .apx import parse_apx
 from .errors import AfrobError, ParseError, SizeLimit, UndeclaredArgument
@@ -24,7 +24,13 @@ from .invariance import AttackClassification, _classify, _State
 from .labelling import labellings_for
 from .oracle import AuditReport, exhaustive_audit
 from .robustness import RobustnessResult, robustness_degree
-from .semantics import Semantics, extension_difference, extension_masks, extension_sort_key
+from .semantics import (
+    Semantics,
+    _mask_sort_key,
+    extension_difference,
+    extension_masks,
+    extension_sort_key,
+)
 
 SCHEMA = "afrob/1"
 
@@ -80,13 +86,53 @@ def _fmt_extensions(family) -> str:
     return ",".join(_fmt_set(ext) for ext in sorted(family, key=extension_sort_key)) or "-"
 
 
+class _Family(NamedTuple):
+    """An extension family to print: its masks in ``extension_sort_key``'s
+    order and the names of the mask bits.  :func:`_json` writes it as the
+    list of the sets' sorted name lists."""
+
+    masks: list[int]
+    names: tuple[str, ...]
+
+
+def _family(af: ArgumentationFramework, semantics: Semantics) -> _Family:
+    key = _mask_sort_key(len(af.sorted_arguments))
+    return _Family(sorted(extension_masks(af, semantics), key=key), af.sorted_arguments)
+
+
+def _set_items(
+    masks: list[int], names: Sequence[str], start: str, sep: str, end: str, empty: str
+) -> list[str]:
+    """Each set of ``masks`` (in ``extension_sort_key``'s order) written as
+    ``start``, its members' names joined by ``sep``, and ``end``; the empty
+    set as ``empty``.  That order puts every set after its prefix, the set
+    minus its highest member, so a set whose prefix is in the family is
+    written as the prefix's item without ``end``, plus one name."""
+    items: dict[int, str] = {}
+    cut = -len(end)
+    for m in masks:
+        if not m:
+            items[m] = empty
+            continue
+        top = m.bit_length() - 1
+        prefix = m ^ 1 << top
+        if not prefix:
+            items[m] = start + names[top] + end
+        elif prefix in items:
+            items[m] = items[prefix][:cut] + sep + names[top] + end
+        else:
+            items[m] = start + sep.join([names[i] for i in _bits(m)]) + end
+    return list(items.values())
+
+
 def _json(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for the values the
-    CLI prints: dicts with str keys, lists, str, int, bool and None.  Any
-    other type raises TypeError.  ``json.dumps`` runs its pure-Python
-    encoder whenever it indents; this writer leaves only the string escapes
-    (the C-accelerated ``ensure_ascii`` one) to ``json`` and writes a
-    string member without a call of its own."""
+    CLI prints: dicts with str keys, lists, str, int, bool and None, and a
+    :class:`_Family` as its list of name lists.  Any other type raises
+    TypeError.  ``json.dumps`` runs its pure-Python encoder whenever it
+    indents; this writer leaves only the string escapes (the C-accelerated
+    ``ensure_ascii`` one) to ``json`` and writes a string member without a
+    call of its own."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -104,6 +150,13 @@ def _json(value, indent: str = "\n") -> str:
             for k, v in value.items()
         ]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is _Family:
+        if not value.masks:
+            return "[]"
+        deeper = inner + "  "
+        names = [_quote(name) for name in value.names]
+        items = _set_items(value.masks, names, "[" + deeper, "," + deeper, inner + "]", "[]")
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
     if value is None:
         return "null"
     if value is True:
@@ -149,24 +202,12 @@ def _classification_text(classification: AttackClassification) -> list[str]:
     return lines
 
 
-def _extension_lists(af: ArgumentationFramework, semantics: Semantics) -> list[list[str]]:
-    """The extensions as sorted name lists, in ``extension_sort_key``'s
-    order, named straight from the masks."""
-    # each list is ascending because sorted_arguments is, so ordering the
-    # lists by (size, members) is ordering the sets by (size, sorted names)
-    names = af.sorted_arguments
-    found = [[names[i] for i in _bits(m)] for m in extension_masks(af, semantics)]
-    found.sort(key=lambda ext: (len(ext), ext))
-    return found
-
-
 def _cmd_extensions(args) -> int:
     af = _load(args.input)
     semantics = Semantics(args.semantics)
-    found = _extension_lists(af, semantics)
-    result = {"semantics": semantics.value, "extensions": found}
-    # a generator, so the text is only built when it is printed
-    text = ("{" + ",".join(ext) + "}" for ext in found)
+    family = _family(af, semantics)
+    result = {"semantics": semantics.value, "extensions": family}
+    text = _set_items(*family, "{", ",", "}", "{}") if args.format == "text" else ()
     return _emit(args, "extensions", result, text)
 
 

@@ -25,7 +25,14 @@ from typing import NamedTuple
 
 from .errors import ArgumentSetMismatch, UnsupportedSemantics
 from .framework import ArgumentationFramework, Attack, _attacks_in, _bits, _transpose, _with_attack
-from .semantics import ExtensionSet, Semantics, _conflict_free, _minimal, extension_masks
+from .semantics import (
+    ExtensionSet,
+    Semantics,
+    _conflict_free,
+    _mask_sort_key,
+    _minimal,
+    extension_masks,
+)
 
 
 class Verdict(str, Enum):
@@ -380,8 +387,8 @@ class _State:
             preferred = set(_minimal([s for s, _ in family], lambda s: full & ~s))
             family = [(s, out) for s, out in family if s in preferred]
         losses, gains = [], []
-        # extension_sort_key's order: by size, then by names
-        for s, out in sorted(family, key=lambda pair: (pair[0].bit_count(), tuple(_bits(pair[0])))):
+        key = _mask_sort_key(len(self.targets))
+        for s, out in sorted(family, key=lambda pair: key(pair[0])):
             for rule, row in _rule_rows(self, s, out, a):
                 if row >> b & 1:
                     (losses if rule in _DELETION_RULES else gains).append((s, rule))

@@ -9,15 +9,16 @@ visited.  Each set carries the union of its members' targets and the union
 of their attackers (read off the relation's bit rows), which makes the
 admissibility test one bit operation (the robustness search builds its
 root state with the same pass).  The pass yields one record per framework
-(cached on the framework) whose fields are the seven families.  The
-grounded set is the least fixpoint of Dung's characteristic function,
-iterated from the empty set; the complete, stable, preferred and
-semi-stable families are derived from the admissible ones.  Each is
-computed the first time it is read, so a caller asking only for cf or adm
-never pays for them.  Every family is an ascending tuple of masks, so two
-frameworks over one argument set have equal extension sets exactly when
-their tuples are equal, and masks are decoded into sets of names only for
-output.  Frameworks larger than the guardrail are rejected instead of
+(cached on the framework) whose fields are the families built on it: the
+complete, stable, preferred and semi-stable families are derived from the
+admissible ones, each the first time it is read, so a caller asking only
+for cf or adm never pays for them.  The grounded set reads no conflict-free
+set: it is the least fixpoint of Dung's characteristic function, iterated
+from the empty set in polynomial time, so no size limit applies to it.
+Every family is an ascending tuple of masks, so two frameworks over one
+argument set have equal extension sets exactly when their tuples are equal,
+and masks are decoded into sets of names only for output.  Frameworks
+larger than the guardrail are rejected by the conflict-free pass instead of
 silently hanging.
 """
 
@@ -57,15 +58,27 @@ def extension_sort_key(extension: frozenset[str]) -> tuple[int, tuple[str, ...]]
     return (len(extension), tuple(sorted(extension)))
 
 
+def _mask_sort_key(n: int) -> Callable[[int], int]:
+    """The key that orders masks over n arguments as :func:`extension_sort_key`
+    orders their sets: the size above n bits of the complemented reversed
+    mask.  Reversal puts the lowest member in the highest bit, so of two sets
+    of one size the one holding the lowest member they do not share has the
+    larger reversal, and comes first once it is complemented."""
+    full = (1 << n) - 1
+    width = f"0{n}b"
+    return lambda m: m.bit_count() << n | int(format(full ^ m, width)[::-1], 2)
+
+
 def _decode(af: ArgumentationFramework, masks: Iterable[int]) -> ExtensionSet:
     return frozenset(map(af._names, masks))
 
 
 @dataclass(frozen=True)
 class _Enumeration:
-    """Every extension family of ``af``, one field per :class:`Semantics`
-    value.  ``cf`` and ``adm`` come from :func:`_enumerate`'s pass; the
-    other families are computed on first read."""
+    """The extension families of ``af`` that the conflict-free pass builds,
+    one field per :class:`Semantics` value but ``gde``.  ``cf`` and ``adm``
+    come from :func:`_enumerate`'s pass; the other families are computed on
+    first read."""
 
     af: ArgumentationFramework
     full: int  # the mask of all arguments
@@ -95,20 +108,20 @@ class _Enumeration:
         return _minimal(self.adm, lambda m: self.full & ~m)
 
     @cached_property
-    def gde(self) -> tuple[int, ...]:
-        # the least fixpoint of Dung's characteristic function: from the
-        # empty set, take the arguments whose every attacker the set
-        # attacks, until the set stops changing
-        attackers = self.af.bit_rows[1]
-        grounded, previous = 0, -1
-        while grounded != previous:
-            previous, attacked = grounded, self.af.attacked_by(grounded)
-            grounded = sum(1 << a for a, row in enumerate(attackers) if not row & ~attacked)
-        return (grounded,)
-
-    @cached_property
     def sst(self) -> tuple[int, ...]:
         return _minimal(self.com, lambda m: self.full & ~(m | self.af.attacked_by(m)))
+
+
+def _grounded(af: ArgumentationFramework) -> tuple[int]:
+    """The grounded extension: the least fixpoint of Dung's characteristic
+    function.  From the empty set, take the arguments whose every attacker
+    the set attacks, until the set stops changing."""
+    attackers = af.bit_rows[1]
+    grounded, previous = 0, -1
+    while grounded != previous:
+        previous, attacked = grounded, af.attacked_by(grounded)
+        grounded = sum(1 << a for a, row in enumerate(attackers) if not row & ~attacked)
+    return (grounded,)
 
 
 def _conflict_free(
@@ -165,7 +178,10 @@ def extension_masks(af: ArgumentationFramework, semantics: Semantics) -> tuple[i
     """Extension set of ``af`` as an ascending tuple of bitmasks over
     ``af.sorted_arguments``.  Frameworks with one argument set share that
     order, so their extension sets are equal exactly when these tuples are."""
-    return getattr(_enumerate(af), Semantics(semantics).value)
+    semantics = Semantics(semantics)
+    if semantics is Semantics.GROUNDED:
+        return _grounded(af)
+    return getattr(_enumerate(af), semantics.value)
 
 
 def extensions(af: ArgumentationFramework, semantics: Semantics) -> ExtensionSet:

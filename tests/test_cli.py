@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import afrob
 from afrob import Semantics, extension_sort_key, extensions
-from afrob.cli import _extension_lists, _json, _parser, run_cli
+from afrob.apx import emit_apx
+from afrob.cli import _family, _Family, _json, _parser, _set_items, run_cli
 from afrob.oracle import canonical_names, framework_from_mask
 
 G3_APX = "arg(1).\narg(2).\narg(3).\narg(4).\natt(1,2).\natt(2,3).\n"
@@ -64,6 +65,22 @@ def test_extensions_from_stdin(capsys, monkeypatch):
     code, out, _ = run(capsys, "extensions", "--semantics", "gde", "--input", "-")
     assert code == 0
     assert out == "{a}\n"
+
+
+def test_grounded_has_no_argument_limit(capsys, tmp_path):
+    # the fixpoint reads no conflict-free set, so the 2^30 subsets of 30
+    # unattacked arguments are never built
+    path = tmp_path / "free.apx"
+    names = sorted(f"x{i}" for i in range(30))
+    path.write_text("".join(f"arg({name}).\n" for name in names))
+    base = ("--semantics", "gde", "--input", str(path), "--format", "json")
+    payload = run_json(capsys, "extensions", *base)
+    assert payload["result"]["extensions"] == [names]
+    payload = run_json(capsys, "labellings", *base)
+    assert payload["result"]["labellings"] == [{"in": names, "out": [], "undec": []}]
+    code, out, err = run(capsys, "equivalent", *base, "--other", str(path))
+    assert code == 0, err
+    assert json.loads(out)["result"]["equivalent"] is True
 
 
 def test_labellings(capsys, g3_file):
@@ -550,7 +567,47 @@ def test_extension_lists_follow_extension_sort_key():
     for af in frameworks:
         for semantics in Semantics:
             family = sorted(extensions(af, semantics), key=extension_sort_key)
-            assert _extension_lists(af, semantics) == [sorted(ext) for ext in family]
+            printed = _family(af, semantics)
+            assert [af._names(m) for m in printed.masks] == family
+            assert _set_items(*printed, "{", ",", "}", "{}") == [
+                "{" + ",".join(sorted(ext)) + "}" for ext in family
+            ]
+
+
+def _seeded_frameworks():
+    # n = 0..12 at three densities; canonical names from a10 on sort out of
+    # numeric order
+    rng = random.Random(21)
+    for n in range(13):
+        for density in (0.05, 0.15, 0.35):
+            mask = sum(1 << p for p in range(n * n) if rng.random() < density)
+            yield framework_from_mask(canonical_names(n), mask)
+
+
+def test_extensions_output_is_json_dumps_of_the_sorted_family(capsys, tmp_path):
+    # both formats, byte for byte, against the family decoded and sorted by
+    # extension_sort_key; the population holds empty families and families
+    # where a set's prefix (the set minus its highest member) is absent
+    path = tmp_path / "af.apx"
+    empty = prefix_absent = 0
+    for af in _seeded_frameworks():
+        path.write_text(emit_apx(af))
+        for semantics in Semantics:
+            family = [sorted(e) for e in sorted(extensions(af, semantics), key=extension_sort_key)]
+            masks = set(afrob.extension_masks(af, semantics))
+            prefixes = {m ^ 1 << m.bit_length() - 1 for m in masks if m & m - 1}
+            empty += not family
+            prefix_absent += not prefixes <= masks
+            base = ("extensions", "--semantics", semantics.value, "--input", str(path))
+            code, out, err = run(capsys, *base, "--format", "json")
+            assert code == 0, err
+            result = {"semantics": semantics.value, "extensions": family}
+            expected = {"schema": "afrob/1", "command": "extensions", "result": result}
+            assert out == json.dumps(expected, indent=2) + "\n"
+            code, out, err = run(capsys, *base)
+            assert code == 0, err
+            assert out == "".join("{" + ",".join(e) + "}\n" for e in family)
+    assert empty and prefix_absent
 
 
 def test_json_writer_matches_json_dumps_on_the_goldens():
@@ -572,6 +629,21 @@ _JSON_VALUES = st.recursive(
     lambda children: st.lists(children) | st.dictionaries(st.text() | _ESCAPED_TEXT, children),
     max_leaves=40,
 )
+
+
+def test_json_writer_writes_a_family_as_json_dumps_of_its_lists():
+    af = framework_from_mask(canonical_names(11), 0x1234567 << 40 | 0x89ABCDEF)
+    for semantics in Semantics:
+        family = _family(af, semantics)
+        lists = [sorted(af._names(m)) for m in family.masks]
+        for value, expected in (
+            (family, lists),
+            ({"extensions": family}, {"extensions": lists}),
+            ([{"a": [family]}], [{"a": [lists]}]),
+        ):
+            assert _json(value) == json.dumps(expected, indent=2)
+    assert _json(_Family([], ("a",))) == "[]"
+    assert _json({"x": _Family([0], ())}) == json.dumps({"x": [[]]}, indent=2)
 
 
 @given(_JSON_VALUES)

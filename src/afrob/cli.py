@@ -327,7 +327,15 @@ def _cmd_equivalent(args) -> int:
     return _emit(args, "equivalent", result, text)
 
 
+def _relations(report: AuditReport, write) -> dict[int, object]:
+    """``write`` of the attack list of each framework with a disagreement,
+    by the framework's id: decoded once, shared by its disagreements."""
+    frameworks = {id(d.framework): d.framework for d in report.discrepancies}
+    return {k: write(_attacks_in(f.sorted_arguments, f.target_rows)) for k, f in frameworks.items()}
+
+
 def _audit_json(report: AuditReport) -> dict:
+    relations = _relations(report, lambda r: [{"source": a.source, "target": a.target} for a in r])
     return {
         "semantics": report.semantics.value,
         "arguments": report.argument_count,
@@ -339,10 +347,7 @@ def _audit_json(report: AuditReport) -> dict:
         "by_rule": report.by_rule(),
         "discrepancies": [
             {
-                "attacks": [
-                    {"source": a.source, "target": a.target}
-                    for a in _attacks_in(d.framework.sorted_arguments, d.framework.target_rows)
-                ],
+                "attacks": relations[id(d.framework)],
                 "attack": {"source": d.attack.source, "target": d.attack.target},
                 "predicate_verdict": d.predicate_verdict.value,
                 "oracle_invariant": d.oracle_verdict,
@@ -366,13 +371,11 @@ def format_audit_text(report: AuditReport) -> list[str]:
     ]
     for rule, count in report.by_rule().items():
         lines.append(f"by rule: {rule}={count}")
+    relations = _relations(report, lambda r: ",".join(f"({a.source},{a.target})" for a in r))
     for d in report.discrepancies:
-        attacks = ",".join(
-            f"({a.source},{a.target})"
-            for a in _attacks_in(d.framework.sorted_arguments, d.framework.target_rows)
-        )
+        relation = relations[id(d.framework)]
         lines.append(
-            f"disagreement: R={{{attacks}}} add=({d.attack.source},{d.attack.target})"
+            f"disagreement: R={{{relation}}} add=({d.attack.source},{d.attack.target})"
             f" predicate={d.predicate_verdict.value}"
             f" oracle={'invariant' if d.oracle_verdict else 'changed'}"
             f" lost={_fmt_extensions(d.lost)} gained={_fmt_extensions(d.gained)}"
@@ -387,8 +390,9 @@ def _cmd_audit(args) -> int:
         seed=args.seed,
         samples=args.samples,
     )
-    text = format_audit_text(report) if args.format == "text" else ()
-    return _emit(args, "audit", _audit_json(report), text)
+    if args.format == "text":
+        return _emit(args, "audit", {}, format_audit_text(report))
+    return _emit(args, "audit", _audit_json(report), ())
 
 
 @cache

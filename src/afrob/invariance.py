@@ -111,22 +111,25 @@ def _self_defense_row(odd: tuple[int, ...], reverse_odd: tuple[int, ...], a: int
     return blocking or reverse_odd[a]
 
 
-def _in_source_gains(targets: tuple[int, ...], s: int, out: int) -> tuple[int, int]:
-    """The rows of NI-in-out-reinstates and NI-in-undec-defends-undec on the
-    labelling of the admissible set ``s`` with targets ``out``, the same for
-    every source in ``s``."""
-    undec = ((1 << len(targets)) - 1) & ~(s | out)
-    acceptable = sum(1 << c for c in _bits(undec) if not targets[c] >> c & 1)
-    return _having(targets, out, s), _having(targets, undec, acceptable)
+def _defending_undec(targets: tuple[int, ...], attackers: tuple[int, ...], undec: int) -> int:
+    """The row of NI-in-undec-defends-undec on a labelling with UNDEC =
+    ``undec``: the undec b that attack an undec non-self-attacker."""
+    row = 0
+    for c in _bits(undec):
+        if not targets[c] >> c & 1:
+            row |= attackers[c]
+    return row & undec
 
 
-def _rule_rows(state: "_State", s: int, out: int, a: int) -> tuple[tuple[Rule, int], ...]:
+def _rule_rows(
+    state: "_State", s: int, out: int, threat: int, a: int
+) -> tuple[tuple[Rule, int], ...]:
     """The rules that can fire on the labelling of the admissible set ``s``
     of ``state``'s relation for source a, each with its row: the targets b
     it fires on.
 
-    ``out`` is the set of the targets of ``s``.  With IN = s, OUT = out and
-    UNDEC the rest, for attack (a, b):
+    ``out`` and ``threat`` are the targets and the attackers of ``s``.
+    With IN = s, OUT = out and UNDEC the rest, for attack (a, b):
 
     * ND-in-in: a and b are both in.
     * ND-out-in-undefended: a is out, b is in, b does not already attack a,
@@ -135,7 +138,8 @@ def _rule_rows(state: "_State", s: int, out: int, a: int) -> tuple[tuple[Rule, i
     * NI-in-in-defends: a and b are in and some out-argument c is attacked
       by b but not by a.
     * NI-in-out-reinstates: a is in, b is out, and b attacks some
-      in-argument.
+      in-argument.  An admissible set attacks each of its attackers, so
+      every attacker is out and the row is ``threat``.
     * NI-in-undec-defends-undec: a is in, b is undec, and b attacks some
       non-self-attacking undec argument.
     * NI-out-self-defense: a is out and b meets the walk conditions of
@@ -144,21 +148,21 @@ def _rule_rows(state: "_State", s: int, out: int, a: int) -> tuple[tuple[Rule, i
     The ND rules are exact: an admissible S is lost exactly when b is in S
     and S does not attack a, that is when a is in S (ND-in-in) or undec
     (ND-undec-in), and ND-out-in-undefended fires only for an unattacked b,
-    whose {b} is lost; so their rows over all admissible sets make up
-    :attr:`_State.loss`.  The NI rules are not exact: a gain can occur with
-    no rule firing, and a rule can fire when nothing is gained.
+    whose {b} is lost; so their rows over all admissible sets make up the
+    loss of :attr:`_State.adm_rows`.  The NI rules are not exact: a gain can
+    occur with no rule firing, and a rule can fire when nothing is gained.
     :mod:`afrob.oracle` audits them against Dung's delta.  a's label selects
     the rules, so at most one ND and one NI rule fire per labelling and
     candidate.
     """
     targets, attackers = state.targets, state.attackers
     if s >> a & 1:
-        reinstating, defending_undec = _in_source_gains(targets, s, out)
+        undec = ((1 << len(targets)) - 1) & ~(s | out)
         return (
             (Rule.ND_IN_IN, s),
             (Rule.NI_IN_IN_DEFENDS, _having(targets, s, out & ~targets[a])),
-            (Rule.NI_IN_OUT_REINSTATES, reinstating),
-            (Rule.NI_IN_UNDEC_DEFENDS_UNDEC, defending_undec),
+            (Rule.NI_IN_OUT_REINSTATES, threat),
+            (Rule.NI_IN_UNDEC_DEFENDS_UNDEC, _defending_undec(targets, attackers, undec)),
         )
     if out >> a & 1:
         odd, _, reverse_odd, _ = state.reach
@@ -247,15 +251,18 @@ class _State:
       (:func:`_odd_closure`), then those of its reverse (their transposes).
     * ``cf``: per conflict-free set, ascending, the set, its targets and
       its attackers.
-    * ``adm``: per admissible set, the set and its targets.
-    * ``loss``: per argument a, the union of the admissible sets that do
-      not attack a: the targets b for which adding (a, b) loses one
-      (:meth:`changed_rows`), which are those the ND rules fire on.
+    * ``adm``: per admissible set, its conflict-free triple, whose
+      attackers are among its targets.
+    * ``adm_rows``, from one pass over ``adm``: per argument a, the loss,
+      the union of the admissible sets that do not attack a (the targets b
+      for which adding (a, b) loses one, those the ND rules fire on), and
+      the rows of the in-source NI rules for source a; and the union of the
+      sets' targets, the sources NI-out-self-defense can fire for.
     * ``kept``: per argument a, the targets b for which adding (a, b) keeps
       every conflict-free set (:func:`_conflict_kept`).
     """
 
-    __slots__ = ("targets", "attackers", "parent", "step", "_reach", "_cf", "_adm", "_loss", "_kept")
+    __slots__ = ("targets", "attackers", "parent", "step", "_reach", "_cf", "_adm", "_rows", "_kept")
 
     def __init__(
         self,
@@ -268,7 +275,7 @@ class _State:
         self.attackers = attackers
         self.parent = parent
         self.step = step
-        self._reach = self._cf = self._adm = self._loss = self._kept = None
+        self._reach = self._cf = self._adm = self._rows = self._kept = None
 
     def child(self, a: int, b: int) -> "_State":
         """The state with the attack (a, b) added."""
@@ -312,21 +319,26 @@ class _State:
         return self._cf
 
     @property
-    def adm(self) -> list[tuple[int, int]]:
+    def adm(self) -> list[tuple[int, int, int]]:
         if self._adm is None:
-            self._adm = [(m, h) for m, h, t in self.cf if not t & ~h]
+            self._adm = [triple for triple in self.cf if not triple[2] & ~triple[1]]
         return self._adm
 
     @property
-    def loss(self) -> list[int]:
-        if self._loss is None:
-            full = (1 << len(self.targets)) - 1
-            self._loss = [0] * len(self.targets)
-            for s, out in self.adm:
+    def adm_rows(self) -> tuple[list[int], list[int], int]:
+        if self._rows is None:
+            targets, full = self.targets, (1 << len(self.targets)) - 1
+            loss, gains, outs = [0] * len(targets), [0] * len(targets), 0
+            for s, out, threat in self.adm:
                 if s:
+                    outs |= out
+                    row = threat | _defending_undec(targets, self.attackers, full & ~(s | out))
+                    for a in _bits(s):
+                        gains[a] |= row
                     for a in _bits(full & ~out):
-                        self._loss[a] |= s
-        return self._loss
+                        loss[a] |= s
+            self._rows = loss, gains, outs
+        return self._rows
 
     @property
     def kept(self) -> list[int]:
@@ -339,10 +351,10 @@ class _State:
         invariant: exactly those :meth:`witnesses` finds no rule for.
 
         For cf this is the closed form of :func:`_conflict_kept`.  For adm
-        the ND rows are :attr:`loss`; NI-in-in-defends fires only inside
-        it, the other in-source NI rows hold for every source in a set, and
+        the ND rows are the loss; NI-in-in-defends fires only inside it, the
+        other in-source NI rows hold for every source in a set, and
         NI-out-self-defense reads its source only through "out in some
-        admissible set".
+        admissible set": all three come from :attr:`adm_rows`.
         """
         targets = self.targets
         if semantics is Semantics.CONFLICT_FREE:
@@ -351,15 +363,9 @@ class _State:
             raise UnsupportedSemantics(
                 f"attack classification supports cf and adm, not {semantics.value}"
             )
+        loss, gains, outs = self.adm_rows
         # existing attacks are no candidates
-        fired = [t | lost for t, lost in zip(targets, self.loss)]
-        outs = 0
-        for s, out in self.adm:
-            outs |= out
-            if s:
-                reinstating, defending_undec = _in_source_gains(targets, s, out)
-                for a in _bits(s):
-                    fired[a] |= reinstating | defending_undec
+        fired = [t | lost | gained for t, lost, gained in zip(targets, loss, gains)]
         if outs:
             odd, _, reverse_odd, _ = self.reach
             for a in _bits(outs):
@@ -384,12 +390,12 @@ class _State:
         if preferred_only:
             # a set is maximal exactly when its complement is minimal
             full = (1 << len(self.targets)) - 1
-            preferred = set(_minimal([s for s, _ in family], lambda s: full & ~s))
-            family = [(s, out) for s, out in family if s in preferred]
+            preferred = set(_minimal([s for s, _, _ in family], lambda s: full & ~s))
+            family = [triple for triple in family if triple[0] in preferred]
         losses, gains = [], []
         key = _mask_sort_key(len(self.targets))
-        for s, out in sorted(family, key=lambda pair: key(pair[0])):
-            for rule, row in _rule_rows(self, s, out, a):
+        for s, out, threat in sorted(family, key=lambda triple: key(triple[0])):
+            for rule, row in _rule_rows(self, s, out, threat, a):
                 if row >> b & 1:
                     (losses if rule in _DELETION_RULES else gains).append((s, rule))
         return losses + gains
@@ -422,7 +428,7 @@ class _State:
             return [full & ~k for k in self.kept]
         if semantics is not Semantics.ADMISSIBLE:
             raise UnsupportedSemantics(f"the delta covers cf and adm, not {semantics.value}")
-        changed = list(self.loss)
+        changed = list(self.adm_rows[0])  # the loss, shared with invariant_rows
         for s, attacked, attacking in self.cf:
             unanswered = attacking & ~attacked
             if unanswered and not unanswered & (unanswered - 1):
@@ -438,7 +444,7 @@ class _State:
         if semantics is Semantics.CONFLICT_FREE:
             both = bit_a | bit_b
             return [s for s, _, _ in self.cf if s & both == both], []
-        lost = [s for s, attacked in self.adm if s & bit_b and not attacked & bit_a]
+        lost = [s for s, attacked, _ in self.adm if s & bit_b and not attacked & bit_a]
         gained = [s for s, hit, threat in self.cf if s & bit_a and threat & ~hit == bit_b]
         return lost, gained
 

@@ -28,9 +28,9 @@ from .invariance import _State, sigma_equivalent
 from .semantics import Semantics
 
 # An adm search exploring more states than this raises SizeLimit.  On five
-# arguments they explore 22,000-28,000 states per second (2 vCPUs, Python
-# 3.11), so one stops after 7-9 s at a peak RSS of 86 MB; on six 3,000-8,000,
-# on nine 300-1,500, as a state's cost grows with its conflict-free sets.
+# arguments they explore 38,000-53,000 states per second (2 vCPUs, Python
+# 3.11), so one stops after 4-5 s at a peak RSS of 87 MB; on six 13,000-22,000,
+# on nine 2,400-9,000, as a state's cost grows with its admissible sets.
 MAX_SEARCH_STATES = 200_000
 
 

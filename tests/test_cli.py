@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import afrob
-from afrob import Semantics, extension_sort_key, extensions
+from afrob import Semantics, exhaustive_audit, extension_sort_key, extensions
 from afrob.apx import emit_apx
 from afrob.cli import _family, _Family, _json, _parser, _set_items, run_cli
 from afrob.oracle import canonical_names, framework_from_mask
@@ -291,6 +291,37 @@ def test_audit_json_builds_no_text(capsys, monkeypatch):
         capsys, "audit", "--args", "2", "--semantics", "adm", "--format", "json"
     )
     assert payload["result"]["disagreements"] == 4
+
+
+def test_audit_decodes_each_framework_once(capsys, monkeypatch):
+    # the disagreements of one framework share its attack list, in JSON and
+    # in text (which builds no JSON result), and each still prints the
+    # whole relation in canonical order
+    report = exhaustive_audit(3, Semantics.ADMISSIBLE)
+    relations = [sorted(d.framework.attacks) for d in report.discrepancies]
+    distinct = {id(d.framework) for d in report.discrepancies}
+    assert len(relations) > len(distinct) > 1
+    decoded = []
+    attacks_in = afrob.cli._attacks_in
+
+    def counting(order, rows):
+        decoded.append(order)
+        return attacks_in(order, rows)
+
+    monkeypatch.setattr(afrob.cli, "_attacks_in", counting)
+    payload = run_json(capsys, "audit", "--args", "3", "--semantics", "adm", "--format", "json")
+    assert len(decoded) == len(distinct)
+    assert [d["attacks"] for d in payload["result"]["discrepancies"]] == [
+        [{"source": s, "target": t} for s, t in relation] for relation in relations
+    ]
+    decoded.clear()
+    code, out, _ = run(capsys, "audit", "--args", "3", "--semantics", "adm")
+    assert code == 0 and len(decoded) == len(distinct)
+    lines = [line for line in out.splitlines() if line.startswith("disagreement: ")]
+    assert [line.split(" add=")[0] for line in lines] == [
+        "disagreement: R={" + ",".join(f"({s},{t})" for s, t in relation) + "}"
+        for relation in relations
+    ]
 
 
 def test_audit_text_reports_disagreements(capsys):

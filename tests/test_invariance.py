@@ -19,7 +19,7 @@ from afrob import (
     sigma_equivalent,
 )
 from afrob.framework import Attack
-from afrob.invariance import candidate_attacks
+from afrob.invariance import _State, candidate_attacks
 from afrob.oracle import canonical_names, framework_from_mask
 from conftest import frameworks
 
@@ -294,3 +294,58 @@ def test_every_expansion_is_weakly_non_increasing_for_cf(af):
     for attack in candidate_attacks(af):
         after = extensions(af.add_attack(*attack), Semantics.CONFLICT_FREE)
         assert extension_set_included(after, before)
+
+
+# --- the adm rows of one state ------------------------------------------------
+
+
+def _adm_row_population():
+    # every relation on up to three arguments, and seeded sparse relations
+    # on seven and eight arguments (the greedy robustness sizes), each root
+    # followed by a chain of three derived states
+    rng = random.Random(23)
+    roots = [framework_from_mask(canonical_names(n), m) for n in (1, 2, 3) for m in range(1 << n * n)]
+    for n in (7, 8):
+        names = canonical_names(n)
+        for k in range(20):
+            pairs = rng.sample([(a, b) for a in names for b in names], (k % 3 + 1) * n // 2 + 1)
+            roots.append(ArgumentationFramework(names, pairs))
+    for af in roots:
+        state = _State(*af.bit_rows)
+        yield af, state
+        for _ in range(3):
+            candidates = candidate_attacks(af)
+            if not candidates:
+                break
+            attack = rng.choice(candidates)
+            af = af.add_attack(*attack)
+            state = state.child(af._index(attack.source), af._index(attack.target))
+            yield af, state
+
+
+def test_adm_rows_of_a_state_match_the_definitional_references():
+    # the all-candidates rows the robustness search reads, root and derived
+    # alike: the invariant rows against the name-level rule scan, the loss
+    # against Dung's, recomputed from the admissible sets, and the changed
+    # rows against recomputation of both families
+    derived = 0
+    for af, state in _adm_row_population():
+        derived += state.parent is not None
+        args, names = af.arguments, af.sorted_arguments
+        attacks = {tuple(attack) for attack in af.attacks}
+        family = oracles.admissible(args, attacks)
+        invariant = state.invariant_rows(Semantics.ADMISSIBLE)
+        changed = state.changed_rows(Semantics.ADMISSIBLE)
+        for a, source in enumerate(names):
+            loss = set().union(
+                *(s for s in family if not any((x, source) in attacks for x in s))
+            )
+            assert af._names(state.adm_rows[0][a]) == loss, (af, source)
+            for b, target in enumerate(names):
+                verdict, _ = oracles.rule_scan(args, attacks, family, (source, target))
+                assert bool(invariant[a] >> b & 1) == (
+                    verdict == "invariant" and (source, target) not in attacks
+                ), (af, source, target)
+                expected = not oracle_invariant(af, (source, target), Semantics.ADMISSIBLE)
+                assert bool(changed[a] >> b & 1) == expected, (af, source, target)
+    assert derived > 1000

@@ -202,6 +202,24 @@ def test_exhaustive_search_builds_each_state_once(monkeypatch, g3):
     assert built == []
 
 
+def test_paranoid_search_passes_over_the_admissible_sets_once_per_state(monkeypatch, g3):
+    # the rule rows and Dung's delta share one pass over a state's
+    # admissible sets, so a paranoid search reads each state's sets once
+    reads = []
+    adm = _State.adm.fget
+
+    def counting_adm(state):
+        reads.append(state.targets)
+        return adm(state)
+
+    monkeypatch.setattr(_State, "adm", property(counting_adm))
+    for af in [_chain(), g3] + _random_frameworks(20, seed=31):
+        for strategy in ("greedy", "exhaustive"):
+            reads.clear()
+            result = robustness_degree(af, Semantics.ADMISSIBLE, strategy=strategy, paranoid=True)
+            assert len(reads) == len(set(reads)) == result.explored_states, (af, strategy)
+
+
 def test_exhaustive_search_builds_no_framework_through_init(monkeypatch, g3):
     # every state after the root comes from add_attack, which shares the
     # root's validated argument order instead of constructing a framework
@@ -335,7 +353,8 @@ def _states_agree(derived, built):
     assert derived.targets == built.targets
     assert derived.attackers == built.attackers
     assert derived.cf == built.cf  # with each set's targets and attackers
-    assert derived.adm == built.adm
+    assert derived.adm == built.adm  # with each set's targets and attackers
+    assert derived.adm_rows == built.adm_rows
     assert derived.reach == built.reach
 
 
@@ -350,7 +369,7 @@ def test_derived_states_equal_a_rebuild():
         root = _State(*af.bit_rows)
         enum = _enumerate(af)
         assert [m for m, _, _ in root.cf] == list(enum.cf)
-        assert [m for m, _ in root.adm] == list(enum.adm)
+        assert [m for m, _, _ in root.adm] == list(enum.adm)
         for attack in candidate_attacks(af):
             a, b = af._index(attack.source), af._index(attack.target)
             built = _State(*af.add_attack(*attack).bit_rows)

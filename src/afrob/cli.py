@@ -15,7 +15,7 @@ import argparse
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .apx import parse_apx
 from .errors import AfrobError, ParseError, SizeLimit, UndeclaredArgument
@@ -327,7 +327,7 @@ def _cmd_equivalent(args) -> int:
     return _emit(args, "equivalent", result, text)
 
 
-def _relations(report: AuditReport, write) -> dict[int, object]:
+def _relations(report: AuditReport, write: Callable[[list], object]) -> dict[int, object]:
     """``write`` of the attack list of each framework with a disagreement,
     by the framework's id: decoded once, shared by its disagreements."""
     frameworks = {id(d.framework): d.framework for d in report.discrepancies}

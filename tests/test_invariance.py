@@ -304,7 +304,9 @@ def _adm_row_population():
     # on seven and eight arguments (the greedy robustness sizes), each root
     # followed by a chain of three derived states
     rng = random.Random(23)
-    roots = [framework_from_mask(canonical_names(n), m) for n in (1, 2, 3) for m in range(1 << n * n)]
+    roots = [
+        framework_from_mask(canonical_names(n), m) for n in (1, 2, 3) for m in range(1 << n * n)
+    ]
     for n in (7, 8):
         names = canonical_names(n)
         for k in range(20):

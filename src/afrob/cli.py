@@ -24,13 +24,7 @@ from .invariance import AttackClassification, _classify, _State
 from .labelling import labellings_for
 from .oracle import AuditReport, exhaustive_audit
 from .robustness import RobustnessResult, robustness_degree
-from .semantics import (
-    Semantics,
-    _mask_sort_key,
-    extension_difference,
-    extension_masks,
-    extension_sort_key,
-)
+from .semantics import Semantics, extension_difference, extension_masks, extension_sort_key
 
 SCHEMA = "afrob/1"
 
@@ -87,23 +81,23 @@ def _fmt_extensions(family) -> str:
 
 
 class _Family(NamedTuple):
-    """An extension family to print: its masks in ``extension_sort_key``'s
-    order and the names of the mask bits.  :func:`_json` writes it as the
-    list of the sets' sorted name lists."""
+    """An extension family to print: its masks in canonical (size, then
+    names) order, as enumerated, and the names of the mask bits.
+    :func:`_json` writes it as the list of the sets' sorted name lists."""
 
-    masks: list[int]
+    masks: Sequence[int]
     names: tuple[str, ...]
 
 
-def _family(af: ArgumentationFramework, semantics: Semantics) -> _Family:
-    key = _mask_sort_key(len(af.sorted_arguments))
-    return _Family(sorted(extension_masks(af, semantics), key=key), af.sorted_arguments)
+class _Attacks(tuple):
+    """Attacks to print.  :func:`_json` writes them as the list of their
+    ``{"source", "target"}`` dicts, in one call."""
 
 
 def _set_items(
-    masks: list[int], names: Sequence[str], start: str, sep: str, end: str, empty: str
+    masks: Sequence[int], names: Sequence[str], start: str, sep: str, end: str, empty: str
 ) -> list[str]:
-    """Each set of ``masks`` (in ``extension_sort_key``'s order) written as
+    """Each set of ``masks`` (in canonical order) written as
     ``start``, its members' names joined by ``sep``, and ``end``; the empty
     set as ``empty``.  That order puts every set after its prefix, the set
     minus its highest member, so a set whose prefix is in the family is
@@ -127,8 +121,9 @@ def _set_items(
 
 def _json(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for the values the
-    CLI prints: dicts with str keys, lists, str, int, bool and None, and a
-    :class:`_Family` as its list of name lists.  Any other type raises
+    CLI prints: dicts with str keys, lists, str, int, bool and None, a
+    :class:`_Family` as its list of name lists and an :class:`_Attacks` as
+    its list of dicts.  Any other type raises
     TypeError.  ``json.dumps`` runs its pure-Python encoder whenever it
     indents; this writer leaves only the string escapes (the C-accelerated
     ``ensure_ascii`` one) to ``json`` and writes a string member without a
@@ -156,6 +151,13 @@ def _json(value, indent: str = "\n") -> str:
         deeper = inner + "  "
         names = [_quote(name) for name in value.names]
         items = _set_items(value.masks, names, "[" + deeper, "," + deeper, inner + "]", "[]")
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is _Attacks:
+        if not value:
+            return "[]"
+        deeper = inner + "  "
+        head, middle, tail = "{" + deeper + '"source": ', "," + deeper + '"target": ', inner + "}"
+        items = [head + _quote(source) + middle + _quote(target) + tail for source, target in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if value is None:
         return "null"
@@ -205,7 +207,7 @@ def _classification_text(classification: AttackClassification) -> list[str]:
 def _cmd_extensions(args) -> int:
     af = _load(args.input)
     semantics = Semantics(args.semantics)
-    family = _family(af, semantics)
+    family = _Family(extension_masks(af, semantics), af.sorted_arguments)
     result = {"semantics": semantics.value, "extensions": family}
     text = _set_items(*family, "{", ",", "}", "{}") if args.format == "text" else ()
     return _emit(args, "extensions", result, text)
@@ -239,17 +241,21 @@ def _cmd_check_attack(args) -> int:
     result = _classification_json(classification)
     text = _classification_text(classification)
     if args.oracle:
-        a, b = af._index(args.source), af._index(args.target)
-        lost, gained = (frozenset(map(af._names, m)) for m in state.changes(a, b, semantics))
+        # both in canonical order, as enumerated
+        lost, gained = state.changes(af._index(args.source), af._index(args.target), semantics)
         invariant = not lost and not gained
+        names = af.sorted_arguments
         result["oracle"] = {
             "invariant": invariant,
-            "lost": _sorted_extensions(lost),
-            "gained": _sorted_extensions(gained),
+            "lost": _Family(lost, names),
+            "gained": _Family(gained, names),
         }
+        lost_text, gained_text = (
+            ",".join(_set_items(m, names, "{", ",", "}", "{}")) or "-" for m in (lost, gained)
+        )
         text.append(
             f"oracle: {'invariant' if invariant else 'changed'}"
-            f" lost={_fmt_extensions(lost)} gained={_fmt_extensions(gained)}"
+            f" lost={lost_text} gained={gained_text}"
         )
     return _emit(args, "check-attack", result, text)
 
@@ -259,20 +265,14 @@ def _cmd_invariant_attacks(args) -> int:
     semantics = Semantics(args.semantics)
     state = _State(*af.bit_rows)
     rows = state.invariant_rows(semantics)
-    found = _attacks_in(af.sorted_arguments, rows)
-    result = {
-        "semantics": semantics.value,
-        "attacks": [{"source": a.source, "target": a.target} for a in found],
-    }
+    found = _Attacks(_attacks_in(af.sorted_arguments, rows))
+    result = {"semantics": semantics.value, "attacks": found}
     text = [f"{a.source} -> {a.target}" for a in found]
     if args.oracle:
         # the candidates the rules call invariant that Dung's delta changes
         changed = state.changed_rows(semantics)
         wrong = [row & changed_row for row, changed_row in zip(rows, changed)]
-        disagreements = [
-            {"source": a.source, "target": a.target}
-            for a in _attacks_in(af.sorted_arguments, wrong)
-        ]
+        disagreements = _Attacks(_attacks_in(af.sorted_arguments, wrong))
         result["oracle_disagreements"] = disagreements
         text.append(f"oracle disagreements: {len(disagreements)}")
     return _emit(args, "invariant-attacks", result, text)
@@ -291,7 +291,7 @@ def _cmd_robustness(args) -> int:
     result = {
         "semantics": semantics.value,
         "degree": result_obj.degree,
-        "witness": [{"source": a.source, "target": a.target} for a in result_obj.witness],
+        "witness": _Attacks(result_obj.witness),
         "explored_states": result_obj.explored_states,
         "strategy": result_obj.strategy,
         "truncated": result_obj.truncated,
@@ -335,7 +335,7 @@ def _relations(report: AuditReport, write: Callable[[list], object]) -> dict[int
 
 
 def _audit_json(report: AuditReport) -> dict:
-    relations = _relations(report, lambda r: [{"source": a.source, "target": a.target} for a in r])
+    relations = _relations(report, _Attacks)
     return {
         "semantics": report.semantics.value,
         "arguments": report.argument_count,

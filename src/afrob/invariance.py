@@ -29,7 +29,6 @@ from .semantics import (
     ExtensionSet,
     Semantics,
     _conflict_free,
-    _mask_sort_key,
     _minimal,
     extension_masks,
 )
@@ -86,8 +85,9 @@ def sigma_equivalent(
 ) -> bool:
     """True when both frameworks have identical extension sets.
 
-    The shared argument set gives both one argument order, so their
-    ascending mask families are compared directly.
+    The shared argument set gives both one argument order, so their mask
+    families, in canonical (size, then names) order as enumerated, are
+    compared directly.
     """
     if af.sorted_arguments != other.sorted_arguments:
         raise ArgumentSetMismatch("the two frameworks do not share an argument set")
@@ -249,10 +249,11 @@ class _State:
     * ``targets`` and ``attackers``: the relation's bit rows.
     * ``reach``: the odd and even reach tables of the relation
       (:func:`_odd_closure`), then those of its reverse (their transposes).
-    * ``cf``: per conflict-free set, ascending, the set, its targets and
-      its attackers.
-    * ``adm``: per admissible set, its conflict-free triple, whose
-      attackers are among its targets.
+    * ``cf``: per conflict-free set, in canonical (size, then names) order
+      as enumerated, the set, its targets and its attackers.  A derived
+      state filters its parent's list, so it keeps that order.
+    * ``adm``: per admissible set, in the same order, its conflict-free
+      triple, whose attackers are among its targets.
     * ``adm_rows``, from one pass over ``adm``: per argument a, the loss,
       the union of the admissible sets that do not attack a (the targets b
       for which adding (a, b) loses one, those the ND rules fire on), and
@@ -393,8 +394,7 @@ class _State:
             preferred = set(_minimal([s for s, _, _ in family], lambda s: full & ~s))
             family = [triple for triple in family if triple[0] in preferred]
         losses, gains = [], []
-        key = _mask_sort_key(len(self.targets))
-        for s, out, threat in sorted(family, key=lambda triple: key(triple[0])):
+        for s, out, threat in family:
             for rule, row in _rule_rows(self, s, out, threat, a):
                 if row >> b & 1:
                     (losses if rule in _DELETION_RULES else gains).append((s, rule))

@@ -81,8 +81,8 @@ def oracle_invariant(
 ) -> bool:
     """Ground truth: does adding the attack leave the extension set equal?
 
-    Both frameworks share one argument order, so their ascending mask
-    families are compared directly, without decoding them into sets.
+    Both frameworks share one argument order, so their canonically ordered
+    mask families are compared directly, without decoding them into sets.
     """
     expanded = af.add_attack(*attack)
     return extension_masks(af, semantics) == extension_masks(expanded, semantics)

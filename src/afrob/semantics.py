@@ -2,23 +2,25 @@
 
 Extensions are bitmasks over the canonical argument order: bit i stands for
 the i-th argument of ``af.sorted_arguments``.  One pass builds the
-conflict-free sets: a set grows by one argument above its highest member,
-and only when that argument attacks no member and is attacked by none, so
-each conflict-free set is reached exactly once and no other subset is
-visited.  Each set carries the union of its members' targets and the union
-of their attackers (read off the relation's bit rows), which makes the
-admissibility test one bit operation (the robustness search builds its
-root state with the same pass).  The pass yields one record per framework
+conflict-free sets, smallest first: a set grows by one argument above its
+highest member, and only when that argument attacks no member and is
+attacked by none, so each conflict-free set is reached exactly once and no
+other subset is visited.  Each set carries the union of its members' targets
+and the union of their attackers (read off the relation's bit rows), which
+makes the admissibility test one bit operation (the robustness search builds
+its root state with the same pass).  The pass yields one record per framework
 (cached on the framework) whose fields are the families built on it: the
 complete, stable, preferred and semi-stable families are derived from the
 admissible ones, each the first time it is read, so a caller asking only
 for cf or adm never pays for them.  The grounded set reads no conflict-free
 set: it is the least fixpoint of Dung's characteristic function, iterated
 from the empty set in polynomial time, so no size limit applies to it.
-Every family is an ascending tuple of masks, so two frameworks over one
-argument set have equal extension sets exactly when their tuples are equal,
-and masks are decoded into sets of names only for output.  Frameworks
-larger than the guardrail are rejected by the conflict-free pass instead of
+Every family is a tuple of masks in canonical (size, then names) order, as
+enumerated: the order of :func:`extension_sort_key`, which every filter
+keeps.  It is a total order on masks, so two frameworks over one argument
+set have equal extension sets exactly when their tuples are equal, and
+masks are decoded into sets of names only for output.  Frameworks larger
+than the guardrail are rejected by the conflict-free pass instead of
 silently hanging.
 """
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import ArgumentSetMismatch, SizeLimit
 from .framework import ArgumentationFramework, _bits
@@ -56,17 +58,6 @@ class Semantics(str, Enum):
 def extension_sort_key(extension: frozenset[str]) -> tuple[int, tuple[str, ...]]:
     """Canonical ordering for extensions: by size, then lexicographically."""
     return (len(extension), tuple(sorted(extension)))
-
-
-def _mask_sort_key(n: int) -> Callable[[int], int]:
-    """The key that orders masks over n arguments as :func:`extension_sort_key`
-    orders their sets: the size above n bits of the complemented reversed
-    mask.  Reversal puts the lowest member in the highest bit, so of two sets
-    of one size the one holding the lowest member they do not share has the
-    larger reversal, and comes first once it is complemented."""
-    full = (1 << n) - 1
-    width = f"0{n}b"
-    return lambda m: m.bit_count() << n | int(format(full ^ m, width)[::-1], 2)
 
 
 def _decode(af: ArgumentationFramework, masks: Iterable[int]) -> ExtensionSet:
@@ -128,28 +119,31 @@ def _conflict_free(
     targets: tuple[int, ...], attackers: tuple[int, ...]
 ) -> tuple[list[int], list[int], list[int]]:
     """The conflict-free sets of the relation with these target and attacker
-    rows, ascending, and per set the union of its members' targets and the
-    union of their attackers."""
+    rows, in canonical (size, then names) order, as enumerated, and per set
+    the union of its members' targets and the union of their attackers."""
     n = len(targets)
     if n > MAX_ENUMERATION_ARGUMENTS:
         raise SizeLimit(f"{n} arguments exceed the enumeration limit of {MAX_ENUMERATION_ARGUMENTS}")
-    # Argument k is offered to every set found before it, each of which has
-    # only members below k.  So every conflict-free set is built once, from
-    # itself minus its highest member, and the list stays ascending.
+    # offers[j]: per argument k >= j that does not attack itself, ascending,
+    # its bit, the arguments it conflicts with, its targets and attackers
+    offers: list[tuple[tuple[int, int, int, int], ...]] = [()] * (n + 1)
+    for k in reversed(range(n)):
+        t, a = targets[k], attackers[k]
+        offers[k] = offers[k + 1] if t >> k & 1 else ((1 << k, t | a, t, a), *offers[k + 1])
+    # Each set, in list order, grows by each argument above its highest
+    # member, ascending.  So each set is built once, from its prefix (itself
+    # minus its highest member), after every smaller set and, among those of
+    # its size, in the order of its prefix, then of its highest member.
     cf = [0]
     hit = [0]
     threat = [0]
-    for k in range(n):
-        bit = 1 << k
-        t, a = targets[k], attackers[k]
-        if t & bit:
-            continue  # a self-attacker is in no conflict-free set
-        clash = t | a
-        for i in range(len(cf)):
-            if not cf[i] & clash:
-                cf.append(cf[i] | bit)
-                hit.append(hit[i] | t)
-                threat.append(threat[i] | a)
+    for i, m in enumerate(cf):
+        h, th = hit[i], threat[i]
+        for bit, clash, t, a in offers[m.bit_length()]:
+            if not m & clash:
+                cf.append(m | bit)
+                hit.append(h | t)
+                threat.append(th | a)
     return cf, hit, threat
 
 
@@ -160,24 +154,26 @@ def _enumerate(af: ArgumentationFramework) -> _Enumeration:
     return _Enumeration(af, (1 << len(af.sorted_arguments)) - 1, tuple(cf), adm)
 
 
-def _minimal(masks: Iterable[int], key: Callable[[int], int]) -> tuple[int, ...]:
+def _minimal(masks: Sequence[int], key: Callable[[int], int]) -> tuple[int, ...]:
     """The masks whose key is inclusion-minimal among the keys of all the
-    masks, ascending.  Keys are visited by ascending popcount, so every
-    strict subset of a key is visited before it, and each key is compared
-    only with the minimal keys found so far."""
+    masks, in the order of ``masks`` (canonical for a family, as
+    enumerated).  Keys are visited by ascending popcount, so every strict
+    subset of a key is visited before it, and each key is compared only with
+    the minimal keys found so far."""
     kept: list[int] = []
-    found: list[int] = []
+    found: set[int] = set()
     for k, mask in sorted(((key(m), m) for m in masks), key=lambda pair: pair[0].bit_count()):
         if not any(u & k == u and u != k for u in kept):
             kept.append(k)
-            found.append(mask)
-    return tuple(sorted(found))
+            found.add(mask)
+    return tuple(m for m in masks if m in found)
 
 
 def extension_masks(af: ArgumentationFramework, semantics: Semantics) -> tuple[int, ...]:
-    """Extension set of ``af`` as an ascending tuple of bitmasks over
-    ``af.sorted_arguments``.  Frameworks with one argument set share that
-    order, so their extension sets are equal exactly when these tuples are."""
+    """Extension set of ``af`` as a tuple of bitmasks over
+    ``af.sorted_arguments``, in canonical (size, then names) order, as
+    enumerated.  Frameworks with one argument set share that order, so their
+    extension sets are equal exactly when these tuples are."""
     semantics = Semantics(semantics)
     if semantics is Semantics.GROUNDED:
         return _grounded(af)

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import afrob
 from afrob import Semantics, exhaustive_audit, extension_sort_key, extensions
 from afrob.apx import emit_apx
-from afrob.cli import _family, _Family, _json, _parser, _set_items, run_cli
-from afrob.oracle import canonical_names, framework_from_mask
+from afrob.cli import _Attacks, _Family, _json, _parser, _set_items, run_cli
+from afrob.framework import Attack
+from afrob.oracle import canonical_names, extension_changes, framework_from_mask
 
 G3_APX = "arg(1).\narg(2).\narg(3).\narg(4).\natt(1,2).\natt(2,3).\n"
 
@@ -113,6 +114,47 @@ def test_check_attack_oracle_json(capsys, g3_file):
     assert result["verdict"] == "invariant"
     assert result["witnesses"] == []
     assert result["oracle"] == {"invariant": True, "lost": [], "gained": []}
+
+
+def test_check_attack_oracle_prints_the_decoded_sorted_changes(capsys, tmp_path):
+    # both formats, against the sets lost and gained by recomputation, each
+    # decoded and sorted by extension_sort_key, on seeded frameworks where
+    # ascending masks are not in canonical order; some candidates lose or
+    # gain nothing, some lose or gain several sets
+    rng = random.Random(9)
+    path = tmp_path / "af.apx"
+    empty = several = 0
+    for n in range(5, 10):
+        for _ in range(3):
+            af = framework_from_mask(canonical_names(n), rng.getrandbits(n * n) & rng.getrandbits(n * n))
+            path.write_text(emit_apx(af))
+            for source, target in rng.sample([(a, b) for a in af.arguments for b in af.arguments], 6):
+                for semantics in ("cf", "adm"):
+                    lost, gained = extension_changes(af, (source, target), semantics)
+                    lists = [[sorted(e) for e in sorted(f, key=extension_sort_key)] for f in (lost, gained)]
+                    empty += not lost or not gained
+                    several += len(lost) > 1 or len(gained) > 1
+                    base = (
+                        "check-attack", "--from", source, "--to", target, "--semantics", semantics,
+                        "--oracle", "--input", str(path),
+                    )
+                    code, out, err = run(capsys, *base, "--format", "json")
+                    assert code == 0, err
+                    payload = json.loads(out)
+                    assert out == json.dumps(payload, indent=2) + "\n"
+                    invariant = not lost and not gained
+                    expected = {"invariant": invariant, "lost": lists[0], "gained": lists[1]}
+                    assert payload["result"]["oracle"] == expected
+                    code, out, err = run(capsys, *base)
+                    assert code == 0, err
+                    lost_text, gained_text = (
+                        ",".join("{" + ",".join(e) + "}" for e in l) or "-" for l in lists
+                    )
+                    assert out.splitlines()[-1] == (
+                        f"oracle: {'invariant' if invariant else 'changed'}"
+                        f" lost={lost_text} gained={gained_text}"
+                    )
+    assert empty and several
 
 
 def test_check_attack_preferred_only(capsys, g3_file):
@@ -598,7 +640,7 @@ def test_extension_lists_follow_extension_sort_key():
     for af in frameworks:
         for semantics in Semantics:
             family = sorted(extensions(af, semantics), key=extension_sort_key)
-            printed = _family(af, semantics)
+            printed = _Family(afrob.extension_masks(af, semantics), af.sorted_arguments)
             assert [af._names(m) for m in printed.masks] == family
             assert _set_items(*printed, "{", ",", "}", "{}") == [
                 "{" + ",".join(sorted(ext)) + "}" for ext in family
@@ -665,7 +707,7 @@ _JSON_VALUES = st.recursive(
 def test_json_writer_writes_a_family_as_json_dumps_of_its_lists():
     af = framework_from_mask(canonical_names(11), 0x1234567 << 40 | 0x89ABCDEF)
     for semantics in Semantics:
-        family = _family(af, semantics)
+        family = _Family(afrob.extension_masks(af, semantics), af.sorted_arguments)
         lists = [sorted(af._names(m)) for m in family.masks]
         for value, expected in (
             (family, lists),
@@ -675,6 +717,19 @@ def test_json_writer_writes_a_family_as_json_dumps_of_its_lists():
             assert _json(value) == json.dumps(expected, indent=2)
     assert _json(_Family([], ("a",))) == "[]"
     assert _json({"x": _Family([0], ())}) == json.dumps({"x": [[]]}, indent=2)
+
+
+def test_json_writer_writes_attacks_as_json_dumps_of_their_dicts():
+    names = ["a", '"q"', "back\\slash", "\x00\n", "caf\u00e9", "\ud800", ""]
+    attacks = [Attack(s, t) for s in names for t in names[::-1]]
+    for found in ([], attacks[:1], attacks):
+        dicts = [{"source": s, "target": t} for s, t in found]
+        for value, expected in (
+            (_Attacks(found), dicts),
+            ({"attacks": _Attacks(found), "n": 1}, {"attacks": dicts, "n": 1}),
+            ([{"a": [_Attacks(found)]}, _Attacks(found)], [{"a": [dicts]}, dicts]),
+        ):
+            assert _json(value) == json.dumps(expected, indent=2)
 
 
 @given(_JSON_VALUES)

@@ -13,14 +13,16 @@ from afrob import (
     Verdict,
     classify_attack,
     extension_set_included,
+    extension_sort_key,
     extensions,
     invariant_attacks,
     oracle_invariant,
     sigma_equivalent,
 )
 from afrob.framework import Attack
-from afrob.invariance import _State, candidate_attacks
+from afrob.invariance import _DELETION_RULES, _State, candidate_attacks
 from afrob.oracle import canonical_names, framework_from_mask
+from afrob.semantics import _enumerate
 from conftest import frameworks
 
 
@@ -351,3 +353,49 @@ def test_adm_rows_of_a_state_match_the_definitional_references():
                 expected = not oracle_invariant(af, (source, target), Semantics.ADMISSIBLE)
                 assert bool(changed[a] >> b & 1) == expected, (af, source, target)
     assert derived > 1000
+
+
+def _assert_canonical(af, masks):
+    keys = [extension_sort_key(af._names(m)) for m in masks]
+    assert all(one < two for one, two in zip(keys, keys[1:])), (af, masks)
+
+
+def test_every_family_and_state_list_comes_in_extension_sort_key_order():
+    # every relation on up to three arguments, and seeded sparse ones on
+    # five to eight, where ascending masks are not in canonical order
+    # ({a1,a4} is a larger mask than {a2,a3}): the families, root and
+    # derived state lists and witnesses are in that order as enumerated,
+    # with no sort after the conflict-free pass
+    rng = random.Random(5)
+    frameworks = [
+        framework_from_mask(canonical_names(n), m) for n in range(4) for m in range(1 << n * n)
+    ]
+    frameworks += [
+        framework_from_mask(canonical_names(n), rng.getrandbits(n * n) & rng.getrandbits(n * n))
+        for n in (5, 6, 7, 8)
+        for _ in range(10)
+    ]
+    not_ascending = witnesses_not_ascending = 0
+    for af in frameworks:
+        enum = _enumerate(af)
+        not_ascending += list(enum.cf) != sorted(enum.cf)
+        for semantics in ("cf", "adm", "com", "stb", "prf", "sst"):
+            _assert_canonical(af, getattr(enum, semantics))
+        root = _State(*af.bit_rows)
+        candidates = candidate_attacks(af)
+        for attack in candidates if len(af.arguments) <= 3 else rng.sample(candidates, 8):
+            child = root.child(af._index(attack.source), af._index(attack.target))
+            for state in (root, child):
+                _assert_canonical(af, [m for m, _, _ in state.cf])
+                _assert_canonical(af, [m for m, _, _ in state.adm])
+        n = len(af.arguments)
+        for a in range(n):
+            for b in range(n):
+                for preferred_only in (False, True):
+                    found = root.witnesses(a, b, Semantics.ADMISSIBLE, preferred_only)
+                    # every ND match before every NI match, each in order
+                    kind = lambda w: w[1] not in _DELETION_RULES
+                    key = lambda w: (kind(w), extension_sort_key(af._names(w[0])))
+                    assert found == sorted(found, key=key), (af, a, b, preferred_only)
+                    witnesses_not_ascending += found != sorted(found, key=lambda w: (kind(w), w[0]))
+    assert not_ascending > 20 and witnesses_not_ascending > 20

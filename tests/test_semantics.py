@@ -14,7 +14,7 @@ from afrob import (
     invariant_attacks,
 )
 from afrob.oracle import canonical_names, framework_from_mask
-from afrob.semantics import _enumerate, _mask_sort_key
+from afrob.semantics import _enumerate
 from conftest import frameworks
 
 
@@ -81,8 +81,10 @@ def _decoded(af, masks):
     return {frozenset(name for i, name in enumerate(order) if (m >> i) & 1) for m in masks}
 
 
-def _assert_ascending_and_decodes_to(af, masks, expected):
-    assert all(one < two for one, two in zip(masks, masks[1:])), (masks, af)
+def _assert_canonical_and_decodes_to(af, masks, expected):
+    # canonical (size, then names) order: strictly increasing keys
+    keys = [extension_sort_key(af._names(m)) for m in masks]
+    assert all(one < two for one, two in zip(keys, keys[1:])), (masks, af)
     assert _decoded(af, masks) == expected, af
 
 
@@ -92,10 +94,10 @@ def _assert_matches_oracle(af):
     for semantics in Semantics:
         expected = frozenset(oracles.extensions(args, attacks, semantics.value))
         assert extensions(af, semantics) == expected, (semantics, af)
-        _assert_ascending_and_decodes_to(af, extension_masks(af, semantics), expected)
+        _assert_canonical_and_decodes_to(af, extension_masks(af, semantics), expected)
     enum = _enumerate(af)
     for masks, semantics in ((enum.cf, "cf"), (enum.adm, "adm"), (enum.com, "com")):
-        _assert_ascending_and_decodes_to(af, masks, oracles.extensions(args, attacks, semantics))
+        _assert_canonical_and_decodes_to(af, masks, oracles.extensions(args, attacks, semantics))
 
 
 def test_all_semantics_match_oracle_exhaustively():
@@ -173,14 +175,14 @@ def test_size_limit_follows_measured_memory():
     assert extensions(big, Semantics.GROUNDED) == sets(names)
 
 
-def test_mask_sort_key_orders_as_extension_sort_key():
-    # every subset of up to ten arguments, so every family's order too
+def test_conflict_free_sets_come_in_extension_sort_key_order():
+    # with no attacks every subset of up to ten arguments is conflict-free,
+    # so the pass enumerates each in the order every family inherits
     for n in range(11):
         names = [f"a{i}" for i in range(1, n + 1)]
         af = ArgumentationFramework(names)
-        masks = sorted(range(1 << n), key=_mask_sort_key(n))
         family = sorted(map(af._names, range(1 << n)), key=extension_sort_key)
-        assert list(map(af._names, masks)) == family
+        assert list(map(af._names, _enumerate(af).cf)) == family
 
 
 def test_every_enumerated_semantics_is_a_field_of_the_record(g3):

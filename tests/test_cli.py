@@ -119,20 +119,24 @@ def test_check_attack_oracle_json(capsys, g3_file):
 def test_check_attack_oracle_prints_the_decoded_sorted_changes(capsys, tmp_path):
     # both formats, against the sets lost and gained by recomputation, each
     # decoded and sorted by extension_sort_key, on seeded frameworks where
-    # ascending masks are not in canonical order; some candidates lose or
-    # gain nothing, some lose or gain several sets
+    # ascending masks are not in canonical order; some changes lose nothing,
+    # some lose or gain several sets
     rng = random.Random(9)
     path = tmp_path / "af.apx"
     empty = several = 0
     for n in range(5, 10):
         for _ in range(3):
-            af = framework_from_mask(canonical_names(n), rng.getrandbits(n * n) & rng.getrandbits(n * n))
+            mask = rng.getrandbits(n * n) & rng.getrandbits(n * n)
+            af = framework_from_mask(canonical_names(n), mask)
             path.write_text(emit_apx(af))
-            for source, target in rng.sample([(a, b) for a in af.arguments for b in af.arguments], 6):
+            pairs = [(a, b) for a in af.arguments for b in af.arguments]
+            for source, target in rng.sample(pairs, 6):
                 for semantics in ("cf", "adm"):
                     lost, gained = extension_changes(af, (source, target), semantics)
-                    lists = [[sorted(e) for e in sorted(f, key=extension_sort_key)] for f in (lost, gained)]
-                    empty += not lost or not gained
+                    lists = [
+                        [sorted(e) for e in sorted(f, key=extension_sort_key)] for f in (lost, gained)
+                    ]
+                    empty += not lost and bool(gained)  # a change with nothing lost
                     several += len(lost) > 1 or len(gained) > 1
                     base = (
                         "check-attack", "--from", source, "--to", target, "--semantics", semantics,

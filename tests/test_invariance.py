@@ -375,8 +375,11 @@ def test_every_family_and_state_list_comes_in_extension_sort_key_order():
         for n in (5, 6, 7, 8)
         for _ in range(10)
     ]
+    # every ND match before every NI match, each group in order
+    kind = lambda w: w[1] not in _DELETION_RULES
     not_ascending = witnesses_not_ascending = 0
     for af in frameworks:
+        key = lambda w: (kind(w), extension_sort_key(af._names(w[0])))
         enum = _enumerate(af)
         not_ascending += list(enum.cf) != sorted(enum.cf)
         for semantics in ("cf", "adm", "com", "stb", "prf", "sst"):
@@ -393,9 +396,6 @@ def test_every_family_and_state_list_comes_in_extension_sort_key_order():
             for b in range(n):
                 for preferred_only in (False, True):
                     found = root.witnesses(a, b, Semantics.ADMISSIBLE, preferred_only)
-                    # every ND match before every NI match, each in order
-                    kind = lambda w: w[1] not in _DELETION_RULES
-                    key = lambda w: (kind(w), extension_sort_key(af._names(w[0])))
                     assert found == sorted(found, key=key), (af, a, b, preferred_only)
                     witnesses_not_ascending += found != sorted(found, key=lambda w: (kind(w), w[0]))
     assert not_ascending > 20 and witnesses_not_ascending > 20

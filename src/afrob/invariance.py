@@ -391,7 +391,8 @@ class _State:
         if preferred_only:
             # a set is maximal exactly when its complement is minimal
             full = (1 << len(self.targets)) - 1
-            preferred = set(_minimal([s for s, _, _ in family], lambda s: full & ~s))
+            sets = [s for s, _, _ in family]
+            preferred = set(_minimal(sets, [full & ~s for s in sets]))
             family = [triple for triple in family if triple[0] in preferred]
         losses, gains = [], []
         for s, out, threat in family:

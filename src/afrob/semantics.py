@@ -1,27 +1,31 @@
 """Extension enumeration for the classical acceptance semantics.
 
 Extensions are bitmasks over the canonical argument order: bit i stands for
-the i-th argument of ``af.sorted_arguments``.  One pass builds the
-conflict-free sets, smallest first: a set grows by one argument above its
-highest member, and only when that argument attacks no member and is
-attacked by none, so each conflict-free set is reached exactly once and no
-other subset is visited.  Each set carries the union of its members' targets
-and the union of their attackers (read off the relation's bit rows), which
-makes the admissibility test one bit operation (the robustness search builds
-its root state with the same pass).  The pass yields one record per framework
-(cached on the framework) whose fields are the families built on it: the
-complete, stable, preferred and semi-stable families are derived from the
-admissible ones, each the first time it is read, so a caller asking only
-for cf or adm never pays for them.  The grounded set reads no conflict-free
-set: it is the least fixpoint of Dung's characteristic function, iterated
-from the empty set in polynomial time, so no size limit applies to it.
-Every family is a tuple of masks in canonical (size, then names) order, as
-enumerated: the order of :func:`extension_sort_key`, which every filter
-keeps.  It is a total order on masks, so two frameworks over one argument
-set have equal extension sets exactly when their tuples are equal, and
-masks are decoded into sets of names only for output.  Frameworks larger
-than the guardrail are rejected by the conflict-free pass instead of
-silently hanging.
+the i-th argument of ``af.sorted_arguments``.  A conflict-free pass builds
+the conflict-free sets among some arguments, smallest first: a set grows by
+one argument above its highest member, and only when that argument attacks
+no member and is attacked by none, so each conflict-free set is reached
+exactly once and no other subset is visited.  Each set carries the union of
+its members' targets and the union of their attackers (read off the
+relation's bit rows), which makes the admissibility test one bit operation
+(the robustness search builds its root state with the same pass).  One
+record per framework (cached on the framework) holds the families, each
+built the first time it is read, on one of two passes.  ``cf`` and ``adm``
+read the pass over all the arguments.  The complete, stable, preferred and
+semi-stable families read the pass over the core: the arguments that are
+neither in the grounded set G nor attacked by it.  Every complete extension
+is G plus a complete set of the core (Baumann, Brewka and Ulbricht 2020),
+so those four enumerate only what G leaves open, and a caller asking for
+them never runs the whole pass, nor one asking for cf or adm the core's.
+The grounded set reads no conflict-free set: it is the least fixpoint of
+Dung's characteristic function, iterated from the empty set in polynomial
+time, so no size limit applies to it.  Every family is a tuple of masks in
+canonical (size, then names) order, as enumerated: the order of
+:func:`extension_sort_key`, which every filter, and adding G, keeps.  It is
+a total order on masks, so two frameworks over one argument set have equal
+extension sets exactly when their tuples are equal, and masks are decoded
+into sets of names only for output.  A pass over more arguments than the
+guardrail is rejected instead of silently hanging.
 """
 
 from __future__ import annotations
@@ -29,15 +33,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ArgumentSetMismatch, SizeLimit
 from .framework import ArgumentationFramework, _bits
 
-# With no attacks every subset is conflict-free and admissible, the worst
-# case.  Peak RSS of a fresh process enumerating such a framework (Python
-# 3.11): 21 MB at n=16, 36 MB at n=18, 96 MB in 1.1 s at n=20, 176 MB in
-# 2.2 s at n=21, doubling with each further argument.
+# The most arguments one conflict-free pass enumerates over: all n for cf
+# and adm, the core (the arguments neither grounded nor attacked by the
+# grounded set) for com, stb, prf and sst, and none for gde.  With no
+# attacks among them every subset is conflict-free, the worst case.  Peak
+# RSS of a fresh process enumerating cf on such a framework (Python 3.11):
+# 21 MB at n=16, 36 MB at n=18, 96 MB in 1.1 s at n=20, 176 MB in 2.2 s at
+# n=21, doubling with each further argument.
 MAX_ENUMERATION_ARGUMENTS = 20
 
 ExtensionSet = frozenset[frozenset[str]]
@@ -66,41 +73,83 @@ def _decode(af: ArgumentationFramework, masks: Iterable[int]) -> ExtensionSet:
 
 @dataclass(frozen=True)
 class _Enumeration:
-    """The extension families of ``af`` that the conflict-free pass builds,
-    one field per :class:`Semantics` value but ``gde``.  ``cf`` and ``adm``
-    come from :func:`_enumerate`'s pass; the other families are computed on
-    first read."""
+    """The extension families of ``af`` that the conflict-free passes build,
+    one field per :class:`Semantics` value but ``gde``.  Each pass runs the
+    first time a family reads it: the whole framework's gives ``cf`` and
+    ``adm``, the core's (:attr:`_core`) gives the other four."""
 
     af: ArgumentationFramework
-    full: int  # the mask of all arguments
-    cf: tuple[int, ...]
-    adm: tuple[int, ...]
+
+    @cached_property
+    def _whole(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # the unions are dropped once adm is read off them
+        cf, hit, threat = _conflict_free(*self.af.bit_rows)
+        adm = (m for m, attacked, attacking in zip(cf, hit, threat) if not attacking & ~attacked)
+        return tuple(cf), tuple(adm)
+
+    @property
+    def cf(self) -> tuple[int, ...]:
+        return self._whole[0]
+
+    @property
+    def adm(self) -> tuple[int, ...]:
+        return self._whole[1]
+
+    @cached_property
+    def _core(self) -> tuple[int, int, list[int], list[int]]:
+        """The grounded set G, the core (the arguments neither in G nor
+        attacked by it), the complete sets of the core in canonical order,
+        and per set the core arguments it holds or attacks.
+
+        Every complete extension is G plus a complete set of the core, and
+        each such union is complete (Baumann, Brewka and Ulbricht 2020).  G
+        attacks every attacker of a core argument from outside the core, as
+        none is in G, so a core set need answer only those inside it.  Two
+        sets of one size are ordered by the smallest member of their
+        symmetric difference, which the disjoint G leaves alone, so the
+        unions keep the canonical order."""
+        af = self.af
+        targets, attackers = af.bit_rows
+        (grounded,) = _grounded(af)
+        core = (1 << len(targets)) - 1 & ~(grounded | af.attacked_by(grounded))
+        cf, hit, threat = _conflict_free(targets, attackers, core)
+        sets, decided = [], []
+        for m, attacked, attacking in zip(cf, hit, threat):
+            unanswered = core & ~attacked
+            # admissible, and each core argument left out has an attacker
+            # the set does not attack (one the set attacks has one in it)
+            if not attacking & unanswered and all(
+                attackers[j] & unanswered for j in _bits(unanswered & ~m)
+            ):
+                sets.append(m)
+                decided.append(m | attacked & core)
+        return grounded, core, sets, decided
 
     @cached_property
     def com(self) -> tuple[int, ...]:
-        # the admissible sets that leave out no argument they defend: each
-        # argument outside has an attacker the set does not attack
-        attackers = self.af.bit_rows[1]
-        found = []
-        for m in self.adm:
-            unanswered = ~self.af.attacked_by(m)
-            if all(attackers[j] & unanswered for j in _bits(self.full & ~m)):
-                found.append(m)
-        return tuple(found)
+        grounded, _, sets, _ = self._core
+        return tuple(grounded | m for m in sets)
 
     @cached_property
     def stb(self) -> tuple[int, ...]:
-        # every stable set is complete (Dung 1995)
-        return tuple(m for m in self.com if m | self.af.attacked_by(m) == self.full)
+        # every stable set is complete (Dung 1995), and G and its targets
+        # are every argument outside the core
+        grounded, core, sets, decided = self._core
+        return tuple(grounded | m for m, d in zip(sets, decided) if d == core)
 
     @cached_property
     def prf(self) -> tuple[int, ...]:
-        # a set is maximal exactly when its complement is minimal
-        return _minimal(self.adm, lambda m: self.full & ~m)
+        # the maximal complete sets; a set is maximal exactly when its
+        # complement in the core is minimal
+        grounded, core, sets, _ = self._core
+        return tuple(grounded | m for m in _minimal(sets, [core ^ m for m in sets]))
 
     @cached_property
     def sst(self) -> tuple[int, ...]:
-        return _minimal(self.com, lambda m: self.full & ~(m | self.af.attacked_by(m)))
+        # the complete sets whose undecided arguments, all in the core, are
+        # minimal
+        grounded, core, sets, decided = self._core
+        return tuple(grounded | m for m in _minimal(sets, [core ^ d for d in decided]))
 
 
 def _grounded(af: ArgumentationFramework) -> tuple[int]:
@@ -116,20 +165,28 @@ def _grounded(af: ArgumentationFramework) -> tuple[int]:
 
 
 def _conflict_free(
-    targets: tuple[int, ...], attackers: tuple[int, ...]
+    targets: tuple[int, ...], attackers: tuple[int, ...], among: int | None = None
 ) -> tuple[list[int], list[int], list[int]]:
     """The conflict-free sets of the relation with these target and attacker
     rows, in canonical (size, then names) order, as enumerated, and per set
-    the union of its members' targets and the union of their attackers."""
+    the union of its members' targets and the union of their attackers (over
+    all arguments).  With ``among``, only the subsets of that mask; the size
+    limit applies to its arguments."""
     n = len(targets)
-    if n > MAX_ENUMERATION_ARGUMENTS:
-        raise SizeLimit(f"{n} arguments exceed the enumeration limit of {MAX_ENUMERATION_ARGUMENTS}")
-    # offers[j]: per argument k >= j that does not attack itself, ascending,
-    # its bit, the arguments it conflicts with, its targets and attackers
+    among = (1 << n) - 1 if among is None else among
+    size = among.bit_count()
+    if size > MAX_ENUMERATION_ARGUMENTS:
+        raise SizeLimit(
+            f"{size} arguments exceed the enumeration limit of {MAX_ENUMERATION_ARGUMENTS}"
+        )
+    # offers[j]: per argument k >= j in among that does not attack itself,
+    # ascending, its bit, the arguments it conflicts with, its targets and
+    # attackers
     offers: list[tuple[tuple[int, int, int, int], ...]] = [()] * (n + 1)
     for k in reversed(range(n)):
         t, a = targets[k], attackers[k]
-        offers[k] = offers[k + 1] if t >> k & 1 else ((1 << k, t | a, t, a), *offers[k + 1])
+        acceptable = among >> k & 1 and not t >> k & 1
+        offers[k] = ((1 << k, t | a, t, a), *offers[k + 1]) if acceptable else offers[k + 1]
     # Each set, in list order, grows by each argument above its highest
     # member, ascending.  So each set is built once, from its prefix (itself
     # minus its highest member), after every smaller set and, among those of
@@ -149,20 +206,18 @@ def _conflict_free(
 
 @lru_cache(maxsize=32768)
 def _enumerate(af: ArgumentationFramework) -> _Enumeration:
-    cf, hit, threat = _conflict_free(*af.bit_rows)
-    adm = tuple(m for m, attacked, attacking in zip(cf, hit, threat) if not attacking & ~attacked)
-    return _Enumeration(af, (1 << len(af.sorted_arguments)) - 1, tuple(cf), adm)
+    return _Enumeration(af)
 
 
-def _minimal(masks: Sequence[int], key: Callable[[int], int]) -> tuple[int, ...]:
-    """The masks whose key is inclusion-minimal among the keys of all the
-    masks, in the order of ``masks`` (canonical for a family, as
-    enumerated).  Keys are visited by ascending popcount, so every strict
-    subset of a key is visited before it, and each key is compared only with
-    the minimal keys found so far."""
+def _minimal(masks: Sequence[int], keys: Sequence[int]) -> tuple[int, ...]:
+    """The masks whose key (``keys[i]`` for ``masks[i]``) is
+    inclusion-minimal among all the keys, in the order of ``masks``
+    (canonical for a family, as enumerated).  Keys are visited by ascending
+    popcount, so every strict subset of a key is visited before it, and each
+    key is compared only with the minimal keys found so far."""
     kept: list[int] = []
     found: set[int] = set()
-    for k, mask in sorted(((key(m), m) for m in masks), key=lambda pair: pair[0].bit_count()):
+    for k, mask in sorted(zip(keys, masks), key=lambda pair: pair[0].bit_count()):
         if not any(u & k == u and u != k for u in kept):
             kept.append(k)
             found.add(mask)
@@ -173,7 +228,10 @@ def extension_masks(af: ArgumentationFramework, semantics: Semantics) -> tuple[i
     """Extension set of ``af`` as a tuple of bitmasks over
     ``af.sorted_arguments``, in canonical (size, then names) order, as
     enumerated.  Frameworks with one argument set share that order, so their
-    extension sets are equal exactly when these tuples are."""
+    extension sets are equal exactly when these tuples are.  Raises
+    :class:`SizeLimit` when the arguments the semantics enumerates over
+    (all of them for cf and adm, the core for com, stb, prf and sst)
+    exceed :data:`MAX_ENUMERATION_ARGUMENTS`; gde has no limit."""
     semantics = Semantics(semantics)
     if semantics is Semantics.GROUNDED:
         return _grounded(af)

@@ -17,6 +17,14 @@ def frameworks(draw, max_args=4, min_args=0):
     return ArgumentationFramework(names, attacks)
 
 
+def mutual_pairs(k):
+    """2k arguments in k mutually attacking pairs: nothing is grounded, so
+    the core is every argument."""
+    names = [f"p{i}" for i in range(2 * k)]
+    attacks = [(names[i], names[i ^ 1]) for i in range(2 * k)]
+    return ArgumentationFramework(names, attacks)
+
+
 @pytest.fixture
 def g3():
     return ArgumentationFramework(["1", "2", "3", "4"], [("1", "2"), ("2", "3")])

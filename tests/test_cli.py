@@ -15,6 +15,7 @@ from afrob.apx import emit_apx
 from afrob.cli import _Attacks, _Family, _json, _parser, _set_items, run_cli
 from afrob.framework import Attack
 from afrob.oracle import canonical_names, extension_changes, framework_from_mask
+from conftest import mutual_pairs
 
 G3_APX = "arg(1).\narg(2).\narg(3).\narg(4).\natt(1,2).\natt(2,3).\n"
 
@@ -533,11 +534,33 @@ def test_exhaustive_cf_robustness_runs_no_search(capsys, tmp_path):
 
 
 def test_labellings_size_limit_exit_code(capsys, tmp_path):
-    big = tmp_path / "big.apx"
-    big.write_text("".join(f"arg(x{i}).\n" for i in range(21)))
-    code, _, err = run(capsys, "labellings", "--semantics", "com", "--input", str(big))
-    assert code == 3
-    assert "enumeration limit of 20" in err
+    # the limit reads the arguments a semantics enumerates over: cf and adm
+    # all of them, the derived families the core.  21 unattacked arguments
+    # are all grounded and leave the core empty; 11 mutually attacking pairs
+    # leave all 22 in it
+    names = [f"x{i}" for i in range(21)]
+    free = tmp_path / "free.apx"
+    free.write_text("".join(f"arg({a}).\n" for a in names))
+    for semantics in ("com", "stb", "prf", "sst", "gde"):
+        payload = run_json(
+            capsys, "extensions", "--semantics", semantics, "--input", str(free), "--format", "json"
+        )
+        assert payload["result"]["extensions"] == [sorted(names)]
+    payload = run_json(
+        capsys, "labellings", "--semantics", "com", "--input", str(free), "--format", "json"
+    )
+    assert payload["result"]["labellings"] == [{"in": sorted(names), "out": [], "undec": []}]
+    for semantics in ("cf", "adm"):
+        code, out, err = run(capsys, "extensions", "--semantics", semantics, "--input", str(free))
+        assert (code, out) == (3, "")
+        assert "21 arguments exceed the enumeration limit of 20" in err
+    pairs = tmp_path / "pairs.apx"
+    pairs.write_text(emit_apx(mutual_pairs(11)))
+    for command in ("extensions", "labellings"):
+        for semantics in ("com", "stb", "prf", "sst"):
+            code, out, err = run(capsys, command, "--semantics", semantics, "--input", str(pairs))
+            assert (code, out) == (3, ""), (command, semantics)
+            assert "22 arguments exceed the enumeration limit of 20" in err
 
 
 def test_audit_size_limit_exits_before_sampling(capsys):

@@ -19,7 +19,7 @@ from afrob import (
     labellings_for,
 )
 from afrob.oracle import canonical_names, framework_from_mask
-from conftest import frameworks
+from conftest import frameworks, mutual_pairs
 
 
 def lab(in_set, out_set, undec_set):
@@ -197,11 +197,14 @@ def test_conflict_free_credulous_sets_are_the_union_over_conflict_free_labelling
 
 
 def test_labelling_size_limit():
-    # labellings come from the extension enumeration and share its limit
-    names = [f"x{i}" for i in range(17)]
-    assert labellings_for(ArgumentationFramework(names), Semantics.COMPLETE) == [
-        lab(names, set(), set())
-    ]
-    big = ArgumentationFramework([f"x{i}" for i in range(21)])
-    with pytest.raises(SizeLimit):
-        labellings_for(big, Semantics.COMPLETE)
+    # labellings come from the extension enumeration and share its limit,
+    # which reads the core: 21 unattacked arguments are all grounded and
+    # leave it empty, 11 mutually attacking pairs leave all 22 in it
+    names = [f"x{i}" for i in range(21)]
+    free = ArgumentationFramework(names)
+    pairs = mutual_pairs(11)
+    derived = (Semantics.COMPLETE, Semantics.STABLE, Semantics.PREFERRED, Semantics.SEMI_STABLE)
+    for semantics in derived:
+        assert labellings_for(free, semantics) == [lab(names, set(), set())]
+        with pytest.raises(SizeLimit, match="22 arguments"):
+            labellings_for(pairs, semantics)

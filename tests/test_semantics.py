@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
+import afrob.semantics
 import oracles
 from afrob import (
     ArgumentationFramework,
@@ -15,7 +18,10 @@ from afrob import (
 )
 from afrob.oracle import canonical_names, framework_from_mask
 from afrob.semantics import _enumerate
-from conftest import frameworks
+from conftest import frameworks, mutual_pairs
+
+# the families derived on the grounded core
+DERIVED = (Semantics.COMPLETE, Semantics.STABLE, Semantics.PREFERRED, Semantics.SEMI_STABLE)
 
 
 def sets(*members):
@@ -100,6 +106,28 @@ def _assert_matches_oracle(af):
         _assert_canonical_and_decodes_to(af, masks, oracles.extensions(args, attacks, semantics))
 
 
+def test_derived_families_match_the_definitions_on_sparse_frameworks():
+    # com, stb, prf and sst are the grounded set plus the core's complete
+    # sets; every relation on up to three arguments is checked below, and
+    # here seeded sparse ones on 4 to 12, about half of which have both a
+    # non-empty grounded set and a non-empty core
+    rng = random.Random(24)
+    split = 0
+    for n in range(4, 13):
+        for _ in range(12 if n <= 8 else 3):
+            # each pair attacks with probability 1/8
+            mask = rng.getrandbits(n * n) & rng.getrandbits(n * n) & rng.getrandbits(n * n)
+            af = framework_from_mask(canonical_names(n), mask)
+            args = set(af.arguments)
+            attacks = {(a.source, a.target) for a in af.attacks}
+            for semantics in DERIVED:
+                expected = oracles.extensions(args, attacks, semantics.value)
+                _assert_canonical_and_decodes_to(af, extension_masks(af, semantics), expected)
+            grounded, core, _, _ = _enumerate(af)._core
+            split += bool(grounded) and bool(core)
+    assert split >= 30
+
+
 def test_all_semantics_match_oracle_exhaustively():
     for n in (0, 1, 2, 3):
         names = canonical_names(n)
@@ -165,14 +193,24 @@ def test_size_limit():
 
 
 def test_size_limit_follows_measured_memory():
-    # 21 unattacked arguments would take about 176 MB before any result;
-    # the grounded fixpoint enumerates nothing and has no limit
+    # cf and adm enumerate all n arguments: 21 unattacked ones would take
+    # about 176 MB before any result.  The derived families enumerate only
+    # the core, empty here since every argument is grounded, and the
+    # grounded fixpoint enumerates nothing
     names = [f"x{i}" for i in range(21)]
-    big = ArgumentationFramework(names)
+    free = ArgumentationFramework(names)
+    for semantics in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
+        with pytest.raises(SizeLimit, match="21 arguments"):
+            extensions(free, semantics)
+    for semantics in (*DERIVED, Semantics.GROUNDED):
+        assert extensions(free, semantics) == sets(names), semantics
+    # nothing is grounded among 11 mutually attacking pairs, so the core
+    # is all 22 arguments
+    pairs = mutual_pairs(11)
+    assert extension_masks(pairs, Semantics.GROUNDED) == (0,)
     for semantics in set(Semantics) - {Semantics.GROUNDED}:
-        with pytest.raises(SizeLimit):
-            extensions(big, semantics)
-    assert extensions(big, Semantics.GROUNDED) == sets(names)
+        with pytest.raises(SizeLimit, match="22 arguments"):
+            extensions(pairs, semantics)
 
 
 def test_conflict_free_sets_come_in_extension_sort_key_order():
@@ -197,13 +235,46 @@ def test_cf_and_adm_callers_derive_no_other_family():
     _enumerate.cache_clear()
     invariant_attacks(af, "adm")
     extension_masks(af, "cf")
-    derived = {"com", "stb", "prf", "gde", "sst"} & set(vars(_enumerate(af)))
+    derived = {"_core", "com", "stb", "prf", "gde", "sst"} & set(vars(_enumerate(af)))
     assert not derived
     # the grounded set is a fixpoint read off the relation, without the
     # conflict-free pass or any family derived from it
     _enumerate.cache_clear()
     assert extension_masks(af, "gde") == (0,)
     assert _enumerate.cache_info().currsize == 0
+
+
+def test_each_conflict_free_pass_runs_only_for_the_families_that_read_it(monkeypatch):
+    # the derived families read one pass over the core and never the whole
+    # framework's, which cf and adm read, building no core
+    passes = []
+    conflict_free = afrob.semantics._conflict_free
+
+    def counted(targets, attackers, among=None):
+        passes.append(among)
+        return conflict_free(targets, attackers, among)
+
+    monkeypatch.setattr(afrob.semantics, "_conflict_free", counted)
+    # grounded {a}, its target b, and the core {c, d, e, f}
+    attacks = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "c"), ("e", "f"), ("f", "e")]
+    af = ArgumentationFramework("abcdef", attacks)
+    for semantics in DERIVED:
+        _enumerate.cache_clear()
+        passes.clear()
+        extension_masks(af, semantics)
+        assert passes == [0b111100], semantics
+    for semantics in DERIVED:
+        extension_masks(af, semantics)
+    assert passes == [0b111100]
+    extension_masks(af, "cf")
+    extension_masks(af, "adm")
+    assert passes == [0b111100, None]
+    _enumerate.cache_clear()
+    passes.clear()
+    extension_masks(af, "adm")
+    extension_masks(af, "cf")
+    assert passes == [None]
+    assert "_core" not in vars(_enumerate(af))
 
 
 def test_extension_difference_requires_same_arguments():

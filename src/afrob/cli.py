@@ -236,13 +236,13 @@ def _cmd_check_attack(args) -> int:
     semantics = Semantics(args.semantics)
     # one state of the relation gives the rule scan and Dung's delta
     state = _State(*af.bit_rows)
-    attack = (args.source, args.target)
-    classification = _classify(af, state, attack, semantics, args.preferred_only)
+    a, b = af._index(args.source), af._index(args.target)
+    classification = _classify(af, state, a, b, semantics, args.preferred_only)
     result = _classification_json(classification)
     text = _classification_text(classification)
     if args.oracle:
         # both in canonical order, as enumerated
-        lost, gained = state.changes(af._index(args.source), af._index(args.target), semantics)
+        lost, gained = state.changes(a, b, semantics)
         invariant = not lost and not gained
         names = af.sorted_arguments
         result["oracle"] = {

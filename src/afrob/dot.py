@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import LabellingMismatch
-from .framework import ArgumentationFramework
+from .framework import ArgumentationFramework, _attacks_in
 from .labelling import Labelling
 
 _FILL = {"in": "palegreen", "out": "lightcoral", "undec": "lightgrey"}
@@ -24,7 +24,7 @@ def emit_dot(af: ArgumentationFramework, labelling: Labelling | None = None) -> 
             lines.append(
                 f'  "{name}" [class="{label}", style=filled, fillcolor="{_FILL[label]}"];'
             )
-    for attack in sorted(af.attacks):
+    for attack in _attacks_in(af.sorted_arguments, af.target_rows):
         lines.append(f'  "{attack.source}" -> "{attack.target}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 from .errors import ArgumentSetMismatch, UnsupportedSemantics
 from .framework import ArgumentationFramework, Attack, _attacks_in, _bits, _transpose, _with_attack
@@ -29,7 +29,6 @@ from .semantics import (
     ExtensionSet,
     Semantics,
     _conflict_free,
-    _minimal,
     extension_masks,
 )
 
@@ -72,6 +71,17 @@ class AttackClassification:
     semantics: Semantics
     verdict: Verdict
     witnesses: tuple[Witness, ...]
+
+
+def _cf_or_adm(semantics: Semantics, preferred_only: bool = False) -> Semantics:
+    """``semantics``, refused unless it is cf or adm, the two the rules and
+    the delta decide, or if cf under ``preferred_only`` (no labellings)."""
+    semantics = Semantics(semantics)
+    if semantics is Semantics.CONFLICT_FREE and preferred_only:
+        raise UnsupportedSemantics("preferred-only classification supports adm, not cf")
+    if semantics not in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
+        raise UnsupportedSemantics(f"only cf and adm are supported, not {semantics.value}")
+    return semantics
 
 
 def extension_set_included(candidate: ExtensionSet, reference: ExtensionSet) -> bool:
@@ -360,10 +370,6 @@ class _State:
         targets = self.targets
         if semantics is Semantics.CONFLICT_FREE:
             return [k & ~t for k, t in zip(self.kept, targets)]
-        if semantics is not Semantics.ADMISSIBLE:
-            raise UnsupportedSemantics(
-                f"attack classification supports cf and adm, not {semantics.value}"
-            )
         loss, gains, outs = self.adm_rows
         # existing attacks are no candidates
         fired = [t | lost | gained for t, lost, gained in zip(targets, loss, gains)]
@@ -375,30 +381,24 @@ class _State:
         return [full & ~row for row in fired]
 
     def witnesses(
-        self, a: int, b: int, semantics: Semantics, preferred_only: bool = False
+        self, a: int, b: int, semantics: Semantics, family: Collection[int] | None = None
     ) -> list[tuple[int, Rule]]:
         """The (in-set, rule) pairs that classify adding (a, b): none for an
         attack already present.  For cf the one lost set {a, b}, unless
         :func:`_conflict_kept` keeps it.  For adm the rules of
         :func:`_rule_rows` over the labellings of the admissible sets, or of
-        the preferred ones only, in canonical extension order, every ND
-        match before every NI match."""
+        those in ``family`` only (the preferred sets, say), in canonical
+        extension order, every ND match before every NI match."""
         if self.targets[a] >> b & 1:
             return []
         if semantics is Semantics.CONFLICT_FREE:
             return [] if self.kept[a] >> b & 1 else [(1 << a | 1 << b, Rule.CF_NEVER_IN)]
-        family = self.adm
-        if preferred_only:
-            # a set is maximal exactly when its complement is minimal
-            full = (1 << len(self.targets)) - 1
-            sets = [s for s, _, _ in family]
-            preferred = set(_minimal(sets, [full & ~s for s in sets]))
-            family = [triple for triple in family if triple[0] in preferred]
         losses, gains = [], []
-        for s, out, threat in family:
-            for rule, row in _rule_rows(self, s, out, threat, a):
-                if row >> b & 1:
-                    (losses if rule in _DELETION_RULES else gains).append((s, rule))
+        for s, out, threat in self.adm:
+            if family is None or s in family:
+                for rule, row in _rule_rows(self, s, out, threat, a):
+                    if row >> b & 1:
+                        (losses if rule in _DELETION_RULES else gains).append((s, rule))
         return losses + gains
 
     def changed_rows(self, semantics: Semantics) -> list[int]:
@@ -427,8 +427,6 @@ class _State:
         full = (1 << len(self.targets)) - 1
         if semantics is Semantics.CONFLICT_FREE:
             return [full & ~k for k in self.kept]
-        if semantics is not Semantics.ADMISSIBLE:
-            raise UnsupportedSemantics(f"the delta covers cf and adm, not {semantics.value}")
         changed = list(self.adm_rows[0])  # the loss, shared with invariant_rows
         for s, attacked, attacking in self.cf:
             unanswered = attacking & ~attacked
@@ -450,36 +448,43 @@ class _State:
         return lost, gained
 
 
+def _verdict(rules: Iterable[Rule]) -> Verdict:
+    """The verdict of a candidate the rules ``rules`` fire on: the ND rules
+    break non-decrease, the others non-increase."""
+    rules = set(rules)
+    loses, gains = bool(rules & _DELETION_RULES), bool(rules - _DELETION_RULES)
+    if loses and gains:
+        return Verdict.BREAKS_BOTH
+    if loses or gains:
+        return Verdict.BREAKS_NON_DECREASING if loses else Verdict.BREAKS_NON_INCREASING
+    return Verdict.INVARIANT
+
+
 def _classify(
     af: ArgumentationFramework,
     state: _State,
-    attack: tuple[str, str],
+    a: int,
+    b: int,
     semantics: Semantics,
     preferred_only: bool = False,
 ) -> AttackClassification:
-    """Classify adding ``attack`` to ``af`` from ``state``, the state of
-    ``af``'s relation, by :meth:`_State.witnesses`."""
-    semantics = Semantics(semantics)
-    if semantics is Semantics.CONFLICT_FREE and preferred_only:
-        raise UnsupportedSemantics("preferred-only classification supports adm, not cf")
-    if semantics not in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
-        raise UnsupportedSemantics(
-            f"attack classification supports cf and adm, not {semantics.value}"
-        )
-    attack = Attack(*attack)
-    a, b = af._index(attack.source), af._index(attack.target)
-    witnesses = tuple(
-        Witness(af._names(s), rule) for s, rule in state.witnesses(a, b, semantics, preferred_only)
+    """Classify adding (a, b), argument indices of ``af``, from ``state``,
+    the state of ``af``'s relation, by :meth:`_State.witnesses` over the
+    admissible sets, or the preferred ones of ``af``'s record."""
+    semantics = _cf_or_adm(semantics, preferred_only)
+    family = None
+    if preferred_only:
+        # the preferred sets read only the core: reading every admissible
+        # set first refuses an oversized framework by its n
+        state.adm
+        family = frozenset(extension_masks(af, Semantics.PREFERRED))
+    found = state.witnesses(a, b, semantics, family)
+    return AttackClassification(
+        Attack(af.sorted_arguments[a], af.sorted_arguments[b]),
+        semantics,
+        _verdict(rule for _, rule in found),
+        tuple(Witness(af._names(s), rule) for s, rule in found),
     )
-    rules = {w.rule for w in witnesses}
-    loses, gains = bool(rules & _DELETION_RULES), bool(rules - _DELETION_RULES)
-    if loses and gains:
-        verdict = Verdict.BREAKS_BOTH
-    elif loses or gains:
-        verdict = Verdict.BREAKS_NON_DECREASING if loses else Verdict.BREAKS_NON_INCREASING
-    else:
-        verdict = Verdict.INVARIANT
-    return AttackClassification(attack, semantics, verdict, witnesses)
 
 
 def classify_attack(
@@ -502,7 +507,8 @@ def classify_attack(
     ``preferred_only``, in canonical extension order; the witnesses list
     every ND match, then every NI match.  cf has no labellings to restrict,
     so ``preferred_only`` is refused there."""
-    return _classify(af, _State(*af.bit_rows), attack, semantics, preferred_only)
+    a, b = map(af._index, attack)
+    return _classify(af, _State(*af.bit_rows), a, b, semantics, preferred_only)
 
 
 def candidate_attacks(af: ArgumentationFramework) -> list[Attack]:
@@ -514,5 +520,5 @@ def candidate_attacks(af: ArgumentationFramework) -> list[Attack]:
 def invariant_attacks(af: ArgumentationFramework, semantics: Semantics) -> list[Attack]:
     """The candidate attacks classified invariant, in canonical order:
     exactly those :func:`classify_attack` classifies invariant."""
-    rows = _State(*af.bit_rows).invariant_rows(Semantics(semantics))
+    rows = _State(*af.bit_rows).invariant_rows(_cf_or_adm(semantics))
     return _attacks_in(af.sorted_arguments, rows)

@@ -13,10 +13,10 @@ cf and adm from one state of the relation
 pass over the conflict-free sets finds, per set, the additions that lose
 or gain it (``changed_rows``), and the same sets give one candidate's lost
 and gained extensions.  ``cross_validate`` compares the classifier against
-the delta and reads every disagreement's witnesses and changes off that
-state, recomputing nothing; ``exhaustive_audit`` sweeps entire framework
-populations and aggregates every divergence into a report instead of
-smoothing it over.
+the delta and reads every disagreement's rules and changes off that state
+on argument indices, recomputing and classifying nothing;
+``exhaustive_audit`` sweeps entire framework populations and aggregates
+every divergence into a report instead of smoothing it over.
 """
 
 from __future__ import annotations
@@ -27,14 +27,13 @@ from functools import lru_cache
 
 from .errors import SizeLimit
 from .framework import ArgumentationFramework, Attack, _bits
-from .invariance import Rule, Verdict, _classify, _State
+from .invariance import Rule, Verdict, _cf_or_adm, _State, _verdict, sigma_equivalent
 from .semantics import (
     MAX_ENUMERATION_ARGUMENTS,
     ExtensionSet,
     Semantics,
     _decode,
     extension_difference,
-    extension_masks,
 )
 
 # aggregation key for divergences where no rule fired at all
@@ -79,13 +78,9 @@ class AuditReport:
 def oracle_invariant(
     af: ArgumentationFramework, attack: tuple[str, str], semantics: Semantics
 ) -> bool:
-    """Ground truth: does adding the attack leave the extension set equal?
-
-    Both frameworks share one argument order, so their canonically ordered
-    mask families are compared directly, without decoding them into sets.
-    """
-    expanded = af.add_attack(*attack)
-    return extension_masks(af, semantics) == extension_masks(expanded, semantics)
+    """Ground truth: does adding the attack leave the extension set equal
+    (:func:`~afrob.invariance.sigma_equivalent`)?"""
+    return sigma_equivalent(af, af.add_attack(*attack), semantics)
 
 
 def extension_changes(
@@ -99,16 +94,16 @@ def changed_rows(af: ArgumentationFramework, semantics: Semantics) -> list[int]:
     """Per argument a of ``af.sorted_arguments``, the targets b for which
     adding (a, b) changes the cf or adm extension set, by Dung's delta
     (:meth:`~afrob.invariance._State.changed_rows`)."""
-    return _State(*af.bit_rows).changed_rows(Semantics(semantics))
+    return _State(*af.bit_rows).changed_rows(_cf_or_adm(semantics))
 
 
 def cross_validate(af: ArgumentationFramework, semantics: Semantics) -> list[DiscrepancyReport]:
     """Compare the classifier with the ground truth on every candidate
     attack; return all disagreements.  One state of the relation answers
     everything: the rule scan's rows and the ground truth's, Dung's delta,
-    and for each disagreeing candidate its witnesses and the extensions it
-    loses and gains."""
-    semantics = Semantics(semantics)
+    and for each disagreeing candidate the rules that fire on it and the
+    extensions it loses and gains, all on argument indices."""
+    semantics = _cf_or_adm(semantics)
     state = _State(*af.bit_rows)
     invariant = state.invariant_rows(semantics)
     changed = state.changed_rows(semantics)
@@ -118,16 +113,16 @@ def cross_validate(af: ArgumentationFramework, semantics: Semantics) -> list[Dis
     for a, (rule_row, changed_row, present) in enumerate(zip(invariant, changed, af.target_rows)):
         # the candidates the rules call invariant, XOR those that are
         for b in _bits(rule_row ^ (full & ~(changed_row | present))):
-            classification = _classify(af, state, (names[a], names[b]), semantics)
+            rules = tuple(dict.fromkeys(rule for _, rule in state.witnesses(a, b, semantics)))
             lost, gained = state.changes(a, b, semantics)
             found.append(
                 DiscrepancyReport(
                     framework=af,
-                    attack=classification.attack,
+                    attack=Attack(names[a], names[b]),
                     semantics=semantics,
-                    predicate_verdict=classification.verdict,
+                    predicate_verdict=_verdict(rules),
                     oracle_verdict=not changed_row >> b & 1,
-                    rules=tuple(dict.fromkeys(w.rule for w in classification.witnesses)),
+                    rules=rules,
                     lost=_decode(af, lost),
                     gained=_decode(af, gained),
                 )
@@ -182,7 +177,7 @@ def exhaustive_audit(
     with ``seed``, so identical parameters always produce identical
     reports.
     """
-    semantics = Semantics(semantics)
+    semantics = _cf_or_adm(semantics)
     if n < 0 or samples < 0:
         raise ValueError(f"negative argument or sample count: n={n}, samples={samples}")
     # every framework would be rejected by the enumerator; say so before

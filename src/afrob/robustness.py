@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import SizeLimit, UnsupportedSemantics
+from .errors import SizeLimit
 from .framework import ArgumentationFramework, Attack, _attacks_in, _bits, _with_attack
-from .invariance import _State, sigma_equivalent
+from .invariance import _cf_or_adm, _State, sigma_equivalent
 from .semantics import Semantics
 
 # An adm search exploring more states than this raises SizeLimit.  On five
@@ -68,11 +68,7 @@ def robustness_degree(
     a search would visit, not work done: Σ_{i≤d} C(k, i) (2^k uncapped) for
     exhaustive, d + 1 for greedy.
     """
-    semantics = Semantics(semantics)
-    if semantics not in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
-        raise UnsupportedSemantics(
-            f"robustness supports cf and adm, not {semantics.value}"
-        )
+    semantics = _cf_or_adm(semantics)
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, not {max_steps}")
     if strategy not in ("exhaustive", "greedy"):
@@ -134,7 +130,7 @@ def verify_witness(
     the final framework must have exactly the original extension set
     (checked by full recomputation).  The steps are classified along one
     chain of search states, each derived from the one before."""
-    semantics = Semantics(semantics)
+    semantics = _cf_or_adm(semantics)
     state = _State(*af.bit_rows)
     for source, target in witness:
         a, b = af._index(source), af._index(target)

@@ -9,7 +9,7 @@ exactly once and no other subset is visited.  Each set carries the union of
 its members' targets and the union of their attackers (read off the
 relation's bit rows), which makes the admissibility test one bit operation
 (the robustness search builds its root state with the same pass).  One
-record per framework (cached on the framework) holds the families, each
+record per framework (the last two are cached) holds the families, each
 built the first time it is read, on one of two passes.  ``cf`` and ``adm``
 read the pass over all the arguments.  The complete, stable, preferred and
 semi-stable families read the pass over the core: the arguments that are
@@ -204,7 +204,8 @@ def _conflict_free(
     return cf, hit, threat
 
 
-@lru_cache(maxsize=32768)
+# a framework and the one it is compared with (sigma_equivalent)
+@lru_cache(maxsize=2)
 def _enumerate(af: ArgumentationFramework) -> _Enumeration:
     return _Enumeration(af)
 

@@ -9,6 +9,7 @@ from afrob import (
     ArgumentSetMismatch,
     Rule,
     Semantics,
+    SizeLimit,
     UnsupportedSemantics,
     Verdict,
     classify_attack,
@@ -191,6 +192,15 @@ def test_preferred_only_is_refused_for_cf(g3):
     # cf has no labellings to restrict, so the flag would be silently ignored
     with pytest.raises(UnsupportedSemantics, match="preferred-only"):
         classify_attack(g3, ("2", "1"), Semantics.CONFLICT_FREE, preferred_only=True)
+
+
+def test_preferred_only_size_limit_names_every_argument():
+    # the preferred sets read only the 22-argument core, the scan all 25
+    pairs = [(f"p{i}", f"q{i}") for i in range(11)]
+    names = [x for pair in pairs for x in pair] + ["r0", "r1", "r2"]
+    af = ArgumentationFramework(names, pairs + [(q, p) for p, q in pairs])
+    with pytest.raises(SizeLimit, match="^25 arguments exceed"):
+        classify_attack(af, ("r0", "r1"), Semantics.ADMISSIBLE, preferred_only=True)
 
 
 def test_preferred_only_agrees_on_small_frameworks():
@@ -394,8 +404,9 @@ def test_every_family_and_state_list_comes_in_extension_sort_key_order():
         n = len(af.arguments)
         for a in range(n):
             for b in range(n):
-                for preferred_only in (False, True):
-                    found = root.witnesses(a, b, Semantics.ADMISSIBLE, preferred_only)
-                    assert found == sorted(found, key=key), (af, a, b, preferred_only)
+                # every admissible set, then the record's preferred ones
+                for family in (None, frozenset(enum.prf)):
+                    found = root.witnesses(a, b, Semantics.ADMISSIBLE, family)
+                    assert found == sorted(found, key=key), (af, a, b, family)
                     witnesses_not_ascending += found != sorted(found, key=lambda w: (kind(w), w[0]))
     assert not_ascending > 20 and witnesses_not_ascending > 20

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import afrob.invariance
+import afrob.oracle
 import afrob.semantics
 from afrob import (
     ArgumentationFramework,
@@ -9,6 +11,7 @@ from afrob import (
     Semantics,
     Verdict,
     changed_rows,
+    classify_attack,
     cross_validate,
     exhaustive_audit,
     extension_changes,
@@ -97,33 +100,64 @@ def test_delta_matches_recomputation_on_seeded_relations(n):
 def test_delta_rejects_other_semantics(g3):
     with pytest.raises(afrob.UnsupportedSemantics):
         changed_rows(g3, Semantics.COMPLETE)
+    # refused before any work, even with no framework to audit
+    with pytest.raises(afrob.UnsupportedSemantics):
+        exhaustive_audit(4, Semantics.COMPLETE, samples=0)
 
 
 def test_audit_adds_and_enumerates_nothing(monkeypatch):
     # one state per framework decides every candidate by the rules and by
     # the delta, and gives each of the 324 disagreements of the n=3 adm
-    # ledger its witnesses and changed extensions: no framework is expanded
-    # or enumerated
-    added = []
-    enumerated = []
-    add_attack = ArgumentationFramework.add_attack
-    enumerate_ = afrob.semantics._enumerate
+    # ledger its rules and changed extensions on argument indices: no
+    # framework is expanded or enumerated, no candidate classified, no name
+    # looked up, and only the changed extensions are decoded
+    calls = {"add_attack": 0, "_enumerate": 0, "_classify": 0, "_index": 0, "_names": 0}
 
-    def counted_add(self, *attack):
-        added.append(attack)
-        return add_attack(self, *attack)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    def counted_enumerate(af):
-        enumerated.append(af)
-        return enumerate_(af)
+        return wrapper
 
-    monkeypatch.setattr(ArgumentationFramework, "add_attack", counted_add)
-    monkeypatch.setattr(afrob.semantics, "_enumerate", counted_enumerate)
+    for owner, name in [
+        (ArgumentationFramework, "add_attack"),
+        (ArgumentationFramework, "_index"),
+        (ArgumentationFramework, "_names"),
+        (afrob.semantics, "_enumerate"),
+        (afrob.invariance, "_classify"),
+    ]:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    # a binding of its own in the oracle module would be counted too
+    monkeypatch.setattr(afrob.oracle, "_classify", afrob.invariance._classify, raising=False)
     cf = exhaustive_audit(3, Semantics.CONFLICT_FREE)
     assert (cf.candidates_checked, len(cf.discrepancies)) == (2304, 0)
     adm = exhaustive_audit(3, Semantics.ADMISSIBLE)
     assert (adm.candidates_checked, len(adm.discrepancies)) == (2304, 324)
-    assert (len(added), len(enumerated)) == (0, 0)
+    decoded = sum(len(d.lost) + len(d.gained) for d in adm.discrepancies)
+    assert calls == {
+        "add_attack": 0, "_enumerate": 0, "_classify": 0, "_index": 0, "_names": decoded
+    }
+
+
+def test_oracle_invariant_enumerates_the_framework_once(monkeypatch):
+    # the record cache holds a framework and the one it is compared with,
+    # so comparing every expansion with one framework runs its pass once
+    af = framework_from_mask(canonical_names(4), 0x1234)
+    passes = []
+    conflict_free = afrob.semantics._conflict_free
+
+    def counted(targets, *rest):
+        passes.append(targets)
+        return conflict_free(targets, *rest)
+
+    afrob.semantics._enumerate.cache_clear()
+    monkeypatch.setattr(afrob.semantics, "_conflict_free", counted)
+    candidates = candidate_attacks(af)
+    for attack in candidates:
+        oracle_invariant(af, attack, Semantics.ADMISSIBLE)
+    assert passes.count(af.target_rows) == 1
+    assert len(passes) == len(candidates) + 1
 
 
 def test_audit_checks_the_enumeration_limit_first():
@@ -184,6 +218,12 @@ def test_audit_three_arguments_ledger():
         "NI-out-self-defense": 174,
         NO_RULE_FIRED: 144,
     }
+    # each disagreement carries the rules (distinct, in witness order) and
+    # the verdict of classifying its candidate on its own
+    for report in adm.discrepancies:
+        classification = classify_attack(report.framework, report.attack, Semantics.ADMISSIBLE)
+        rules = tuple(dict.fromkeys(w.rule for w in classification.witnesses))
+        assert (report.rules, report.predicate_verdict) == (rules, classification.verdict)
     cf = exhaustive_audit(3, Semantics.CONFLICT_FREE)
     assert (cf.frameworks_checked, cf.candidates_checked) == (512, 2304)
     assert cf.discrepancies == ()

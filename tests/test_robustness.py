@@ -47,6 +47,9 @@ def test_greedy_matches_on_goldens(g3, mutual):
 def test_strategy_and_semantics_validation(g3):
     with pytest.raises(UnsupportedSemantics):
         robustness_degree(g3, Semantics.STABLE)
+    # refused before any work, even with no step to replay
+    with pytest.raises(UnsupportedSemantics):
+        verify_witness(g3, Semantics.COMPLETE, [])
     with pytest.raises(ValueError):
         robustness_degree(g3, Semantics.CONFLICT_FREE, strategy="magic")
 

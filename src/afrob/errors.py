@@ -9,10 +9,6 @@ class UnknownArgument(AfrobError):
     """An operation referenced an argument that is not in the framework."""
 
 
-class NotAdmissible(AfrobError):
-    """A labelling was requested for a set that is not admissible."""
-
-
 class UnsupportedSemantics(AfrobError):
     """The requested semantics is not available for this operation."""
 
@@ -23,10 +19,6 @@ class ArgumentSetMismatch(AfrobError):
 
 class SizeLimit(AfrobError):
     """The framework exceeds the exhaustive-enumeration guardrail."""
-
-
-class LabellingMismatch(AfrobError):
-    """A labelling does not cover exactly the framework's arguments."""
 
 
 class ParseError(AfrobError):

@@ -4,10 +4,10 @@ A framework is a finite set of named arguments plus a set of directed
 attacks between them, stored once: the arguments in canonical
 (lexicographic) order and, per argument, the bitmask of its targets, where
 bit i stands for the i-th argument of that order.  Every other view (the
-attack set, the attacker rows, the name-level queries) is read off these
-rows.  Everything here is value-semantic: operations never mutate, they
-return fresh frameworks, so instances can be shared freely (across threads
-included) and used as dictionary keys.
+attack set, the attacker rows) is read off these rows.  Everything here is
+value-semantic: operations never mutate, they return fresh frameworks, so
+instances can be shared freely (across threads included) and used as
+dictionary keys.
 """
 
 from __future__ import annotations
@@ -117,12 +117,6 @@ class ArgumentationFramework:
         except ValueError:
             raise UnknownArgument(f"unknown argument: {name!r}") from None
 
-    def _mask(self, names: Iterable[str]) -> int:
-        mask = 0
-        for name in names:
-            mask |= 1 << self._index(name)
-        return mask
-
     def _names(self, mask: int) -> frozenset[str]:
         return frozenset(self.sorted_arguments[i] for i in _bits(mask))
 
@@ -142,24 +136,3 @@ class ArgumentationFramework:
         if self.target_rows[a] >> b & 1:
             return self
         return self._from_rows(self.sorted_arguments, _with_attack(self.target_rows, a, b))
-
-    def attackers(self, argument: str) -> frozenset[str]:
-        """All arguments attacking ``argument``."""
-        return self._names(self.bit_rows[1][self._index(argument)])
-
-    def targets(self, argument: str) -> frozenset[str]:
-        """All arguments attacked by ``argument``."""
-        return self._names(self.target_rows[self._index(argument)])
-
-    def set_attacks(self, members: Iterable[str], target: str) -> bool:
-        """True if some member of the set attacks ``target``."""
-        mask = self._mask(members)
-        return bool(self.attacked_by(mask) >> self._index(target) & 1)
-
-    def defends(self, members: Iterable[str], argument: str) -> bool:
-        """True if the set counterattacks every attacker of ``argument``.
-
-        Vacuously true for unattacked arguments.
-        """
-        mask = self._mask(members)
-        return not self.bit_rows[1][self._index(argument)] & ~self.attacked_by(mask)

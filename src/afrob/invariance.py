@@ -25,12 +25,7 @@ from typing import Collection, Iterable, NamedTuple
 
 from .errors import ArgumentSetMismatch, UnsupportedSemantics
 from .framework import ArgumentationFramework, Attack, _attacks_in, _bits, _transpose, _with_attack
-from .semantics import (
-    ExtensionSet,
-    Semantics,
-    _conflict_free,
-    extension_masks,
-)
+from .semantics import Semantics, _conflict_free, extension_masks
 
 
 class Verdict(str, Enum):
@@ -82,12 +77,6 @@ def _cf_or_adm(semantics: Semantics, preferred_only: bool = False) -> Semantics:
     if semantics not in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
         raise UnsupportedSemantics(f"only cf and adm are supported, not {semantics.value}")
     return semantics
-
-
-def extension_set_included(candidate: ExtensionSet, reference: ExtensionSet) -> bool:
-    """Weak inclusion between extension families: every member of
-    ``candidate`` is contained in some member of ``reference``."""
-    return all(any(ext <= other for other in reference) for ext in candidate)
 
 
 def sigma_equivalent(

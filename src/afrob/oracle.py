@@ -6,17 +6,17 @@ For adm they are an independent check of the rule scan.  For cf the rule
 and the delta read one closed form, so an audit only shows that they agree
 with each other; cf exactness rests on the tests that compare the delta
 with recomputation and on acceptance criterion 3.  ``oracle_invariant``
-and ``extension_changes`` recompute both sides for one candidate, under
-any semantics; the tests use them as the reference.  Dung's delta decides
-cf and adm from one state of the relation
+recomputes both sides for one candidate, under any semantics.  Dung's
+delta decides cf and adm from one state of the relation
 (:class:`afrob.invariance._State`), which also holds the rule scan: one
 pass over the conflict-free sets finds, per set, the additions that lose
-or gain it (``changed_rows``), and the same sets give one candidate's lost
-and gained extensions.  ``cross_validate`` compares the classifier against
-the delta and reads every disagreement's rules and changes off that state
-on argument indices, recomputing and classifying nothing;
-``exhaustive_audit`` sweeps entire framework populations and aggregates
-every divergence into a report instead of smoothing it over.
+or gain it (``_State.changed_rows``), and the same sets give one
+candidate's lost and gained extensions (``_State.changes``).
+``cross_validate`` compares the classifier against the delta and reads
+every disagreement's rules and changes off that state on argument
+indices, recomputing and classifying nothing; ``exhaustive_audit`` sweeps
+entire framework populations and aggregates every divergence into a
+report instead of smoothing it over.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ from functools import lru_cache
 from .errors import SizeLimit
 from .framework import ArgumentationFramework, Attack, _bits
 from .invariance import Rule, Verdict, _cf_or_adm, _State, _verdict, sigma_equivalent
-from .semantics import (
-    MAX_ENUMERATION_ARGUMENTS,
-    ExtensionSet,
-    Semantics,
-    _decode,
-    extension_difference,
-)
+from .semantics import MAX_ENUMERATION_ARGUMENTS, ExtensionSet, Semantics, _decode
 
 # aggregation key for divergences where no rule fired at all
 NO_RULE_FIRED = "no-rule-fired"
@@ -81,20 +75,6 @@ def oracle_invariant(
     """Ground truth: does adding the attack leave the extension set equal
     (:func:`~afrob.invariance.sigma_equivalent`)?"""
     return sigma_equivalent(af, af.add_attack(*attack), semantics)
-
-
-def extension_changes(
-    af: ArgumentationFramework, attack: tuple[str, str], semantics: Semantics
-) -> tuple[ExtensionSet, ExtensionSet]:
-    """Extensions lost and gained by adding the attack."""
-    return extension_difference(af, af.add_attack(*attack), semantics)
-
-
-def changed_rows(af: ArgumentationFramework, semantics: Semantics) -> list[int]:
-    """Per argument a of ``af.sorted_arguments``, the targets b for which
-    adding (a, b) changes the cf or adm extension set, by Dung's delta
-    (:meth:`~afrob.invariance._State.changed_rows`)."""
-    return _State(*af.bit_rows).changed_rows(_cf_or_adm(semantics))
 
 
 def cross_validate(af: ArgumentationFramework, semantics: Semantics) -> list[DiscrepancyReport]:
@@ -216,10 +196,8 @@ __all__ = [
     "AuditReport",
     "DiscrepancyReport",
     "canonical_names",
-    "changed_rows",
     "cross_validate",
     "exhaustive_audit",
-    "extension_changes",
     "framework_from_mask",
     "oracle_invariant",
 ]

@@ -1,13 +1,14 @@
 """Definitional re-implementations used as an independent route in tests.
 
-Everything here except :func:`greedy_robustness` works on plain sets of
-names and tuples of names with itertools, deliberately sharing no code (and
-no bitmask tricks) with the package under test.
+Everything here except :func:`extension_changes` and
+:func:`greedy_robustness` works on plain sets of names and tuples of names
+with itertools, deliberately sharing no code (and no bitmask tricks) with
+the package under test.
 """
 
 from itertools import combinations, product
 
-from afrob import RobustnessResult, invariant_attacks, oracle_invariant
+from afrob import RobustnessResult, extension_difference, invariant_attacks, oracle_invariant
 
 
 def subsets(args):
@@ -91,6 +92,12 @@ _BY_NAME = {
 
 def extensions(args, attacks, semantics):
     return _BY_NAME[semantics](args, attacks)
+
+
+def extension_set_included(candidate, reference):
+    """Weak inclusion between extension families: every member of
+    ``candidate`` is contained in some member of ``reference``."""
+    return all(any(ext <= other for other in reference) for ext in candidate)
 
 
 def reinstatement_labellings(args, attacks):
@@ -223,6 +230,12 @@ def rule_scan(args, attacks, family, attack):
     else:
         verdict = "invariant"
     return verdict, tuple(losses + gains)
+
+
+def extension_changes(af, attack, semantics):
+    """The extensions of ``af`` lost and gained by adding ``attack``, from
+    both extension sets recomputed: the reference for the delta's changes."""
+    return extension_difference(af, af.add_attack(*attack), semantics)
 
 
 def greedy_robustness(af, semantics, paranoid=False, max_steps=None):

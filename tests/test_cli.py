@@ -14,8 +14,9 @@ from afrob import Semantics, exhaustive_audit, extension_sort_key, extensions
 from afrob.apx import emit_apx
 from afrob.cli import _Attacks, _Family, _json, _parser, _set_items, run_cli
 from afrob.framework import Attack
-from afrob.oracle import canonical_names, extension_changes, framework_from_mask
+from afrob.oracle import canonical_names, framework_from_mask
 from conftest import mutual_pairs
+from oracles import extension_changes
 
 G3_APX = "arg(1).\narg(2).\narg(3).\narg(4).\natt(1,2).\natt(2,3).\n"
 

@@ -1,6 +1,5 @@
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 import oracles
 from afrob import ArgumentationFramework, Attack, Semantics, UnknownArgument, extension_masks
@@ -80,29 +79,6 @@ def test_add_attack_rejects_unknown_endpoints(g3):
         g3.add_attack("z", "1")
 
 
-def test_attackers(g3):
-    assert g3.attackers("3") == {"2"}
-    assert g3.attackers("1") == frozenset()
-    assert g3.attackers("2") == {"1"}
-    with pytest.raises(UnknownArgument):
-        g3.attackers("z")
-
-
-def test_set_attacks(g3):
-    assert g3.set_attacks({"1"}, "2")
-    assert not g3.set_attacks(set(), "2")
-    assert not g3.set_attacks({"4"}, "3")
-    with pytest.raises(UnknownArgument):
-        g3.set_attacks({"z"}, "2")
-
-
-def test_defends(g3):
-    assert g3.defends({"1"}, "3")
-    assert g3.defends(set(), "1")  # unattacked, vacuous
-    assert g3.defends(set(), "4")
-    assert not g3.defends(set(), "3")
-
-
 def _odd_walk(state, af, source, target) -> bool:
     """Whether ``state``'s odd reach table has a walk of odd length from
     ``source`` to ``target`` of ``af``."""
@@ -139,16 +115,6 @@ def test_add_attack_is_monotone(af):
             expanded = af.add_attack(source, target)
             assert expanded.attacks >= af.attacks
             assert len(expanded.attacks) - len(af.attacks) in (0, 1)
-
-
-@given(frameworks(min_args=1), st.data())
-def test_defends_is_monotone_in_the_set(af, data):
-    names = sorted(af.arguments)
-    smaller = data.draw(st.sets(st.sampled_from(names)))
-    larger = smaller | data.draw(st.sets(st.sampled_from(names)))
-    target = data.draw(st.sampled_from(names))
-    if af.defends(smaller, target):
-        assert af.defends(larger, target)
 
 
 def _all_pairs_agree_with_enumeration(af):

@@ -13,7 +13,6 @@ from afrob import (
     UnsupportedSemantics,
     Verdict,
     classify_attack,
-    extension_set_included,
     extension_sort_key,
     extensions,
     invariant_attacks,
@@ -24,6 +23,7 @@ from afrob.framework import Attack
 from afrob.invariance import _DELETION_RULES, _State, candidate_attacks
 from afrob.oracle import canonical_names, framework_from_mask
 from afrob.semantics import _enumerate
+from oracles import extension_set_included
 from conftest import frameworks
 
 

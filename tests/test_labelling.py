@@ -5,17 +5,11 @@ import oracles
 
 from afrob import (
     ArgumentationFramework,
-    Label,
     Labelling,
-    NotAdmissible,
     Semantics,
     SizeLimit,
-    UnknownArgument,
     UnsupportedSemantics,
-    credulous_sets,
     extensions,
-    labelling_from_set,
-    labelling_of_extension,
     labellings_for,
 )
 from afrob.oracle import canonical_names, framework_from_mask
@@ -29,36 +23,6 @@ def lab(in_set, out_set, undec_set):
 def test_labelling_partition_is_validated():
     with pytest.raises(ValueError):
         Labelling({"a"}, {"a"}, set())
-
-
-def test_label_of():
-    labelling = lab({"a"}, {"b"}, {"c"})
-    assert labelling.label_of("a") is Label.IN
-    assert labelling.label_of("b") is Label.OUT
-    assert labelling.label_of("c") is Label.UNDEC
-    with pytest.raises(KeyError):
-        labelling.label_of("z")
-
-
-def test_labelling_of_extension_examples(g3):
-    assert labelling_of_extension(g3, {"1", "3", "4"}) == lab({"1", "3", "4"}, {"2"}, set())
-    assert labelling_of_extension(g3, set()) == lab(set(), set(), {"1", "2", "3", "4"})
-    assert labelling_of_extension(g3, {"1"}) == lab({"1"}, {"2"}, {"3", "4"})
-
-
-def test_labelling_of_extension_requires_admissibility(g3):
-    with pytest.raises(NotAdmissible):
-        labelling_of_extension(g3, {"2"})
-    with pytest.raises(UnknownArgument):
-        labelling_of_extension(g3, {"z"})
-
-
-def test_labelling_from_set_allows_conflicting_sets(g3):
-    # relaxed constructor: in is the set itself even when not admissible
-    relaxed = labelling_from_set(g3, {"1", "2"})
-    assert relaxed.in_set == {"1", "2"}
-    assert relaxed.out_set == {"3"}
-    assert relaxed.undec_set == {"4"}
 
 
 def reinstatement_labellings(af):
@@ -120,10 +84,8 @@ def test_reinstatement_in_sets_are_admissible_exhaustively():
 def test_reinstatement_in_sets_are_admissible(af):
     admissible = extensions(af, Semantics.ADMISSIBLE)
     assert _oracle_in_sets(reinstatement_labellings(af)) == admissible
-    # extension labellings are a right inverse on in-sets
-    for extension in admissible:
-        built = labelling_of_extension(af, extension)
-        assert built.in_set == extension
+    # the labellings built from the complete sets are reinstatement labellings
+    for built in labellings_for(af, Semantics.COMPLETE):
         assert (built.in_set, built.out_set, built.undec_set) in reinstatement_labellings(af)
 
 
@@ -168,32 +130,6 @@ def test_preferred_filter_agrees_between_in_and_out_maximality(af):
     complete = labellings_for(af, Semantics.COMPLETE)
     by_out = [l for l in complete if not any(o.out_set > l.out_set for o in complete)]
     assert _in_sets(by_out) == _in_sets(labellings_for(af, Semantics.PREFERRED))
-
-
-def test_credulous_sets_examples(g3, empty_af):
-    adm = credulous_sets(g3, Semantics.ADMISSIBLE)
-    assert adm.in_set == {"1", "3", "4"}
-    assert adm.out_set == {"2"}
-    assert adm.undec_set == {"1", "2", "3", "4"}
-    assert credulous_sets(g3, Semantics.CONFLICT_FREE).in_set == {"1", "2", "3", "4"}
-    assert credulous_sets(empty_af, Semantics.ADMISSIBLE) == (
-        frozenset(), frozenset(), frozenset()
-    )
-
-
-def test_conflict_free_credulous_sets_are_the_union_over_conflict_free_labellings():
-    # the closed form against its definition on all 531 frameworks with n <= 3
-    for n in (0, 1, 2, 3):
-        names = canonical_names(n)
-        for mask in range(1 << (n * n)):
-            af = framework_from_mask(names, mask)
-            cf = extensions(af, Semantics.CONFLICT_FREE)
-            labellings = [labelling_from_set(af, ext) for ext in cf]
-            assert credulous_sets(af, Semantics.CONFLICT_FREE) == (
-                frozenset().union(*(l.in_set for l in labellings)),
-                frozenset().union(*(l.out_set for l in labellings)),
-                frozenset().union(*(l.undec_set for l in labellings)),
-            ), af
 
 
 def test_labelling_size_limit():

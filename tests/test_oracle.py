@@ -10,11 +10,9 @@ from afrob import (
     SizeLimit,
     Semantics,
     Verdict,
-    changed_rows,
     classify_attack,
     cross_validate,
     exhaustive_audit,
-    extension_changes,
     extensions,
     oracle_invariant,
     robustness_degree,
@@ -24,6 +22,7 @@ from afrob.framework import Attack
 from afrob.invariance import _State, candidate_attacks
 from afrob.oracle import NO_RULE_FIRED, canonical_names, framework_from_mask
 from afrob.semantics import _decode
+from oracles import extension_changes
 
 
 def test_oracle_invariant_examples(g3):
@@ -67,7 +66,7 @@ def _assert_delta_is_recomputation(af):
     names = af.sorted_arguments
     state = _State(*af.bit_rows)
     for semantics in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
-        changed = changed_rows(af, semantics)
+        changed = state.changed_rows(semantics)
         assert len(changed) == len(names)
         for a, source in enumerate(names):
             for b, target in enumerate(names):
@@ -99,7 +98,7 @@ def test_delta_matches_recomputation_on_seeded_relations(n):
 
 def test_delta_rejects_other_semantics(g3):
     with pytest.raises(afrob.UnsupportedSemantics):
-        changed_rows(g3, Semantics.COMPLETE)
+        cross_validate(g3, Semantics.COMPLETE)
     # refused before any work, even with no framework to audit
     with pytest.raises(afrob.UnsupportedSemantics):
         exhaustive_audit(4, Semantics.COMPLETE, samples=0)

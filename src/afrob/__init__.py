@@ -37,7 +37,6 @@ from .semantics import (
     Semantics,
     extension_difference,
     extension_masks,
-    extension_sort_key,
     extensions,
 )
 

@@ -24,7 +24,7 @@ from .invariance import AttackClassification, _classify, _State
 from .labelling import labellings_for
 from .oracle import AuditReport, exhaustive_audit
 from .robustness import RobustnessResult, robustness_degree
-from .semantics import Semantics, extension_difference, extension_masks, extension_sort_key
+from .semantics import Semantics, extension_difference, extension_masks
 
 SCHEMA = "afrob/1"
 
@@ -68,16 +68,8 @@ def _load(path: str) -> ArgumentationFramework:
         return parse_apx(handle.read())
 
 
-def _sorted_extensions(family) -> list[list[str]]:
-    return [sorted(ext) for ext in sorted(family, key=extension_sort_key)]
-
-
 def _fmt_set(values) -> str:
     return "{" + ",".join(sorted(values)) + "}"
-
-
-def _fmt_extensions(family) -> str:
-    return ",".join(_fmt_set(ext) for ext in sorted(family, key=extension_sort_key)) or "-"
 
 
 class _Family(NamedTuple):
@@ -117,6 +109,10 @@ def _set_items(
         else:
             items[m] = start + sep.join([names[i] for i in _bits(m)]) + end
     return list(items.values())
+
+
+def _fmt_extensions(masks: Sequence[int], names: Sequence[str]) -> str:
+    return ",".join(_set_items(masks, names, "{", ",", "}", "{}")) or "-"
 
 
 def _json(value, indent: str = "\n") -> str:
@@ -250,12 +246,9 @@ def _cmd_check_attack(args) -> int:
             "lost": _Family(lost, names),
             "gained": _Family(gained, names),
         }
-        lost_text, gained_text = (
-            ",".join(_set_items(m, names, "{", ",", "}", "{}")) or "-" for m in (lost, gained)
-        )
         text.append(
             f"oracle: {'invariant' if invariant else 'changed'}"
-            f" lost={lost_text} gained={gained_text}"
+            f" lost={_fmt_extensions(lost, names)} gained={_fmt_extensions(gained, names)}"
         )
     return _emit(args, "check-attack", result, text)
 
@@ -313,16 +306,17 @@ def _cmd_equivalent(args) -> int:
     semantics = Semantics(args.semantics)
     lost, gained = extension_difference(af, other, semantics)
     equivalent = not lost and not gained
+    names = af.sorted_arguments
     result = {
         "semantics": semantics.value,
         "equivalent": equivalent,
-        "lost": _sorted_extensions(lost),
-        "gained": _sorted_extensions(gained),
+        "lost": _Family(lost, names),
+        "gained": _Family(gained, names),
     }
     text = [
         f"equivalent: {'true' if equivalent else 'false'}",
-        f"lost: {_fmt_extensions(lost)}",
-        f"gained: {_fmt_extensions(gained)}",
+        f"lost: {_fmt_extensions(lost, names)}",
+        f"gained: {_fmt_extensions(gained, names)}",
     ]
     return _emit(args, "equivalent", result, text)
 
@@ -352,8 +346,8 @@ def _audit_json(report: AuditReport) -> dict:
                 "predicate_verdict": d.predicate_verdict.value,
                 "oracle_invariant": d.oracle_verdict,
                 "rules": [rule.value for rule in d.rules],
-                "lost": _sorted_extensions(d.lost),
-                "gained": _sorted_extensions(d.gained),
+                "lost": _Family(d.lost, d.framework.sorted_arguments),
+                "gained": _Family(d.gained, d.framework.sorted_arguments),
             }
             for d in report.discrepancies
         ],
@@ -373,12 +367,12 @@ def format_audit_text(report: AuditReport) -> list[str]:
         lines.append(f"by rule: {rule}={count}")
     relations = _relations(report, lambda r: ",".join(f"({a.source},{a.target})" for a in r))
     for d in report.discrepancies:
-        relation = relations[id(d.framework)]
+        relation, names = relations[id(d.framework)], d.framework.sorted_arguments
         lines.append(
             f"disagreement: R={{{relation}}} add=({d.attack.source},{d.attack.target})"
             f" predicate={d.predicate_verdict.value}"
             f" oracle={'invariant' if d.oracle_verdict else 'changed'}"
-            f" lost={_fmt_extensions(d.lost)} gained={_fmt_extensions(d.gained)}"
+            f" lost={_fmt_extensions(d.lost, names)} gained={_fmt_extensions(d.gained, names)}"
         )
     return lines
 

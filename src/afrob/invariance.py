@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterable, NamedTuple
 
-from .errors import ArgumentSetMismatch, UnsupportedSemantics
+from .errors import UnsupportedSemantics
 from .framework import ArgumentationFramework, Attack, _attacks_in, _bits, _transpose, _with_attack
-from .semantics import Semantics, _conflict_free, extension_masks
+from .semantics import Semantics, _conflict_free, extension_difference, extension_masks
 
 
 class Verdict(str, Enum):
@@ -82,15 +82,10 @@ def _cf_or_adm(semantics: Semantics, preferred_only: bool = False) -> Semantics:
 def sigma_equivalent(
     af: ArgumentationFramework, other: ArgumentationFramework, semantics: Semantics
 ) -> bool:
-    """True when both frameworks have identical extension sets.
-
-    The shared argument set gives both one argument order, so their mask
-    families, in canonical (size, then names) order as enumerated, are
-    compared directly.
-    """
-    if af.sorted_arguments != other.sorted_arguments:
-        raise ArgumentSetMismatch("the two frameworks do not share an argument set")
-    return extension_masks(af, semantics) == extension_masks(other, semantics)
+    """True when both frameworks have identical extension sets: no
+    extension is lost or gained (:func:`~afrob.semantics.extension_difference`,
+    which refuses two different argument sets)."""
+    return extension_difference(af, other, semantics) == ((), ())
 
 
 def _having(rows: tuple[int, ...], among: int, hits: int) -> int:
@@ -424,16 +419,16 @@ class _State:
                     changed[a] |= unanswered
         return changed
 
-    def changes(self, a: int, b: int, semantics: Semantics) -> tuple[list[int], list[int]]:
+    def changes(self, a: int, b: int, semantics: Semantics) -> tuple[tuple[int, ...], ...]:
         """The cf or adm extensions lost and gained by adding (a, b), by the
-        conditions of :meth:`changed_rows`: both empty for an attack
-        already present."""
+        conditions of :meth:`changed_rows`, in canonical order (filters of
+        :attr:`cf` and :attr:`adm`): both empty for an attack present."""
         bit_a, bit_b = 1 << a, 1 << b
         if semantics is Semantics.CONFLICT_FREE:
             both = bit_a | bit_b
-            return [s for s, _, _ in self.cf if s & both == both], []
-        lost = [s for s, attacked, _ in self.adm if s & bit_b and not attacked & bit_a]
-        gained = [s for s, hit, threat in self.cf if s & bit_a and threat & ~hit == bit_b]
+            return tuple(s for s, _, _ in self.cf if s & both == both), ()
+        lost = tuple(s for s, attacked, _ in self.adm if s & bit_b and not attacked & bit_a)
+        gained = tuple(s for s, hit, threat in self.cf if s & bit_a and threat & ~hit == bit_b)
         return lost, gained
 
 

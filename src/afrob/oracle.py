@@ -13,10 +13,10 @@ pass over the conflict-free sets finds, per set, the additions that lose
 or gain it (``_State.changed_rows``), and the same sets give one
 candidate's lost and gained extensions (``_State.changes``).
 ``cross_validate`` compares the classifier against the delta and reads
-every disagreement's rules and changes off that state on argument
-indices, recomputing and classifying nothing; ``exhaustive_audit`` sweeps
-entire framework populations and aggregates every divergence into a
-report instead of smoothing it over.
+every disagreement's rules and changes (as masks) off that state on
+argument indices, recomputing, classifying and decoding nothing;
+``exhaustive_audit`` sweeps entire framework populations and aggregates
+every divergence into a report instead of smoothing it over.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import lru_cache
 from .errors import SizeLimit
 from .framework import ArgumentationFramework, Attack, _bits
 from .invariance import Rule, Verdict, _cf_or_adm, _State, _verdict, sigma_equivalent
-from .semantics import MAX_ENUMERATION_ARGUMENTS, ExtensionSet, Semantics, _decode
+from .semantics import MAX_ENUMERATION_ARGUMENTS, Semantics
 
 # aggregation key for divergences where no rule fired at all
 NO_RULE_FIRED = "no-rule-fired"
@@ -36,7 +36,8 @@ NO_RULE_FIRED = "no-rule-fired"
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
-    """A single disagreement between the classifier and the ground truth."""
+    """A single disagreement between the classifier and the ground truth;
+    ``lost`` and ``gained`` are masks over the framework's argument order."""
 
     framework: ArgumentationFramework
     attack: Attack
@@ -44,8 +45,8 @@ class DiscrepancyReport:
     predicate_verdict: Verdict
     oracle_verdict: bool
     rules: tuple[Rule, ...]
-    lost: ExtensionSet
-    gained: ExtensionSet
+    lost: tuple[int, ...]
+    gained: tuple[int, ...]
 
 
 @dataclass
@@ -103,8 +104,8 @@ def cross_validate(af: ArgumentationFramework, semantics: Semantics) -> list[Dis
                     predicate_verdict=_verdict(rules),
                     oracle_verdict=not changed_row >> b & 1,
                     rules=rules,
-                    lost=_decode(af, lost),
-                    gained=_decode(af, gained),
+                    lost=lost,
+                    gained=gained,
                 )
             )
     return found

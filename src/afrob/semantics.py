@@ -20,11 +20,11 @@ them never runs the whole pass, nor one asking for cf or adm the core's.
 The grounded set reads no conflict-free set: it is the least fixpoint of
 Dung's characteristic function, iterated from the empty set in polynomial
 time, so no size limit applies to it.  Every family is a tuple of masks in
-canonical (size, then names) order, as enumerated: the order of
-:func:`extension_sort_key`, which every filter, and adding G, keeps.  It is
-a total order on masks, so two frameworks over one argument set have equal
-extension sets exactly when their tuples are equal, and masks are decoded
-into sets of names only for output.  A pass over more arguments than the
+canonical order (by size, then by the ascending tuple of member names), as
+enumerated, which every filter, and adding G, keeps.  Two frameworks over
+one argument set share it, so the sets one has and the other lacks are
+filters of their tuples, in that order too, and masks are decoded into
+sets of names only for output.  A pass over more arguments than the
 guardrail is rejected instead of silently hanging.
 """
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ArgumentSetMismatch, SizeLimit
 from .framework import ArgumentationFramework, _bits
@@ -60,15 +60,6 @@ class Semantics(str, Enum):
     PREFERRED = "prf"
     GROUNDED = "gde"
     SEMI_STABLE = "sst"
-
-
-def extension_sort_key(extension: frozenset[str]) -> tuple[int, tuple[str, ...]]:
-    """Canonical ordering for extensions: by size, then lexicographically."""
-    return (len(extension), tuple(sorted(extension)))
-
-
-def _decode(af: ArgumentationFramework, masks: Iterable[int]) -> ExtensionSet:
-    return frozenset(map(af._names, masks))
 
 
 @dataclass(frozen=True)
@@ -241,18 +232,17 @@ def extension_masks(af: ArgumentationFramework, semantics: Semantics) -> tuple[i
 
 def extensions(af: ArgumentationFramework, semantics: Semantics) -> ExtensionSet:
     """Extension set of ``af`` under the given semantics."""
-    return _decode(af, extension_masks(af, semantics))
+    return frozenset(map(af._names, extension_masks(af, semantics)))
 
 
 def extension_difference(
     af: ArgumentationFramework, other: ArgumentationFramework, semantics: Semantics
-) -> tuple[ExtensionSet, ExtensionSet]:
-    """The extensions of ``af`` that ``other`` lacks (lost) and those of
-    ``other`` that ``af`` lacks (gained).  Both frameworks must have the
-    same argument set; only the differing extensions are decoded."""
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The extension masks of ``af`` that ``other`` lacks (lost) and those of
+    ``other`` that ``af`` lacks (gained), in canonical order: filters of
+    the :func:`extension_masks` tuples over the shared argument set."""
     if af.sorted_arguments != other.sorted_arguments:
         raise ArgumentSetMismatch("the two frameworks do not share an argument set")
-    before = set(extension_masks(af, semantics))
-    after = set(extension_masks(other, semantics))
-    return _decode(af, before - after), _decode(af, after - before)
-
+    before, after = extension_masks(af, semantics), extension_masks(other, semantics)
+    kept = set(before).intersection(after)
+    return tuple(m for m in before if m not in kept), tuple(m for m in after if m not in kept)

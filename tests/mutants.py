@@ -113,6 +113,28 @@ MUTANTS = (
         "masks = extension_masks(af, semantics)",
         ("tests/test_acceptance.py::test_criterion_6_labelling_correspondence",),
     ),
+    Mutant(
+        "difference-in-mask-order",
+        "src/afrob/semantics.py",
+        "return tuple(m for m in before if m not in kept), tuple(m for m in after if m not in kept)",
+        "return tuple(sorted(m for m in before if m not in kept)),"
+        " tuple(sorted(m for m in after if m not in kept))",
+        ("tests/test_cli.py::test_g3_reports_match_the_pinned_output",),
+    ),
+    Mutant(
+        "difference-lost-gained-swapped",
+        "src/afrob/semantics.py",
+        "return tuple(m for m in before if m not in kept), tuple(m for m in after if m not in kept)",
+        "return tuple(m for m in after if m not in kept), tuple(m for m in before if m not in kept)",
+        ("tests/test_oracle.py::test_mask_level_checks_match_name_level_extension_sets",),
+    ),
+    Mutant(
+        "audit-stores-lost-as-gained",
+        "src/afrob/oracle.py",
+        "                    lost=lost,\n",
+        "                    lost=gained,\n",
+        ("tests/test_oracle.py::test_audit_two_arguments_adm_characterisation",),
+    ),
 )
 
 

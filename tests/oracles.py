@@ -94,6 +94,12 @@ def extensions(args, attacks, semantics):
     return _BY_NAME[semantics](args, attacks)
 
 
+def extension_sort_key(extension):
+    """Canonical order of extensions: by size, then by the ascending tuple
+    of member names."""
+    return (len(extension), tuple(sorted(extension)))
+
+
 def extension_set_included(candidate, reference):
     """Weak inclusion between extension families: every member of
     ``candidate`` is contained in some member of ``reference``."""
@@ -234,8 +240,10 @@ def rule_scan(args, attacks, family, attack):
 
 def extension_changes(af, attack, semantics):
     """The extensions of ``af`` lost and gained by adding ``attack``, from
-    both extension sets recomputed: the reference for the delta's changes."""
-    return extension_difference(af, af.add_attack(*attack), semantics)
+    both extension sets recomputed, as sets of name sets: the reference for
+    the delta's changes."""
+    lost, gained = extension_difference(af, af.add_attack(*attack), semantics)
+    return frozenset(map(af._names, lost)), frozenset(map(af._names, gained))
 
 
 def greedy_robustness(af, semantics, paranoid=False, max_steps=None):

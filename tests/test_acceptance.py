@@ -284,7 +284,10 @@ def adjudicate_admissible_audit(audit, population):
         if key not in truth:
             continue
         verdict, lost, gained = truth[key]
-        listed = (report.predicate_verdict, report.lost, report.gained, report.oracle_verdict)
+        listed_lost, listed_gained = (
+            frozenset(map(report.framework._names, masks)) for masks in (report.lost, report.gained)
+        )
+        listed = (report.predicate_verdict, listed_lost, listed_gained, report.oracle_verdict)
         if listed != (verdict, lost, gained, not lost and not gained):
             failures.append(f"{describe(*key)}: audit entry disagrees with the recomputation")
         missed_gain = verdict is Verdict.INVARIANT and not report.rules and gained

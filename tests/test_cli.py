@@ -10,13 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import afrob
-from afrob import Semantics, exhaustive_audit, extension_sort_key, extensions
+from afrob import Semantics, exhaustive_audit, extensions
 from afrob.apx import emit_apx
 from afrob.cli import _Attacks, _Family, _json, _parser, _set_items, run_cli
 from afrob.framework import Attack
 from afrob.oracle import canonical_names, framework_from_mask
 from conftest import mutual_pairs
-from oracles import extension_changes
+from oracles import extension_changes, extension_sort_key
 
 G3_APX = "arg(1).\narg(2).\narg(3).\narg(4).\natt(1,2).\natt(2,3).\n"
 
@@ -649,6 +649,30 @@ def test_g3_enumerations_match_the_pinned_output(capsys, g3_file, case):
     # pinned: extensions under all seven semantics and labellings under the
     # five restrictions, JSON and text; the output must stay byte-identical
     code, out, err = run(capsys, *case["argv"], "--input", g3_file)
+    assert code == 0, err
+    assert out == case["output"]
+
+
+def _report_case_id(case):
+    other = " + " + case["other"].replace("\n", " ").strip() if "other" in case else ""
+    return " ".join(case["argv"]) + other
+
+
+@pytest.mark.parametrize("case", _golden_cases("g3_report_golden.json"), ids=_report_case_id)
+def test_g3_reports_match_the_pinned_output(capsys, tmp_path, g3_file, case):
+    # pinned: equivalent under all seven semantics, JSON and text, against g3
+    # plus each "other" attack list (in the second, canonical order puts the
+    # lost {4} before {1,3}, the reverse of ascending masks), audit --args 2,
+    # and the text of check-attack --oracle, invariant-attacks --oracle and
+    # robustness; the output must stay byte-identical
+    argv = list(case["argv"])
+    if argv[0] != "audit":
+        argv += ["--input", g3_file]
+    if "other" in case:
+        other = tmp_path / "other.apx"
+        other.write_text(G3_APX + case["other"])
+        argv += ["--other", str(other)]
+    code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert out == case["output"]
 

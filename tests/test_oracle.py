@@ -13,6 +13,8 @@ from afrob import (
     classify_attack,
     cross_validate,
     exhaustive_audit,
+    extension_difference,
+    extension_masks,
     extensions,
     oracle_invariant,
     robustness_degree,
@@ -21,7 +23,6 @@ from afrob import (
 from afrob.framework import Attack
 from afrob.invariance import _State, candidate_attacks
 from afrob.oracle import NO_RULE_FIRED, canonical_names, framework_from_mask
-from afrob.semantics import _decode
 from oracles import extension_changes
 
 
@@ -57,6 +58,14 @@ def test_mask_level_checks_match_name_level_extension_sets():
                 assert oracle_invariant(af, attack, semantics) == (before == after)
                 assert sigma_equivalent(af, expanded, semantics) == (before == after)
                 assert extension_changes(af, attack, semantics) == (before - after, after - before)
+                # the masks themselves: filters of the enumerated tuples, in
+                # canonical order
+                masks = extension_masks(af, semantics)
+                expanded_masks = extension_masks(expanded, semantics)
+                assert extension_difference(af, expanded, semantics) == (
+                    tuple(m for m in masks if m not in expanded_masks),
+                    tuple(m for m in expanded_masks if m not in masks),
+                )
 
 
 def _assert_delta_is_recomputation(af):
@@ -73,10 +82,9 @@ def _assert_delta_is_recomputation(af):
                 invariant = oracle_invariant(af, (source, target), semantics)
                 assert invariant == (not changed[a] >> b & 1), (af, source, target, semantics)
                 lost, gained = state.changes(a, b, semantics)
+                decoded = frozenset(map(af._names, lost)), frozenset(map(af._names, gained))
                 expected = extension_changes(af, (source, target), semantics)
-                assert (_decode(af, lost), _decode(af, gained)) == expected, (
-                    af, source, target, semantics
-                )
+                assert decoded == expected, (af, source, target, semantics)
 
 
 def test_delta_matches_recomputation_on_every_small_relation():
@@ -108,8 +116,8 @@ def test_audit_adds_and_enumerates_nothing(monkeypatch):
     # one state per framework decides every candidate by the rules and by
     # the delta, and gives each of the 324 disagreements of the n=3 adm
     # ledger its rules and changed extensions on argument indices: no
-    # framework is expanded or enumerated, no candidate classified, no name
-    # looked up, and only the changed extensions are decoded
+    # framework is expanded or enumerated, no candidate classified, and no
+    # name looked up or extension decoded
     calls = {"add_attack": 0, "_enumerate": 0, "_classify": 0, "_index": 0, "_names": 0}
 
     def counted(name, fn):
@@ -133,10 +141,7 @@ def test_audit_adds_and_enumerates_nothing(monkeypatch):
     assert (cf.candidates_checked, len(cf.discrepancies)) == (2304, 0)
     adm = exhaustive_audit(3, Semantics.ADMISSIBLE)
     assert (adm.candidates_checked, len(adm.discrepancies)) == (2304, 324)
-    decoded = sum(len(d.lost) + len(d.gained) for d in adm.discrepancies)
-    assert calls == {
-        "add_attack": 0, "_enumerate": 0, "_classify": 0, "_index": 0, "_names": decoded
-    }
+    assert calls == {"add_attack": 0, "_enumerate": 0, "_classify": 0, "_index": 0, "_names": 0}
 
 
 def test_oracle_invariant_enumerates_the_framework_once(monkeypatch):
@@ -200,7 +205,10 @@ def test_audit_two_arguments_adm_characterisation():
         lost, gained = extension_changes(
             discrepancy.framework, discrepancy.attack, discrepancy.semantics
         )
-        assert (lost, gained) == (discrepancy.lost, discrepancy.gained)
+        decode = discrepancy.framework._names
+        assert (lost, gained) == (
+            frozenset(map(decode, discrepancy.lost)), frozenset(map(decode, discrepancy.gained))
+        )
         assert discrepancy.oracle_verdict == (not lost and not gained)
         assert (discrepancy.predicate_verdict is Verdict.INVARIANT) != discrepancy.oracle_verdict
 

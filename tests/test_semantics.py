@@ -12,13 +12,13 @@ from afrob import (
     SizeLimit,
     extension_difference,
     extension_masks,
-    extension_sort_key,
     extensions,
     invariant_attacks,
 )
 from afrob.oracle import canonical_names, framework_from_mask
 from afrob.semantics import _enumerate
 from conftest import frameworks, mutual_pairs
+from oracles import extension_sort_key
 
 # the families derived on the grounded core
 DERIVED = (Semantics.COMPLETE, Semantics.STABLE, Semantics.PREFERRED, Semantics.SEMI_STABLE)

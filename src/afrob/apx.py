@@ -7,6 +7,15 @@ are ignored; every other line must be exactly ``arg(NAME).`` or
 nonempty token over [A-Za-z0-9_].  Attacks may reference arguments
 declared later in the file; endpoints never declared at all are an error.
 Duplicate declarations are tolerated.
+
+Once every line end is a newline, one pattern (``_LINE``) reads the whole
+text in one ``findall``: it matches each valid line and captures the names
+the line declares, so the document is valid exactly when every line
+matched.  Only a rejected document is read again, line by line, to the
+first line the pattern rejects, where step-by-step checks find the column
+and the reason.  Undeclared endpoints are reported only for a document
+whose every line is valid: the first attack line naming one, its source
+checked before its target.
 """
 
 from __future__ import annotations
@@ -17,47 +26,55 @@ from .errors import ParseError, UndeclaredArgument
 from .framework import _NAME, ArgumentationFramework, _attacks_in
 
 _SPACE = re.compile(r"\s*")
+# [^\S\n] is any str.isspace() character but the line end
+_LINE = re.compile(
+    r"^[^\S\n]*(?:%[^\n]*|(?:arg\(([A-Za-z0-9_]+)\)|att\(([A-Za-z0-9_]+),([A-Za-z0-9_]+)\))"
+    r"\.[^\S\n]*)?$",
+    re.M,
+)
 # the separator that follows each name a declaration expects
 _SEPARATORS = {"arg(": (").",), "att(": (",", ").")}
 
 
 def parse_apx(text: str) -> ArgumentationFramework:
     """Parse an apx document into a framework."""
-    arguments: set[str] = set()
-    attacks: list[tuple[int, str, str]] = []
     # not splitlines(), which also breaks at \v, \f, \x1c-\x1e, \x85, \u2028, \u2029
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, line in enumerate(lines, start=1):
-        pos = _SPACE.match(line).end()
-        if pos == len(line) or line[pos] == "%":
-            continue
-        separators = _SEPARATORS.get(line[pos : pos + 4])
-        if separators is None:
-            raise ParseError(lineno, pos + 1, "expected 'arg(NAME).' or 'att(NAME,NAME).'")
-        pos += 4
-        names = []
-        for separator in separators:
-            name = _NAME.match(line, pos)
-            if name is None:
-                raise ParseError(lineno, pos + 1, "expected an argument name ([A-Za-z0-9_]+)")
-            pos = name.end()
-            if not line.startswith(separator, pos):
-                raise ParseError(lineno, pos + 1, f"expected {separator!r}")
-            pos += len(separator)
-            names.append(name.group())
-        pos = _SPACE.match(line, pos).end()
-        if pos != len(line):
-            raise ParseError(lineno, pos + 1, "unexpected trailing characters")
-        if len(names) == 1:
-            arguments.add(names[0])
-        else:
-            attacks.append((lineno, *names))
-    for lineno, source, target in attacks:
-        if source not in arguments:
-            raise UndeclaredArgument(source, lineno)
-        if target not in arguments:
-            raise UndeclaredArgument(target, lineno)
-    return ArgumentationFramework(arguments, [(s, t) for _, s, t in attacks])
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    # one (argument, source, target) per valid line, '' where not declared
+    found = _LINE.findall(text)
+    if len(found) != text.count("\n") + 1:
+        _reject(text.split("\n"))
+    order = tuple(sorted({argument for argument, _, _ in found} - {""}))
+    position = dict(zip(order, range(len(order))))
+    rows = [0] * len(order)
+    for lineno, (_, source, target) in enumerate(found, start=1):
+        if source:
+            for name in (source, target):
+                if name not in position:
+                    raise UndeclaredArgument(name, lineno)
+            rows[position[source]] |= 1 << position[target]
+    return ArgumentationFramework._from_rows(order, tuple(rows))
+
+
+def _reject(lines: list[str]) -> None:
+    """Raise the :class:`ParseError` of the first of ``lines`` that
+    ``_LINE`` rejects: its first failing step, read left to right."""
+    lineno, line = next((i, line) for i, line in enumerate(lines, 1) if not _LINE.fullmatch(line))
+    pos = _SPACE.match(line).end()
+    separators = _SEPARATORS.get(line[pos : pos + 4])
+    if separators is None:
+        raise ParseError(lineno, pos + 1, "expected 'arg(NAME).' or 'att(NAME,NAME).'")
+    pos += 4
+    for separator in separators:
+        name = _NAME.match(line, pos)
+        if name is None:
+            raise ParseError(lineno, pos + 1, "expected an argument name ([A-Za-z0-9_]+)")
+        pos = name.end()
+        if not line.startswith(separator, pos):
+            raise ParseError(lineno, pos + 1, f"expected {separator!r}")
+        pos += len(separator)
+    # every earlier step passed, so only trailing characters are left
+    raise ParseError(lineno, _SPACE.match(line, pos).end() + 1, "unexpected trailing characters")
 
 
 def emit_apx(af: ArgumentationFramework) -> str:

@@ -390,9 +390,9 @@ def _cmd_audit(args) -> int:
 
 
 @cache
-def _parser() -> _Parser:
-    """The command parser, built on first use and then shared by every
-    call in the process."""
+def _parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The command parser and each command's own parser, by name, built on
+    first use and then shared by every call in the process."""
     parser = _Parser(prog="afrob", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -455,12 +455,17 @@ def _parser() -> _Parser:
     common(p, with_input=False)
     p.set_defaults(func=_cmd_audit)
 
-    return parser
+    return parser, sub.choices
 
 
 def run_cli(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parser()
+    # a command's arguments go straight to its own parser; anything else
+    # (no command, --help, an unknown command) to the command parser
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

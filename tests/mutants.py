@@ -135,6 +135,32 @@ MUTANTS = (
         "                    lost=gained,\n",
         ("tests/test_oracle.py::test_audit_two_arguments_adm_characterisation",),
     ),
+    Mutant(
+        "apx-accepts-a-document-with-a-rejected-line",
+        "src/afrob/apx.py",
+        '    if len(found) != text.count("\\n") + 1:\n',
+        "    if not found:\n",
+        ("tests/test_apx.py::test_parse_matches_the_line_by_line_reference",),
+    ),
+    Mutant(
+        "apx-line-space-is-space-and-tab",
+        "src/afrob/apx.py",
+        '    r"^[^\\S\\n]*(?:%[^\\n]*|(?:arg\\(([A-Za-z0-9_]+)\\)|att\\(([A-Za-z0-9_]+),([A-Za-z0-9_]+)\\))"\n'
+        '    r"\\.[^\\S\\n]*)?$",\n',
+        '    r"^[ \\t]*(?:%[^\\n]*|(?:arg\\(([A-Za-z0-9_]+)\\)|att\\(([A-Za-z0-9_]+),([A-Za-z0-9_]+)\\))"\n'
+        '    r"\\.[ \\t]*)?$",\n',
+        (
+            "tests/test_apx.py::test_parser_whitespace_is_str_isspace",
+            "tests/test_apx.py::test_parse_matches_the_line_by_line_reference",
+        ),
+    ),
+    Mutant(
+        "command-parser-given-the-command-name",
+        "src/afrob/cli.py",
+        "command.parse_args(argv[1:])",
+        "command.parse_args(argv)",
+        ("tests/test_cli.py::test_direct_dispatch_matches_the_top_level_parser",),
+    ),
 )
 
 

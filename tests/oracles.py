@@ -3,12 +3,22 @@
 Everything here except :func:`extension_changes` and
 :func:`greedy_robustness` works on plain sets of names and tuples of names
 with itertools, deliberately sharing no code (and no bitmask tricks) with
-the package under test.
+the package under test; :func:`parse_apx_by_line` shares only the
+framework and error types.
 """
 
+import re
 from itertools import combinations, product
 
-from afrob import RobustnessResult, extension_difference, invariant_attacks, oracle_invariant
+from afrob import (
+    ArgumentationFramework,
+    ParseError,
+    RobustnessResult,
+    UndeclaredArgument,
+    extension_difference,
+    invariant_attacks,
+    oracle_invariant,
+)
 
 
 def subsets(args):
@@ -304,3 +314,49 @@ def cf_robustness(args, attacks, max_steps=None):
 
     degree, witness = search(frozenset(attacks))
     return degree, witness, len(memo), truncated
+
+
+_SPACE = re.compile(r"\s*")
+_NAME = re.compile(r"[A-Za-z0-9_]+")
+# the separator that follows each name a declaration expects
+_SEPARATORS = {"arg(": (").",), "att(": (",", ").")}
+
+
+def parse_apx_by_line(text):
+    """The apx reader as a line-by-line walk of step checks: the reference
+    for ``afrob.parse_apx``'s one-pattern pass, its errors included."""
+    arguments = set()
+    attacks = []
+    # not splitlines(), which also breaks at \v, \f, \x1c-\x1e, \x85, \u2028, \u2029
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        pos = _SPACE.match(line).end()
+        if pos == len(line) or line[pos] == "%":
+            continue
+        separators = _SEPARATORS.get(line[pos : pos + 4])
+        if separators is None:
+            raise ParseError(lineno, pos + 1, "expected 'arg(NAME).' or 'att(NAME,NAME).'")
+        pos += 4
+        names = []
+        for separator in separators:
+            name = _NAME.match(line, pos)
+            if name is None:
+                raise ParseError(lineno, pos + 1, "expected an argument name ([A-Za-z0-9_]+)")
+            pos = name.end()
+            if not line.startswith(separator, pos):
+                raise ParseError(lineno, pos + 1, f"expected {separator!r}")
+            pos += len(separator)
+            names.append(name.group())
+        pos = _SPACE.match(line, pos).end()
+        if pos != len(line):
+            raise ParseError(lineno, pos + 1, "unexpected trailing characters")
+        if len(names) == 1:
+            arguments.add(names[0])
+        else:
+            attacks.append((lineno, *names))
+    for lineno, source, target in attacks:
+        if source not in arguments:
+            raise UndeclaredArgument(source, lineno)
+        if target not in arguments:
+            raise UndeclaredArgument(target, lineno)
+    return ArgumentationFramework(arguments, [(s, t) for _, s, t in attacks])

@@ -1,12 +1,15 @@
+import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given
 
 from afrob import ArgumentationFramework, ParseError, UndeclaredArgument, emit_apx, parse_apx
-from afrob.apx import _SPACE
+from afrob.apx import _LINE, _SPACE
 from afrob.framework import Attack
 from conftest import frameworks
+from oracles import parse_apx_by_line
 
 
 def test_parse_mutual_attack():
@@ -96,6 +99,14 @@ def test_parser_whitespace_is_str_isspace():
         if (_SPACE.match(chr(code)).end() == 1) != chr(code).isspace()
     ]
     assert mismatches == []
+    # the line pattern's space: any of those but the line ends
+    mismatches = [
+        code
+        for code in range(sys.maxunicode + 1)
+        if chr(code) not in "\n\r%"  # % starts a comment
+        and bool(_LINE.fullmatch(chr(code) + "arg(a)." + chr(code))) != chr(code).isspace()
+    ]
+    assert mismatches == []
 
 
 def test_emit_is_canonical(g3):
@@ -108,3 +119,67 @@ def test_emit_is_canonical(g3):
 @given(frameworks())
 def test_round_trip(af):
     assert parse_apx(emit_apx(af)) == af
+
+
+# line ends; spaces, among them \x0b and \x85, which str.splitlines takes
+# for line ends, and \xa0 and \u3000, which [ \t] misses; names, with an
+# empty one and a non-ASCII one, each declared only by chance
+_ENDS = ("\n", "\n", "\r", "\r\n")
+_SPACES = ("", "", " ", "\t", "\x0b", "\x85", "\xa0", "\u3000")
+_TOKENS = ("a", "b", "c", "a", "b", "x_1", "9", "é", "")
+
+
+def _apx_line(rng: random.Random) -> str:
+    """A line that is valid or one edit away from valid: a declaration, a
+    comment or a blank, cut short, with one character dropped, replaced or
+    inserted, or followed by trailing text, inside random spaces."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        line = f"arg({rng.choice(_TOKENS)})."
+    elif kind == 1:
+        line = f"att({rng.choice(_TOKENS)},{rng.choice(_TOKENS)})."
+    else:
+        line = rng.choice(("", "%", "% note", "%arg(a)."))
+    edit = rng.randrange(10)
+    if line and edit == 0:
+        line = line[: rng.randrange(len(line))]
+    elif line and edit == 1:
+        cut = rng.randrange(len(line))
+        line = line[:cut] + rng.choice(("", " ", "(", ",", ".", "%", "a")) + line[cut + 1 :]
+    elif edit == 2:
+        cut = rng.randrange(len(line) + 1)
+        line = line[:cut] + rng.choice(_SPACES + ("x", ")", "%x")) + line[cut:]
+    elif edit == 3:
+        line += rng.choice(_SPACES) + rng.choice(("x", "%x", ".", "arg(a)."))
+    return rng.choice(_SPACES) + line + rng.choice(_SPACES)
+
+
+def _outcome(parse, text):
+    """("framework", the framework ``parse`` reads from ``text``), or the
+    error it raises as (type, line, column, reason) or (type, name, line)."""
+    try:
+        return ("framework", parse(text))
+    except ParseError as error:
+        return ("ParseError", error.line, error.column, error.reason)
+    except UndeclaredArgument as error:
+        return ("UndeclaredArgument", error.name, error.line)
+
+
+def test_parse_matches_the_line_by_line_reference():
+    # seeded documents of one to six lines: the one-pattern pass and the
+    # line-by-line reader must read the same framework or report the same
+    # first error
+    rng = random.Random(0)
+    kinds = Counter()
+    mismatches = []
+    for _ in range(30_000):
+        lines = [_apx_line(rng) for _ in range(rng.randint(1, 6))]
+        text = "".join(line + rng.choice(_ENDS) for line in lines[:-1]) + lines[-1]
+        expected = _outcome(parse_apx_by_line, text)
+        kinds[expected[-1] if expected[0] == "ParseError" else expected[0]] += 1
+        if _outcome(parse_apx, text) != expected:
+            mismatches.append(text)
+    assert mismatches == []
+    # frameworks, undeclared endpoints and each of the five reasons, every
+    # one in at least 1% of the documents
+    assert len(kinds) == 7 and min(kinds.values()) >= 300, kinds

@@ -677,6 +677,49 @@ def test_g3_reports_match_the_pinned_output(capsys, tmp_path, g3_file, case):
     assert out == case["output"]
 
 
+INPUT = "{input}"
+
+
+def _golden_argvs():
+    """The first pinned argv of each command in the g3 golden files, with
+    the input files the golden tests add."""
+    argvs = {}
+    for name in ("g3_cli_golden.json", "g3_enumeration_golden.json", "g3_report_golden.json"):
+        for case in _golden_cases(name):
+            argvs.setdefault(case["argv"][0], case["argv"])
+    inputs = {"audit": [], "equivalent": ["--input", INPUT, "--other", INPUT]}
+    return [argv + inputs.get(command, ["--input", INPUT]) for command, argv in argvs.items()]
+
+
+_DISPATCH_ARGVS = _golden_argvs() + [
+    [],
+    ["nope"],
+    ["-h"],
+    ["extensions", "-h"],
+    ["extensions", "--semantics", "adm"],
+    ["extensions", "--semantics", "adm", "--input", INPUT, "extra"],
+    ["robustness", "--semantics", "cf", "--strategy", "greedy", "--max-steps", "-1", "--input", INPUT],
+    ["audit", "--args", "2", "--semantics", "cf", "--jobs", "0"],
+    ["extensions", "--semantics", "adm", "--input", INPUT, "--"],
+    ["extensions", "--semantics", "adm", "--", "--input", INPUT],
+]
+
+
+def test_golden_argvs_cover_every_command():
+    assert sorted(argv[0] for argv in _golden_argvs()) == sorted(_parser()[1])
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_ARGVS, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_direct_dispatch_matches_the_top_level_parser(capsys, monkeypatch, g3_file, argv):
+    # run_cli hands a command's arguments to that command's own parser; the
+    # command parser alone must give the same exit code, stdout and stderr
+    argv = [g3_file if part == INPUT else part for part in argv]
+    direct = run(capsys, *argv)
+    parser, _ = _parser()
+    monkeypatch.setattr("afrob.cli._parser", lambda: (parser, {}))
+    assert run(capsys, *argv) == direct
+
+
 def test_extension_lists_follow_extension_sort_key():
     # every framework with at most three arguments, where ascending masks
     # happen to be in this order already, and sparse seeded ones on five,

@@ -115,6 +115,18 @@ def _fmt_extensions(masks: Sequence[int], names: Sequence[str]) -> str:
     return ",".join(_set_items(masks, names, "{", ",", "}", "{}")) or "-"
 
 
+def _int_text(value: int) -> str:
+    """``value`` in decimal, exactly, at any length.  ``int.__repr__``
+    refuses past the interpreter's digit limit (4,300 by default); a
+    ``Decimal`` converts without one, and is imported only then."""
+    try:
+        return int.__repr__(value)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(value))
+
+
 def _json(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for the values the
     CLI prints: dicts with str keys, lists, str, int, bool and None, a
@@ -163,7 +175,7 @@ def _json(value, indent: str = "\n") -> str:
         return "false"
     # a str or int subclass (an enum member) prints as its value, as in json
     if isinstance(value, int):
-        return int.__repr__(value)
+        return _int_text(value)
     if isinstance(value, str):
         return _quote(value)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
@@ -292,7 +304,7 @@ def _cmd_robustness(args) -> int:
     text = [
         f"degree: {result_obj.degree}",
         "witness: " + (", ".join(f"{a.source}->{a.target}" for a in result_obj.witness) or "-"),
-        f"explored_states: {result_obj.explored_states}",
+        "explored_states: " + _int_text(result_obj.explored_states),
         f"strategy: {result_obj.strategy}",
     ]
     if result_obj.truncated:

@@ -29,8 +29,26 @@ class Attack(NamedTuple):
     target: str
 
 
+# _BIT_TABLE[m] holds the ascending set-bit positions of each m < _SMALL as
+# bytes (iterating bytes yields ints); built by doubling, so entry m + 2^i
+# is entry m followed by i.  About 190 KB, none of it tracked by the GC.
+_SMALL = 1 << 12
+_BIT_TABLE = [b""]
+for _i in range(12):
+    _tail = bytes((_i,))
+    _BIT_TABLE += [b + _tail for b in _BIT_TABLE]
+del _i, _tail
+
+
 def _bits(mask: int):
     """The positions of the set bits of ``mask``, ascending."""
+    if mask < _SMALL:
+        return _BIT_TABLE[mask]
+    return _bits_above(mask)
+
+
+def _bits_above(mask: int):
+    """:func:`_bits` for masks of ``_SMALL`` and above."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -161,6 +161,23 @@ MUTANTS = (
         "command.parse_args(argv)",
         ("tests/test_cli.py::test_direct_dispatch_matches_the_top_level_parser",),
     ),
+    Mutant(
+        "bit-table-covers-its-bound",
+        "src/afrob/framework.py",
+        "    if mask < _SMALL:\n",
+        "    if mask <= _SMALL:\n",
+        ("tests/test_framework.py::test_bits_matches_the_bit_by_bit_reference",),
+    ),
+    Mutant(
+        "bit-table-descending",
+        "src/afrob/framework.py",
+        "[b + _tail for b in _BIT_TABLE]",
+        "[_tail + b for b in _BIT_TABLE]",
+        (
+            "tests/test_framework.py::test_bits_matches_the_bit_by_bit_reference",
+            "tests/test_cli.py::test_g3_reports_match_the_pinned_output",
+        ),
+    ),
 )
 
 

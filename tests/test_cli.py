@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import given
@@ -532,6 +533,25 @@ def test_exhaustive_cf_robustness_runs_no_search(capsys, tmp_path):
     )
     result = payload["result"]
     assert (result["degree"], result["explored_states"]) == (21, 2**21)
+
+
+def test_cf_robustness_on_many_self_attackers_prints_exact_counts(capsys, tmp_path):
+    # 121 self-attackers leave 121 * 120 = 14,520 cf-invariant candidates;
+    # 2^14520 states has 4,371 digits, past the interpreter's default limit
+    # of 4,300 for printing an int (JSON parses it here as a Decimal)
+    k = 121 * 120
+    selves = tmp_path / "selves.apx"
+    selves.write_text("".join(f"arg({a}).\natt({a},{a}).\n" for a in canonical_names(121)))
+    argv = ["robustness", "--semantics", "cf", "--strategy", "exhaustive", "--input", str(selves)]
+    for cap, degree, states in (((), k, 1 << k), (("--max-steps", "14519"), k - 1, (1 << k) - 1)):
+        code, out, err = run(capsys, *argv, *cap, "--format", "json")
+        assert code == 0, err
+        result = json.loads(out, parse_int=Decimal)["result"]
+        assert (result["degree"], result["explored_states"]) == (degree, Decimal(states))
+        assert result["truncated"] is bool(cap)
+        code, out, err = run(capsys, *argv, *cap)
+        assert code == 0, err
+        assert f"explored_states: {Decimal(states)}\n" in out
 
 
 def test_labellings_size_limit_exit_code(capsys, tmp_path):

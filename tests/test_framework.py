@@ -3,6 +3,7 @@ from hypothesis import given
 
 import oracles
 from afrob import ArgumentationFramework, Attack, Semantics, UnknownArgument, extension_masks
+from afrob.framework import _bits
 from afrob.invariance import _State
 from afrob.semantics import _enumerate
 from conftest import frameworks
@@ -151,3 +152,14 @@ def test_odd_walk_matches_enumeration_on_five_arguments():
     for _ in range(60):
         attacks = [p for p in pairs if rng.random() < 0.5]
         _all_pairs_agree_with_enumeration(ArgumentationFramework(names, attacks))
+
+
+def test_bits_matches_the_bit_by_bit_reference():
+    # every mask on both sides of the table's bound (4095 and 4096
+    # included), then seeded masks of up to 70 bits
+    import random
+
+    rng = random.Random(7)
+    masks = [*range(1 << 13), *(rng.randrange(1 << rng.randint(1, 70)) for _ in range(2000))]
+    for m in masks:
+        assert tuple(_bits(m)) == tuple(i for i in range(m.bit_length()) if m >> i & 1), m

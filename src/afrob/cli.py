@@ -15,15 +15,15 @@ import argparse
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .apx import parse_apx
 from .errors import AfrobError, ParseError, SizeLimit, UndeclaredArgument
 from .framework import ArgumentationFramework, _attacks_in, _bits
-from .invariance import AttackClassification, _classify, _State
+from .invariance import _classify, _State
 from .labelling import labellings_for
 from .oracle import AuditReport, exhaustive_audit
-from .robustness import RobustnessResult, robustness_degree
+from .robustness import robustness_degree
 from .semantics import Semantics, extension_difference, extension_masks
 
 SCHEMA = "afrob/1"
@@ -68,8 +68,8 @@ def _load(path: str) -> ArgumentationFramework:
         return parse_apx(handle.read())
 
 
-def _fmt_set(values) -> str:
-    return "{" + ",".join(sorted(values)) + "}"
+def _fmt_set(sorted_names: Sequence[str]) -> str:
+    return "{" + ",".join(sorted_names) + "}"
 
 
 class _Family(NamedTuple):
@@ -111,8 +111,8 @@ def _set_items(
     return list(items.values())
 
 
-def _fmt_extensions(masks: Sequence[int], names: Sequence[str]) -> str:
-    return ",".join(_set_items(masks, names, "{", ",", "}", "{}")) or "-"
+def _fmt_extensions(family: _Family) -> str:
+    return ",".join(_set_items(*family, "{", ",", "}", "{}")) or "-"
 
 
 def _int_text(value: int) -> str:
@@ -181,17 +181,44 @@ def _json(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _emit(args, command: str, result: dict, text_lines: Iterable[str]) -> int:
-    if args.format == "json":
-        print(_json({"schema": SCHEMA, "command": command, "result": result}))
-    else:
-        for line in text_lines:
-            print(line)
-    return EXIT_OK
+def _cmd_extensions(args) -> dict:
+    af = _load(args.input)
+    semantics = Semantics(args.semantics)
+    family = _Family(extension_masks(af, semantics), af.sorted_arguments)
+    return {"semantics": semantics.value, "extensions": family}
 
 
-def _classification_json(classification: AttackClassification) -> dict:
+def _extensions_text(result: dict) -> list[str]:
+    return _set_items(*result["extensions"], "{", ",", "}", "{}")
+
+
+def _cmd_labellings(args) -> dict:
+    af = _load(args.input)
+    semantics = Semantics(args.semantics)
     return {
+        "semantics": semantics.value,
+        "labellings": [
+            {"in": sorted(l.in_set), "out": sorted(l.out_set), "undec": sorted(l.undec_set)}
+            for l in labellings_for(af, semantics)
+        ],
+    }
+
+
+def _labellings_text(result: dict) -> list[str]:
+    return [
+        f"in={_fmt_set(l['in'])} out={_fmt_set(l['out'])} undec={_fmt_set(l['undec'])}"
+        for l in result["labellings"]
+    ]
+
+
+def _cmd_check_attack(args) -> dict:
+    af = _load(args.input)
+    semantics = Semantics(args.semantics)
+    # one state of the relation gives the rule scan and Dung's delta
+    state = _State(*af.bit_rows)
+    a, b = af._index(args.source), af._index(args.target)
+    classification = _classify(af, state, a, b, semantics, args.preferred_only)
+    result = {
         "attack": {"source": classification.attack.source, "target": classification.attack.target},
         "semantics": classification.semantics.value,
         "verdict": classification.verdict.value,
@@ -199,149 +226,113 @@ def _classification_json(classification: AttackClassification) -> dict:
             {"in_set": sorted(w.in_set), "rule": w.rule.value} for w in classification.witnesses
         ],
     }
-
-
-def _classification_text(classification: AttackClassification) -> list[str]:
-    lines = [
-        f"attack: {classification.attack.source} -> {classification.attack.target}",
-        f"semantics: {classification.semantics.value}",
-        f"verdict: {classification.verdict.value}",
-    ]
-    for witness in classification.witnesses:
-        lines.append(f"witness: in={_fmt_set(witness.in_set)} rule={witness.rule.value}")
-    return lines
-
-
-def _cmd_extensions(args) -> int:
-    af = _load(args.input)
-    semantics = Semantics(args.semantics)
-    family = _Family(extension_masks(af, semantics), af.sorted_arguments)
-    result = {"semantics": semantics.value, "extensions": family}
-    text = _set_items(*family, "{", ",", "}", "{}") if args.format == "text" else ()
-    return _emit(args, "extensions", result, text)
-
-
-def _cmd_labellings(args) -> int:
-    af = _load(args.input)
-    semantics = Semantics(args.semantics)
-    found = labellings_for(af, semantics)
-    result = {
-        "semantics": semantics.value,
-        "labellings": [
-            {"in": sorted(l.in_set), "out": sorted(l.out_set), "undec": sorted(l.undec_set)}
-            for l in found
-        ],
-    }
-    text = [
-        f"in={_fmt_set(l.in_set)} out={_fmt_set(l.out_set)} undec={_fmt_set(l.undec_set)}"
-        for l in found
-    ]
-    return _emit(args, "labellings", result, text)
-
-
-def _cmd_check_attack(args) -> int:
-    af = _load(args.input)
-    semantics = Semantics(args.semantics)
-    # one state of the relation gives the rule scan and Dung's delta
-    state = _State(*af.bit_rows)
-    a, b = af._index(args.source), af._index(args.target)
-    classification = _classify(af, state, a, b, semantics, args.preferred_only)
-    result = _classification_json(classification)
-    text = _classification_text(classification)
     if args.oracle:
         # both in canonical order, as enumerated
         lost, gained = state.changes(a, b, semantics)
-        invariant = not lost and not gained
         names = af.sorted_arguments
         result["oracle"] = {
-            "invariant": invariant,
+            "invariant": not lost and not gained,
             "lost": _Family(lost, names),
             "gained": _Family(gained, names),
         }
-        text.append(
-            f"oracle: {'invariant' if invariant else 'changed'}"
-            f" lost={_fmt_extensions(lost, names)} gained={_fmt_extensions(gained, names)}"
+    return result
+
+
+def _check_attack_text(result: dict) -> list[str]:
+    attack = result["attack"]
+    lines = [
+        f"attack: {attack['source']} -> {attack['target']}",
+        f"semantics: {result['semantics']}",
+        f"verdict: {result['verdict']}",
+    ]
+    lines += [f"witness: in={_fmt_set(w['in_set'])} rule={w['rule']}" for w in result["witnesses"]]
+    if oracle := result.get("oracle"):
+        lines.append(
+            f"oracle: {'invariant' if oracle['invariant'] else 'changed'}"
+            f" lost={_fmt_extensions(oracle['lost'])} gained={_fmt_extensions(oracle['gained'])}"
         )
-    return _emit(args, "check-attack", result, text)
+    return lines
 
 
-def _cmd_invariant_attacks(args) -> int:
+def _cmd_invariant_attacks(args) -> dict:
     af = _load(args.input)
     semantics = Semantics(args.semantics)
     state = _State(*af.bit_rows)
     rows = state.invariant_rows(semantics)
     found = _Attacks(_attacks_in(af.sorted_arguments, rows))
     result = {"semantics": semantics.value, "attacks": found}
-    text = [f"{a.source} -> {a.target}" for a in found]
     if args.oracle:
         # the candidates the rules call invariant that Dung's delta changes
         changed = state.changed_rows(semantics)
         wrong = [row & changed_row for row, changed_row in zip(rows, changed)]
-        disagreements = _Attacks(_attacks_in(af.sorted_arguments, wrong))
-        result["oracle_disagreements"] = disagreements
-        text.append(f"oracle disagreements: {len(disagreements)}")
-    return _emit(args, "invariant-attacks", result, text)
+        result["oracle_disagreements"] = _Attacks(_attacks_in(af.sorted_arguments, wrong))
+    return result
 
 
-def _cmd_robustness(args) -> int:
+def _invariant_attacks_text(result: dict) -> list[str]:
+    lines = [f"{source} -> {target}" for source, target in result["attacks"]]
+    if "oracle_disagreements" in result:
+        lines.append(f"oracle disagreements: {len(result['oracle_disagreements'])}")
+    return lines
+
+
+def _cmd_robustness(args) -> dict:
     af = _load(args.input)
     semantics = Semantics(args.semantics)
-    result_obj: RobustnessResult = robustness_degree(
-        af,
-        semantics,
-        strategy=args.strategy,
-        max_steps=args.max_steps,
-        paranoid=args.paranoid,
+    found = robustness_degree(
+        af, semantics, strategy=args.strategy, max_steps=args.max_steps, paranoid=args.paranoid
     )
-    result = {
+    return {
         "semantics": semantics.value,
-        "degree": result_obj.degree,
-        "witness": _Attacks(result_obj.witness),
-        "explored_states": result_obj.explored_states,
-        "strategy": result_obj.strategy,
-        "truncated": result_obj.truncated,
+        "degree": found.degree,
+        "witness": _Attacks(found.witness),
+        "explored_states": found.explored_states,
+        "strategy": found.strategy,
+        "truncated": found.truncated,
     }
-    text = [
-        f"degree: {result_obj.degree}",
-        "witness: " + (", ".join(f"{a.source}->{a.target}" for a in result_obj.witness) or "-"),
-        "explored_states: " + _int_text(result_obj.explored_states),
-        f"strategy: {result_obj.strategy}",
+
+
+def _robustness_text(result: dict) -> list[str]:
+    lines = [
+        f"degree: {result['degree']}",
+        "witness: " + (", ".join(f"{s}->{t}" for s, t in result["witness"]) or "-"),
+        "explored_states: " + _int_text(result["explored_states"]),
+        f"strategy: {result['strategy']}",
     ]
-    if result_obj.truncated:
-        text.append("truncated: lower bound only (max-steps reached)")
-    return _emit(args, "robustness", result, text)
+    if result["truncated"]:
+        lines.append("truncated: lower bound only (max-steps reached)")
+    return lines
 
 
-def _cmd_equivalent(args) -> int:
+def _cmd_equivalent(args) -> dict:
     af = _load(args.input)
     other = _load(args.other)
     semantics = Semantics(args.semantics)
     lost, gained = extension_difference(af, other, semantics)
-    equivalent = not lost and not gained
     names = af.sorted_arguments
-    result = {
+    return {
         "semantics": semantics.value,
-        "equivalent": equivalent,
+        "equivalent": not lost and not gained,
         "lost": _Family(lost, names),
         "gained": _Family(gained, names),
     }
-    text = [
-        f"equivalent: {'true' if equivalent else 'false'}",
-        f"lost: {_fmt_extensions(lost, names)}",
-        f"gained: {_fmt_extensions(gained, names)}",
+
+
+def _equivalent_text(result: dict) -> list[str]:
+    return [
+        f"equivalent: {'true' if result['equivalent'] else 'false'}",
+        f"lost: {_fmt_extensions(result['lost'])}",
+        f"gained: {_fmt_extensions(result['gained'])}",
     ]
-    return _emit(args, "equivalent", result, text)
 
 
-def _relations(report: AuditReport, write: Callable[[list], object]) -> dict[int, object]:
-    """``write`` of the attack list of each framework with a disagreement,
-    by the framework's id: decoded once, shared by its disagreements."""
+def _audit_result(report: AuditReport) -> dict:
+    # the attack list of each framework with a disagreement, decoded once
+    # and shared by its disagreements
     frameworks = {id(d.framework): d.framework for d in report.discrepancies}
-    return {k: write(_attacks_in(f.sorted_arguments, f.target_rows)) for k, f in frameworks.items()}
-
-
-def _audit_json(report: AuditReport) -> dict:
-    relations = _relations(report, _Attacks)
+    relations = {
+        k: _Attacks(_attacks_in(f.sorted_arguments, f.target_rows)) for k, f in frameworks.items()
+    }
     return {
         "semantics": report.semantics.value,
         "arguments": report.argument_count,
@@ -366,39 +357,37 @@ def _audit_json(report: AuditReport) -> dict:
     }
 
 
-def format_audit_text(report: AuditReport) -> list[str]:
+def _audit_text(result: dict) -> list[str]:
+    mode = "exhaustive" if result["exhaustive"] else f"sampled (seed={result['seed']})"
     lines = [
-        f"semantics: {report.semantics.value}",
-        f"arguments: {report.argument_count}",
-        f"mode: {'exhaustive' if report.exhaustive else f'sampled (seed={report.seed})'}",
-        f"frameworks: {report.frameworks_checked}",
-        f"candidates: {report.candidates_checked}",
-        f"disagreements: {len(report.discrepancies)}",
+        f"semantics: {result['semantics']}",
+        f"arguments: {result['arguments']}",
+        f"mode: {mode}",
+        f"frameworks: {result['frameworks_checked']}",
+        f"candidates: {result['candidates_checked']}",
+        f"disagreements: {result['disagreements']}",
     ]
-    for rule, count in report.by_rule().items():
-        lines.append(f"by rule: {rule}={count}")
-    relations = _relations(report, lambda r: ",".join(f"({a.source},{a.target})" for a in r))
-    for d in report.discrepancies:
-        relation, names = relations[id(d.framework)], d.framework.sorted_arguments
+    lines += [f"by rule: {rule}={count}" for rule, count in result["by_rule"].items()]
+    for d in result["discrepancies"]:
+        relation = ",".join(f"({source},{target})" for source, target in d["attacks"])
+        attack = d["attack"]
         lines.append(
-            f"disagreement: R={{{relation}}} add=({d.attack.source},{d.attack.target})"
-            f" predicate={d.predicate_verdict.value}"
-            f" oracle={'invariant' if d.oracle_verdict else 'changed'}"
-            f" lost={_fmt_extensions(d.lost, names)} gained={_fmt_extensions(d.gained, names)}"
+            f"disagreement: R={{{relation}}} add=({attack['source']},{attack['target']})"
+            f" predicate={d['predicate_verdict']}"
+            f" oracle={'invariant' if d['oracle_invariant'] else 'changed'}"
+            f" lost={_fmt_extensions(d['lost'])} gained={_fmt_extensions(d['gained'])}"
         )
     return lines
 
 
-def _cmd_audit(args) -> int:
-    report = exhaustive_audit(
-        args.args,
-        Semantics(args.semantics),
-        seed=args.seed,
-        samples=args.samples,
+def format_audit_text(report: AuditReport) -> list[str]:
+    return _audit_text(_audit_result(report))
+
+
+def _cmd_audit(args) -> dict:
+    return _audit_result(
+        exhaustive_audit(args.args, Semantics(args.semantics), seed=args.seed, samples=args.samples)
     )
-    if args.format == "text":
-        return _emit(args, "audit", {}, format_audit_text(report))
-    return _emit(args, "audit", _audit_json(report), ())
 
 
 @cache
@@ -408,7 +397,8 @@ def _parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="afrob", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
+    def common(p, run, text, with_input=True):
+        p.set_defaults(func=run, text=text)
         if with_input:
             p.add_argument("--input", required=True, help="apx file, or - for stdin")
         p.add_argument("--format", choices=["json", "text"], default="text")
@@ -418,13 +408,11 @@ def _parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub.add_parser("extensions", help="enumerate the extension set")
     p.add_argument("--semantics", choices=_ALL_SEMANTICS, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_extensions)
+    common(p, _cmd_extensions, _extensions_text)
 
     p = sub.add_parser("labellings", help="enumerate restricted complete labellings")
     p.add_argument("--semantics", choices=_LABELLING_SEMANTICS, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_labellings)
+    common(p, _cmd_labellings, _labellings_text)
 
     p = sub.add_parser("check-attack", help="classify a single attack addition")
     p.add_argument("--from", dest="source", required=True)
@@ -432,8 +420,7 @@ def _parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--semantics", choices=_CLASSIFY_SEMANTICS, required=True)
     p.add_argument("--oracle", action="store_true", help="append Dung's delta: sets lost and gained")
     p.add_argument("--preferred-only", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_check_attack)
+    common(p, _cmd_check_attack, _check_attack_text)
 
     p = sub.add_parser("invariant-attacks", help="list all invariant new attacks")
     p.add_argument("--semantics", choices=_CLASSIFY_SEMANTICS, required=True)
@@ -442,31 +429,30 @@ def _parser() -> tuple[_Parser, dict[str, _Parser]]:
         action="store_true",
         help="also list the rule-invariant attacks that Dung's delta says change the extension set",
     )
-    common(p)
-    p.set_defaults(func=_cmd_invariant_attacks)
+    common(p, _cmd_invariant_attacks, _invariant_attacks_text)
 
     p = sub.add_parser("robustness", help="measure the robustness degree")
     p.add_argument("--semantics", choices=_CLASSIFY_SEMANTICS, required=True)
     p.add_argument("--strategy", choices=["exhaustive", "greedy"], required=True)
     p.add_argument("--max-steps", type=_count, default=None)
     p.add_argument("--paranoid", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_robustness)
+    common(p, _cmd_robustness, _robustness_text)
 
     p = sub.add_parser("equivalent", help="compare two frameworks' extension sets")
     p.add_argument("--semantics", choices=_ALL_SEMANTICS, required=True)
     p.add_argument("--other", required=True, help="second apx file")
-    common(p)
-    p.set_defaults(func=_cmd_equivalent)
+    common(p, _cmd_equivalent, _equivalent_text)
 
     p = sub.add_parser("audit", help="compare the rule scan with Dung's delta")
     p.add_argument("--args", type=_count, required=True, help="number of arguments")
     p.add_argument("--semantics", choices=_CLASSIFY_SEMANTICS, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_count, default=1000)
-    common(p, with_input=False)
-    p.set_defaults(func=_cmd_audit)
+    common(p, _cmd_audit, _audit_text, with_input=False)
 
+    # the afrob/1 "command" of each command's result is its parser's name
+    for name, p in sub.choices.items():
+        p.set_defaults(command=name)
     return parser, sub.choices
 
 
@@ -484,7 +470,15 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # a command returns its afrob/1 result; text is rendered from it
+        # only when text is asked for
+        result = args.func(args)
+        if args.format == "json":
+            print(_json({"schema": SCHEMA, "command": args.command, "result": result}))
+        else:
+            for line in args.text(result):
+                print(line)
+        return EXIT_OK
     # reading the input is the only decoding the commands do
     except (ParseError, UndeclaredArgument, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)

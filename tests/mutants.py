@@ -178,6 +178,20 @@ MUTANTS = (
             "tests/test_cli.py::test_g3_reports_match_the_pinned_output",
         ),
     ),
+    Mutant(
+        "equivalent-text-prints-gained-as-lost",
+        "src/afrob/cli.py",
+        'f"gained: {_fmt_extensions(result[\'gained\'])}"',
+        'f"lost: {_fmt_extensions(result[\'gained\'])}"',
+        ("tests/test_cli.py::test_g3_reports_match_the_pinned_output",),
+    ),
+    Mutant(
+        "robustness-text-always-truncated",
+        "src/afrob/cli.py",
+        '    if result["truncated"]:\n',
+        "    if True:\n",
+        ("tests/test_cli.py::test_g3_reports_match_the_pinned_output",),
+    ),
 )
 
 

@@ -331,21 +331,10 @@ def test_audit(capsys):
     assert result["disagreements"] == 0
 
 
-def test_audit_json_builds_no_text(capsys, monkeypatch):
-    def refuse(report):
-        raise AssertionError("the text report is built only when it is printed")
-
-    monkeypatch.setattr(afrob.cli, "format_audit_text", refuse)
-    payload = run_json(
-        capsys, "audit", "--args", "2", "--semantics", "adm", "--format", "json"
-    )
-    assert payload["result"]["disagreements"] == 4
-
-
 def test_audit_decodes_each_framework_once(capsys, monkeypatch):
     # the disagreements of one framework share its attack list, in JSON and
-    # in text (which builds no JSON result), and each still prints the
-    # whole relation in canonical order
+    # in text (which is rendered from the JSON result), and each still
+    # prints the whole relation in canonical order
     report = exhaustive_audit(3, Semantics.ADMISSIBLE)
     relations = [sorted(d.framework.attacks) for d in report.discrepancies]
     distinct = {id(d.framework) for d in report.discrepancies}
@@ -738,6 +727,43 @@ def test_direct_dispatch_matches_the_top_level_parser(capsys, monkeypatch, g3_fi
     parser, _ = _parser()
     monkeypatch.setattr("afrob.cli._parser", lambda: (parser, {}))
     assert run(capsys, *argv) == direct
+
+
+@pytest.mark.parametrize("argv", _golden_argvs(), ids=lambda argv: argv[0])
+def test_json_output_builds_no_text(capsys, g3_file, argv):
+    # a command returns its afrob/1 result and text is rendered from it only
+    # under --format text: with every text renderer refusing, the JSON run
+    # still exits 0 with the same output, and only the text run reaches a
+    # renderer
+    argv = [g3_file if part == INPUT else part for part in argv] + ["--format", "json"]
+    expected = run(capsys, *argv)
+    assert expected[0] == 0, expected[2]
+
+    def refuse(result):
+        raise AssertionError("text is rendered only for --format text")
+
+    commands = list(_parser()[1].values())
+    renderers = [command.get_default("text") for command in commands]
+    for command in commands:
+        command.set_defaults(text=refuse)
+    try:
+        assert run(capsys, *argv) == expected
+        with pytest.raises(AssertionError, match="only for --format text"):
+            run_cli(argv + ["--format", "text"])
+    finally:
+        for command, render in zip(commands, renderers):
+            command.set_defaults(text=render)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("argv", _golden_argvs(), ids=lambda argv: argv[0])
+def test_a_valid_jobs_value_changes_no_output(capsys, g3_file, argv, jobs):
+    # --jobs is validated and ignored: a positive value is accepted and
+    # changes neither the exit code nor a byte of stdout
+    argv = [g3_file if part == INPUT else part for part in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert run(capsys, *argv, "--jobs", jobs)[:2] == (code, out)
 
 
 def test_extension_lists_follow_extension_sort_key():

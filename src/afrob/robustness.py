@@ -8,7 +8,9 @@ search with memoization serves both strategies (the reached relation set
 fully determines further search, whatever order produced it).  The
 exhaustive strategy follows every candidate of a state; the greedy
 strategy follows only the first in canonical order, so its memo is its
-path and it gives a cheap lower bound.
+path and it gives a cheap lower bound.  Under a depth cap a state at the
+cap can only set the truncated flag, so once one has a candidate every
+further state at the cap is recorded without being built or classified.
 
 A search state differs from its parent by one attack, so it derives the
 tables that classify its candidates from the parent's instead of
@@ -30,8 +32,13 @@ from .semantics import Semantics
 # arguments they explore 22,000-34,000 states per second (2 vCPUs, Python
 # 3.11), so one stops after about 6 s at a peak RSS of 91 MB; on six
 # 22,000-30,000, on nine 3,100-21,000, as a state's cost grows with its
-# admissible sets.
+# admissible sets.  These rates are for classified states; a state at the
+# depth cap recorded after the search is known to be truncated costs only
+# its memo entry.
 MAX_SEARCH_STATES = 200_000
+
+# a search's degree and witness, as argument indices
+_Best = tuple[int, tuple[tuple[int, int], ...]]
 
 
 def _subsets_up_to(k: int, d: int) -> int:
@@ -67,7 +74,9 @@ def robustness_degree(
     ``strategy="exhaustive"`` returns the exact maximum, ``"greedy"`` a
     lower bound obtained by always taking the first candidate in canonical
     order.  ``max_steps`` caps the search depth; a result cut short by the
-    cap is flagged ``truncated`` and is then only a lower bound.  With
+    cap is flagged ``truncated`` and is then only a lower bound.  States at
+    the cap are classified only until one has a candidate; later ones are
+    recorded unclassified, and ``explored_states`` counts both.  With
     ``paranoid`` a step is accepted only if it also leaves the extension
     family unchanged by Dung's delta, so steps the rule scan wrongly admits
     are skipped.  An adm search exploring more than
@@ -94,35 +103,45 @@ def robustness_degree(
         return RobustnessResult(d, tuple(candidates[:d]), explored, strategy, d < k)
     # keyed on the relation alone: each step adds one attack, so a state's
     # depth is fixed by its relation and the memo stays sound under a cap
-    memo: dict[tuple[int, ...], tuple[int, tuple[tuple[int, int], ...]]] = {}
+    memo: dict[tuple[int, ...], _Best] = {}
     truncated = False
 
-    def search(state: _State, depth: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    def record(key: tuple[int, ...], best: _Best) -> _Best:
+        memo[key] = best
+        if len(memo) > MAX_SEARCH_STATES:
+            raise SizeLimit(f"robustness search exceeds {MAX_SEARCH_STATES} states")
+        return best
+
+    def search(state: _State, depth: int) -> _Best:
         nonlocal truncated
         key = state.targets
         capped = max_steps is not None and depth >= max_steps
-        best: tuple[int, tuple[tuple[int, int], ...]] = (0, ())
+        children_capped = max_steps is not None and depth + 1 >= max_steps
+        best: _Best = (0, ())
         rows = state.invariant_rows(semantics)
         if paranoid:
             # rules ∩ delta: the steps that also leave the family unchanged
             rows = [row & ~changed for row, changed in zip(rows, state.changed_rows(semantics))]
-        for a, b in [(a, b) for a, row in enumerate(rows) for b in _bits(row)]:
+        for a, b in ((a, b) for a, row in enumerate(rows) for b in _bits(row)):
             if capped:
                 truncated = True
                 break
             # a state is never its own descendant, so a memoised successor
             # needs no state and no search
-            found = memo.get(_with_attack(key, a, b))
+            child = _with_attack(key, a, b)
+            found = memo.get(child)
             if found is None:
-                found = search(state.child(a, b), depth + 1)
+                # a state at the cap can only set the flag; once it is set,
+                # the state is recorded unbuilt and unclassified
+                if truncated and children_capped:
+                    found = record(child, (0, ()))
+                else:
+                    found = search(state.child(a, b), depth + 1)
             if 1 + found[0] > best[0]:
                 best = (1 + found[0], ((a, b),) + found[1])
             if strategy == "greedy":
                 break
-        memo[key] = best
-        if len(memo) > MAX_SEARCH_STATES:
-            raise SizeLimit(f"robustness search exceeds {MAX_SEARCH_STATES} states")
-        return best
+        return record(key, best)
 
     degree, witness = search(_State(*af.bit_rows), 0)
     return RobustnessResult(

@@ -186,6 +186,26 @@ MUTANTS = (
         ("tests/test_cli.py::test_g3_reports_match_the_pinned_output",),
     ),
     Mutant(
+        "capped-state-unclassified-before-truncated",
+        "src/afrob/robustness.py",
+        "                if truncated and children_capped:\n",
+        "                if children_capped:\n",
+        (
+            "tests/test_robustness.py::test_capped_search_stops_classifying_at_the_cap_once_truncated",
+            "tests/test_robustness.py::test_seeded_searches_match_the_recorded_goldens",
+        ),
+    ),
+    Mutant(
+        "capped-state-unclassified-one-level-early",
+        "src/afrob/robustness.py",
+        "children_capped = max_steps is not None and depth + 1 >= max_steps",
+        "children_capped = max_steps is not None and depth + 2 >= max_steps",
+        (
+            "tests/test_robustness.py::test_capped_search_stops_classifying_at_the_cap_once_truncated",
+            "tests/test_robustness.py::test_seeded_searches_match_the_recorded_goldens",
+        ),
+    ),
+    Mutant(
         "robustness-text-always-truncated",
         "src/afrob/cli.py",
         '    if result["truncated"]:\n',

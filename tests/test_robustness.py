@@ -246,19 +246,28 @@ def test_exhaustive_search_builds_no_framework_through_init(monkeypatch, g3):
 
 
 def test_capped_exhaustive_search_matches_per_candidate_classification():
-    # the depth cap only asks whether a candidate exists (nine steps never
-    # bind on three arguments); every eighth three-argument relation keeps
-    # the per-candidate reference quick.
+    # the reference classifies every state at the cap; the search stops
+    # classifying them once one has a candidate and the flag is set (nine
+    # steps never bind on three arguments).  Every three-argument relation
+    # at caps 0 and 1, every eighth at 2 and 9, and seeded four-argument
+    # adm searches at 1-3 keep the per-candidate reference quick.
     # Under paranoid the reference recomputes every candidate, where the
     # search masks the rule rows with Dung's delta.
     names = canonical_names(3)
-    for mask in range(0, 1 << 9, 8):
-        af = framework_from_mask(names, mask)
-        for semantics in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
-            for paranoid, max_steps in itertools.product((False, True), (2, 9)):
-                expected = _reference_exhaustive(af, semantics, max_steps, paranoid)
-                found = robustness_degree(af, semantics, max_steps=max_steps, paranoid=paranoid)
-                assert found == expected, (mask, semantics, paranoid, max_steps)
+    cases = [
+        (framework_from_mask(names, mask), semantics, max_steps)
+        for semantics in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE)
+        for mask in range(1 << 9)
+        for max_steps in ((0, 1, 2, 9) if mask % 8 == 0 else (0, 1))
+    ]
+    rng = random.Random(47)
+    seeded = [framework_from_mask(canonical_names(4), rng.getrandbits(16)) for _ in range(20)]
+    cases += [(af, Semantics.ADMISSIBLE, max_steps) for af in seeded for max_steps in (1, 2, 3)]
+    for af, semantics, max_steps in cases:
+        for paranoid in (False, True):
+            expected = _reference_exhaustive(af, semantics, max_steps, paranoid)
+            found = robustness_degree(af, semantics, max_steps=max_steps, paranoid=paranoid)
+            assert found == expected, (af, semantics, paranoid, max_steps)
 
 
 def test_greedy_never_beats_exhaustive():
@@ -327,29 +336,85 @@ def test_plain_greedy_adm_can_emit_a_witness_replay_rejects():
     assert verify_witness(af, Semantics.ADMISSIBLE, paranoid.witness)
 
 
+def _golden_cases():
+    with open(os.path.join(os.path.dirname(__file__), "data", "robustness_golden.json")) as handle:
+        return json.load(handle)
+
+
+def _golden_search(case):
+    """The recorded case's search, run again, and its recorded result."""
+    af = ArgumentationFramework(case["arguments"], map(tuple, case["attacks"]))
+    result = robustness_degree(
+        af,
+        case["semantics"],
+        strategy=case["strategy"],
+        max_steps=case["max_steps"],
+        paranoid=case["paranoid"],
+    )
+    expected = RobustnessResult(
+        case["degree"],
+        tuple(Attack(*attack) for attack in case["witness"]),
+        case["explored_states"],
+        case["strategy"],
+        case["truncated"],
+    )
+    return result, expected
+
+
 def test_seeded_searches_match_the_recorded_goldens():
     # recorded before search states were derived from their parents: seeded
     # four- and five-argument frameworks under cf and adm, exhaustive and
     # greedy, with and without paranoid, uncapped and capped
-    with open(os.path.join(os.path.dirname(__file__), "data", "robustness_golden.json")) as handle:
-        cases = json.load(handle)
-    for case in cases:
-        af = ArgumentationFramework(case["arguments"], map(tuple, case["attacks"]))
-        result = robustness_degree(
-            af,
-            case["semantics"],
-            strategy=case["strategy"],
-            max_steps=case["max_steps"],
-            paranoid=case["paranoid"],
-        )
-        expected = RobustnessResult(
-            case["degree"],
-            tuple(Attack(*attack) for attack in case["witness"]),
-            case["explored_states"],
-            case["strategy"],
-            case["truncated"],
-        )
+    for case in _golden_cases():
+        result, expected = _golden_search(case)
         assert result == expected, case
+
+
+def test_capped_search_stops_classifying_at_the_cap_once_truncated(monkeypatch):
+    # a state at the cap can only set the truncated flag, so once one state
+    # there has a candidate, no further state at the cap is built or
+    # classified; recorded as (kind, depth, whether it has a candidate)
+    events = []
+    classify, child = _State.invariant_rows, _State.child
+
+    def depth(state):
+        steps = 0
+        while state.parent is not None:
+            state, steps = state.parent, steps + 1
+        return steps
+
+    def recording_rows(self, semantics):
+        # the search's candidates: under paranoid, masked by Dung's delta
+        rows = candidates = classify(self, semantics)
+        if case["paranoid"]:
+            changed_rows = self.changed_rows(semantics)
+            candidates = [row & ~changed for row, changed in zip(rows, changed_rows)]
+        events.append(("classified", depth(self), any(candidates)))
+        return rows
+
+    def recording_child(self, a, b):
+        events.append(("built", depth(self) + 1, False))
+        return child(self, a, b)
+
+    monkeypatch.setattr(_State, "invariant_rows", recording_rows)
+    monkeypatch.setattr(_State, "child", recording_child)
+    cases = [
+        case
+        for case in _golden_cases()
+        if case["semantics"] == "adm"
+        and case["strategy"] == "exhaustive"
+        and case["max_steps"] is not None
+    ]
+    assert len(cases) == 60
+    for case in cases:
+        events.clear()
+        result, expected = _golden_search(case)
+        assert result == expected, case
+        cap = case["max_steps"]
+        assert all(d <= cap for _, d, _ in events), case
+        at_cap = [(kind, found) for kind, d, found in events if d == cap]
+        setting = [i for i, (kind, found) in enumerate(at_cap) if kind == "classified" and found]
+        assert setting == ([len(at_cap) - 1] if case["truncated"] else []), case
 
 
 def _states_agree(derived, built):

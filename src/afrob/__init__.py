@@ -22,7 +22,7 @@ from .invariance import (
     invariant_attacks,
     sigma_equivalent,
 )
-from .labelling import Labelling, labellings_for
+from .labelling import labellings_for
 from .oracle import (
     AuditReport,
     DiscrepancyReport,

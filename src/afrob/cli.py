@@ -195,11 +195,16 @@ def _extensions_text(result: dict) -> list[str]:
 def _cmd_labellings(args) -> dict:
     af = _load(args.input)
     semantics = Semantics(args.semantics)
+    names = af.sorted_arguments
     return {
         "semantics": semantics.value,
         "labellings": [
-            {"in": sorted(l.in_set), "out": sorted(l.out_set), "undec": sorted(l.undec_set)}
-            for l in labellings_for(af, semantics)
+            {
+                "in": [names[i] for i in _bits(in_set)],
+                "out": [names[i] for i in _bits(out)],
+                "undec": [names[i] for i in _bits(undec)],
+            }
+            for in_set, out, undec in labellings_for(af, semantics)
         ],
     }
 
@@ -217,19 +222,19 @@ def _cmd_check_attack(args) -> dict:
     # one state of the relation gives the rule scan and Dung's delta
     state = _State(*af.bit_rows)
     a, b = af._index(args.source), af._index(args.target)
-    classification = _classify(af, state, a, b, semantics, args.preferred_only)
+    verdict, found = _classify(af, state, a, b, semantics, args.preferred_only)
+    names = af.sorted_arguments
     result = {
-        "attack": {"source": classification.attack.source, "target": classification.attack.target},
-        "semantics": classification.semantics.value,
-        "verdict": classification.verdict.value,
+        "attack": {"source": names[a], "target": names[b]},
+        "semantics": semantics.value,
+        "verdict": verdict.value,
         "witnesses": [
-            {"in_set": sorted(w.in_set), "rule": w.rule.value} for w in classification.witnesses
+            {"in_set": [names[i] for i in _bits(s)], "rule": rule.value} for s, rule in found
         ],
     }
     if args.oracle:
         # both in canonical order, as enumerated
         lost, gained = state.changes(a, b, semantics)
-        names = af.sorted_arguments
         result["oracle"] = {
             "invariant": not lost and not gained,
             "lost": _Family(lost, names),

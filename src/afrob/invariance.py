@@ -451,10 +451,11 @@ def _classify(
     b: int,
     semantics: Semantics,
     preferred_only: bool = False,
-) -> AttackClassification:
+) -> tuple[Verdict, list[tuple[int, Rule]]]:
     """Classify adding (a, b), argument indices of ``af``, from ``state``,
-    the state of ``af``'s relation, by :meth:`_State.witnesses` over the
-    admissible sets, or the preferred ones of ``af``'s record."""
+    the state of ``af``'s relation: the verdict and the (in-set mask, rule)
+    witnesses of :meth:`_State.witnesses` over the admissible sets, or the
+    preferred ones of ``af``'s record."""
     semantics = _cf_or_adm(semantics, preferred_only)
     family = None
     if preferred_only:
@@ -463,12 +464,7 @@ def _classify(
         state.adm
         family = frozenset(extension_masks(af, Semantics.PREFERRED))
     found = state.witnesses(a, b, semantics, family)
-    return AttackClassification(
-        Attack(af.sorted_arguments[a], af.sorted_arguments[b]),
-        semantics,
-        _verdict(rule for _, rule in found),
-        tuple(Witness(af._names(s), rule) for s, rule in found),
-    )
+    return _verdict(rule for _, rule in found), found
 
 
 def classify_attack(
@@ -492,7 +488,9 @@ def classify_attack(
     every ND match, then every NI match.  cf has no labellings to restrict,
     so ``preferred_only`` is refused there."""
     a, b = map(af._index, attack)
-    return _classify(af, _State(*af.bit_rows), a, b, semantics, preferred_only)
+    verdict, found = _classify(af, _State(*af.bit_rows), a, b, semantics, preferred_only)
+    witnesses = tuple(Witness(af._names(s), rule) for s, rule in found)
+    return AttackClassification(Attack(*attack), Semantics(semantics), verdict, witnesses)
 
 
 def candidate_attacks(af: ArgumentationFramework) -> list[Attack]:

@@ -114,6 +114,26 @@ MUTANTS = (
         ("tests/test_acceptance.py::test_criterion_6_labelling_correspondence",),
     ),
     Mutant(
+        "labelling-undec-holds-in",
+        "src/afrob/labelling.py",
+        "[(m, out, full & ~(m | out)) for m, out",
+        "[(m, out, full & ~out) for m, out",
+        (
+            "tests/test_acceptance.py::test_criterion_6_labelling_correspondence",
+            "tests/test_cli.py::test_undec_outputs_match_the_pinned_output",
+        ),
+    ),
+    Mutant(
+        "preferred-only-scans-every-admissible-set",
+        "src/afrob/invariance.py",
+        "    found = state.witnesses(a, b, semantics, family)\n",
+        "    found = state.witnesses(a, b, semantics)\n",
+        (
+            "tests/test_cli.py::test_undec_outputs_match_the_pinned_output",
+            "tests/test_acceptance.py::test_criterion_7_preferred_only_shortcut",
+        ),
+    ),
+    Mutant(
         "difference-in-mask-order",
         "src/afrob/semantics.py",
         "return tuple(m for m in before if m not in kept), tuple(m for m in after if m not in kept)",

@@ -1,9 +1,9 @@
 """Definitional re-implementations used as an independent route in tests.
 
-Everything here except :func:`extension_changes` and
-:func:`greedy_robustness` works on plain sets of names and tuples of names
-with itertools, deliberately sharing no code (and no bitmask tricks) with
-the package under test; :func:`parse_apx_by_line` shares only the
+Everything here except :func:`labelling_names`, :func:`extension_changes`
+and :func:`greedy_robustness` works on plain sets of names and tuples of
+names with itertools, deliberately sharing no code (and no bitmask tricks)
+with the package under test; :func:`parse_apx_by_line` shares only the
 framework and error types.
 """
 
@@ -170,6 +170,17 @@ def restrict_labellings(complete, semantics):
     if semantics == "sst":
         return [lab for lab in complete if not any(o[2] < lab[2] for o in complete)]
     raise ValueError(semantics)
+
+
+def labelling_names(af, labellings):
+    """The (in, out, undec) mask triples of ``labellings``, over
+    ``af.sorted_arguments``, decoded bit by bit into triples of name
+    frozensets, in the given order."""
+    order = af.sorted_arguments
+    return [
+        tuple(frozenset(name for i, name in enumerate(order) if mask >> i & 1) for mask in triple)
+        for triple in labellings
+    ]
 
 
 def odd_walk(attacks, source, target, max_len):

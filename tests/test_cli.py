@@ -686,6 +686,29 @@ def test_g3_reports_match_the_pinned_output(capsys, tmp_path, g3_file, case):
     assert out == case["output"]
 
 
+# a<->b, c attacks itself and a10, and a2 is unattacked: its labellings have
+# out and undec members, their canonical order ({a,a2}, {a2}, {a2,b} for com)
+# is not the extension order, and a10 sorts before a2
+UNDEC_APX = (
+    "arg(a).\narg(b).\narg(c).\narg(a10).\narg(a2).\n"
+    "att(a,b).\natt(b,a).\natt(c,c).\natt(c,a10).\n"
+)
+
+
+@pytest.mark.parametrize(
+    "case", _golden_cases("undec_golden.json"), ids=lambda case: " ".join(case["argv"])
+)
+def test_undec_outputs_match_the_pinned_output(capsys, tmp_path, case):
+    # pinned: labellings under the five restrictions, JSON and text, and
+    # check-attack (adm, with and without --preferred-only) for five
+    # candidates; the output must stay byte-identical
+    path = tmp_path / "undec.apx"
+    path.write_text(UNDEC_APX)
+    code, out, err = run(capsys, *case["argv"], "--input", str(path))
+    assert code == 0, err
+    assert out == case["output"]
+
+
 INPUT = "{input}"
 
 

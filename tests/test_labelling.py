@@ -5,7 +5,6 @@ import oracles
 
 from afrob import (
     ArgumentationFramework,
-    Labelling,
     Semantics,
     SizeLimit,
     UnsupportedSemantics,
@@ -17,12 +16,12 @@ from conftest import frameworks, mutual_pairs
 
 
 def lab(in_set, out_set, undec_set):
-    return Labelling(in_set, out_set, undec_set)
+    return frozenset(in_set), frozenset(out_set), frozenset(undec_set)
 
 
-def test_labelling_partition_is_validated():
-    with pytest.raises(ValueError):
-        Labelling({"a"}, {"a"}, set())
+def labellings(af, semantics):
+    # the (in, out, undec) masks of labellings_for, decoded into names
+    return oracles.labelling_names(af, labellings_for(af, semantics))
 
 
 def reinstatement_labellings(af):
@@ -62,8 +61,8 @@ def test_reinstatement_labellings_g3(g3):
     assert reinstatement_labellings(g3) == expected
 
 
-def _in_sets(labellings):
-    return frozenset(l.in_set for l in labellings)
+def _in_sets(found):
+    return frozenset(in_set for in_set, _, _ in found)
 
 
 def _oracle_in_sets(triples):
@@ -85,28 +84,39 @@ def test_reinstatement_in_sets_are_admissible(af):
     admissible = extensions(af, Semantics.ADMISSIBLE)
     assert _oracle_in_sets(reinstatement_labellings(af)) == admissible
     # the labellings built from the complete sets are reinstatement labellings
-    for built in labellings_for(af, Semantics.COMPLETE):
-        assert (built.in_set, built.out_set, built.undec_set) in reinstatement_labellings(af)
+    for built in labellings(af, Semantics.COMPLETE):
+        assert built in reinstatement_labellings(af)
 
 
 def test_complete_labellings_examples(g3, mutual, self_loop):
-    assert labellings_for(g3, Semantics.COMPLETE) == [lab({"1", "3", "4"}, {"2"}, set())]
+    assert labellings(g3, Semantics.COMPLETE) == [lab({"1", "3", "4"}, {"2"}, set())]
     unattacked = ArgumentationFramework(["a"])
-    assert labellings_for(unattacked, Semantics.COMPLETE) == [lab({"a"}, set(), set())]
-    assert labellings_for(self_loop, Semantics.COMPLETE) == [lab(set(), set(), {"a"})]
-    assert len(labellings_for(mutual, Semantics.COMPLETE)) == 3
+    assert labellings(unattacked, Semantics.COMPLETE) == [lab({"a"}, set(), set())]
+    assert labellings(self_loop, Semantics.COMPLETE) == [lab(set(), set(), {"a"})]
+    assert labellings(mutual, Semantics.COMPLETE) == [
+        lab(set(), set(), {"a", "b"}),
+        lab({"a"}, {"b"}, set()),
+        lab({"b"}, {"a"}, set()),
+    ]
 
 
 @settings(deadline=None, max_examples=40)
 @given(frameworks())
 def test_complete_labelling_in_sets_match_complete_sets(af):
-    assert _in_sets(labellings_for(af, Semantics.COMPLETE)) == extensions(af, Semantics.COMPLETE)
+    found = labellings_for(af, Semantics.COMPLETE)
+    # the three label classes partition the arguments
+    full = (1 << len(af.sorted_arguments)) - 1
+    for in_set, out, undec in found:
+        assert not in_set & out and not in_set & undec and not out & undec
+        assert in_set | out | undec == full
+    assert _in_sets(oracles.labelling_names(af, found)) == extensions(af, Semantics.COMPLETE)
 
 
 def test_labellings_for_examples(g3, self_loop):
-    assert [l.in_set for l in labellings_for(g3, Semantics.PREFERRED)] == [{"1", "3", "4"}]
+    # masks over the sorted arguments 1, 2, 3, 4: in {1,3,4}, out {2}
+    assert labellings_for(g3, Semantics.PREFERRED) == [(0b1101, 0b0010, 0)]
     # the single complete labelling is also the grounded one
-    assert labellings_for(g3, Semantics.GROUNDED) == [lab({"1", "3", "4"}, {"2"}, set())]
+    assert labellings(g3, Semantics.GROUNDED) == [lab({"1", "3", "4"}, {"2"}, set())]
     assert labellings_for(self_loop, Semantics.STABLE) == []
     with pytest.raises(UnsupportedSemantics):
         labellings_for(g3, Semantics.CONFLICT_FREE)
@@ -118,8 +128,8 @@ def test_labellings_for_examples(g3, self_loop):
 @given(frameworks())
 def test_labelling_filters_match_extension_enumerators(af):
     for semantics in (Semantics.STABLE, Semantics.PREFERRED, Semantics.SEMI_STABLE):
-        assert _in_sets(labellings_for(af, semantics)) == extensions(af, semantics)
-    grounded = labellings_for(af, Semantics.GROUNDED)
+        assert _in_sets(labellings(af, semantics)) == extensions(af, semantics)
+    grounded = labellings(af, Semantics.GROUNDED)
     assert len(grounded) == 1
     assert _in_sets(grounded) == extensions(af, Semantics.GROUNDED)
 
@@ -127,9 +137,9 @@ def test_labelling_filters_match_extension_enumerators(af):
 @settings(deadline=None, max_examples=40)
 @given(frameworks())
 def test_preferred_filter_agrees_between_in_and_out_maximality(af):
-    complete = labellings_for(af, Semantics.COMPLETE)
-    by_out = [l for l in complete if not any(o.out_set > l.out_set for o in complete)]
-    assert _in_sets(by_out) == _in_sets(labellings_for(af, Semantics.PREFERRED))
+    complete = labellings(af, Semantics.COMPLETE)
+    by_out = [l for l in complete if not any(o[1] > l[1] for o in complete)]
+    assert _in_sets(by_out) == _in_sets(labellings(af, Semantics.PREFERRED))
 
 
 def test_labelling_size_limit():
@@ -141,6 +151,6 @@ def test_labelling_size_limit():
     pairs = mutual_pairs(11)
     derived = (Semantics.COMPLETE, Semantics.STABLE, Semantics.PREFERRED, Semantics.SEMI_STABLE)
     for semantics in derived:
-        assert labellings_for(free, semantics) == [lab(names, set(), set())]
+        assert labellings(free, semantics) == [lab(names, set(), set())]
         with pytest.raises(SizeLimit, match="22 arguments"):
             labellings_for(pairs, semantics)

@@ -22,7 +22,6 @@ from .invariance import (
     invariant_attacks,
     sigma_equivalent,
 )
-from .labelling import labellings_for
 from .oracle import (
     AuditReport,
     DiscrepancyReport,
@@ -38,6 +37,7 @@ from .semantics import (
     extension_difference,
     extension_masks,
     extensions,
+    labellings_for,
 )
 
 __version__ = "0.1.0"

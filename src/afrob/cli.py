@@ -21,10 +21,9 @@ from .apx import parse_apx
 from .errors import AfrobError, ParseError, SizeLimit, UndeclaredArgument
 from .framework import ArgumentationFramework, _attacks_in, _bits
 from .invariance import _classify, _State
-from .labelling import labellings_for
 from .oracle import AuditReport, exhaustive_audit
 from .robustness import robustness_degree
-from .semantics import Semantics, extension_difference, extension_masks
+from .semantics import Semantics, extension_difference, extension_masks, labellings_for
 
 SCHEMA = "afrob/1"
 
@@ -310,6 +309,9 @@ def _robustness_text(result: dict) -> list[str]:
 
 
 def _cmd_equivalent(args) -> dict:
+    if args.input == args.other == "-":
+        # stdin is read once, so the second read would parse an empty framework
+        raise _UsageError("--input and --other cannot both be - (stdin is read once)")
     af = _load(args.input)
     other = _load(args.other)
     semantics = Semantics(args.semantics)
@@ -383,10 +385,6 @@ def _audit_text(result: dict) -> list[str]:
             f" lost={_fmt_extensions(d['lost'])} gained={_fmt_extensions(d['gained'])}"
         )
     return lines
-
-
-def format_audit_text(report: AuditReport) -> list[str]:
-    return _audit_text(_audit_result(report))
 
 
 def _cmd_audit(args) -> dict:
@@ -491,7 +489,7 @@ def run_cli(argv=None) -> int:
     except SizeLimit as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_SIZE
-    except (OSError, AfrobError) as exc:
+    except (OSError, AfrobError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -25,7 +25,10 @@ enumerated, which every filter, and adding G, keeps.  Two frameworks over
 one argument set share it, so the sets one has and the other lacks are
 filters of their tuples, in that order too, and masks are decoded into
 sets of names only for output.  A pass over more arguments than the
-guardrail is rejected instead of silently hanging.
+guardrail is rejected instead of silently hanging.  By Caminada's
+correspondence (2006) the complete labellings, and their restrictions per
+semantics, are the labellings of the extensions: the set in, its targets out
+and the rest undec, so labellings are built from these families too.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .errors import ArgumentSetMismatch, SizeLimit
+from .errors import ArgumentSetMismatch, SizeLimit, UnsupportedSemantics
 from .framework import ArgumentationFramework, _bits
 
 # The most arguments one conflict-free pass enumerates over: all n for cf
@@ -233,6 +236,30 @@ def extension_masks(af: ArgumentationFramework, semantics: Semantics) -> tuple[i
 def extensions(af: ArgumentationFramework, semantics: Semantics) -> ExtensionSet:
     """Extension set of ``af`` under the given semantics."""
     return frozenset(map(af._names, extension_masks(af, semantics)))
+
+
+def labellings_for(
+    af: ArgumentationFramework, semantics: Semantics
+) -> list[tuple[int, int, int]]:
+    """The complete labellings restricted per the requested semantics, in
+    canonical labelling order, each as its (in, out, undec) masks over
+    ``af.sorted_arguments``.
+
+    Each is the labelling of one extension of that semantics: stb has no
+    undec, prf maximal in, gde minimal in and sst minimal undec among the
+    complete labellings, exactly as the stable, preferred, grounded and
+    semi-stable sets are among the complete sets.  An extension is
+    conflict-free, so it attacks none of its members: out is its targets
+    and undec the rest.
+    """
+    semantics = Semantics(semantics)
+    if semantics in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
+        raise UnsupportedSemantics(f"no labelling restriction is defined for {semantics.value}")
+    # canonical labelling order is by sorted in-set names, which are the
+    # masks' ascending member indices
+    masks = sorted(extension_masks(af, semantics), key=lambda m: tuple(_bits(m)))
+    full = (1 << len(af.sorted_arguments)) - 1
+    return [(m, out, full & ~(m | out)) for m, out in zip(masks, map(af.attacked_by, masks))]
 
 
 def extension_difference(

@@ -108,14 +108,14 @@ MUTANTS = (
     ),
     Mutant(
         "labellings-unsorted",
-        "src/afrob/labelling.py",
+        "src/afrob/semantics.py",
         "masks = sorted(extension_masks(af, semantics), key=lambda m: tuple(_bits(m)))",
         "masks = extension_masks(af, semantics)",
         ("tests/test_acceptance.py::test_criterion_6_labelling_correspondence",),
     ),
     Mutant(
         "labelling-undec-holds-in",
-        "src/afrob/labelling.py",
+        "src/afrob/semantics.py",
         "[(m, out, full & ~(m | out)) for m, out",
         "[(m, out, full & ~out) for m, out",
         (

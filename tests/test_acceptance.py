@@ -43,7 +43,7 @@ from afrob import (
     robustness_degree,
     verify_witness,
 )
-from afrob.cli import format_audit_text, run_cli
+from afrob.cli import _audit_result, _audit_text, run_cli
 from afrob.invariance import candidate_attacks
 from afrob.oracle import (
     NO_RULE_FIRED,
@@ -179,7 +179,7 @@ def test_criterion_3_conflict_free_audit(capsys):
             f"{elapsed:.1f}s",
         )
     assert (audit.frameworks_checked, audit.candidates_checked) == (512, 2304)
-    assert not audit.discrepancies, clipped(format_audit_text(audit))
+    assert not audit.discrepancies, clipped(_audit_text(_audit_result(audit)))
     assert not failures, (
         f"{len(failures)} broken promises of the conflict-free audit against the "
         "definitional recomputation\n" + clipped(failures)

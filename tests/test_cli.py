@@ -321,6 +321,20 @@ def test_equivalent_requires_shared_arguments(capsys, tmp_path, g3_file):
     assert "argument set" in err
 
 
+@pytest.mark.parametrize("stdin", [G3_APX.encode(), b""], ids=["g3", "empty"])
+def test_equivalent_refuses_stdin_for_both_inputs(capsys, monkeypatch, stdin):
+    # stdin is read once: the second read would parse an empty framework, so
+    # the pair is refused as a usage error before either is read
+    buffer = io.BytesIO(stdin)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(buffer, encoding="utf-8"))
+    code, out, err = run(
+        capsys, "equivalent", "--semantics", "adm", "--input", "-", "--other", "-"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: --input and --other cannot both be - (stdin is read once)\n"
+    assert buffer.tell() == 0
+
+
 def test_audit(capsys):
     payload = run_json(
         capsys, "audit", "--args", "2", "--semantics", "cf", "--format", "json"
@@ -776,6 +790,39 @@ def test_json_output_builds_no_text(capsys, g3_file, argv):
     finally:
         for command, render in zip(commands, renderers):
             command.set_defaults(text=render)
+
+
+# the afrob.cli globals that perfbench/tracing.py wraps, and the command
+# that reaches each besides parse_apx, which every command with --input does
+_TRACED_BY_COMMAND = {
+    "labellings": "labellings_for",
+    "robustness": "robustness_degree",
+    "audit": "exhaustive_audit",
+}
+_TRACED = ("parse_apx", *_TRACED_BY_COMMAND.values())
+
+
+@pytest.mark.parametrize("argv", _golden_argvs(), ids=lambda argv: argv[0])
+def test_commands_call_the_globals_a_tracer_wraps(capsys, monkeypatch, g3_file, argv):
+    # a tracer replaces these module globals with wrappers that time each
+    # call, so a command must call what it uses through them; wrapped, a
+    # command prints the same bytes
+    argv = [g3_file if part == INPUT else part for part in argv]
+    expected = run(capsys, *argv)
+    assert expected[0] == 0, expected[2]
+    called = set()
+    for name in _TRACED:
+
+        def record(*args, _name=name, _original=getattr(afrob.cli, name), **kwargs):
+            called.add(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(afrob.cli, name, record)
+    assert run(capsys, *argv) == expected
+    wanted = {"parse_apx"} if "--input" in argv else set()
+    if argv[0] in _TRACED_BY_COMMAND:
+        wanted.add(_TRACED_BY_COMMAND[argv[0]])
+    assert called == wanted
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

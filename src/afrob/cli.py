@@ -12,6 +12,7 @@ Exit status: 0 success, 1 usage error, 2 parse error, 3 size limit.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
@@ -182,9 +183,8 @@ def _json(value, indent: str = "\n") -> str:
 
 def _cmd_extensions(args) -> dict:
     af = _load(args.input)
-    semantics = Semantics(args.semantics)
-    family = _Family(extension_masks(af, semantics), af.sorted_arguments)
-    return {"semantics": semantics.value, "extensions": family}
+    family = _Family(extension_masks(af, args.semantics), af.sorted_arguments)
+    return {"semantics": args.semantics, "extensions": family}
 
 
 def _extensions_text(result: dict) -> list[str]:
@@ -193,17 +193,16 @@ def _extensions_text(result: dict) -> list[str]:
 
 def _cmd_labellings(args) -> dict:
     af = _load(args.input)
-    semantics = Semantics(args.semantics)
     names = af.sorted_arguments
     return {
-        "semantics": semantics.value,
+        "semantics": args.semantics,
         "labellings": [
             {
                 "in": [names[i] for i in _bits(in_set)],
                 "out": [names[i] for i in _bits(out)],
                 "undec": [names[i] for i in _bits(undec)],
             }
-            for in_set, out, undec in labellings_for(af, semantics)
+            for in_set, out, undec in labellings_for(af, args.semantics)
         ],
     }
 
@@ -282,12 +281,11 @@ def _invariant_attacks_text(result: dict) -> list[str]:
 
 def _cmd_robustness(args) -> dict:
     af = _load(args.input)
-    semantics = Semantics(args.semantics)
     found = robustness_degree(
-        af, semantics, strategy=args.strategy, max_steps=args.max_steps, paranoid=args.paranoid
+        af, args.semantics, strategy=args.strategy, max_steps=args.max_steps, paranoid=args.paranoid
     )
     return {
-        "semantics": semantics.value,
+        "semantics": args.semantics,
         "degree": found.degree,
         "witness": _Attacks(found.witness),
         "explored_states": found.explored_states,
@@ -314,11 +312,10 @@ def _cmd_equivalent(args) -> dict:
         raise _UsageError("--input and --other cannot both be - (stdin is read once)")
     af = _load(args.input)
     other = _load(args.other)
-    semantics = Semantics(args.semantics)
-    lost, gained = extension_difference(af, other, semantics)
+    lost, gained = extension_difference(af, other, args.semantics)
     names = af.sorted_arguments
     return {
-        "semantics": semantics.value,
+        "semantics": args.semantics,
         "equivalent": not lost and not gained,
         "lost": _Family(lost, names),
         "gained": _Family(gained, names),
@@ -389,7 +386,7 @@ def _audit_text(result: dict) -> list[str]:
 
 def _cmd_audit(args) -> dict:
     return _audit_result(
-        exhaustive_audit(args.args, Semantics(args.semantics), seed=args.seed, samples=args.samples)
+        exhaustive_audit(args.args, args.semantics, seed=args.seed, samples=args.samples)
     )
 
 
@@ -481,6 +478,8 @@ def run_cli(argv=None) -> int:
         else:
             for line in args.text(result):
                 print(line)
+        # a failed write surfaces here, not in the interpreter's final flush
+        sys.stdout.flush()
         return EXIT_OK
     # reading the input is the only decoding the commands do
     except (ParseError, UndeclaredArgument, UnicodeDecodeError) as exc:
@@ -489,10 +488,19 @@ def run_cli(argv=None) -> int:
     except SizeLimit as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_SIZE
+    except BrokenPipeError:
+        raise  # a reader that closed stdout early made no usage error (main)
     except (OSError, AfrobError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    try:
+        status = run_cli()
+    except BrokenPipeError:
+        # exit 1 without a message, and point stdout at os.devnull so that
+        # the interpreter's final flush of what is left prints none either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_USAGE
+    sys.exit(status)

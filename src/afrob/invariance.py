@@ -68,12 +68,10 @@ class AttackClassification:
     witnesses: tuple[Witness, ...]
 
 
-def _cf_or_adm(semantics: Semantics, preferred_only: bool = False) -> Semantics:
+def _cf_or_adm(semantics: Semantics) -> Semantics:
     """``semantics``, refused unless it is cf or adm, the two the rules and
-    the delta decide, or if cf under ``preferred_only`` (no labellings)."""
+    the delta decide."""
     semantics = Semantics(semantics)
-    if semantics is Semantics.CONFLICT_FREE and preferred_only:
-        raise UnsupportedSemantics("preferred-only classification supports adm, not cf")
     if semantics not in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
         raise UnsupportedSemantics(f"only cf and adm are supported, not {semantics.value}")
     return semantics
@@ -243,6 +241,8 @@ class _State:
     * ``targets`` and ``attackers``: the relation's bit rows.
     * ``reach``: the odd and even reach tables of the relation
       (:func:`_odd_closure`), then those of its reverse (their transposes).
+      A derived state updates both pairs by :func:`_reach_with`, the
+      reverse with the step reversed.
     * ``cf``: per conflict-free set, in canonical (size, then names) order
       as enumerated, the set, its targets and its attackers.  A derived
       state filters its parent's list, so it keeps that order.
@@ -407,6 +407,10 @@ class _State:
         An existing attack never gets a bit: a and b do not share a
         conflict-free set, an admissible S holding b attacks its attacker a,
         and a set holding a attacks b already, so b is not unanswered.
+
+        The adm loss is :attr:`adm_rows`'s, which :meth:`invariant_rows`
+        reads too, so a state asked for both (a paranoid search state) makes
+        one pass over its admissible sets.
         """
         full = (1 << len(self.targets)) - 1
         if semantics is Semantics.CONFLICT_FREE:
@@ -456,9 +460,11 @@ def _classify(
     the state of ``af``'s relation: the verdict and the (in-set mask, rule)
     witnesses of :meth:`_State.witnesses` over the admissible sets, or the
     preferred ones of ``af``'s record."""
-    semantics = _cf_or_adm(semantics, preferred_only)
+    semantics = _cf_or_adm(semantics)
     family = None
     if preferred_only:
+        if semantics is Semantics.CONFLICT_FREE:
+            raise UnsupportedSemantics("preferred-only classification supports adm, not cf")
         # the preferred sets read only the core: reading every admissible
         # set first refuses an oversized framework by its n
         state.adm
@@ -486,7 +492,9 @@ def classify_attack(
     of the admissible sets, or of the preferred ones only under
     ``preferred_only``, in canonical extension order; the witnesses list
     every ND match, then every NI match.  cf has no labellings to restrict,
-    so ``preferred_only`` is refused there."""
+    so ``preferred_only`` is refused there.  This is the one entry that
+    builds a classification and decodes witnesses into names; the CLI and
+    the audit read the masks."""
     a, b = map(af._index, attack)
     verdict, found = _classify(af, _State(*af.bit_rows), a, b, semantics, preferred_only)
     witnesses = tuple(Witness(af._names(s), rule) for s, rule in found)

@@ -190,15 +190,3 @@ def exhaustive_audit(
         candidates_checked=candidates,
         discrepancies=tuple(discrepancies),
     )
-
-
-__all__ = [
-    "NO_RULE_FIRED",
-    "AuditReport",
-    "DiscrepancyReport",
-    "canonical_names",
-    "cross_validate",
-    "exhaustive_audit",
-    "framework_from_mask",
-    "oracle_invariant",
-]

@@ -16,7 +16,10 @@ A search state differs from its parent by one attack, so it derives the
 tables that classify its candidates from the parent's instead of
 rebuilding them: each table costs one pass over the parent's, where a
 rebuild would enumerate the conflict-free sets and run the odd-walk
-fixpoint again (see :class:`afrob.invariance._State`).
+fixpoint again (see :class:`afrob.invariance._State`).  The search works on
+argument indices: its steps are index pairs, it builds no framework after
+the root, and it builds an :class:`Attack` only for each step of the
+returned witness.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SizeLimit
-from .framework import ArgumentationFramework, Attack, _attacks_in, _bits, _with_attack
-from .invariance import _cf_or_adm, _State, sigma_equivalent
+from .framework import ArgumentationFramework, Attack, _bits, _with_attack
+from .invariance import _cf_or_adm, _State, invariant_attacks, sigma_equivalent
 from .semantics import Semantics
 
 # An adm search exploring more states than this raises SizeLimit.  On five
@@ -79,7 +82,8 @@ def robustness_degree(
     recorded unclassified, and ``explored_states`` counts both.  With
     ``paranoid`` a step is accepted only if it also leaves the extension
     family unchanged by Dung's delta, so steps the rule scan wrongly admits
-    are skipped.  An adm search exploring more than
+    are skipped; the delta is read off the state, so no child is built only
+    to be compared.  An adm search exploring more than
     :data:`MAX_SEARCH_STATES` states raises :class:`SizeLimit`.
 
     For cf no search runs: an invariant attack keeps every conflict-free
@@ -96,7 +100,7 @@ def robustness_degree(
         raise ValueError(f"unknown strategy: {strategy!r}")
     order = af.sorted_arguments
     if semantics is Semantics.CONFLICT_FREE:
-        candidates = _attacks_in(order, _State(*af.bit_rows).invariant_rows(semantics))
+        candidates = invariant_attacks(af, semantics)
         k = len(candidates)
         d = k if max_steps is None else min(k, max_steps)
         explored = d + 1 if strategy == "greedy" else _subsets_up_to(k, d)

@@ -50,8 +50,6 @@ from .framework import ArgumentationFramework, _bits
 # n=21, doubling with each further argument.
 MAX_ENUMERATION_ARGUMENTS = 20
 
-ExtensionSet = frozenset[frozenset[str]]
-
 
 class Semantics(str, Enum):
     """The supported acceptance semantics."""
@@ -233,7 +231,7 @@ def extension_masks(af: ArgumentationFramework, semantics: Semantics) -> tuple[i
     return getattr(_enumerate(af), semantics.value)
 
 
-def extensions(af: ArgumentationFramework, semantics: Semantics) -> ExtensionSet:
+def extensions(af: ArgumentationFramework, semantics: Semantics) -> frozenset[frozenset[str]]:
     """Extension set of ``af`` under the given semantics."""
     return frozenset(map(af._names, extension_masks(af, semantics)))
 

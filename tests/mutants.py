@@ -65,6 +65,38 @@ MUTANTS = (
         ("tests/test_invariance.py",),
     ),
     Mutant(
+        "reach-odd-loop-ignored",
+        "src/afrob/invariance.py",
+        "    if gain_even & bit:\n",
+        "    if False:\n",
+        (
+            "tests/test_robustness.py::test_derived_states_equal_a_rebuild",
+            "tests/test_robustness.py::test_seeded_searches_match_the_recorded_goldens",
+        ),
+    ),
+    Mutant(
+        "reverse-reach-unswapped",
+        "src/afrob/invariance.py",
+        "*_reach_with(reverse_odd, reverse_even, b, a),",
+        "*_reach_with(reverse_odd, reverse_even, a, b),",
+        (
+            "tests/test_robustness.py::test_derived_states_equal_a_rebuild",
+            "tests/test_robustness.py::test_seeded_searches_match_the_recorded_goldens",
+        ),
+    ),
+    Mutant(
+        "odd-closure-no-empty-walk",
+        "src/afrob/invariance.py",
+        "o, e = 0, 1 << i\n",
+        "o, e = 0, 0\n",
+        # the closure then need not converge (a self-loop oscillates), so a
+        # pinned case that fails fast comes first
+        (
+            "tests/test_framework.py::test_odd_walk_examples",
+            "tests/test_framework.py::test_odd_walk_matches_enumeration_exhaustively",
+        ),
+    ),
+    Mutant(
         "reinstating-row-is-out",
         "src/afrob/invariance.py",
         "row = threat | _defending_undec(",

@@ -628,18 +628,44 @@ def _child_env():
     return env
 
 
-def test_module_entry_point(g3_file):
-    completed = subprocess.run(
-        [sys.executable, "-m", "afrob", "extensions", "--semantics", "adm",
-         "--input", g3_file, "--format", "json"],
-        capture_output=True,
-        text=True,
+def _run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "afrob", *argv], capture_output=True, env=_child_env()
+    )
+
+
+def test_module_entry_point(capsys, tmp_path, g3_file):
+    argv = ("extensions", "--semantics", "adm", "--input", g3_file, "--format", "json")
+    completed = _run_module(*argv)
+    assert (completed.returncode, completed.stderr) == (0, b"")
+    assert completed.stdout == run(capsys, *argv)[1].encode()
+    bad = tmp_path / "bad.apx"
+    bad.write_text("arg(a).\nbogus\n")
+    completed = _run_module("extensions", "--semantics", "adm", "--input", str(bad))
+    assert (completed.returncode, completed.stdout) == (2, b"")
+    assert completed.stderr == (
+        b"parse error: line 2, column 1: expected 'arg(NAME).' or 'att(NAME,NAME).'\n"
+    )
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_a_closed_stdout_exits_1_without_a_message(tmp_path, output):
+    # a reader that stops early (| head -c 1) made no usage error; the
+    # output, all 16,384 sets, is far larger than a pipe holds
+    free = tmp_path / "free.apx"
+    free.write_text("".join(f"arg(x{i}).\n" for i in range(14)))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "afrob", "extensions", "--semantics", "cf",
+         "--input", str(free), "--format", output],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         env=_child_env(),
     )
-    assert completed.returncode == 0
-    payload = json.loads(completed.stdout)
-    assert payload["schema"] == "afrob/1"
-    assert len(payload["result"]["extensions"]) == 6
+    assert len(child.stdout.read(1)) == 1
+    child.stdout.close()
+    with child.stderr:
+        err = child.stderr.read()
+    assert (child.wait(timeout=60), err) == (1, b"")
 
 
 def test_import_leaves_multiprocessing_unloaded():

@@ -28,8 +28,8 @@ from .framework import _NAME, ArgumentationFramework, _attacks_in
 _SPACE = re.compile(r"\s*")
 # [^\S\n] is any str.isspace() character but the line end
 _LINE = re.compile(
-    r"^[^\S\n]*(?:%[^\n]*|(?:arg\(([A-Za-z0-9_]+)\)|att\(([A-Za-z0-9_]+),([A-Za-z0-9_]+)\))"
-    r"\.[^\S\n]*)?$",
+    rf"^[^\S\n]*(?:%[^\n]*|(?:arg\(({_NAME.pattern})\)"
+    rf"|att\(({_NAME.pattern}),({_NAME.pattern})\))\.[^\S\n]*)?$",
     re.M,
 )
 # the separator that follows each name a declaration expects
@@ -68,7 +68,7 @@ def _reject(lines: list[str]) -> None:
     for separator in separators:
         name = _NAME.match(line, pos)
         if name is None:
-            raise ParseError(lineno, pos + 1, "expected an argument name ([A-Za-z0-9_]+)")
+            raise ParseError(lineno, pos + 1, f"expected an argument name ({_NAME.pattern})")
         pos = name.end()
         if not line.startswith(separator, pos):
             raise ParseError(lineno, pos + 1, f"expected {separator!r}")

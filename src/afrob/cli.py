@@ -216,15 +216,14 @@ def _labellings_text(result: dict) -> list[str]:
 
 def _cmd_check_attack(args) -> dict:
     af = _load(args.input)
-    semantics = Semantics(args.semantics)
     # one state of the relation gives the rule scan and Dung's delta
     state = _State(*af.bit_rows)
     a, b = af._index(args.source), af._index(args.target)
-    verdict, found = _classify(af, state, a, b, semantics, args.preferred_only)
+    verdict, found = _classify(af, state, a, b, args.semantics, args.preferred_only)
     names = af.sorted_arguments
     result = {
         "attack": {"source": names[a], "target": names[b]},
-        "semantics": semantics.value,
+        "semantics": args.semantics,
         "verdict": verdict.value,
         "witnesses": [
             {"in_set": [names[i] for i in _bits(s)], "rule": rule.value} for s, rule in found
@@ -232,7 +231,7 @@ def _cmd_check_attack(args) -> dict:
     }
     if args.oracle:
         # both in canonical order, as enumerated
-        lost, gained = state.changes(a, b, semantics)
+        lost, gained = state.changes(a, b, args.semantics)
         result["oracle"] = {
             "invariant": not lost and not gained,
             "lost": _Family(lost, names),
@@ -259,14 +258,13 @@ def _check_attack_text(result: dict) -> list[str]:
 
 def _cmd_invariant_attacks(args) -> dict:
     af = _load(args.input)
-    semantics = Semantics(args.semantics)
     state = _State(*af.bit_rows)
-    rows = state.invariant_rows(semantics)
+    rows = state.invariant_rows(args.semantics)
     found = _Attacks(_attacks_in(af.sorted_arguments, rows))
-    result = {"semantics": semantics.value, "attacks": found}
+    result = {"semantics": args.semantics, "attacks": found}
     if args.oracle:
         # the candidates the rules call invariant that Dung's delta changes
-        changed = state.changed_rows(semantics)
+        changed = state.changed_rows(args.semantics)
         wrong = [row & changed_row for row, changed_row in zip(rows, changed)]
         result["oracle_disagreements"] = _Attacks(_attacks_in(af.sorted_arguments, wrong))
     return result
@@ -464,12 +462,6 @@ def run_cli(argv=None) -> int:
     command = commands.get(argv[0]) if argv else None
     try:
         args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    try:
         # a command returns its afrob/1 result; text is rendered from it
         # only when text is asked for
         result = args.func(args)
@@ -481,6 +473,8 @@ def run_cli(argv=None) -> int:
         # a failed write surfaces here, not in the interpreter's final flush
         sys.stdout.flush()
         return EXIT_OK
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     # reading the input is the only decoding the commands do
     except (ParseError, UndeclaredArgument, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -489,18 +483,17 @@ def run_cli(argv=None) -> int:
         print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_SIZE
     except BrokenPipeError:
-        raise  # a reader that closed stdout early made no usage error (main)
+        return EXIT_USAGE  # a reader that closed stdout early made no usage error
     except (OSError, AfrobError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def main() -> None:
-    try:
-        status = run_cli()
-    except BrokenPipeError:
-        # exit 1 without a message, and point stdout at os.devnull so that
-        # the interpreter's final flush of what is left prints none either
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        status = EXIT_USAGE
+    status = run_cli()
+    if status:
+        # a command prints only its complete result, so stdout's buffer holds at
+        # most the bytes whose write failed: the final flush sends them to
+        # os.devnull (fd 1, as sys.stdout is None if stdout was never open)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
     sys.exit(status)

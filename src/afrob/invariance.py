@@ -352,7 +352,7 @@ class _State:
         admissible set": all three come from :attr:`adm_rows`.
         """
         targets = self.targets
-        if semantics is Semantics.CONFLICT_FREE:
+        if semantics == Semantics.CONFLICT_FREE:
             return [k & ~t for k, t in zip(self.kept, targets)]
         loss, gains, outs = self.adm_rows
         # existing attacks are no candidates
@@ -367,15 +367,13 @@ class _State:
     def witnesses(
         self, a: int, b: int, semantics: Semantics, family: Collection[int] | None = None
     ) -> list[tuple[int, Rule]]:
-        """The (in-set, rule) pairs that classify adding (a, b): none for an
-        attack already present.  For cf the one lost set {a, b}, unless
+        """The (in-set, rule) pairs that classify adding the absent attack
+        (a, b).  For cf the one lost set {a, b}, unless
         :func:`_conflict_kept` keeps it.  For adm the rules of
         :func:`_rule_rows` over the labellings of the admissible sets, or of
         those in ``family`` only (the preferred sets, say), in canonical
         extension order, every ND match before every NI match."""
-        if self.targets[a] >> b & 1:
-            return []
-        if semantics is Semantics.CONFLICT_FREE:
+        if semantics == Semantics.CONFLICT_FREE:
             return [] if self.kept[a] >> b & 1 else [(1 << a | 1 << b, Rule.CF_NEVER_IN)]
         losses, gains = [], []
         for s, out, threat in self.adm:
@@ -413,7 +411,7 @@ class _State:
         one pass over its admissible sets.
         """
         full = (1 << len(self.targets)) - 1
-        if semantics is Semantics.CONFLICT_FREE:
+        if semantics == Semantics.CONFLICT_FREE:
             return [full & ~k for k in self.kept]
         changed = list(self.adm_rows[0])  # the loss, shared with invariant_rows
         for s, attacked, attacking in self.cf:
@@ -428,7 +426,7 @@ class _State:
         conditions of :meth:`changed_rows`, in canonical order (filters of
         :attr:`cf` and :attr:`adm`): both empty for an attack present."""
         bit_a, bit_b = 1 << a, 1 << b
-        if semantics is Semantics.CONFLICT_FREE:
+        if semantics == Semantics.CONFLICT_FREE:
             both = bit_a | bit_b
             return tuple(s for s, _, _ in self.cf if s & both == both), ()
         lost = tuple(s for s, attacked, _ in self.adm if s & bit_b and not attacked & bit_a)
@@ -461,10 +459,12 @@ def _classify(
     witnesses of :meth:`_State.witnesses` over the admissible sets, or the
     preferred ones of ``af``'s record."""
     semantics = _cf_or_adm(semantics)
+    if preferred_only and semantics == Semantics.CONFLICT_FREE:
+        raise UnsupportedSemantics("preferred-only classification supports adm, not cf")
+    if state.targets[a] >> b & 1:
+        return Verdict.INVARIANT, []  # re-adding an attack changes nothing
     family = None
     if preferred_only:
-        if semantics is Semantics.CONFLICT_FREE:
-            raise UnsupportedSemantics("preferred-only classification supports adm, not cf")
         # the preferred sets read only the core: reading every admissible
         # set first refuses an oversized framework by its n
         state.adm

@@ -161,8 +161,10 @@ def exhaustive_audit(
     semantics = _cf_or_adm(semantics)
     if n < 0 or samples < 0:
         raise ValueError(f"negative argument or sample count: n={n}, samples={samples}")
-    # every framework would be rejected by the enumerator; say so before
-    # drawing and decoding the samples
+    # past the limit every adm framework is refused by the enumerator, and
+    # each sample draws and decodes n² random bits (a cf audit reads only the
+    # closed form, where the rules and the delta agree by construction): so
+    # refuse before drawing any sample
     if n > MAX_ENUMERATION_ARGUMENTS:
         raise SizeLimit(f"{n} arguments exceed the enumeration limit of {MAX_ENUMERATION_ARGUMENTS}")
     exhaustive = n <= 3

@@ -99,7 +99,7 @@ def robustness_degree(
     if strategy not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown strategy: {strategy!r}")
     order = af.sorted_arguments
-    if semantics is Semantics.CONFLICT_FREE:
+    if semantics == Semantics.CONFLICT_FREE:
         candidates = invariant_attacks(af, semantics)
         k = len(candidates)
         d = k if max_steps is None else min(k, max_steps)

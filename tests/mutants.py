@@ -197,10 +197,10 @@ MUTANTS = (
     Mutant(
         "apx-line-space-is-space-and-tab",
         "src/afrob/apx.py",
-        '    r"^[^\\S\\n]*(?:%[^\\n]*|(?:arg\\(([A-Za-z0-9_]+)\\)|att\\(([A-Za-z0-9_]+),([A-Za-z0-9_]+)\\))"\n'
-        '    r"\\.[^\\S\\n]*)?$",\n',
-        '    r"^[ \\t]*(?:%[^\\n]*|(?:arg\\(([A-Za-z0-9_]+)\\)|att\\(([A-Za-z0-9_]+),([A-Za-z0-9_]+)\\))"\n'
-        '    r"\\.[ \\t]*)?$",\n',
+        '    rf"^[^\\S\\n]*(?:%[^\\n]*|(?:arg\\(({_NAME.pattern})\\)"\n'
+        '    rf"|att\\(({_NAME.pattern}),({_NAME.pattern})\\))\\.[^\\S\\n]*)?$",\n',
+        '    rf"^[ \\t]*(?:%[^\\n]*|(?:arg\\(({_NAME.pattern})\\)"\n'
+        '    rf"|att\\(({_NAME.pattern}),({_NAME.pattern})\\))\\.[ \\t]*)?$",\n',
         (
             "tests/test_apx.py::test_parser_whitespace_is_str_isspace",
             "tests/test_apx.py::test_parse_matches_the_line_by_line_reference",
@@ -255,6 +255,24 @@ MUTANTS = (
         (
             "tests/test_robustness.py::test_capped_search_stops_classifying_at_the_cap_once_truncated",
             "tests/test_robustness.py::test_seeded_searches_match_the_recorded_goldens",
+        ),
+    ),
+    Mutant(
+        "failure-keeps-stdout-buffer",
+        "src/afrob/cli.py",
+        "    if status:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_a_failed_write_exits_1_with_one_error_line",),
+    ),
+    Mutant(
+        "present-attack-scanned",
+        "src/afrob/invariance.py",
+        "    if state.targets[a] >> b & 1:\n"
+        "        return Verdict.INVARIANT, []  # re-adding an attack changes nothing\n",
+        "",
+        (
+            "tests/test_invariance.py::test_classify_existing_attack_is_invariant",
+            "tests/test_cli.py::test_a_present_attack_is_invariant_past_the_enumeration_limit",
         ),
     ),
     Mutant(

@@ -668,6 +668,54 @@ def test_a_closed_stdout_exits_1_without_a_message(tmp_path, output):
     assert (child.wait(timeout=60), err) == (1, b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_failed_write_exits_1_with_one_error_line(g3_file):
+    # buffered (PYTHONUNBUFFERED unset), the output waits in stdout's buffer
+    # until run_cli's flush fails; the interpreter's final flush of the same
+    # bytes must not fail a second time, with its own message and exit 120
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "wb") as full:
+        completed = subprocess.run(
+            [sys.executable, "-m", "afrob", "extensions", "--semantics", "adm",
+             "--input", g3_file],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    lines = completed.stderr.splitlines()
+    assert (completed.returncode, len(lines)) == (1, 1), completed.stderr
+    assert lines[0].startswith(b"error: ")
+
+
+class _ClosedStdout(io.StringIO):
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_run_cli_returns_1_without_a_message_for_a_closed_stdout(capsys, monkeypatch, g3_file):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert run_cli(["extensions", "--semantics", "adm", "--input", g3_file]) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_a_present_attack_is_invariant_past_the_enumeration_limit(capsys, tmp_path):
+    # re-adding x1 -> x2 changes nothing, so it is decided before any set of
+    # the 25 arguments is enumerated, also under --preferred-only; --oracle
+    # lists the sets lost and gained, so it still reads them and refuses
+    big = tmp_path / "big.apx"
+    big.write_text("".join(f"arg(x{i}).\n" for i in range(1, 26)) + "att(x1,x2).\n")
+    argv = ("check-attack", "--from", "x1", "--to", "x2", "--semantics", "adm",
+            "--input", str(big), "--format", "json")
+    plain = run(capsys, *argv)
+    assert (plain[0], plain[2]) == (0, "")
+    assert json.loads(plain[1])["result"]["verdict"] == "invariant"
+    assert run(capsys, *argv, "--preferred-only") == plain
+    code, out, err = run(capsys, *argv, "--oracle")
+    assert (code, out) == (3, "")
+    assert err == "size limit: 25 arguments exceed the enumeration limit of 20\n"
+
+
 def test_import_leaves_multiprocessing_unloaded():
     # every command runs in one process, so no CLI process pays for it
     code = "import sys, afrob.cli; sys.exit('multiprocessing' in sys.modules)"

@@ -60,12 +60,14 @@ def _positive(text: str) -> int:
 
 
 def _load(path: str) -> ArgumentationFramework:
+    # bytes, decoded in one place: sys.stdin may decode with surrogateescape
+    # (under the C and POSIX locales), and parse_apx reads every line end
     if path == "-":
-        # the bytes, decoded as strictly as a file: sys.stdin itself may
-        # decode with surrogateescape (under the C and POSIX locales)
-        return parse_apx(sys.stdin.buffer.read().decode("utf-8"))
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_apx(handle.read())
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    return parse_apx(data.decode("utf-8"))
 
 
 def _fmt_set(sorted_names: Sequence[str]) -> str:
@@ -87,32 +89,42 @@ class _Attacks(tuple):
 
 
 def _set_items(
-    masks: Sequence[int], names: Sequence[str], start: str, sep: str, end: str, empty: str
-) -> list[str]:
-    """Each set of ``masks`` (in canonical order) written as
-    ``start``, its members' names joined by ``sep``, and ``end``; the empty
-    set as ``empty``.  That order puts every set after its prefix, the set
-    minus its highest member, so a set whose prefix is in the family is
-    written as the prefix's item without ``end``, plus one name."""
-    items: dict[int, str] = {}
-    cut = -len(end)
+    masks: Sequence[int],
+    names: Sequence[str],
+    start: str,
+    sep: str,
+    end: str,
+    empty: str,
+    between: str,
+) -> str:
+    """The sets of ``masks`` (in canonical order), joined by ``between``:
+    each written as ``start``, its members' names joined by ``sep``, and
+    ``end``; the empty set, which comes first, as ``empty``.  That order
+    puts every set after its prefix, the set minus its highest member, so a
+    set whose prefix is in the family opens with the prefix's open text (all
+    but ``end``) plus ``sep`` and one name, in one concatenation; ``end``
+    and ``between`` are added in one join."""
+    opens: dict[int, str] = {}
+    tails = [sep + name for name in names]
     for m in masks:
         if not m:
-            items[m] = empty
             continue
         top = m.bit_length() - 1
         prefix = m ^ 1 << top
-        if not prefix:
-            items[m] = start + names[top] + end
-        elif prefix in items:
-            items[m] = items[prefix][:cut] + sep + names[top] + end
+        if prefix in opens:
+            opens[m] = opens[prefix] + tails[top]
+        elif prefix:
+            opens[m] = start + sep.join([names[i] for i in _bits(m)])
         else:
-            items[m] = start + sep.join([names[i] for i in _bits(m)]) + end
-    return list(items.values())
+            opens[m] = start + names[top]
+    items = [empty] if masks and not masks[0] else []
+    if opens:
+        items.append((end + between).join(opens.values()) + end)
+    return between.join(items)
 
 
 def _fmt_extensions(family: _Family) -> str:
-    return ",".join(_set_items(*family, "{", ",", "}", "{}")) or "-"
+    return _set_items(*family, "{", ",", "}", "{}", ",") or "-"
 
 
 def _int_text(value: int) -> str:
@@ -158,8 +170,10 @@ def _json(value, indent: str = "\n") -> str:
             return "[]"
         deeper = inner + "  "
         names = [_quote(name) for name in value.names]
-        items = _set_items(value.masks, names, "[" + deeper, "," + deeper, inner + "]", "[]")
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+        sets = _set_items(
+            value.masks, names, "[" + deeper, "," + deeper, inner + "]", "[]", "," + inner
+        )
+        return "[" + inner + sets + indent + "]"
     if kind is _Attacks:
         if not value:
             return "[]"
@@ -188,7 +202,8 @@ def _cmd_extensions(args) -> dict:
 
 
 def _extensions_text(result: dict) -> list[str]:
-    return _set_items(*result["extensions"], "{", ",", "}", "{}")
+    # one item holding every line: a family can hold thousands of sets
+    return [_set_items(*result["extensions"], "{", ",", "}", "{}", "\n")]
 
 
 def _cmd_labellings(args) -> dict:
@@ -466,10 +481,15 @@ def run_cli(argv=None) -> int:
         # only when text is asked for
         result = args.func(args)
         if args.format == "json":
-            print(_json({"schema": SCHEMA, "command": args.command, "result": result}))
+            out = _json({"schema": SCHEMA, "command": args.command, "result": result})
         else:
-            for line in args.text(result):
-                print(line)
+            out = "\n".join(args.text(result))
+        if sys.stdout is None:  # fd 1 was closed at start
+            raise OSError("stdout is closed")
+        if out:  # an empty result prints nothing
+            # the text, then its newline: unbuffered (python -u), a write that
+            # a closed pipe cuts short raises nothing, and the newline's raises
+            print(out)
         # a failed write surfaces here, not in the interpreter's final flush
         sys.stdout.flush()
         return EXIT_OK

@@ -276,6 +276,44 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "set-text-last-end-dropped",
+        "src/afrob/cli.py",
+        "items.append((end + between).join(opens.values()) + end)",
+        "items.append((end + between).join(opens.values()))",
+        (
+            "tests/test_cli.py::test_empty_set_first_and_set_without_prefix_in_full",
+            "tests/test_cli.py::test_extension_lists_follow_extension_sort_key",
+        ),
+    ),
+    Mutant(
+        "set-with-present-prefix-built-from-start",
+        "src/afrob/cli.py",
+        "opens[m] = opens[prefix] + tails[top]",
+        "opens[m] = start + tails[top]",
+        ("tests/test_cli.py::test_extension_lists_follow_extension_sort_key",),
+    ),
+    Mutant(
+        "set-with-absent-prefix-written-as-its-top",
+        "src/afrob/cli.py",
+        "        elif prefix:\n",
+        "        elif False:\n",
+        ("tests/test_cli.py::test_empty_set_first_and_set_without_prefix_in_full",),
+    ),
+    Mutant(
+        "empty-set-separator-dropped",
+        "src/afrob/cli.py",
+        "    return between.join(items)\n",
+        '    return "".join(items)\n',
+        ("tests/test_cli.py::test_empty_set_first_and_set_without_prefix_in_full",),
+    ),
+    Mutant(
+        "stdout-closed-at-start-unchecked",
+        "src/afrob/cli.py",
+        "        if sys.stdout is None:  # fd 1 was closed at start\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_a_stdout_closed_at_start_exits_1_with_one_error_line",),
+    ),
+    Mutant(
         "robustness-text-always-truncated",
         "src/afrob/cli.py",
         '    if result["truncated"]:\n',

@@ -491,6 +491,19 @@ def test_undecodable_stdin_is_a_parse_error(capsys, monkeypatch):
     assert err.startswith("parse error: ")
 
 
+def test_a_file_and_stdin_report_the_same_decode_position(capsys, monkeypatch, tmp_path):
+    # a bad byte 19 KB in: the position counts from the input's first
+    # byte, whether the bytes come from a file or from stdin
+    data = "".join(f"arg(x{i}).\n" for i in range(1700)).encode() + b"% \xff\n"
+    path = tmp_path / "big.apx"
+    path.write_bytes(data)
+    message = f"parse error: 'utf-8' codec can't decode byte 0xff in position {len(data) - 2}"
+    code, out, err = run(capsys, "extensions", "--semantics", "gde", "--input", str(path))
+    assert (code, out, err.startswith(message)) == (2, "", True), err
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert run(capsys, "extensions", "--semantics", "gde", "--input", "-") == (code, out, err)
+
+
 def test_stdin_decodes_strictly_under_surrogateescape(capsys, monkeypatch):
     # under the C and POSIX locales sys.stdin decodes with surrogateescape,
     # which would let a non-UTF-8 byte in a comment through
@@ -686,6 +699,18 @@ def test_a_failed_write_exits_1_with_one_error_line(g3_file):
     lines = completed.stderr.splitlines()
     assert (completed.returncode, len(lines)) == (1, 1), completed.stderr
     assert lines[0].startswith(b"error: ")
+
+
+def test_a_stdout_closed_at_start_exits_1_with_one_error_line(g3_file):
+    # with fd 1 closed (>&-), sys.stdout is None: the command has nowhere to
+    # print, as with a full disk
+    completed = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "afrob",
+         "extensions", "--semantics", "adm", "--input", g3_file],
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    assert (completed.returncode, completed.stderr) == (1, b"error: stdout is closed\n")
 
 
 class _ClosedStdout(io.StringIO):
@@ -927,9 +952,33 @@ def test_extension_lists_follow_extension_sort_key():
             family = sorted(extensions(af, semantics), key=extension_sort_key)
             printed = _Family(afrob.extension_masks(af, semantics), af.sorted_arguments)
             assert [af._names(m) for m in printed.masks] == family
-            assert _set_items(*printed, "{", ",", "}", "{}") == [
+            assert _set_items(*printed, "{", ",", "}", "{}", "\n") == "\n".join(
                 "{" + ",".join(sorted(ext)) + "}" for ext in family
-            ]
+            )
+
+
+def test_empty_set_first_and_set_without_prefix_in_full(capsys, tmp_path):
+    # adm of c -> a, b -> c: {a,b}'s prefix {a} is not admissible
+    path = tmp_path / "af.apx"
+    path.write_text("arg(a).\narg(b).\narg(c).\natt(c,a).\natt(b,c).\n")
+    argv = ("extensions", "--semantics", "adm", "--input", str(path))
+    assert run(capsys, *argv) == (0, "{}\n{b}\n{a,b}\n", "")
+    assert run_json(capsys, *argv, "--format", "json")["result"]["extensions"] == [
+        [],
+        ["b"],
+        ["a", "b"],
+    ]
+
+
+def test_an_empty_family_prints_nothing_or_a_dash(capsys, tmp_path):
+    path = tmp_path / "self.apx"
+    path.write_text("arg(a).\natt(a,a).\n")
+    assert run(capsys, "extensions", "--semantics", "stb", "--input", str(path)) == (0, "", "")
+    # a -> b on b -> a gains {a} and loses no admissible set
+    path.write_text("arg(a).\narg(b).\natt(b,a).\n")
+    code, out, _ = run(capsys, "check-attack", "--from", "a", "--to", "b", "--semantics", "adm",
+                       "--oracle", "--input", str(path))
+    assert (code, out.splitlines()[-1]) == (0, "oracle: changed lost=- gained={a}")
 
 
 def _seeded_frameworks():

@@ -1,7 +1,7 @@
 """Argumentation-framework semantics, attack-invariance classification and
 robustness measurement, with brute-force cross-validation built in."""
 
-from .apx import emit_apx, parse_apx
+from .apx import parse_apx
 from .errors import (
     AfrobError,
     ArgumentSetMismatch,
@@ -17,10 +17,8 @@ from .invariance import (
     Rule,
     Verdict,
     Witness,
-    candidate_attacks,
     classify_attack,
     invariant_attacks,
-    sigma_equivalent,
 )
 from .oracle import (
     AuditReport,
@@ -29,9 +27,8 @@ from .oracle import (
     cross_validate,
     exhaustive_audit,
     framework_from_mask,
-    oracle_invariant,
 )
-from .robustness import RobustnessResult, robustness_degree, verify_witness
+from .robustness import RobustnessResult, robustness_degree
 from .semantics import (
     Semantics,
     extension_difference,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError, UndeclaredArgument
-from .framework import _NAME, ArgumentationFramework, _attacks_in
+from .framework import _NAME, ArgumentationFramework
 
 _SPACE = re.compile(r"\s*")
 # [^\S\n] is any str.isspace() character but the line end
@@ -76,10 +76,3 @@ def _reject(lines: list[str]) -> None:
     # every earlier step passed, so only trailing characters are left
     raise ParseError(lineno, _SPACE.match(line, pos).end() + 1, "unexpected trailing characters")
 
-
-def emit_apx(af: ArgumentationFramework) -> str:
-    """Render a framework as a canonical apx document (sorted, deduplicated)."""
-    lines = [f"arg({name})." for name in af.sorted_arguments]
-    attacks = _attacks_in(af.sorted_arguments, af.target_rows)
-    lines += [f"att({a.source},{a.target})." for a in attacks]
-    return "\n".join(lines) + ("\n" if lines else "")

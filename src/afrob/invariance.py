@@ -25,7 +25,7 @@ from typing import Collection, Iterable, NamedTuple
 
 from .errors import UnsupportedSemantics
 from .framework import ArgumentationFramework, Attack, _attacks_in, _bits, _transpose, _with_attack
-from .semantics import Semantics, _conflict_free, extension_difference, extension_masks
+from .semantics import Semantics, _conflict_free, extension_masks
 
 
 class Verdict(str, Enum):
@@ -75,15 +75,6 @@ def _cf_or_adm(semantics: Semantics) -> Semantics:
     if semantics not in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
         raise UnsupportedSemantics(f"only cf and adm are supported, not {semantics.value}")
     return semantics
-
-
-def sigma_equivalent(
-    af: ArgumentationFramework, other: ArgumentationFramework, semantics: Semantics
-) -> bool:
-    """True when both frameworks have identical extension sets: no
-    extension is lost or gained (:func:`~afrob.semantics.extension_difference`,
-    which refuses two different argument sets)."""
-    return extension_difference(af, other, semantics) == ((), ())
 
 
 def _having(rows: tuple[int, ...], among: int, hits: int) -> int:
@@ -499,12 +490,6 @@ def classify_attack(
     verdict, found = _classify(af, _State(*af.bit_rows), a, b, semantics, preferred_only)
     witnesses = tuple(Witness(af._names(s), rule) for s, rule in found)
     return AttackClassification(Attack(*attack), Semantics(semantics), verdict, witnesses)
-
-
-def candidate_attacks(af: ArgumentationFramework) -> list[Attack]:
-    """All attacks not yet present, in canonical order."""
-    full = (1 << len(af.target_rows)) - 1
-    return _attacks_in(af.sorted_arguments, [full & ~row for row in af.target_rows])
 
 
 def invariant_attacks(af: ArgumentationFramework, semantics: Semantics) -> list[Attack]:

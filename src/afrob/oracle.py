@@ -1,13 +1,13 @@
 """Ground truth and audits of the rule-based classifier.
 
 Invariance is, by definition, equality of the extension sets before and
-after the addition.  Two routes decide it without consulting labellings.
-For adm they are an independent check of the rule scan.  For cf the rule
-and the delta read one closed form, so an audit only shows that they agree
-with each other; cf exactness rests on the tests that compare the delta
-with recomputation and on acceptance criterion 3.  ``oracle_invariant``
-recomputes both sides for one candidate, under any semantics.  Dung's
-delta decides cf and adm from one state of the relation
+after the addition.  Dung's delta decides it for cf and adm without
+consulting labellings or recomputing either set.  For adm it is an
+independent check of the rule scan.  For cf the rule and the delta read
+one closed form, so an audit only shows that they agree with each other;
+cf exactness rests on the tests that compare the delta with recomputation
+(the references in ``tests/oracles.py``) and on acceptance criterion 3.
+The delta is read from one state of the relation
 (:class:`afrob.invariance._State`), which also holds the rule scan: one
 pass over the conflict-free sets finds, per set, the additions that lose
 or gain it (``_State.changed_rows``), and the same sets give one
@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .errors import SizeLimit
 from .framework import ArgumentationFramework, Attack, _bits
-from .invariance import Rule, Verdict, _cf_or_adm, _State, _verdict, sigma_equivalent
+from .invariance import Rule, Verdict, _cf_or_adm, _State, _verdict
 from .semantics import MAX_ENUMERATION_ARGUMENTS, Semantics
 
 # aggregation key for divergences where no rule fired at all
@@ -68,14 +68,6 @@ class AuditReport:
             for key in sorted(set(keys)):
                 counts[key] = counts.get(key, 0) + 1
         return dict(sorted(counts.items()))
-
-
-def oracle_invariant(
-    af: ArgumentationFramework, attack: tuple[str, str], semantics: Semantics
-) -> bool:
-    """Ground truth: does adding the attack leave the extension set equal
-    (:func:`~afrob.invariance.sigma_equivalent`)?"""
-    return sigma_equivalent(af, af.add_attack(*attack), semantics)
 
 
 def cross_validate(af: ArgumentationFramework, semantics: Semantics) -> list[DiscrepancyReport]:

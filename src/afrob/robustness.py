@@ -28,16 +28,19 @@ from dataclasses import dataclass
 
 from .errors import SizeLimit
 from .framework import ArgumentationFramework, Attack, _bits, _with_attack
-from .invariance import _cf_or_adm, _State, invariant_attacks, sigma_equivalent
+from .invariance import _cf_or_adm, _State, invariant_attacks
 from .semantics import Semantics
 
-# An adm search exploring more states than this raises SizeLimit.  On five
-# arguments they explore 22,000-34,000 states per second (2 vCPUs, Python
-# 3.11), so one stops after about 6 s at a peak RSS of 91 MB; on six
-# 22,000-30,000, on nine 3,100-21,000, as a state's cost grows with its
-# admissible sets.  These rates are for classified states; a state at the
-# depth cap recorded after the search is known to be truncated costs only
-# its memo entry.
+# An adm search exploring more states than this raises SizeLimit.  The cap
+# bounds states, not time, as a state's cost grows with its admissible
+# sets.  On five arguments a search explores 22,000-34,000 states per
+# second (2 vCPUs, Python 3.11), so it stops after about 6 s at a peak RSS
+# of 91 MB; on six 22,000-30,000, on nine 3,100-21,000.  On 6 mutual pairs
+# plus 2 self-attackers (14 arguments, up to 729 admissible sets a state)
+# it explores 550-690 per second over its first 2,000-40,000 states and
+# stops only after 252 s (794 per second overall) at 75 MB.  These rates
+# are for classified states; a state at the depth cap recorded after the
+# search is known to be truncated costs only its memo entry.
 MAX_SEARCH_STATES = 200_000
 
 # a search's degree and witness, as argument indices
@@ -156,22 +159,3 @@ def robustness_degree(
         truncated=truncated,
     )
 
-
-def verify_witness(
-    af: ArgumentationFramework, semantics: Semantics, witness: list[tuple[str, str]]
-) -> bool:
-    """Replay a witness sequence: every step must add an attack not yet
-    present and classify invariant for the framework it is applied to, and
-    the final framework must have exactly the original extension set
-    (checked by full recomputation).  The steps are classified along one
-    chain of search states, each derived from the one before."""
-    semantics = _cf_or_adm(semantics)
-    state = _State(*af.bit_rows)
-    for source, target in witness:
-        a, b = af._index(source), af._index(target)
-        # an attack already present is no candidate, so its bit is 0 too
-        if not state.invariant_rows(semantics)[a] >> b & 1:
-            return False
-        state = state.child(a, b)
-    expanded = ArgumentationFramework._from_rows(af.sorted_arguments, state.targets)
-    return sigma_equivalent(af, expanded, semantics)

@@ -196,7 +196,7 @@ def _conflict_free(
     return cf, hit, threat
 
 
-# a framework and the one it is compared with (sigma_equivalent)
+# a framework and the one it is compared with (extension_difference)
 @lru_cache(maxsize=2)
 def _enumerate(af: ArgumentationFramework) -> _Enumeration:
     return _Enumeration(af)

@@ -1,10 +1,14 @@
 """Definitional re-implementations used as an independent route in tests.
 
-Everything here except :func:`labelling_names`, :func:`extension_changes`
-and :func:`greedy_robustness` works on plain sets of names and tuples of
-names with itertools, deliberately sharing no code (and no bitmask tricks)
-with the package under test; :func:`parse_apx_by_line` shares only the
-framework and error types.
+Most functions here work on plain sets of names and tuples of names with
+itertools, deliberately sharing no code (and no bitmask tricks) with the
+package under test; :func:`parse_apx_by_line` shares only the framework
+and error types.  The rest take frameworks and use only the package's
+public API: :func:`candidate_attacks`, :func:`emit_apx` and
+:func:`labelling_names`; :func:`sigma_equivalent`,
+:func:`oracle_invariant` and :func:`extension_changes`, which recompute
+both extension sets; and :func:`verify_witness` and
+:func:`greedy_robustness`, which replay a search one framework per step.
 """
 
 import re
@@ -12,12 +16,12 @@ from itertools import combinations, product
 
 from afrob import (
     ArgumentationFramework,
+    Attack,
     ParseError,
     RobustnessResult,
     UndeclaredArgument,
     extension_difference,
     invariant_attacks,
-    oracle_invariant,
 )
 
 
@@ -257,6 +261,48 @@ def rule_scan(args, attacks, family, attack):
     else:
         verdict = "invariant"
     return verdict, tuple(losses + gains)
+
+
+def candidate_attacks(af):
+    """All attacks not yet present, in canonical order."""
+    order = af.sorted_arguments
+    return [Attack(a, b) for a in order for b in order if (a, b) not in af.attacks]
+
+
+def emit_apx(af):
+    """Render a framework as a canonical apx document (sorted, deduplicated)."""
+    lines = [f"arg({name})." for name in af.sorted_arguments]
+    lines += [f"att({source},{target})." for source, target in sorted(af.attacks)]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def sigma_equivalent(af, other, semantics):
+    """True when both frameworks have identical extension sets: no
+    extension is lost or gained (``extension_difference``, which refuses
+    two different argument sets)."""
+    return extension_difference(af, other, semantics) == ((), ())
+
+
+def oracle_invariant(af, attack, semantics):
+    """Ground truth: does adding the attack leave the extension set equal?"""
+    return sigma_equivalent(af, af.add_attack(*attack), semantics)
+
+
+def verify_witness(af, semantics, witness):
+    """Replay a witness sequence on frameworks: every step must add an
+    attack not yet present and classify invariant for the framework it is
+    applied to, and the final framework must have exactly the original
+    extension set (checked by full recomputation).  Semantics other than
+    cf and adm are refused even for an empty witness, and a step naming an
+    unknown argument raises ``UnknownArgument``."""
+    current, invariant = af, invariant_attacks(af, semantics)
+    for step in witness:
+        following = current.add_attack(*step)
+        # an attack already present is no candidate
+        if step not in invariant:
+            return False
+        current, invariant = following, invariant_attacks(following, semantics)
+    return sigma_equivalent(af, current, semantics)
 
 
 def extension_changes(af, attack, semantics):

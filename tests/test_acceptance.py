@@ -39,17 +39,15 @@ from afrob import (
     exhaustive_audit,
     extensions,
     labellings_for,
-    oracle_invariant,
     robustness_degree,
-    verify_witness,
 )
 from afrob.cli import _audit_result, _audit_text, run_cli
-from afrob.invariance import candidate_attacks
 from afrob.oracle import (
     NO_RULE_FIRED,
     canonical_names,
     framework_from_mask,
 )
+from oracles import candidate_attacks, oracle_invariant, verify_witness
 
 SEED = 7
 

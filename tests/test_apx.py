@@ -5,11 +5,11 @@ from collections import Counter
 import pytest
 from hypothesis import given
 
-from afrob import ArgumentationFramework, ParseError, UndeclaredArgument, emit_apx, parse_apx
+from afrob import ArgumentationFramework, ParseError, UndeclaredArgument, parse_apx
 from afrob.apx import _LINE, _SPACE
 from afrob.framework import Attack
 from conftest import frameworks
-from oracles import parse_apx_by_line
+from oracles import emit_apx, parse_apx_by_line
 
 
 def test_parse_mutual_attack():

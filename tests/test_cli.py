@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from decimal import Decimal
 
 import pytest
@@ -12,12 +13,11 @@ from hypothesis import strategies as st
 
 import afrob
 from afrob import Semantics, exhaustive_audit, extensions
-from afrob.apx import emit_apx
 from afrob.cli import _Attacks, _Family, _json, _parser, _set_items, run_cli
 from afrob.framework import Attack
 from afrob.oracle import canonical_names, framework_from_mask
 from conftest import mutual_pairs
-from oracles import extension_changes, extension_sort_key
+from oracles import emit_apx, extension_changes, extension_sort_key
 
 G3_APX = "arg(1).\narg(2).\narg(3).\narg(4).\natt(1,2).\natt(2,3).\n"
 
@@ -745,6 +745,47 @@ def test_import_leaves_multiprocessing_unloaded():
     # every command runs in one process, so no CLI process pays for it
     code = "import sys, afrob.cli; sys.exit('multiprocessing' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=_child_env()).returncode == 0
+
+
+def test_the_package_exports_exactly_its_public_names():
+    # the library holds only what the commands use, plus the deliberate
+    # name-returning entries; the tests' references live in tests/oracles.py
+    public = {
+        name
+        for name, value in vars(afrob).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(public) == [
+        "AfrobError",
+        "ArgumentSetMismatch",
+        "ArgumentationFramework",
+        "Attack",
+        "AttackClassification",
+        "AuditReport",
+        "DiscrepancyReport",
+        "ParseError",
+        "RobustnessResult",
+        "Rule",
+        "Semantics",
+        "SizeLimit",
+        "UndeclaredArgument",
+        "UnknownArgument",
+        "UnsupportedSemantics",
+        "Verdict",
+        "Witness",
+        "canonical_names",
+        "classify_attack",
+        "cross_validate",
+        "exhaustive_audit",
+        "extension_difference",
+        "extension_masks",
+        "extensions",
+        "framework_from_mask",
+        "invariant_attacks",
+        "labellings_for",
+        "parse_apx",
+        "robustness_degree",
+    ]
 
 
 def _golden_cases(name):

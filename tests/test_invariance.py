@@ -15,14 +15,18 @@ from afrob import (
     classify_attack,
     extensions,
     invariant_attacks,
+)
+from afrob.framework import Attack
+from afrob.invariance import _DELETION_RULES, _State
+from afrob.oracle import canonical_names, framework_from_mask
+from afrob.semantics import _enumerate
+from oracles import (
+    candidate_attacks,
+    extension_set_included,
+    extension_sort_key,
     oracle_invariant,
     sigma_equivalent,
 )
-from afrob.framework import Attack
-from afrob.invariance import _DELETION_RULES, _State, candidate_attacks
-from afrob.oracle import canonical_names, framework_from_mask
-from afrob.semantics import _enumerate
-from oracles import extension_set_included, extension_sort_key
 from conftest import frameworks
 
 

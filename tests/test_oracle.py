@@ -16,14 +16,12 @@ from afrob import (
     extension_difference,
     extension_masks,
     extensions,
-    oracle_invariant,
     robustness_degree,
-    sigma_equivalent,
 )
 from afrob.framework import Attack
-from afrob.invariance import _State, candidate_attacks
+from afrob.invariance import _State
 from afrob.oracle import NO_RULE_FIRED, canonical_names, framework_from_mask
-from oracles import extension_changes
+from oracles import candidate_attacks, extension_changes, oracle_invariant, sigma_equivalent
 
 
 def test_oracle_invariant_examples(g3):

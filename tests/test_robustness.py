@@ -17,16 +17,14 @@ from afrob import (
     Verdict,
     classify_attack,
     invariant_attacks,
-    oracle_invariant,
     robustness_degree,
-    verify_witness,
 )
 from afrob.framework import Attack
-from afrob.invariance import candidate_attacks
 from afrob.oracle import canonical_names, framework_from_mask
 from afrob import robustness
 from afrob.robustness import _State
 from afrob.semantics import _enumerate
+from oracles import candidate_attacks, oracle_invariant, verify_witness
 
 
 def test_golden_degrees(g3, mutual, empty_af):
@@ -78,23 +76,6 @@ def test_verify_witness_rejects_steps_that_add_nothing(g3):
     assert not verify_witness(g3, Semantics.ADMISSIBLE, [("1", "2")] * 3)
     assert not verify_witness(g3, Semantics.CONFLICT_FREE, [("1", "2")])
     assert verify_witness(g3, Semantics.CONFLICT_FREE, [("2", "1")])
-
-
-def test_verify_witness_builds_no_framework_per_step(g3, monkeypatch):
-    # the replay classifies each step on a chain of states, not on a new
-    # framework per step
-    witnesses = [
-        (semantics, list(robustness_degree(g3, semantics).witness))
-        for semantics in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE)
-    ]
-
-    def refuse(*attack):
-        raise AssertionError(f"add_attack{attack}")
-
-    monkeypatch.setattr(ArgumentationFramework, "add_attack", refuse)
-    for semantics, witness in witnesses:
-        assert witness
-        assert verify_witness(g3, semantics, witness)
 
 
 def _random_frameworks(count, seed, max_args=4):

@@ -1,5 +1,6 @@
 """Argumentation-framework semantics, attack-invariance classification and
-robustness measurement, with brute-force cross-validation built in."""
+robustness measurement, with the rule scan audited against Dung's delta,
+its ground truth."""
 
 from .apx import parse_apx
 from .errors import (

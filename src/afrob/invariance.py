@@ -25,7 +25,7 @@ from typing import Collection, Iterable, NamedTuple
 
 from .errors import UnsupportedSemantics
 from .framework import ArgumentationFramework, Attack, _attacks_in, _bits, _transpose, _with_attack
-from .semantics import Semantics, _conflict_free, extension_masks
+from .semantics import Semantics, _admissible, _conflict_free, extension_masks
 
 
 class Verdict(str, Enum):
@@ -235,10 +235,11 @@ class _State:
       A derived state updates both pairs by :func:`_reach_with`, the
       reverse with the step reversed.
     * ``cf``: per conflict-free set, in canonical (size, then names) order
-      as enumerated, the set, its targets and its attackers.  A derived
-      state filters its parent's list, so it keeps that order.
-    * ``adm``: per admissible set, in the same order, its conflict-free
-      triple, whose attackers are among its targets.
+      as enumerated, the set, its targets and its attackers.  A root
+      state's is the list :func:`~afrob.semantics._conflict_free` returns;
+      a derived state filters its parent's, so it keeps that order.
+    * ``adm``: the admissible triples of ``cf``, in the same order
+      (:func:`~afrob.semantics._admissible`).
     * ``adm_rows``, from one pass over ``adm``: per argument a, the loss,
       the union of the admissible sets that do not attack a (the targets b
       for which adding (a, b) loses one, those the ND rules fire on), and
@@ -289,7 +290,7 @@ class _State:
     def cf(self) -> list[tuple[int, int, int]]:
         if self._cf is None:
             if self.parent is None:
-                self._cf = list(zip(*_conflict_free(self.targets, self.attackers)))
+                self._cf = _conflict_free(self.targets, self.attackers)
             else:
                 # the sets holding a and b are lost; a kept set holding a
                 # now also attacks b, and one holding b is now also
@@ -307,7 +308,7 @@ class _State:
     @property
     def adm(self) -> list[tuple[int, int, int]]:
         if self._adm is None:
-            self._adm = [triple for triple in self.cf if not triple[2] & ~triple[1]]
+            self._adm = _admissible(self.cf)
         return self._adm
 
     @property

@@ -160,14 +160,10 @@ def exhaustive_audit(
     if n > MAX_ENUMERATION_ARGUMENTS:
         raise SizeLimit(f"{n} arguments exceed the enumeration limit of {MAX_ENUMERATION_ARGUMENTS}")
     exhaustive = n <= 3
-    if exhaustive:
-        masks: list[int] = list(range(1 << (n * n)))
-        used_seed = None
-    else:
-        rng = random.Random(seed)
-        masks = [rng.getrandbits(n * n) for _ in range(samples)]
-        used_seed = seed
-
+    population = range(1 << n * n if exhaustive else samples)
+    # each sample is drawn as it is checked: memory does not grow with samples
+    rng = random.Random(seed)
+    masks = population if exhaustive else (rng.getrandbits(n * n) for _ in population)
     names = canonical_names(n)
     candidates = 0
     discrepancies: list[DiscrepancyReport] = []
@@ -179,8 +175,8 @@ def exhaustive_audit(
         semantics=semantics,
         argument_count=n,
         exhaustive=exhaustive,
-        seed=used_seed,
-        frameworks_checked=len(masks),
+        seed=None if exhaustive else seed,
+        frameworks_checked=len(population),
         candidates_checked=candidates,
         discrepancies=tuple(discrepancies),
     )

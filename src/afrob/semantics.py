@@ -5,10 +5,11 @@ the i-th argument of ``af.sorted_arguments``.  A conflict-free pass builds
 the conflict-free sets among some arguments, smallest first: a set grows by
 one argument above its highest member, and only when that argument attacks
 no member and is attacked by none, so each conflict-free set is reached
-exactly once and no other subset is visited.  Each set carries the union of
-its members' targets and the union of their attackers (read off the
-relation's bit rows), which makes the admissibility test one bit operation
-(the robustness search builds its root state with the same pass).  One
+exactly once and no other subset is visited.  The pass yields one
+(set, targets, attackers) triple per set, the last two the unions of its
+members' bit rows, and every reader takes the triples as they are: the
+admissibility test (:func:`_admissible`) is then one bit operation, and
+the invariance state of a relation is built on the same list.  One
 record per framework (the last two are cached) holds the families, each
 built the first time it is read, on one of two passes.  ``cf`` and ``adm``
 read the pass over all the arguments.  The complete, stable, preferred and
@@ -75,9 +76,8 @@ class _Enumeration:
     @cached_property
     def _whole(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         # the unions are dropped once adm is read off them
-        cf, hit, threat = _conflict_free(*self.af.bit_rows)
-        adm = (m for m, attacked, attacking in zip(cf, hit, threat) if not attacking & ~attacked)
-        return tuple(cf), tuple(adm)
+        sets = _conflict_free(*self.af.bit_rows)
+        return tuple([m for m, _, _ in sets]), tuple([m for m, _, _ in _admissible(sets)])
 
     @property
     def cf(self) -> tuple[int, ...]:
@@ -104,9 +104,8 @@ class _Enumeration:
         targets, attackers = af.bit_rows
         (grounded,) = _grounded(af)
         core = (1 << len(targets)) - 1 & ~(grounded | af.attacked_by(grounded))
-        cf, hit, threat = _conflict_free(targets, attackers, core)
         sets, decided = [], []
-        for m, attacked, attacking in zip(cf, hit, threat):
+        for m, attacked, attacking in _conflict_free(targets, attackers, core):
             unanswered = core & ~attacked
             # admissible, and each core argument left out has an attacker
             # the set does not attack (one the set attacks has one in it)
@@ -158,12 +157,12 @@ def _grounded(af: ArgumentationFramework) -> tuple[int]:
 
 def _conflict_free(
     targets: tuple[int, ...], attackers: tuple[int, ...], among: int | None = None
-) -> tuple[list[int], list[int], list[int]]:
+) -> list[tuple[int, int, int]]:
     """The conflict-free sets of the relation with these target and attacker
-    rows, in canonical (size, then names) order, as enumerated, and per set
-    the union of its members' targets and the union of their attackers (over
-    all arguments).  With ``among``, only the subsets of that mask; the size
-    limit applies to its arguments."""
+    rows, in canonical (size, then names) order, as enumerated, each as the
+    triple of the set, the union of its members' targets and the union of
+    their attackers (over all arguments).  With ``among``, only the subsets
+    of that mask; the size limit applies to its arguments."""
     n = len(targets)
     among = (1 << n) - 1 if among is None else among
     size = among.bit_count()
@@ -183,17 +182,18 @@ def _conflict_free(
     # member, ascending.  So each set is built once, from its prefix (itself
     # minus its highest member), after every smaller set and, among those of
     # its size, in the order of its prefix, then of its highest member.
-    cf = [0]
-    hit = [0]
-    threat = [0]
-    for i, m in enumerate(cf):
-        h, th = hit[i], threat[i]
+    sets = [(0, 0, 0)]
+    for m, hit, threat in sets:
         for bit, clash, t, a in offers[m.bit_length()]:
             if not m & clash:
-                cf.append(m | bit)
-                hit.append(h | t)
-                threat.append(th | a)
-    return cf, hit, threat
+                sets.append((m | bit, hit | t, threat | a))
+    return sets
+
+
+def _admissible(sets: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """The triples of :func:`_conflict_free` whose set is admissible, in
+    their order: it attacks each of its attackers (Dung 1995)."""
+    return [triple for triple in sets if not triple[2] & ~triple[1]]
 
 
 # a framework and the one it is compared with (extension_difference)

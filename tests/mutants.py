@@ -51,6 +51,26 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
+        "admissible-answers-its-targets",
+        "src/afrob/semantics.py",
+        "if not triple[2] & ~triple[1]]",
+        "if not triple[2] & triple[1]]",
+        (
+            "tests/test_invariance.py::"
+            "test_each_conflict_free_triple_carries_its_set_targets_and_attackers",
+        ),
+    ),
+    Mutant(
+        "pass-attackers-are-targets",
+        "src/afrob/semantics.py",
+        "threat | a))",
+        "threat | t))",
+        (
+            "tests/test_invariance.py::"
+            "test_each_conflict_free_triple_carries_its_set_targets_and_attackers",
+        ),
+    ),
+    Mutant(
         "core-unanswered-unmasked",
         "src/afrob/semantics.py",
         "            unanswered = core & ~attacked\n",

@@ -413,3 +413,30 @@ def test_every_family_and_state_list_comes_in_extension_sort_key_order():
                     assert found == sorted(found, key=key), (af, a, b, family)
                     witnesses_not_ascending += found != sorted(found, key=lambda w: (kind(w), w[0]))
     assert not_ascending > 20 and witnesses_not_ascending > 20
+
+
+def test_each_conflict_free_triple_carries_its_set_targets_and_attackers():
+    # every relation over at most three arguments and seeded ones over five
+    # to eight: a root state's conflict-free list is the pass's triples, its
+    # admissible list the triples whose set attacks each of its attackers,
+    # and the record's cf and adm families are those lists' sets
+    frameworks = [
+        framework_from_mask(canonical_names(n), mask) for n in range(4) for mask in range(1 << n * n)
+    ]
+    rng = random.Random(38)
+    frameworks += [
+        framework_from_mask(canonical_names(n), rng.getrandbits(n * n) & rng.getrandbits(n * n))
+        for n in (5, 6, 7, 8)
+        for _ in range(10)
+    ]
+    for af in frameworks:
+        n, rows = len(af.arguments), af.target_rows
+        state = _State(*af.bit_rows)
+        for m, h, t in state.cf:
+            assert h == af.attacked_by(m), (af, m)
+            attackers = {j for j in range(n) for i in range(n) if m >> i & rows[j] >> i & 1}
+            assert t == sum(1 << j for j in attackers), (af, m)
+        assert state.adm == [(m, h, t) for m, h, t in state.cf if t & ~h == 0], af
+        enum = _enumerate(af)
+        assert list(enum.cf) == [m for m, _, _ in state.cf], af
+        assert list(enum.adm) == [m for m, _, _ in state.adm], af

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -160,6 +161,20 @@ def test_oracle_invariant_enumerates_the_framework_once(monkeypatch):
         oracle_invariant(af, attack, Semantics.ADMISSIBLE)
     assert passes.count(af.target_rows) == 1
     assert len(passes) == len(candidates) + 1
+
+
+def test_sampled_audit_memory_does_not_grow_with_the_sample_count(monkeypatch):
+    # each sample is drawn as it is checked; the stub leaves only the audit's
+    # own bookkeeping, which drawing every mask first grows to megabytes
+    monkeypatch.setattr(afrob.oracle, "cross_validate", lambda af, semantics: [])
+    tracemalloc.start()
+    try:
+        report = exhaustive_audit(4, "cf", samples=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.frameworks_checked == 100_000
+    assert peak < 1_000_000
 
 
 def test_audit_checks_the_enumeration_limit_first():

@@ -143,7 +143,7 @@ def _json(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for the values the
     CLI prints: dicts with str keys, lists, str, int, bool and None, a
     :class:`_Family` as its list of name lists and an :class:`_Attacks` as
-    its list of dicts.  Any other type raises
+    its list of dicts.  Any other type, an enum member included, raises
     TypeError.  ``json.dumps`` runs its pure-Python encoder whenever it
     indents; this writer leaves only the string escapes (the C-accelerated
     ``ensure_ascii`` one) to ``json`` and writes a string member without a
@@ -187,11 +187,8 @@ def _json(value, indent: str = "\n") -> str:
         return "true"
     if value is False:
         return "false"
-    # a str or int subclass (an enum member) prints as its value, as in json
-    if isinstance(value, int):
+    if kind is int:
         return _int_text(value)
-    if isinstance(value, str):
-        return _quote(value)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 

@@ -14,9 +14,10 @@ or gain it (``_State.changed_rows``), and the same sets give one
 candidate's lost and gained extensions (``_State.changes``).
 ``cross_validate`` compares the classifier against the delta and reads
 every disagreement's rules and changes (as masks) off that state on
-argument indices, recomputing, classifying and decoding nothing;
-``exhaustive_audit`` sweeps entire framework populations and aggregates
-every divergence into a report instead of smoothing it over.
+argument indices, recomputing nothing and decoding only the disagreeing
+attack into its names; ``exhaustive_audit`` sweeps entire framework
+populations and aggregates every divergence into a report instead of
+smoothing it over.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ def cross_validate(af: ArgumentationFramework, semantics: Semantics) -> list[Dis
     attack; return all disagreements.  One state of the relation answers
     everything: the rule scan's rows and the ground truth's, Dung's delta,
     and for each disagreeing candidate the rules that fire on it and the
-    extensions it loses and gains, all on argument indices."""
+    extensions it loses and gains, as masks on argument indices.  Only the
+    disagreeing attack is decoded, into its names."""
     semantics = _cf_or_adm(semantics)
     state = _State(*af.bit_rows)
     invariant = state.invariant_rows(semantics)
@@ -168,9 +170,9 @@ def exhaustive_audit(
     candidates = 0
     discrepancies: list[DiscrepancyReport] = []
     for mask in masks:
-        af = framework_from_mask(names, mask)
-        candidates += n * n - sum(row.bit_count() for row in af.target_rows)
-        discrepancies.extend(cross_validate(af, semantics))
+        # the absent attacks: placing the names in canonical order only moves bits
+        candidates += n * n - mask.bit_count()
+        discrepancies.extend(cross_validate(framework_from_mask(names, mask), semantics))
     return AuditReport(
         semantics=semantics,
         argument_count=n,

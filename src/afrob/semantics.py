@@ -10,13 +10,14 @@ exactly once and no other subset is visited.  The pass yields one
 members' bit rows, and every reader takes the triples as they are: the
 admissibility test (:func:`_admissible`) is then one bit operation, and
 the invariance state of a relation is built on the same list.  One
-record per framework (the last two are cached) holds the families, each
-built the first time it is read, on one of two passes.  ``cf`` and ``adm``
-read the pass over all the arguments.  The complete, stable, preferred and
-semi-stable families read the pass over the core: the arguments that are
-neither in the grounded set G nor attacked by it.  Every complete extension
-is G plus a complete set of the core (Baumann, Brewka and Ulbricht 2020),
-so those four enumerate only what G leaves open, and a caller asking for
+record per framework (the last two are cached) holds one field per
+semantics, each built the first time it is read: the grounded set, and
+the others on one of two passes.  ``cf`` and ``adm`` read the pass over
+all the arguments.  The complete, stable, preferred and semi-stable
+families read the pass over the core: the arguments that are neither in
+the grounded set G nor attacked by it.  Every complete extension is G
+plus a complete set of the core (Baumann, Brewka and Ulbricht 2020), so
+those four enumerate only what G leaves open, and a caller asking for
 them never runs the whole pass, nor one asking for cf or adm the core's.
 The grounded set reads no conflict-free set: it is the least fixpoint of
 Dung's characteristic function, iterated from the empty set in polynomial
@@ -66,10 +67,10 @@ class Semantics(str, Enum):
 
 @dataclass(frozen=True)
 class _Enumeration:
-    """The extension families of ``af`` that the conflict-free passes build,
-    one field per :class:`Semantics` value but ``gde``.  Each pass runs the
-    first time a family reads it: the whole framework's gives ``cf`` and
-    ``adm``, the core's (:attr:`_core`) gives the other four."""
+    """The extension families of ``af``, one field per :class:`Semantics`
+    value, each built the first time it is read.  ``gde`` reads no pass;
+    the whole framework's gives ``cf`` and ``adm``, the core's
+    (:attr:`_core`) the other four."""
 
     af: ArgumentationFramework
 
@@ -88,6 +89,19 @@ class _Enumeration:
         return self._whole[1]
 
     @cached_property
+    def gde(self) -> tuple[int]:
+        """The grounded set: the least fixpoint of Dung's characteristic
+        function.  From the empty set, take the arguments whose every
+        attacker the set attacks, until the set stops changing."""
+        af = self.af
+        attackers = af.bit_rows[1]
+        grounded, previous = 0, -1
+        while grounded != previous:
+            previous, attacked = grounded, af.attacked_by(grounded)
+            grounded = sum(1 << a for a, row in enumerate(attackers) if not row & ~attacked)
+        return (grounded,)
+
+    @cached_property
     def _core(self) -> tuple[int, int, list[int], list[int]]:
         """The grounded set G, the core (the arguments neither in G nor
         attacked by it), the complete sets of the core in canonical order,
@@ -102,7 +116,7 @@ class _Enumeration:
         unions keep the canonical order."""
         af = self.af
         targets, attackers = af.bit_rows
-        (grounded,) = _grounded(af)
+        (grounded,) = self.gde
         core = (1 << len(targets)) - 1 & ~(grounded | af.attacked_by(grounded))
         sets, decided = [], []
         for m, attacked, attacking in _conflict_free(targets, attackers, core):
@@ -141,18 +155,6 @@ class _Enumeration:
         # minimal
         grounded, core, sets, decided = self._core
         return tuple(grounded | m for m in _minimal(sets, [core ^ d for d in decided]))
-
-
-def _grounded(af: ArgumentationFramework) -> tuple[int]:
-    """The grounded extension: the least fixpoint of Dung's characteristic
-    function.  From the empty set, take the arguments whose every attacker
-    the set attacks, until the set stops changing."""
-    attackers = af.bit_rows[1]
-    grounded, previous = 0, -1
-    while grounded != previous:
-        previous, attacked = grounded, af.attacked_by(grounded)
-        grounded = sum(1 << a for a, row in enumerate(attackers) if not row & ~attacked)
-    return (grounded,)
 
 
 def _conflict_free(
@@ -225,10 +227,7 @@ def extension_masks(af: ArgumentationFramework, semantics: Semantics) -> tuple[i
     :class:`SizeLimit` when the arguments the semantics enumerates over
     (all of them for cf and adm, the core for com, stb, prf and sst)
     exceed :data:`MAX_ENUMERATION_ARGUMENTS`; gde has no limit."""
-    semantics = Semantics(semantics)
-    if semantics is Semantics.GROUNDED:
-        return _grounded(af)
-    return getattr(_enumerate(af), semantics.value)
+    return getattr(_enumerate(af), Semantics(semantics).value)
 
 
 def extensions(af: ArgumentationFramework, semantics: Semantics) -> frozenset[frozenset[str]]:

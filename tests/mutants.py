@@ -152,6 +152,48 @@ MUTANTS = (
         ("tests/test_semantics.py",),
     ),
     Mutant(
+        "minimal-drops-equal-keys",
+        "src/afrob/semantics.py",
+        "if not any(u & k == u and u != k for u in kept):",
+        "if not any(u & k == u for u in kept):",
+        ("tests/test_semantics.py",),
+    ),
+    Mutant(
+        "grounded-takes-attacked-arguments",
+        "src/afrob/semantics.py",
+        "if not row & ~attacked)",
+        "if not row & attacked)",
+        ("tests/test_semantics.py::test_grounded_examples",),
+    ),
+    Mutant(
+        "nd-out-in-undefended-where-b-attacks-a",
+        "src/afrob/invariance.py",
+        "s & ~_having(attackers, s, out) & ~attackers[a])",
+        "s & ~_having(attackers, s, out))",
+        ("tests/test_invariance.py",),
+    ),
+    Mutant(
+        "witnesses-gains-before-losses",
+        "src/afrob/invariance.py",
+        "        return losses + gains\n",
+        "        return gains + losses\n",
+        ("tests/test_cli.py::test_g3_reports_match_the_pinned_output",),
+    ),
+    Mutant(
+        "subset-count-off-by-one",
+        "src/afrob/robustness.py",
+        "term = term * (k - i + 1) // i",
+        "term = term * (k - i) // i",
+        ("tests/test_robustness.py",),
+    ),
+    Mutant(
+        "mask-decoder-keeps-target-bits-in-name-order",
+        "src/afrob/oracle.py",
+        "sum(1 << position[b] for b in _bits(row))",
+        "sum(1 << b for b in _bits(row))",
+        ("tests/test_oracle.py::test_framework_from_mask_equals_the_name_level_decoder",),
+    ),
+    Mutant(
         "undec-defends-undec-counts-self-attackers",
         "src/afrob/invariance.py",
         "        if not targets[c] >> c & 1:\n            row |= attackers[c]\n",

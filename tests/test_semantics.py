@@ -225,9 +225,8 @@ def test_conflict_free_sets_come_in_extension_sort_key_order():
 
 def test_every_enumerated_semantics_is_a_field_of_the_record(g3):
     enum = _enumerate(g3)
-    for semantics in set(Semantics) - {Semantics.GROUNDED}:
-        assert getattr(enum, semantics.value) == extension_masks(g3, semantics)
-    assert not hasattr(enum, "gde")
+    for semantics in Semantics:
+        assert getattr(enum, semantics.value) is extension_masks(g3, semantics)
 
 
 def test_cf_and_adm_callers_derive_no_other_family():
@@ -241,7 +240,29 @@ def test_cf_and_adm_callers_derive_no_other_family():
     # conflict-free pass or any family derived from it
     _enumerate.cache_clear()
     assert extension_masks(af, "gde") == (0,)
-    assert _enumerate.cache_info().currsize == 0
+    assert set(vars(_enumerate(af))) == {"af", "gde"}
+
+
+def test_reading_the_grounded_set_runs_no_conflict_free_pass(monkeypatch):
+    # neither 11 mutual pairs (a core of 22 arguments, past the limit) nor
+    # 30 unattacked arguments (past the limit, all grounded) are enumerated
+    passes = []
+    monkeypatch.setattr(afrob.semantics, "_conflict_free", lambda *rows: passes.append(rows))
+    names = [f"x{i}" for i in range(30)]
+    assert extension_masks(mutual_pairs(11), "gde") == (0,)
+    assert extension_masks(ArgumentationFramework(names), "gde") == ((1 << 30) - 1,)
+    assert passes == []
+
+
+def test_the_derived_families_and_gde_share_one_grounded_fixpoint():
+    # the core reads the record's grounded set, so a later gde request
+    # returns that cached tuple and the fixpoint runs once per framework
+    af = ArgumentationFramework("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "c")])
+    _enumerate.cache_clear()
+    extension_masks(af, "com")
+    cached = vars(_enumerate(af))["gde"]
+    assert cached == (0b1,)
+    assert extension_masks(af, "gde") is cached
 
 
 def test_each_conflict_free_pass_runs_only_for_the_families_that_read_it(monkeypatch):

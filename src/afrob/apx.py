@@ -15,12 +15,16 @@ matched.  Only a rejected document is read again, line by line, to the
 first line the pattern rejects, where step-by-step checks find the column
 and the reason.  Undeclared endpoints are reported only for a document
 whose every line is valid: the first attack line naming one, its source
-checked before its target.
+checked before its target.  The last two documents read are cached, as
+the frameworks they give are immutable values: requests that ask about
+one framework, or compare it with another, read its text once.  A
+rejected document is read again each time, and raises again.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .errors import ParseError, UndeclaredArgument
 from .framework import _NAME, ArgumentationFramework
@@ -36,6 +40,8 @@ _LINE = re.compile(
 _SEPARATORS = {"arg(": (").",), "att(": (",", ").")}
 
 
+# a framework and the one it is compared with, as semantics._enumerate
+@lru_cache(maxsize=2)
 def parse_apx(text: str) -> ArgumentationFramework:
     """Parse an apx document into a framework."""
     # not splitlines(), which also breaks at \v, \f, \x1c-\x1e, \x85, \u2028, \u2029

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 from .apx import parse_apx
 from .errors import AfrobError, ParseError, SizeLimit, UndeclaredArgument
 from .framework import ArgumentationFramework, _attacks_in, _bits
-from .invariance import _classify, _State
+from .invariance import _classify, _root
 from .oracle import AuditReport, exhaustive_audit
 from .robustness import robustness_degree
 from .semantics import Semantics, extension_difference, extension_masks, labellings_for
@@ -63,6 +63,8 @@ def _load(path: str) -> ArgumentationFramework:
     # bytes, decoded in one place: sys.stdin may decode with surrogateescape
     # (under the C and POSIX locales), and parse_apx reads every line end
     if path == "-":
+        if sys.stdin is None:  # fd 0 was closed at start
+            raise OSError("stdin is closed")
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as handle:
@@ -229,7 +231,7 @@ def _labellings_text(result: dict) -> list[str]:
 def _cmd_check_attack(args) -> dict:
     af = _load(args.input)
     # one state of the relation gives the rule scan and Dung's delta
-    state = _State(*af.bit_rows)
+    state = _root(af)
     a, b = af._index(args.source), af._index(args.target)
     verdict, found = _classify(af, state, a, b, args.semantics, args.preferred_only)
     names = af.sorted_arguments
@@ -270,7 +272,7 @@ def _check_attack_text(result: dict) -> list[str]:
 
 def _cmd_invariant_attacks(args) -> dict:
     af = _load(args.input)
-    state = _State(*af.bit_rows)
+    state = _root(af)
     rows = state.invariant_rows(args.semantics)
     found = _Attacks(_attacks_in(af.sorted_arguments, rows))
     result = {"semantics": args.semantics, "attacks": found}

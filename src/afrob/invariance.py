@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Collection, Iterable, NamedTuple
 
 from .errors import UnsupportedSemantics
@@ -227,7 +228,9 @@ class _State:
     table from scratch; a robustness search state derives it from its
     parent's, which lacks exactly the attack ``step``.  Either reads a table
     the first time it is needed, so a cf question never builds the tables
-    only adm reads.
+    only adm reads.  The root states of the last two frameworks asked about
+    are cached (:func:`_root`), so repeated questions about one framework
+    build each table once.
 
     * ``targets`` and ``attackers``: the relation's bit rows.
     * ``reach``: the odd and even reach tables of the relation
@@ -426,6 +429,14 @@ class _State:
         return lost, gained
 
 
+# the last two frameworks, as semantics._enumerate keeps
+@lru_cache(maxsize=2)
+def _root(af: ArgumentationFramework) -> _State:
+    """The root state of ``af``'s relation, shared by every question asked
+    about ``af``, so each table is built once per framework."""
+    return _State(*af.bit_rows)
+
+
 def _verdict(rules: Iterable[Rule]) -> Verdict:
     """The verdict of a candidate the rules ``rules`` fire on: the ND rules
     break non-decrease, the others non-increase."""
@@ -471,8 +482,8 @@ def classify_attack(
     semantics: Semantics,
     preferred_only: bool = False,
 ) -> AttackClassification:
-    """Classify an attack addition for cf or adm, from a fresh state of
-    ``af``'s relation.  Re-adding an existing attack is invariant.
+    """Classify an attack addition for cf or adm, from the cached root
+    state of ``af``'s relation.  Re-adding an existing attack is invariant.
 
     For cf the closed form is exact: the addition is invariant exactly when
     the endpoints already conflict or one of them attacks itself.
@@ -488,7 +499,7 @@ def classify_attack(
     builds a classification and decodes witnesses into names; the CLI and
     the audit read the masks."""
     a, b = map(af._index, attack)
-    verdict, found = _classify(af, _State(*af.bit_rows), a, b, semantics, preferred_only)
+    verdict, found = _classify(af, _root(af), a, b, semantics, preferred_only)
     witnesses = tuple(Witness(af._names(s), rule) for s, rule in found)
     return AttackClassification(Attack(*attack), Semantics(semantics), verdict, witnesses)
 
@@ -496,5 +507,5 @@ def classify_attack(
 def invariant_attacks(af: ArgumentationFramework, semantics: Semantics) -> list[Attack]:
     """The candidate attacks classified invariant, in canonical order:
     exactly those :func:`classify_attack` classifies invariant."""
-    rows = _State(*af.bit_rows).invariant_rows(_cf_or_adm(semantics))
+    rows = _root(af).invariant_rows(_cf_or_adm(semantics))
     return _attacks_in(af.sorted_arguments, rows)

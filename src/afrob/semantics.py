@@ -10,10 +10,11 @@ exactly once and no other subset is visited.  The pass yields one
 members' bit rows, and every reader takes the triples as they are: the
 admissibility test (:func:`_admissible`) is then one bit operation, and
 the invariance state of a relation is built on the same list.  One
-record per framework (the last two are cached) holds one field per
-semantics, each built the first time it is read: the grounded set, and
-the others on one of two passes.  ``cf`` and ``adm`` read the pass over
-all the arguments.  The complete, stable, preferred and semi-stable
+record per framework (the last two are cached, as are the last two
+documents parsed and relation states) holds one field per semantics,
+each built the first time it is read: the grounded set, and the others
+on one of two passes.  ``cf`` and ``adm`` read the pass over all the
+arguments.  The complete, stable, preferred and semi-stable
 families read the pass over the core: the arguments that are neither in
 the grounded set G nor attacked by it.  Every complete extension is G
 plus a complete set of the core (Baumann, Brewka and Ulbricht 2020), so

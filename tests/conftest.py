@@ -1,9 +1,26 @@
 import pytest
 from hypothesis import strategies as st
 
+import afrob.apx
+import afrob.invariance
+import afrob.semantics
 from afrob import ArgumentationFramework
 
 NAMES = ("a", "b", "c", "d")
+
+
+def clear_caches():
+    """Forget every parsed document, extension record and relation state
+    the process has cached."""
+    afrob.apx.parse_apx.cache_clear()
+    afrob.semantics._enumerate.cache_clear()
+    afrob.invariance._root.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    # every test starts cold, so none sees what an earlier test built
+    clear_caches()
 
 
 @st.composite

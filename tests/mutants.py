@@ -376,6 +376,22 @@ MUTANTS = (
         ("tests/test_cli.py::test_a_stdout_closed_at_start_exits_1_with_one_error_line",),
     ),
     Mutant(
+        "stdin-closed-at-start-unchecked",
+        "src/afrob/cli.py",
+        "        if sys.stdin is None:  # fd 0 was closed at start\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_a_stdin_closed_at_start_exits_1_with_one_error_line",),
+    ),
+    Mutant(
+        # a relation gets the state of the first one over its argument set
+        "root-state-keyed-by-argument-names",
+        "src/afrob/invariance.py",
+        "    return _State(*af.bit_rows)\n",
+        "    return _State(*_BY_NAMES.setdefault(af.sorted_arguments, af).bit_rows)\n\n\n"
+        "_BY_NAMES = {}\n",
+        ("tests/test_cli.py::test_cached_states_are_keyed_by_the_whole_framework",),
+    ),
+    Mutant(
         "robustness-text-always-truncated",
         "src/afrob/cli.py",
         '    if result["truncated"]:\n',

@@ -16,7 +16,7 @@ from afrob import Semantics, exhaustive_audit, extensions
 from afrob.cli import _Attacks, _Family, _json, _parser, _set_items, run_cli
 from afrob.framework import Attack
 from afrob.oracle import canonical_names, framework_from_mask
-from conftest import mutual_pairs
+from conftest import clear_caches, mutual_pairs
 from oracles import emit_apx, extension_changes, extension_sort_key
 
 G3_APX = "arg(1).\narg(2).\narg(3).\narg(4).\natt(1,2).\natt(2,3).\n"
@@ -232,12 +232,10 @@ def test_invariant_attacks_oracle_reads_the_delta(capsys, monkeypatch, tmp_path)
     assert calls == []
 
 
-@pytest.mark.parametrize("semantics, passes", [("cf", 0), ("adm", 1)])
-def test_invariant_attacks_oracle_makes_one_conflict_free_pass(
-    capsys, monkeypatch, g3_file, semantics, passes
-):
-    # the rule rows and Dung's delta read one state of the relation: cf
-    # needs no conflict-free set at all, adm enumerates them once
+def _count_conflict_free_passes(monkeypatch):
+    """The rows each conflict-free pass is called with, from now on, in
+    every module that can call one: two for a whole pass, three for a
+    pass over part of the arguments."""
     calls = []
     for module in (afrob.semantics, afrob.invariance, afrob.oracle, afrob.robustness):
         original = getattr(module, "_conflict_free", None)
@@ -248,7 +246,16 @@ def test_invariant_attacks_oracle_makes_one_conflict_free_pass(
                 return original(*rows)
 
             monkeypatch.setattr(module, "_conflict_free", counted)
-    afrob.semantics._enumerate.cache_clear()  # a cached framework would hide a pass
+    return calls
+
+
+@pytest.mark.parametrize("semantics, passes", [("cf", 0), ("adm", 1)])
+def test_invariant_attacks_oracle_makes_one_conflict_free_pass(
+    capsys, monkeypatch, g3_file, semantics, passes
+):
+    # the rule rows and Dung's delta read one state of the relation: cf
+    # needs no conflict-free set at all, adm enumerates them once
+    calls = _count_conflict_free_passes(monkeypatch)
     run_json(
         capsys,
         "invariant-attacks", "--semantics", semantics, "--oracle",
@@ -713,6 +720,34 @@ def test_a_stdout_closed_at_start_exits_1_with_one_error_line(g3_file):
     assert (completed.returncode, completed.stderr) == (1, b"error: stdout is closed\n")
 
 
+# stdin read for --input and for --other, after a file for --input
+_STDIN_ARGVS = {
+    "input": ["extensions", "--semantics", "adm", "--input", "-"],
+    "other": ["equivalent", "--semantics", "adm", "--input", "{g3}", "--other", "-"],
+}
+
+
+@pytest.mark.parametrize("argv", _STDIN_ARGVS.values(), ids=_STDIN_ARGVS)
+def test_run_cli_reports_a_stdin_closed_at_start(capsys, monkeypatch, g3_file, argv):
+    # with fd 0 closed (<&-), sys.stdin is None: - names no input to read
+    monkeypatch.setattr(sys, "stdin", None)
+    argv = [part.format(g3=g3_file) for part in argv]
+    assert run(capsys, *argv) == (1, "", "error: stdin is closed\n")
+
+
+@pytest.mark.parametrize("argv", _STDIN_ARGVS.values(), ids=_STDIN_ARGVS)
+def test_a_stdin_closed_at_start_exits_1_with_one_error_line(g3_file, argv):
+    argv = [part.format(g3=g3_file) for part in argv]
+    completed = subprocess.run(
+        ["sh", "-c", 'exec "$@" <&-', "sh", sys.executable, "-m", "afrob", *argv],
+        capture_output=True,
+        env=_child_env(),
+    )
+    assert (completed.returncode, completed.stdout, completed.stderr) == (
+        1, b"", b"error: stdin is closed\n"
+    )
+
+
 class _ClosedStdout(io.StringIO):
     def flush(self):
         raise BrokenPipeError(32, "Broken pipe")
@@ -974,6 +1009,74 @@ def test_a_valid_jobs_value_changes_no_output(capsys, g3_file, argv, jobs):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert run(capsys, *argv, "--jobs", jobs)[:2] == (code, out)
+
+
+def test_cold_and_warm_caches_print_the_same_bytes(capsys, g3_file):
+    # a process caches the last two documents parsed, their extension
+    # records and their relations' states; a request answered from them
+    # prints what a fresh process prints
+    for argv in _golden_argvs():
+        argv = [g3_file if part == INPUT else part for part in argv]
+        clear_caches()
+        cold = run(capsys, *argv)
+        assert cold[0] == 0, cold[2]
+        assert run(capsys, *argv) == cold
+
+
+def test_an_invariance_round_parses_once_and_makes_one_whole_pass(capsys, monkeypatch, g3_file):
+    # the four requests the invariance workload sends per framework: one
+    # parse, one pass over every argument (the preferred sets read only
+    # the core's), and three cache hits
+    calls = _count_conflict_free_passes(monkeypatch)
+    common = ("--input", g3_file, "--oracle", "--format", "json")
+    for argv in (
+        ("invariant-attacks", "--semantics", "cf"),
+        ("invariant-attacks", "--semantics", "adm"),
+        ("check-attack", "--semantics", "adm", "--from", "4", "--to", "2"),
+        ("check-attack", "--semantics", "adm", "--from", "4", "--to", "2", "--preferred-only"),
+    ):
+        run_json(capsys, *argv, *common)
+    assert sum(len(rows) == 2 for rows in calls) == 1
+    info = afrob.apx.parse_apx.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def test_cached_states_are_keyed_by_the_whole_framework(capsys, tmp_path):
+    # two relations over one argument set, asked back to back, each get
+    # their own answer; a comment changes the document, not the framework
+    names = "arg(a).\narg(b).\narg(c).\n"
+    documents = {
+        "chain": names + "att(a,b).\natt(b,c).\n",
+        "cycle": names + "att(a,b).\natt(b,a).\n",
+        "commented": "% the chain again\n" + names + "att(a,b).\natt(b,c).\n",
+    }
+    argv = ("invariant-attacks", "--semantics", "adm", "--oracle", "--format", "json")
+    answers = {}
+    for name, text in documents.items():
+        path = tmp_path / f"{name}.apx"
+        path.write_text(text)
+        answers[name] = run(capsys, *argv, "--input", str(path))
+        assert answers[name][0] == 0, answers[name][2]
+    clear_caches()
+    cold = run(capsys, *argv, "--input", str(tmp_path / "cycle.apx"))
+    assert answers["cycle"] == cold != answers["chain"]
+    assert answers["commented"] == answers["chain"]
+
+
+def test_a_refusal_leaves_nothing_half_built_in_the_cache(capsys, tmp_path, g3_file):
+    # 21 unattacked arguments pass the enumeration limit: the cached state
+    # of their relation refuses every time it is asked, and a small request
+    # after it is answered as from a fresh process
+    big = tmp_path / "big.apx"
+    big.write_text("".join(f"arg(x{i}).\n" for i in range(21)))
+    refused = (3, "", "size limit: 21 arguments exceed the enumeration limit of 20\n")
+    for _ in range(2):
+        assert run(capsys, "invariant-attacks", "--semantics", "adm", "--input", str(big)) == refused
+    small = ("invariant-attacks", "--semantics", "adm", "--oracle", "--input", g3_file)
+    after = run(capsys, *small)
+    clear_caches()
+    assert after == run(capsys, *small)
+    assert after[0] == 0, after[2]
 
 
 def test_extension_lists_follow_extension_sort_key():

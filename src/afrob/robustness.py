@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .errors import SizeLimit
 from .framework import ArgumentationFramework, Attack, _bits, _with_attack
 from .invariance import _cf_or_adm, _State, invariant_attacks
-from .semantics import Semantics
+from .semantics import Semantics, _enumerate
 
 # An adm search exploring more states than this raises SizeLimit.  The cap
 # bounds states, not time, as a state's cost grows with its admissible
@@ -150,7 +150,7 @@ def robustness_degree(
                 break
         return record(key, best)
 
-    degree, witness = search(_State(*af.bit_rows), 0)
+    degree, witness = search(_enumerate(af).state, 0)
     return RobustnessResult(
         degree=degree,
         witness=tuple(Attack(order[a], order[b]) for a, b in witness),

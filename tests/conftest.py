@@ -2,7 +2,6 @@ import pytest
 from hypothesis import strategies as st
 
 import afrob.apx
-import afrob.invariance
 import afrob.semantics
 from afrob import ArgumentationFramework
 
@@ -10,11 +9,10 @@ NAMES = ("a", "b", "c", "d")
 
 
 def clear_caches():
-    """Forget every parsed document, extension record and relation state
-    the process has cached."""
+    """Forget every parsed document and extension record (with its
+    relation's invariance state) the process has cached."""
     afrob.apx.parse_apx.cache_clear()
     afrob.semantics._enumerate.cache_clear()
-    afrob.invariance._root.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -10,9 +10,12 @@ fresh copy of the whole tree (``pyproject.toml`` puts the checkout's
 ``src`` alone would test the unmutated code), and ``pytest -x`` runs its
 tests there.  The runner checks that the old text occurs exactly once and
 that the tests imported ``afrob`` from the copy.  It exits nonzero if any
-mutant survives.  A run that exceeds the timeout counts as killed: the
-mutant made the tests hang.  Standard library only; pytest does not
-collect this file.
+mutant survives.  A mutant is killed when a test fails (pytest's exit
+status 1) or the run exceeds the timeout: the mutant made the tests hang.
+Any other status is no verdict (a test id that does not exist and a
+mutant that does not import both exit 4), so the runner stops there with
+the mutant's name and the tail of pytest's output.  Standard library only;
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -385,11 +388,21 @@ MUTANTS = (
     Mutant(
         # a relation gets the state of the first one over its argument set
         "root-state-keyed-by-argument-names",
-        "src/afrob/invariance.py",
-        "    return _State(*af.bit_rows)\n",
-        "    return _State(*_BY_NAMES.setdefault(af.sorted_arguments, af).bit_rows)\n\n\n"
-        "_BY_NAMES = {}\n",
+        "src/afrob/semantics.py",
+        '    def state(self) -> "_State":\n'
+        "        from .invariance import _State  # invariance imports this module\n\n"
+        "        return _State(*self.af.bit_rows)\n",
+        '    def state(self, _BY_NAMES={}) -> "_State":\n'
+        "        from .invariance import _State  # invariance imports this module\n\n"
+        "        return _State(*_BY_NAMES.setdefault(self.af.sorted_arguments, self.af).bit_rows)\n",
         ("tests/test_cli.py::test_cached_states_are_keyed_by_the_whole_framework",),
+    ),
+    Mutant(
+        "robustness-builds-its-own-root-state",
+        "src/afrob/robustness.py",
+        "search(_enumerate(af).state, 0)",
+        "search(_State(*af.bit_rows), 0)",
+        ("tests/test_cli.py::test_the_three_questions_about_one_framework_share_one_record",),
     ),
     Mutant(
         "robustness-text-always-truncated",
@@ -433,6 +446,11 @@ def run(mutant: Mutant) -> tuple[bool, str]:
             )
         except subprocess.TimeoutExpired:
             return True, f"timed out after {TIMEOUT_S} s"
+        if result.returncode not in (0, 1):
+            raise SystemExit(
+                f"{mutant.name}: pytest exited {result.returncode}, neither a pass nor a"
+                f" test failure\n{(result.stdout + result.stderr)[-2000:]}"
+            )
         imported = probe.with_suffix(".out")
         source = Path(imported.read_text()) if imported.exists() else None
         if source is None or not source.resolve().is_relative_to(copy.resolve()):
@@ -441,7 +459,7 @@ def run(mutant: Mutant) -> tuple[bool, str]:
                 + result.stdout[-2000:]
             )
         lines = result.stdout.strip().splitlines()
-        return result.returncode != 0, lines[-1] if lines else f"exit {result.returncode}"
+        return result.returncode == 1, lines[-1] if lines else f"exit {result.returncode}"
 
 
 def main() -> int:

@@ -1041,6 +1041,21 @@ def test_an_invariance_round_parses_once_and_makes_one_whole_pass(capsys, monkey
     assert (info.misses, info.hits) == (1, 3)
 
 
+def test_the_three_questions_about_one_framework_share_one_record(capsys, monkeypatch, g3_file):
+    # which attacks keep adm, how many can be chained, and whether one keeps
+    # the preferred sets: the search starts from the root state the first
+    # request built, and the preferred sets read only the core
+    calls = _count_conflict_free_passes(monkeypatch)
+    common = ("--semantics", "adm", "--input", g3_file, "--format", "json")
+    for argv in (
+        ("invariant-attacks",),
+        ("robustness", "--strategy", "greedy"),
+        ("check-attack", "--from", "4", "--to", "2", "--preferred-only"),
+    ):
+        run_json(capsys, *argv, *common)
+    assert sorted(len(rows) for rows in calls) == [2, 3]
+
+
 def test_cached_states_are_keyed_by_the_whole_framework(capsys, tmp_path):
     # two relations over one argument set, asked back to back, each get
     # their own answer; a comment changes the document, not the framework

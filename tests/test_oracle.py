@@ -118,6 +118,8 @@ def test_audit_adds_and_enumerates_nothing(monkeypatch):
     # framework is expanded or enumerated, no candidate classified, and no
     # name looked up or extension decoded
     calls = {"add_attack": 0, "_enumerate": 0, "_classify": 0, "_index": 0, "_names": 0}
+    # the cache itself, which modules that import _enumerate by name call
+    records = afrob.semantics._enumerate
 
     def counted(name, fn):
         def wrapper(*args):
@@ -141,6 +143,7 @@ def test_audit_adds_and_enumerates_nothing(monkeypatch):
     adm = exhaustive_audit(3, Semantics.ADMISSIBLE)
     assert (adm.candidates_checked, len(adm.discrepancies)) == (2304, 324)
     assert calls == {"add_attack": 0, "_enumerate": 0, "_classify": 0, "_index": 0, "_names": 0}
+    assert records.cache_info().misses == 0
 
 
 def test_oracle_invariant_enumerates_the_framework_once(monkeypatch):

@@ -24,6 +24,7 @@ from afrob.oracle import canonical_names, framework_from_mask
 from afrob import robustness
 from afrob.robustness import _State
 from afrob.semantics import _enumerate
+from conftest import clear_caches
 from oracles import candidate_attacks, oracle_invariant, verify_witness
 
 
@@ -188,7 +189,8 @@ def test_exhaustive_search_builds_each_state_once(monkeypatch, g3):
 
 def test_paranoid_search_passes_over_the_admissible_sets_once_per_state(monkeypatch, g3):
     # the rule rows and Dung's delta share one pass over a state's
-    # admissible sets, so a paranoid search reads each state's sets once
+    # admissible sets, so a paranoid search reads each state's sets once;
+    # the root state is the cached record's, so each search starts cold
     reads = []
     adm = _State.adm.fget
 
@@ -199,6 +201,7 @@ def test_paranoid_search_passes_over_the_admissible_sets_once_per_state(monkeypa
     monkeypatch.setattr(_State, "adm", property(counting_adm))
     for af in [_chain(), g3] + _random_frameworks(20, seed=31):
         for strategy in ("greedy", "exhaustive"):
+            clear_caches()
             reads.clear()
             result = robustness_degree(af, Semantics.ADMISSIBLE, strategy=strategy, paranoid=True)
             assert len(reads) == len(set(reads)) == result.explored_states, (af, strategy)

@@ -224,22 +224,20 @@ class _State:
     witnesses (:meth:`witnesses`), and by Dung's delta, likewise
     (:meth:`changed_rows`, :meth:`changes`).  A root state is built from a
     framework's :attr:`~ArgumentationFramework.bit_rows` and builds each
-    table from scratch; a robustness search state derives it from its
-    parent's, which lacks exactly the attack ``step``.  Either reads a table
-    the first time it is needed, so a cf question never builds the tables
-    only adm reads.  A framework's root state is the ``state`` field of its
-    extension record (:func:`~afrob.semantics._enumerate`), so repeated
-    questions about one framework build each table once.
+    table from scratch the first time it is read, so a cf question never
+    builds the tables only adm reads.  A robustness search state is built
+    by :meth:`child`, which hands it ``cf`` and ``reach`` derived from its
+    parent's; it builds the other tables as a root does.  A framework's
+    root state is the ``state`` field of its extension record
+    (:func:`~afrob.semantics._enumerate`), so repeated questions about one
+    framework build each table once.
 
     * ``targets`` and ``attackers``: the relation's bit rows.
     * ``reach``: the odd and even reach tables of the relation
       (:func:`_odd_closure`), then those of its reverse (their transposes).
-      A derived state updates both pairs by :func:`_reach_with`, the
-      reverse with the step reversed.
     * ``cf``: per conflict-free set, in canonical (size, then names) order
-      as enumerated, the set, its targets and its attackers.  A root
-      state's is the list :func:`~afrob.semantics._conflict_free` returns;
-      a derived state filters its parent's, so it keeps that order.
+      as enumerated, the set, its targets and its attackers, as
+      :func:`~afrob.semantics._conflict_free` returns them.
     * ``adm``: the admissible triples of ``cf``, in the same order
       (:func:`~afrob.semantics._admissible`).
     * ``adm_rows``, from one pass over ``adm``: per argument a, the loss,
@@ -253,60 +251,46 @@ class _State:
 
     # lazy tables in slots, not cached_property, which cost the robustness
     # workload 13% of its throughput (8 of 8 alternating benchmark pairs)
-    __slots__ = ("targets", "attackers", "parent", "step", "_reach", "_cf", "_adm", "_rows", "_kept")
+    __slots__ = ("targets", "attackers", "_reach", "_cf", "_adm", "_rows", "_kept")
 
-    def __init__(
-        self,
-        targets: tuple[int, ...],
-        attackers: tuple[int, ...],
-        parent: "_State | None" = None,
-        step: tuple[int, int] | None = None,
-    ):
+    def __init__(self, targets: tuple[int, ...], attackers: tuple[int, ...]):
         self.targets = targets
         self.attackers = attackers
-        self.parent = parent
-        self.step = step
         self._reach = self._cf = self._adm = self._rows = self._kept = None
 
     def child(self, a: int, b: int) -> "_State":
-        """The state with the attack (a, b) added."""
-        return _State(
-            _with_attack(self.targets, a, b), _with_attack(self.attackers, b, a), self, (a, b)
+        """The state with the attack (a, b) added, handed ``cf`` and ``reach``
+        derived from this state's: the sets holding a and b are lost, a kept
+        set holding a now also attacks b and one holding b is now also
+        attacked by a, in the same order; both reach pairs follow
+        :func:`_reach_with`, the reverse with the attack reversed."""
+        child = _State(_with_attack(self.targets, a, b), _with_attack(self.attackers, b, a))
+        bit_a, bit_b = 1 << a, 1 << b
+        both = bit_a | bit_b
+        child._cf = [
+            (m, h | bit_b if m & bit_a else h, t | bit_a if m & bit_b else t)
+            for m, h, t in self.cf
+            if m & both != both
+        ]
+        odd, even, reverse_odd, reverse_even = self.reach
+        child._reach = (
+            *_reach_with(odd, even, a, b),
+            *_reach_with(reverse_odd, reverse_even, b, a),
         )
+        return child
 
     @property
     def reach(self) -> tuple[tuple[int, ...], ...]:
         if self._reach is None:
-            if self.parent is None:
-                # a walk of the reverse relation is a walk of this one, backwards
-                odd, even = _odd_closure(self.targets)
-                self._reach = (odd, even, _transpose(odd), _transpose(even))
-            else:
-                a, b = self.step
-                odd, even, reverse_odd, reverse_even = self.parent.reach
-                self._reach = (
-                    *_reach_with(odd, even, a, b),
-                    *_reach_with(reverse_odd, reverse_even, b, a),
-                )
+            # a walk of the reverse relation is a walk of this one, backwards
+            odd, even = _odd_closure(self.targets)
+            self._reach = (odd, even, _transpose(odd), _transpose(even))
         return self._reach
 
     @property
     def cf(self) -> list[tuple[int, int, int]]:
         if self._cf is None:
-            if self.parent is None:
-                self._cf = _conflict_free(self.targets, self.attackers)
-            else:
-                # the sets holding a and b are lost; a kept set holding a
-                # now also attacks b, and one holding b is now also
-                # attacked by a
-                a, b = self.step
-                bit_a, bit_b = 1 << a, 1 << b
-                both = bit_a | bit_b
-                self._cf = [
-                    (m, h | bit_b if m & bit_a else h, t | bit_a if m & bit_b else t)
-                    for m, h, t in self.parent.cf
-                    if m & both != both
-                ]
+            self._cf = _conflict_free(self.targets, self.attackers)
         return self._cf
 
     @property

@@ -114,6 +114,8 @@ def _placement(names: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[int, ...]
     """The canonical order of ``names``, checked once per name tuple, and
     each name's position in it, or None when every name is already in place."""
     order = ArgumentationFramework(names).sorted_arguments
+    if len(order) != len(names):
+        raise ValueError(f"duplicate argument names: {names}")
     position = tuple(order.index(name) for name in names)
     return order, None if position == tuple(range(len(names))) else position
 
@@ -122,8 +124,10 @@ def framework_from_mask(names: tuple[str, ...], mask: int) -> ArgumentationFrame
     """Decode an attack relation from a bitmask over the n*n ordered pairs,
     row-major in the given name order: bit a*n + b is the attack
     (names[a], names[b]), so the targets of names[a] are the n-bit slice
-    ``mask >> a*n``."""
+    ``mask >> a*n``.  A mask outside [0, 2^(n*n)) is refused."""
     n = len(names)
+    if not 0 <= mask < 1 << n * n:
+        raise ValueError(f"mask {mask} is not a relation on {n} arguments")
     width = (1 << n) - 1
     rows = [mask >> a * n & width for a in range(n)]
     order, position = _placement(tuple(names))

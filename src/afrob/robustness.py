@@ -12,11 +12,11 @@ path and it gives a cheap lower bound.  Under a depth cap a state at the
 cap can only set the truncated flag, so once one has a candidate every
 further state at the cap is recorded without being built or classified.
 
-A search state differs from its parent by one attack, so it derives the
-tables that classify its candidates from the parent's instead of
-rebuilding them: each table costs one pass over the parent's, where a
-rebuild would enumerate the conflict-free sets and run the odd-walk
-fixpoint again (see :class:`afrob.invariance._State`).  The search works on
+A search state differs from its parent by one attack, so it derives its
+conflict-free sets and reach tables from the parent's instead of
+rebuilding them: each costs one pass over the parent's, where a rebuild
+would enumerate the conflict-free sets and run the odd-walk fixpoint
+again (see :meth:`afrob.invariance._State.child`).  The search works on
 argument indices: its steps are index pairs, it builds no framework after
 the root, and it builds an :class:`Attack` only for each step of the
 returned witness.

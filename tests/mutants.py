@@ -108,6 +108,33 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "child-rebuilds-its-reach",
+        "src/afrob/invariance.py",
+        "        child._reach = (\n",
+        "        _unused = (\n",
+        (
+            "tests/test_robustness.py::"
+            "test_a_search_builds_the_conflict_free_sets_and_reach_tables_once",
+        ),
+    ),
+    Mutant(
+        "child-rebuilds-its-cf",
+        "src/afrob/invariance.py",
+        "        child._cf = [\n",
+        "        _unused = [\n",
+        (
+            "tests/test_robustness.py::"
+            "test_a_search_builds_the_conflict_free_sets_and_reach_tables_once",
+        ),
+    ),
+    Mutant(
+        "child-cf-set-holding-a-gains-no-target",
+        "src/afrob/invariance.py",
+        "(m, h | bit_b if m & bit_a else h, t",
+        "(m, h, t",
+        ("tests/test_robustness.py::test_derived_states_equal_a_rebuild",),
+    ),
+    Mutant(
         "odd-closure-no-empty-walk",
         "src/afrob/invariance.py",
         "o, e = 0, 1 << i\n",

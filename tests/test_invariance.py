@@ -317,7 +317,8 @@ def test_every_expansion_is_weakly_non_increasing_for_cf(af):
 def _adm_row_population():
     # every relation on up to three arguments, and seeded sparse relations
     # on seven and eight arguments (the greedy robustness sizes), each root
-    # followed by a chain of three derived states
+    # followed by a chain of three derived states, each yielded with
+    # whether it is derived
     rng = random.Random(23)
     roots = [
         framework_from_mask(canonical_names(n), m) for n in (1, 2, 3) for m in range(1 << n * n)
@@ -329,7 +330,7 @@ def _adm_row_population():
             roots.append(ArgumentationFramework(names, pairs))
     for af in roots:
         state = _State(*af.bit_rows)
-        yield af, state
+        yield af, state, False
         for _ in range(3):
             candidates = candidate_attacks(af)
             if not candidates:
@@ -337,7 +338,7 @@ def _adm_row_population():
             attack = rng.choice(candidates)
             af = af.add_attack(*attack)
             state = state.child(af._index(attack.source), af._index(attack.target))
-            yield af, state
+            yield af, state, True
 
 
 def test_adm_rows_of_a_state_match_the_definitional_references():
@@ -346,8 +347,8 @@ def test_adm_rows_of_a_state_match_the_definitional_references():
     # against Dung's, recomputed from the admissible sets, and the changed
     # rows against recomputation of both families
     derived = 0
-    for af, state in _adm_row_population():
-        derived += state.parent is not None
+    for af, state, is_derived in _adm_row_population():
+        derived += is_derived
         args, names = af.arguments, af.sorted_arguments
         attacks = {tuple(attack) for attack in af.attacks}
         family = oracles.admissible(args, attacks)

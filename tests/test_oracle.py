@@ -319,3 +319,13 @@ def test_framework_from_mask_equals_the_name_level_decoder():
 def test_negative_counts_are_rejected(g3, call):
     with pytest.raises(ValueError):
         call(g3)
+
+
+@pytest.mark.parametrize(
+    "names, mask",
+    [(("a", "a"), 0b1111), (("a", "b"), -1), (("a", "b"), 1 << 2 * 2)],
+    ids=["duplicate-names", "negative-mask", "mask-past-n-squared-bits"],
+)
+def test_framework_from_mask_rejects_what_is_no_relation_on_the_names(names, mask):
+    with pytest.raises(ValueError):
+        framework_from_mask(names, mask)

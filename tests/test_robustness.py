@@ -21,7 +21,7 @@ from afrob import (
 )
 from afrob.framework import Attack
 from afrob.oracle import canonical_names, framework_from_mask
-from afrob import robustness
+from afrob import invariance, robustness
 from afrob.robustness import _State
 from afrob.semantics import _enumerate
 from conftest import clear_caches
@@ -362,10 +362,8 @@ def test_capped_search_stops_classifying_at_the_cap_once_truncated(monkeypatch):
     classify, child = _State.invariant_rows, _State.child
 
     def depth(state):
-        steps = 0
-        while state.parent is not None:
-            state, steps = state.parent, steps + 1
-        return steps
+        # each step adds one absent attack to the root's relation
+        return sum(row.bit_count() for row in state.targets) - root_attacks
 
     def recording_rows(self, semantics):
         # the search's candidates: under paranoid, masked by Dung's delta
@@ -392,6 +390,7 @@ def test_capped_search_stops_classifying_at_the_cap_once_truncated(monkeypatch):
     assert len(cases) == 60
     for case in cases:
         events.clear()
+        root_attacks = len(set(map(tuple, case["attacks"])))
         result, expected = _golden_search(case)
         assert result == expected, case
         cap = case["max_steps"]
@@ -438,6 +437,25 @@ def test_derived_states_equal_a_rebuild_along_a_search_path():
             af = af.add_attack(*attack)
             state = state.child(af._index(attack.source), af._index(attack.target))
             _states_agree(state, _State(*af.bit_rows))
+
+
+def test_a_search_builds_the_conflict_free_sets_and_reach_tables_once(monkeypatch):
+    # every child is handed its cf and reach, so only the root enumerates the
+    # conflict-free sets and runs the odd-walk fixpoint, however many states
+    # the search builds
+    calls = {"_conflict_free": 0, "_odd_closure": 0}
+    for name in calls:
+        original = getattr(invariance, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(invariance, name, counting)
+    af = framework_from_mask(canonical_names(5), random.Random(7).getrandbits(25))
+    # uncapped, every state after the root is a built child
+    assert robustness_degree(af, Semantics.ADMISSIBLE).explored_states > 100
+    assert calls == {"_conflict_free": 1, "_odd_closure": 1}
 
 
 def test_search_state_budget(monkeypatch):

@@ -33,10 +33,6 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_SIZE = 3
 
-_ALL_SEMANTICS = [s.value for s in Semantics]
-_LABELLING_SEMANTICS = ["com", "stb", "prf", "gde", "sst"]
-_CLASSIFY_SEMANTICS = ["cf", "adm"]
-
 
 class _UsageError(Exception):
     pass
@@ -48,13 +44,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    if not text.isdecimal():
+    # ASCII digits only: str.isdecimal accepts every Unicode decimal digit
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
 
 def _positive(text: str) -> int:
-    if not text.isdecimal() or int(text) == 0:
+    if not (text.isascii() and text.isdecimal()) or int(text) == 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
@@ -402,80 +399,123 @@ def _cmd_audit(args) -> dict:
     )
 
 
+# Each command's options, declared once: _read_argv reads a well-formed argv
+# from this table, and _parser builds argparse's parsers from it.  A command:
+# its help, its set_defaults (func and text) and its options, in help order.
+# An option: its string, then dest, type, choices, required, default and help.
+_FLAG = (bool, None, False, False)  # a store_true flag, which takes no value
+# every command runs in one process: --jobs is validated and ignored, so that
+# callers that still pass it keep working
+_OUTPUT = {"--format": ("format", str, ["json", "text"], False, "text", None),
+           "--jobs": ("jobs", _positive, None, False, 1, "ignored")}
+_IO = {"--input": ("input", str, None, True, None, "apx file, or - for stdin"), **_OUTPUT}
+_SEMANTICS = {"--semantics": ("semantics", str, [s.value for s in Semantics], True, None, None)}
+_CLASSIFY = {"--semantics": ("semantics", str, ["cf", "adm"], True, None, None)}
+_COMMANDS = {
+    "extensions": ("enumerate the extension set", _cmd_extensions, _extensions_text, {
+        **_SEMANTICS, **_IO,
+    }),
+    "labellings": ("enumerate restricted complete labellings", _cmd_labellings, _labellings_text, {
+        "--semantics": ("semantics", str, ["com", "stb", "prf", "gde", "sst"], True, None, None),
+        **_IO,
+    }),
+    "check-attack": ("classify a single attack addition", _cmd_check_attack, _check_attack_text, {
+        "--from": ("source", str, None, True, None, None),
+        "--to": ("target", str, None, True, None, None),
+        **_CLASSIFY,
+        "--oracle": ("oracle", *_FLAG, "append Dung's delta: sets lost and gained"),
+        "--preferred-only": ("preferred_only", *_FLAG, None),
+        **_IO,
+    }),
+    "invariant-attacks": (
+        "list all invariant new attacks", _cmd_invariant_attacks, _invariant_attacks_text, {
+            **_CLASSIFY,
+            "--oracle": ("oracle", *_FLAG, "also list the rule-invariant attacks that Dung's"
+                         " delta says change the extension set"),
+            **_IO,
+        },
+    ),
+    "robustness": ("measure the robustness degree", _cmd_robustness, _robustness_text, {
+        **_CLASSIFY,
+        "--strategy": ("strategy", str, ["exhaustive", "greedy"], True, None, None),
+        "--max-steps": ("max_steps", _count, None, False, None, None),
+        "--paranoid": ("paranoid", *_FLAG, None),
+        **_IO,
+    }),
+    "equivalent": ("compare two frameworks' extension sets", _cmd_equivalent, _equivalent_text, {
+        **_SEMANTICS, "--other": ("other", str, None, True, None, "second apx file"), **_IO,
+    }),
+    "audit": ("compare the rule scan with Dung's delta", _cmd_audit, _audit_text, {
+        "--args": ("args", _count, None, True, None, "number of arguments"),
+        **_CLASSIFY,
+        "--seed": ("seed", int, None, False, 0, None),
+        "--samples": ("samples", _count, None, False, 1000, None),
+        **_OUTPUT,
+    }),
+}
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """``parse_args``'s namespace for a well-formed argv: a command name, then
+    exact option strings of that command, each but a flag with one value that
+    starts with no ``-`` (``-`` aside) and passes its type and choices, every
+    required one given (a repeated one keeps its last value); else None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, text, options = _COMMANDS[argv[0]]
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option = options.get(token)
+        if option is None:
+            return None
+        dest, kind, choices = option[:3]
+        if kind is bool:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-") and value != "-":
+            return None
+        try:
+            value = kind(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    for dest, _, _, required, default, _ in options.values():
+        if required and dest not in values:
+            return None
+        values.setdefault(dest, default)
+    return argparse.Namespace(**values, command=argv[0], func=func, text=text)
+
+
 @cache
 def _parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The command parser and each command's own parser, by name, built on
-    first use and then shared by every call in the process."""
+    """The command parser and each command's own parser, by name, built from
+    ``_COMMANDS`` on first use and then shared by every call in the process."""
     parser = _Parser(prog="afrob", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, run, text, with_input=True):
-        p.set_defaults(func=run, text=text)
-        if with_input:
-            p.add_argument("--input", required=True, help="apx file, or - for stdin")
-        p.add_argument("--format", choices=["json", "text"], default="text")
-        # every command runs in one process: --jobs is validated and ignored,
-        # so that callers that still pass it keep working
-        p.add_argument("--jobs", type=_positive, default=1, help="ignored")
-
-    p = sub.add_parser("extensions", help="enumerate the extension set")
-    p.add_argument("--semantics", choices=_ALL_SEMANTICS, required=True)
-    common(p, _cmd_extensions, _extensions_text)
-
-    p = sub.add_parser("labellings", help="enumerate restricted complete labellings")
-    p.add_argument("--semantics", choices=_LABELLING_SEMANTICS, required=True)
-    common(p, _cmd_labellings, _labellings_text)
-
-    p = sub.add_parser("check-attack", help="classify a single attack addition")
-    p.add_argument("--from", dest="source", required=True)
-    p.add_argument("--to", dest="target", required=True)
-    p.add_argument("--semantics", choices=_CLASSIFY_SEMANTICS, required=True)
-    p.add_argument("--oracle", action="store_true", help="append Dung's delta: sets lost and gained")
-    p.add_argument("--preferred-only", action="store_true")
-    common(p, _cmd_check_attack, _check_attack_text)
-
-    p = sub.add_parser("invariant-attacks", help="list all invariant new attacks")
-    p.add_argument("--semantics", choices=_CLASSIFY_SEMANTICS, required=True)
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="also list the rule-invariant attacks that Dung's delta says change the extension set",
-    )
-    common(p, _cmd_invariant_attacks, _invariant_attacks_text)
-
-    p = sub.add_parser("robustness", help="measure the robustness degree")
-    p.add_argument("--semantics", choices=_CLASSIFY_SEMANTICS, required=True)
-    p.add_argument("--strategy", choices=["exhaustive", "greedy"], required=True)
-    p.add_argument("--max-steps", type=_count, default=None)
-    p.add_argument("--paranoid", action="store_true")
-    common(p, _cmd_robustness, _robustness_text)
-
-    p = sub.add_parser("equivalent", help="compare two frameworks' extension sets")
-    p.add_argument("--semantics", choices=_ALL_SEMANTICS, required=True)
-    p.add_argument("--other", required=True, help="second apx file")
-    common(p, _cmd_equivalent, _equivalent_text)
-
-    p = sub.add_parser("audit", help="compare the rule scan with Dung's delta")
-    p.add_argument("--args", type=_count, required=True, help="number of arguments")
-    p.add_argument("--semantics", choices=_CLASSIFY_SEMANTICS, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_count, default=1000)
-    common(p, _cmd_audit, _audit_text, with_input=False)
-
-    # the afrob/1 "command" of each command's result is its parser's name
-    for name, p in sub.choices.items():
-        p.set_defaults(command=name)
+    for name, (summary, func, text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, (dest, kind, choices, required, default, about) in options.items():
+            how = {"action": "store_true"} if kind is bool else {"type": kind, "choices": choices}
+            p.add_argument(flag, dest=dest, required=required, default=default, help=about, **how)
+        # the afrob/1 "command" of each command's result is its parser's name
+        p.set_defaults(command=name, func=func, text=text)
     return parser, sub.choices
 
 
 def run_cli(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _parser()
-    # a command's arguments go straight to its own parser; anything else
-    # (no command, --help, an unknown command) to the command parser
-    command = commands.get(argv[0]) if argv else None
     try:
-        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+        args = _read_argv(argv)
+        if args is None:
+            # a command's arguments go to its own parser; anything else (no
+            # command, --help, an unknown command) to the command parser
+            parser, commands = _parser()
+            command = commands.get(argv[0]) if argv else None
+            args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         # a command returns its afrob/1 result; text is rendered from it
         # only when text is asked for
         result = args.func(args)

@@ -306,6 +306,41 @@ MUTANTS = (
         ("tests/test_cli.py::test_direct_dispatch_matches_the_top_level_parser",),
     ),
     Mutant(
+        "option-table-skips-choices",
+        "src/afrob/cli.py",
+        "        if choices is not None and value not in choices:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_the_option_table_reads_what_argparse_reads",),
+    ),
+    Mutant(
+        "option-table-skips-required",
+        "src/afrob/cli.py",
+        "        if required and dest not in values:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_the_option_table_reads_what_argparse_reads",),
+    ),
+    Mutant(
+        "option-table-takes-values-starting-with-a-dash",
+        "src/afrob/cli.py",
+        '        if value is None or value.startswith("-") and value != "-":\n',
+        "        if value is None:\n",
+        ("tests/test_cli.py::test_the_option_table_reads_what_argparse_reads",),
+    ),
+    Mutant(
+        "option-table-keeps-the-first-of-a-repeated-option",
+        "src/afrob/cli.py",
+        "        values[dest] = value\n",
+        "        values.setdefault(dest, value)\n",
+        ("tests/test_cli.py::test_the_option_table_reads_what_argparse_reads",),
+    ),
+    Mutant(
+        "count-accepts-any-unicode-digit",
+        "src/afrob/cli.py",
+        "    if not (text.isascii() and text.isdecimal()):\n",
+        "    if not text.isdecimal():\n",
+        ("tests/test_cli.py::test_negative_counts_are_usage_errors",),
+    ),
+    Mutant(
         "bit-table-covers-its-bound",
         "src/afrob/framework.py",
         "    if mask < _SMALL:\n",

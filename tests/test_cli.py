@@ -13,7 +13,17 @@ from hypothesis import strategies as st
 
 import afrob
 from afrob import Semantics, exhaustive_audit, extensions
-from afrob.cli import _Attacks, _Family, _json, _parser, _set_items, run_cli
+from afrob.cli import (
+    _COMMANDS,
+    _Attacks,
+    _Family,
+    _json,
+    _parser,
+    _read_argv,
+    _set_items,
+    _UsageError,
+    run_cli,
+)
 from afrob.framework import Attack
 from afrob.oracle import canonical_names, framework_from_mask
 from conftest import clear_caches, mutual_pairs
@@ -412,8 +422,29 @@ def test_usage_error_exit_code(capsys, g3_file):
         ),
         (["audit", "--args", "2", "--semantics", "cf", "--jobs", "0"], "positive integer"),
         (["audit", "--args", "2", "--semantics", "cf", "--jobs", "-5"], "positive integer"),
+        # a count is ASCII digits: str.isdecimal alone accepts any Unicode digit
+        (["audit", "--args", "\u0662", "--semantics", "cf"], "non-negative integer"),
+        (
+            ["audit", "--args", "2", "--samples", "\u0662", "--semantics", "cf"],
+            "non-negative integer",
+        ),
+        (
+            ["robustness", "--semantics", "cf", "--strategy", "greedy", "--max-steps", "\uff13"],
+            "non-negative integer",
+        ),
+        (["audit", "--args", "2", "--semantics", "cf", "--jobs", "\uff13"], "positive integer"),
     ],
-    ids=["args", "samples", "max-steps", "jobs-zero", "jobs-negative"],
+    ids=[
+        "args",
+        "samples",
+        "max-steps",
+        "jobs-zero",
+        "jobs-negative",
+        "args-arabic-indic-digit",
+        "samples-arabic-indic-digit",
+        "max-steps-fullwidth-digit",
+        "jobs-fullwidth-digit",
+    ],
 )
 def test_negative_counts_are_usage_errors(capsys, g3_file, argv, message):
     if argv[0] == "robustness":
@@ -424,31 +455,51 @@ def test_negative_counts_are_usage_errors(capsys, g3_file, argv, message):
     assert message in err
 
 
+def _no_parser():
+    raise AssertionError("a well-formed argv builds no argparse parser")
+
+
 @pytest.mark.parametrize(
     "argv",
     [["extensions", "--semantics", "adm"], ["audit", "--args", "2", "--semantics", "adm"]],
     ids=["extensions", "audit"],
 )
-def test_help_and_usage_errors_leave_the_parser_as_it_was(capsys, g3_file, argv):
+def test_help_and_usage_errors_leave_the_parser_as_it_was(capsys, monkeypatch, g3_file, argv):
+    # argparse reads each fallback; after it, the option table still answers
+    # the well-formed argv without argparse, and argparse alone still prints
+    # the same
     if argv[0] != "audit":
         argv = argv + ["--input", g3_file]
     alone = run(capsys, *argv)
     assert alone[0] == 0
-    assert run(capsys, "--help")[0] == 0
-    assert run(capsys, *argv) == alone
-    assert run(capsys, argv[0], "--help")[0] == 0
-    assert run(capsys, *argv) == alone
-    assert run(capsys, *argv, "--jobs", "0")[0] == 1
-    assert run(capsys, *argv) == alone
-    assert run(capsys, "extensions", "--semantics", "nope", "--input", g3_file)[0] == 1
-    assert run(capsys, *argv) == alone
+    fallbacks = [
+        (["--help"], 0),
+        ([argv[0], "--help"], 0),
+        ([*argv, "--jobs", "0"], 1),
+        (["extensions", "--semantics", "nope", "--input", g3_file], 1),
+    ]
+    for fallback, status in fallbacks:
+        assert run(capsys, *fallback)[0] == status
+        with monkeypatch.context() as patched:
+            patched.setattr("afrob.cli._parser", _no_parser)
+            assert run(capsys, *argv) == alone
+        with monkeypatch.context() as patched:
+            patched.setattr("afrob.cli._read_argv", lambda argv: None)
+            assert run(capsys, *argv) == alone
 
 
-def test_parser_is_built_once_per_process(capsys, g3_file):
+def test_only_an_argv_the_table_declines_builds_the_parser(capsys, g3_file):
+    # a well-formed argv is read from the option table alone; the first argv
+    # the table declines builds argparse's parsers, and later ones reuse them
     _parser.cache_clear()
     for semantics in ["cf", "adm", "prf"]:
         assert run(capsys, "extensions", "--semantics", semantics, "--input", g3_file)[0] == 0
-    assert _parser.cache_info().misses == 1
+    assert _parser.cache_info().misses == 0
+    assert run(capsys, "--help")[0] == 0
+    assert run(capsys, "extensions", "--sem", "adm", "--input", g3_file)[0] == 0
+    assert run(capsys, "audit", "--args", "2")[0] == 1
+    assert run(capsys, "extensions", "--semantics", "adm", "--input", g3_file)[0] == 0
+    assert (_parser.cache_info().misses, _parser.cache_info().hits) == (1, 2)
 
 
 @pytest.mark.parametrize("value", ["0", "x"])
@@ -927,22 +978,155 @@ _DISPATCH_ARGVS = _golden_argvs() + [
 
 
 def test_golden_argvs_cover_every_command():
-    assert sorted(argv[0] for argv in _golden_argvs()) == sorted(_parser()[1])
+    assert sorted(argv[0] for argv in _golden_argvs()) == sorted(_COMMANDS)
 
 
 @pytest.mark.parametrize("argv", _DISPATCH_ARGVS, ids=lambda argv: " ".join(argv) or "no arguments")
 def test_direct_dispatch_matches_the_top_level_parser(capsys, monkeypatch, g3_file, argv):
-    # run_cli hands a command's arguments to that command's own parser; the
-    # command parser alone must give the same exit code, stdout and stderr
+    # run_cli reads a well-formed argv from the option table and hands a
+    # command's other arguments to that command's own parser; the command
+    # parser alone must give the same exit code, stdout and stderr
     argv = [g3_file if part == INPUT else part for part in argv]
     direct = run(capsys, *argv)
     parser, _ = _parser()
     monkeypatch.setattr("afrob.cli._parser", lambda: (parser, {}))
+    monkeypatch.setattr("afrob.cli._read_argv", lambda argv: None)
     assert run(capsys, *argv) == direct
 
 
+_JSON = ["--format", "json", "--jobs", "1"]
+
+# one argv of each shape the benchmark's request pools send (perfbench/workloads.py)
+_POOL_ARGVS = [
+    ["extensions", "--input", INPUT, "--semantics", "prf", *_JSON],
+    ["labellings", "--input", INPUT, "--semantics", "com", *_JSON],
+    ["invariant-attacks", "--input", INPUT, "--semantics", "adm", "--oracle", *_JSON],
+    [
+        "check-attack", "--input", INPUT, "--semantics", "adm", "--from", "4", "--to", "2",
+        "--oracle", *_JSON,
+    ],
+    [
+        "check-attack", "--input", INPUT, "--semantics", "adm", "--from", "4", "--to", "2",
+        "--oracle", "--preferred-only", *_JSON,
+    ],
+    [
+        "robustness", "--input", INPUT, "--semantics", "adm", "--strategy", "exhaustive",
+        "--max-steps", "2", *_JSON,
+    ],
+    [
+        "robustness", "--input", INPUT, "--semantics", "cf", "--strategy", "greedy",
+        "--paranoid", *_JSON,
+    ],
+    ["audit", "--args", "4", "--semantics", "cf", "--samples", "48", "--seed", "812", *_JSON],
+]
+
+# a value of another parse for each option, so that a repeated option changes
+# the namespace
+_OTHER_VALUE = {
+    "--semantics": "cf",
+    "--format": "text",
+    "--jobs": "2",
+    "--from": "1",
+    "--to": "3",
+    "--strategy": "greedy",
+    "--max-steps": "1",
+    "--args": "2",
+    "--seed": "7",
+    "--samples": "3",
+}
+
+# values argparse refuses, reads differently from how they look, or leaves
+# to the command: a bad choice, stdin, values starting with -, an empty
+# value, bad and edge ints (int refuses 5,000 digits), non-ASCII digits
+_ODD_VALUES = [
+    "nope", "-", "-x", "-5", "-1", "", "0", "x", " 5", "+5", "1_0", "9" * 5000, "\u0662", "\uff13"
+]
+
+
+def _near_misses(argv):
+    """``argv`` and argvs one edit away from it: a token dropped; an option
+    repeated with its own and with another value; an option and its value
+    dropped; an option abbreviated or =-joined to its value; a value
+    replaced by an odd one or given a space."""
+    yield argv
+    for i in range(1, len(argv)):
+        yield argv[:i] + argv[i + 1 :]
+    for i, token in enumerate(argv):
+        if not token.startswith("--"):
+            continue
+        has_value = i + 1 < len(argv) and not argv[i + 1].startswith("--")
+        value = argv[i + 1 : i + 2] if has_value else []
+        yield argv + [token, *value]
+        if value:
+            yield argv + [token, _OTHER_VALUE.get(token, value[0])]
+        yield argv[:i] + argv[i + 1 + len(value) :]
+        if token[:5] != token:
+            yield argv[:i] + [token[:5]] + argv[i + 1 :]
+        if value:
+            yield argv[:i] + [f"{token}={value[0]}"] + argv[i + 2 :]
+            for odd in [*_ODD_VALUES, value[0] + " x"]:
+                yield argv[: i + 1] + [odd] + argv[i + 2 :]
+
+
+def _argparse_args(argv):
+    """``vars`` of argparse's namespace for ``argv``, or None where
+    argparse prints help or a usage error."""
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    try:
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+    except (SystemExit, _UsageError):
+        return None
+    return vars(args)
+
+
+@pytest.mark.parametrize(
+    "argv", _DISPATCH_ARGVS + _POOL_ARGVS, ids=lambda argv: " ".join(argv) or "no arguments"
+)
+def test_the_option_table_reads_what_argparse_reads(capsys, monkeypatch, tmp_path, argv):
+    # the table reads an argv only as argparse would, and declines the rest;
+    # either way run_cli prints what it prints with argparse alone
+    # every golden and pool argv is read from the table, none falls back
+    well_formed = argv in _golden_argvs() or argv in _POOL_ARGVS
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g3.apx").write_text(G3_APX)
+    argv = ["g3.apx" if part == INPUT else part for part in argv]
+    assert (_read_argv(argv) is not None) == well_formed
+
+    def run_with_stdin(argv):
+        # --input - reads the g3 document from stdin, afresh on each run
+        stdin = io.TextIOWrapper(io.BytesIO(G3_APX.encode()), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        return run(capsys, *argv)
+
+    for near in _near_misses(argv):
+        read = _read_argv(near)
+        expected = _argparse_args(near)
+        capsys.readouterr()
+        assert read is None or vars(read) == expected, near
+        fast = run_with_stdin(near)
+        with monkeypatch.context() as patched:
+            patched.setattr("afrob.cli._read_argv", lambda argv: None)
+            assert run_with_stdin(near) == fast, near
+
+
+_HELP = _golden_cases("help_golden.json")
+
+
+@pytest.mark.skipif(
+    "%d.%d" % sys.version_info[:2] != _HELP["python"],
+    reason=f"the help bytes are pinned as argparse formats them under Python {_HELP['python']}",
+)
+@pytest.mark.parametrize("case", _HELP["cases"], ids=lambda case: " ".join(case["argv"]))
+def test_help_matches_the_pinned_output(capsys, monkeypatch, case):
+    # the parsers built from the option table print the help the
+    # hand-written parsers printed, byte for byte, at a fixed width
+    monkeypatch.setenv("COLUMNS", str(_HELP["columns"]))
+    assert run(capsys, *case["argv"]) == (0, case["output"], "")
+
+
 @pytest.mark.parametrize("argv", _golden_argvs(), ids=lambda argv: argv[0])
-def test_json_output_builds_no_text(capsys, g3_file, argv):
+def test_json_output_builds_no_text(capsys, monkeypatch, g3_file, argv):
     # a command returns its afrob/1 result and text is rendered from it only
     # under --format text: with every text renderer refusing, the JSON run
     # still exits 0 with the same output, and only the text run reaches a
@@ -954,17 +1138,19 @@ def test_json_output_builds_no_text(capsys, g3_file, argv):
     def refuse(result):
         raise AssertionError("text is rendered only for --format text")
 
-    commands = list(_parser()[1].values())
-    renderers = [command.get_default("text") for command in commands]
-    for command in commands:
-        command.set_defaults(text=refuse)
+    for name, (summary, func, _, options) in _COMMANDS.items():
+        monkeypatch.setitem(_COMMANDS, name, (summary, func, refuse, options))
+    # argparse's parsers are built from the patched table, and dropped after
+    _parser.cache_clear()
     try:
-        assert run(capsys, *argv) == expected
-        with pytest.raises(AssertionError, match="only for --format text"):
-            run_cli(argv + ["--format", "text"])
+        for reader in (_read_argv, lambda argv: None):
+            monkeypatch.setattr("afrob.cli._read_argv", reader)
+            assert run(capsys, *argv) == expected
+            with pytest.raises(AssertionError, match="only for --format text"):
+                run_cli(argv + ["--format", "text"])
     finally:
-        for command, render in zip(commands, renderers):
-            command.set_defaults(text=render)
+        monkeypatch.undo()
+        _parser.cache_clear()
 
 
 # the afrob.cli globals that perfbench/tracing.py wraps, and the command

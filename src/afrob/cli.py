@@ -43,17 +43,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _count(text: str) -> int:
-    # ASCII digits only: str.isdecimal accepts every Unicode decimal digit
-    if not (text.isascii() and text.isdecimal()):
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+def _count(text: str, least: int = 0, kind: str = "non-negative") -> int:
+    # ASCII digits only (str.isdecimal accepts every Unicode decimal digit),
+    # and no more than int reads (sys.get_int_max_str_digits())
+    try:
+        if text.isascii() and text.isdecimal() and int(text) >= least:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
 
 
 def _positive(text: str) -> int:
-    if not (text.isascii() and text.isdecimal()) or int(text) == 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+    return _count(text, 1, "positive")
 
 
 def _load(path: str) -> ArgumentationFramework:
@@ -400,8 +402,8 @@ def _cmd_audit(args) -> dict:
 
 
 # Each command's options, declared once: _read_argv reads a well-formed argv
-# from this table, and _parser builds argparse's parsers from it.  A command:
-# its help, its set_defaults (func and text) and its options, in help order.
+# from this table, and _parser builds argparse's parser from it.  A command:
+# its help, its function, its text renderer and its options, in help order.
 # An option: its string, then dest, type, choices, required, default and help.
 _FLAG = (bool, None, False, False)  # a store_true flag, which takes no value
 # every command runs in one process: --jobs is validated and ignored, so that
@@ -462,7 +464,7 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     required one given (a repeated one keeps its last value); else None."""
     if not argv or argv[0] not in _COMMANDS:
         return None
-    _, func, text, options = _COMMANDS[argv[0]]
+    options = _COMMANDS[argv[0]][3]
     values = {}
     tokens = iter(argv[1:])
     for token in tokens:
@@ -487,42 +489,37 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
         if required and dest not in values:
             return None
         values.setdefault(dest, default)
-    return argparse.Namespace(**values, command=argv[0], func=func, text=text)
+    return argparse.Namespace(**values, command=argv[0])
 
 
 @cache
-def _parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The command parser and each command's own parser, by name, built from
-    ``_COMMANDS`` on first use and then shared by every call in the process."""
+def _parser() -> _Parser:
+    """The one argparse parser, a subparser per command (whose name is the
+    ``command`` it sets), built from ``_COMMANDS`` on first use and shared."""
     parser = _Parser(prog="afrob", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, func, text, options) in _COMMANDS.items():
+    for name, (summary, _, _, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         for flag, (dest, kind, choices, required, default, about) in options.items():
             how = {"action": "store_true"} if kind is bool else {"type": kind, "choices": choices}
             p.add_argument(flag, dest=dest, required=required, default=default, help=about, **how)
-        # the afrob/1 "command" of each command's result is its parser's name
-        p.set_defaults(command=name, func=func, text=text)
-    return parser, sub.choices
+    return parser
 
 
 def run_cli(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _read_argv(argv)
-        if args is None:
-            # a command's arguments go to its own parser; anything else (no
-            # command, --help, an unknown command) to the command parser
-            parser, commands = _parser()
-            command = commands.get(argv[0]) if argv else None
-            args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+        # argparse reads what the table declines: no command, --help, an
+        # abbreviation, a usage error
+        args = _read_argv(argv) or _parser().parse_args(argv)
         # a command returns its afrob/1 result; text is rendered from it
         # only when text is asked for
-        result = args.func(args)
+        _, func, text, _ = _COMMANDS[args.command]
+        result = func(args)
         if args.format == "json":
             out = _json({"schema": SCHEMA, "command": args.command, "result": result})
         else:
-            out = "\n".join(args.text(result))
+            out = "\n".join(text(result))
         if sys.stdout is None:  # fd 1 was closed at start
             raise OSError("stdout is closed")
         if out:  # an empty result prints nothing

@@ -299,11 +299,11 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "command-parser-given-the-command-name",
+        "parser-not-given-the-command-name",
         "src/afrob/cli.py",
-        "command.parse_args(argv[1:])",
-        "command.parse_args(argv)",
-        ("tests/test_cli.py::test_direct_dispatch_matches_the_top_level_parser",),
+        "_parser().parse_args(argv)",
+        "_parser().parse_args(argv[1:])",
+        ("tests/test_cli.py::test_help_matches_the_pinned_output",),
     ),
     Mutant(
         "option-table-skips-choices",
@@ -336,8 +336,15 @@ MUTANTS = (
     Mutant(
         "count-accepts-any-unicode-digit",
         "src/afrob/cli.py",
-        "    if not (text.isascii() and text.isdecimal()):\n",
-        "    if not text.isdecimal():\n",
+        "        if text.isascii() and text.isdecimal() and int(text) >= least:\n",
+        "        if text.isdecimal() and int(text) >= least:\n",
+        ("tests/test_cli.py::test_negative_counts_are_usage_errors",),
+    ),
+    Mutant(
+        "count-lets-int-refuse-its-digits",
+        "src/afrob/cli.py",
+        "    except ValueError:\n        pass\n",
+        "    except ():\n        pass\n",
         ("tests/test_cli.py::test_negative_counts_are_usage_errors",),
     ),
     Mutant(

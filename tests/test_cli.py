@@ -411,6 +411,9 @@ def test_usage_error_exit_code(capsys, g3_file):
     assert code == 1
 
 
+_LONG = "9" * 5000  # past int's digit limit, sys.get_int_max_str_digits()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -433,6 +436,26 @@ def test_usage_error_exit_code(capsys, g3_file):
             "non-negative integer",
         ),
         (["audit", "--args", "2", "--semantics", "cf", "--jobs", "\uff13"], "positive integer"),
+        # int refuses that many digits with a ValueError, which argparse
+        # would report as an invalid value of the type function, by its name
+        (["audit", "--args", _LONG, "--semantics", "cf"], "--args: expected a non-negative"),
+        (
+            ["audit", "--args", "2", "--samples", _LONG, "--semantics", "cf"],
+            "--samples: expected a non-negative",
+        ),
+        (
+            ["robustness", "--semantics", "cf", "--strategy", "greedy", "--max-steps", _LONG],
+            "--max-steps: expected a non-negative",
+        ),
+        (
+            ["audit", "--args", "2", "--semantics", "cf", "--jobs", _LONG],
+            "--jobs: expected a positive",
+        ),
+        # --seed is a plain int, whose refusal argparse words itself
+        (
+            ["audit", "--args", "2", "--semantics", "cf", "--seed", _LONG],
+            "--seed: invalid int value",
+        ),
     ],
     ids=[
         "args",
@@ -444,6 +467,11 @@ def test_usage_error_exit_code(capsys, g3_file):
         "samples-arabic-indic-digit",
         "max-steps-fullwidth-digit",
         "jobs-fullwidth-digit",
+        "args-5000-digits",
+        "samples-5000-digits",
+        "max-steps-5000-digits",
+        "jobs-5000-digits",
+        "seed-5000-digits",
     ],
 )
 def test_negative_counts_are_usage_errors(capsys, g3_file, argv, message):
@@ -452,7 +480,7 @@ def test_negative_counts_are_usage_errors(capsys, g3_file, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert message in err
+    assert message in err and err.count("\n") == 1
 
 
 def _no_parser():
@@ -983,15 +1011,26 @@ def test_golden_argvs_cover_every_command():
 
 @pytest.mark.parametrize("argv", _DISPATCH_ARGVS, ids=lambda argv: " ".join(argv) or "no arguments")
 def test_direct_dispatch_matches_the_top_level_parser(capsys, monkeypatch, g3_file, argv):
-    # run_cli reads a well-formed argv from the option table and hands a
-    # command's other arguments to that command's own parser; the command
-    # parser alone must give the same exit code, stdout and stderr
+    # the top-level parser's subparsers action hands every token after the
+    # command to that command's own parser, so handing those tokens to the
+    # command's parser directly must give the same exit code, stdout and
+    # stderr: an error reads the same whichever parser raises it (the
+    # top-level one raises "unrecognized arguments")
     argv = [g3_file if part == INPUT else part for part in argv]
-    direct = run(capsys, *argv)
-    parser, _ = _parser()
-    monkeypatch.setattr("afrob.cli._parser", lambda: (parser, {}))
+    expected = run(capsys, *argv)
+    parser = _parser()
+    commands = next(action.choices for action in parser._actions if action.dest == "command")
+
+    def dispatch(argv):
+        if not argv or argv[0] not in commands:
+            return parser.parse_args(argv)
+        args = commands[argv[0]].parse_args(argv[1:])
+        args.command = argv[0]
+        return args
+
+    monkeypatch.setattr("afrob.cli._parser", lambda: types.SimpleNamespace(parse_args=dispatch))
     monkeypatch.setattr("afrob.cli._read_argv", lambda argv: None)
-    assert run(capsys, *argv) == direct
+    assert run(capsys, *argv) == expected
 
 
 _JSON = ["--format", "json", "--jobs", "1"]
@@ -1071,13 +1110,10 @@ def _near_misses(argv):
 def _argparse_args(argv):
     """``vars`` of argparse's namespace for ``argv``, or None where
     argparse prints help or a usage error."""
-    parser, commands = _parser()
-    command = commands.get(argv[0]) if argv else None
     try:
-        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+        return vars(_parser().parse_args(argv))
     except (SystemExit, _UsageError):
         return None
-    return vars(args)
 
 
 @pytest.mark.parametrize(
@@ -1140,17 +1176,11 @@ def test_json_output_builds_no_text(capsys, monkeypatch, g3_file, argv):
 
     for name, (summary, func, _, options) in _COMMANDS.items():
         monkeypatch.setitem(_COMMANDS, name, (summary, func, refuse, options))
-    # argparse's parsers are built from the patched table, and dropped after
-    _parser.cache_clear()
-    try:
-        for reader in (_read_argv, lambda argv: None):
-            monkeypatch.setattr("afrob.cli._read_argv", reader)
-            assert run(capsys, *argv) == expected
-            with pytest.raises(AssertionError, match="only for --format text"):
-                run_cli(argv + ["--format", "text"])
-    finally:
-        monkeypatch.undo()
-        _parser.cache_clear()
+    for reader in (_read_argv, lambda argv: None):
+        monkeypatch.setattr("afrob.cli._read_argv", reader)
+        assert run(capsys, *argv) == expected
+        with pytest.raises(AssertionError, match="only for --format text"):
+            run_cli(argv + ["--format", "text"])
 
 
 # the afrob.cli globals that perfbench/tracing.py wraps, and the command

@@ -4,8 +4,9 @@ The robustness degree of a framework is the longest sequence of
 single-attack additions, each classified invariant for the framework it is
 applied to, after which no further invariant addition exists.  For cf it
 has a closed form (:func:`robustness_degree`); for adm one depth-first
-search with memoization serves both strategies (the reached relation set
-fully determines further search, whatever order produced it).  The
+search with memoization serves both strategies, keyed by the attacks added
+since the root: they fix the reached relation, and with it all further
+search whatever order added them, and their count is a state's depth.  The
 exhaustive strategy follows every candidate of a state; the greedy
 strategy follows only the first in canonical order, so its memo is its
 path and it gives a cheap lower bound.  Under a depth cap a state at the
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SizeLimit
-from .framework import ArgumentationFramework, Attack, _bits, _with_attack
+from .framework import ArgumentationFramework, Attack, _bits
 from .invariance import _cf_or_adm, _State, invariant_attacks
 from .semantics import Semantics, _enumerate
 
@@ -108,34 +109,33 @@ def robustness_degree(
         d = k if max_steps is None else min(k, max_steps)
         explored = d + 1 if strategy == "greedy" else _subsets_up_to(k, d)
         return RobustnessResult(d, tuple(candidates[:d]), explored, strategy, d < k)
-    # keyed on the relation alone: each step adds one attack, so a state's
-    # depth is fixed by its relation and the memo stays sound under a cap
-    memo: dict[tuple[int, ...], _Best] = {}
+    # a state's key is the absent attacks added since the root, bit a*n + b
+    # for (a, b): they fix its relation, and their count is its depth
+    memo: dict[int, _Best] = {}
     truncated = False
+    n = len(order)
 
-    def record(key: tuple[int, ...], best: _Best) -> _Best:
+    def record(key: int, best: _Best) -> _Best:
         memo[key] = best
         if len(memo) > MAX_SEARCH_STATES:
             raise SizeLimit(f"robustness search exceeds {MAX_SEARCH_STATES} states")
         return best
 
-    def search(state: _State, depth: int) -> _Best:
+    def search(state: _State, key: int) -> _Best:
         nonlocal truncated
-        key = state.targets
-        capped = max_steps is not None and depth >= max_steps
-        children_capped = max_steps is not None and depth + 1 >= max_steps
         best: _Best = (0, ())
         rows = state.invariant_rows(semantics)
         if paranoid:
             # rules ∩ delta: the steps that also leave the family unchanged
             rows = [row & ~changed for row, changed in zip(rows, state.changed_rows(semantics))]
+        if max_steps is not None and key.bit_count() >= max_steps:
+            truncated = truncated or any(rows)
+            return record(key, best)
+        children_capped = max_steps is not None and key.bit_count() + 1 >= max_steps
         for a, b in ((a, b) for a, row in enumerate(rows) for b in _bits(row)):
-            if capped:
-                truncated = True
-                break
             # a state is never its own descendant, so a memoised successor
             # needs no state and no search
-            child = _with_attack(key, a, b)
+            child = key | 1 << a * n + b
             found = memo.get(child)
             if found is None:
                 # a state at the cap can only set the flag; once it is set,
@@ -143,7 +143,7 @@ def robustness_degree(
                 if truncated and children_capped:
                     found = record(child, (0, ()))
                 else:
-                    found = search(state.child(a, b), depth + 1)
+                    found = search(state.child(a, b), child)
             if 1 + found[0] > best[0]:
                 best = (1 + found[0], ((a, b),) + found[1])
             if strategy == "greedy":

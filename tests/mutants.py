@@ -15,7 +15,9 @@ status 1) or the run exceeds the timeout: the mutant made the tests hang.
 Any other status is no verdict (a test id that does not exist and a
 mutant that does not import both exit 4), so the runner stops there with
 the mutant's name and the tail of pytest's output.  Standard library only;
-pytest does not collect this file.
+pytest does not collect this file, but ``tests/test_mutants.py`` checks
+in every test run that each old text occurs once and each listed test
+exists, so an edit that strands a mutant fails there.
 """
 
 from __future__ import annotations
@@ -384,12 +386,26 @@ MUTANTS = (
     Mutant(
         "capped-state-unclassified-one-level-early",
         "src/afrob/robustness.py",
-        "children_capped = max_steps is not None and depth + 1 >= max_steps",
-        "children_capped = max_steps is not None and depth + 2 >= max_steps",
+        "key.bit_count() + 1 >= max_steps",
+        "key.bit_count() + 2 >= max_steps",
         (
             "tests/test_robustness.py::test_capped_search_stops_classifying_at_the_cap_once_truncated",
             "tests/test_robustness.py::test_seeded_searches_match_the_recorded_goldens",
         ),
+    ),
+    Mutant(
+        "search-key-collides",
+        "src/afrob/robustness.py",
+        "1 << a * n + b",
+        "1 << a + b",
+        ("tests/test_robustness.py",),
+    ),
+    Mutant(
+        "cap-one-step-late",
+        "src/afrob/robustness.py",
+        "key.bit_count() >= max_steps",
+        "key.bit_count() > max_steps",
+        ("tests/test_robustness.py",),
     ),
     Mutant(
         "failure-keeps-stdout-buffer",

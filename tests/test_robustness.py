@@ -168,20 +168,32 @@ def _chain():
 
 
 def test_exhaustive_search_builds_each_state_once(monkeypatch, g3):
-    # a successor already in the memo is looked up, not derived again; cf
-    # is answered in closed form and derives no state at all
+    # a successor already in the memo is looked up, not derived again, and
+    # a child's rows are built only by _State.child (its targets and its
+    # attackers), never to key the memo; cf is answered in closed form and
+    # derives no state at all
     built = []
+    rows_built = []
     child = _State.child
+    with_attack = invariance._with_attack
 
     def counting_child(self, a, b):
         built.append((a, b))
         return child(self, a, b)
 
+    def counting_with_attack(rows, a, b):
+        rows_built.append((a, b))
+        return with_attack(rows, a, b)
+
     monkeypatch.setattr(_State, "child", counting_child)
+    monkeypatch.setattr(invariance, "_with_attack", counting_with_attack)
+    monkeypatch.setattr(robustness, "_with_attack", counting_with_attack, raising=False)
     for af in [_chain(), g3] + _random_frameworks(20, seed=29):
         built.clear()
+        rows_built.clear()
         result = robustness_degree(af, Semantics.ADMISSIBLE)
         assert len(built) == result.explored_states - 1, af
+        assert len(rows_built) == 2 * len(built), af
     built.clear()
     assert robustness_degree(g3, Semantics.CONFLICT_FREE).explored_states == 4
     assert built == []
@@ -208,8 +220,8 @@ def test_paranoid_search_passes_over_the_admissible_sets_once_per_state(monkeypa
 
 
 def test_exhaustive_search_builds_no_framework_through_init(monkeypatch, g3):
-    # every state after the root comes from add_attack, which shares the
-    # root's validated argument order instead of constructing a framework
+    # every state after the root comes from _State.child, which derives it
+    # from its parent's bit rows instead of constructing a framework
     constructed = []
     init = ArgumentationFramework.__init__
 

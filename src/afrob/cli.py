@@ -22,7 +22,7 @@ from .apx import parse_apx
 from .errors import AfrobError, ParseError, SizeLimit, UndeclaredArgument
 from .framework import ArgumentationFramework, _attacks_in, _bits
 from .invariance import _classify
-from .oracle import AuditReport, exhaustive_audit
+from .oracle import AuditReport, DiscrepancyReport, exhaustive_audit
 from .robustness import robustness_degree
 from .semantics import Semantics, _enumerate, extension_difference, extension_masks, labellings_for
 
@@ -89,6 +89,27 @@ class _Attacks(tuple):
     ``{"source", "target"}`` dicts, in one call."""
 
 
+class _Discrepancies(tuple):
+    """An audit's disagreements (:class:`~afrob.oracle.DiscrepancyReport`)
+    to print.  :func:`_json` writes them as the list of their dicts (the
+    relation, the added attack, both verdicts, the rules, and the lost and
+    gained sets), in one call."""
+
+
+def _relations(discrepancies: Sequence[DiscrepancyReport], write) -> list[str]:
+    """Per disagreement, ``write`` of its framework's attacks: decoded and
+    written once per framework, and shared by its disagreements."""
+    texts: dict[int, str] = {}
+    found = []
+    for d in discrepancies:
+        key = id(d.framework)
+        if key not in texts:
+            af = d.framework
+            texts[key] = write(_attacks_in(af.sorted_arguments, af.target_rows))
+        found.append(texts[key])
+    return found
+
+
 def _set_items(
     masks: Sequence[int],
     names: Sequence[str],
@@ -143,9 +164,11 @@ def _int_text(value: int) -> str:
 def _json(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for the values the
     CLI prints: dicts with str keys, lists, str, int, bool and None, a
-    :class:`_Family` as its list of name lists and an :class:`_Attacks` as
-    its list of dicts.  Any other type, an enum member included, raises
-    TypeError.  ``json.dumps`` runs its pure-Python encoder whenever it
+    :class:`_Family` as its list of name lists, an :class:`_Attacks` as
+    its list of dicts, and a :class:`_Discrepancies` as its list of
+    disagreement dicts, written from key texts fixed at its depth, with
+    each framework's attack list written once.  Any other type, an enum
+    member included, raises TypeError.  ``json.dumps`` runs its pure-Python encoder whenever it
     indents; this writer leaves only the string escapes (the C-accelerated
     ``ensure_ascii`` one) to ``json`` and writes a string member without a
     call of its own."""
@@ -190,6 +213,35 @@ def _json(value, indent: str = "\n") -> str:
         return "false"
     if kind is int:
         return _int_text(value)
+    if kind is _Discrepancies:
+        if not value:
+            return "[]"
+        deeper = inner + "  "
+        relations = _relations(value, lambda attacks: _json(_Attacks(attacks), deeper))
+        # every key text at this depth, once; %s takes the values' own texts
+        item = "".join([
+            "{", deeper, '"attacks": %s,', deeper, '"attack": {', deeper, '  "source": %s,',
+            deeper, '  "target": %s', deeper, '},', deeper, '"predicate_verdict": %s,',
+            deeper, '"oracle_invariant": %s,', deeper, '"rules": %s,', deeper, '"lost": %s,',
+            deeper, '"gained": %s', inner, "}",
+        ])
+        rules: dict[tuple, str] = {}  # a handful of distinct rule tuples
+        items = []
+        for d, relation in zip(value, relations):
+            names = d.framework.sorted_arguments
+            if d.rules not in rules:
+                rules[d.rules] = _json([rule.value for rule in d.rules], deeper)
+            items.append(item % (
+                relation,
+                _quote(d.attack.source),
+                _quote(d.attack.target),
+                _quote(d.predicate_verdict.value),
+                "true" if d.oracle_verdict else "false",
+                rules[d.rules],
+                _json(_Family(d.lost, names), deeper) if d.lost else "[]",
+                _json(_Family(d.gained, names), deeper) if d.gained else "[]",
+            ))
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
@@ -342,12 +394,6 @@ def _equivalent_text(result: dict) -> list[str]:
 
 
 def _audit_result(report: AuditReport) -> dict:
-    # the attack list of each framework with a disagreement, decoded once
-    # and shared by its disagreements
-    frameworks = {id(d.framework): d.framework for d in report.discrepancies}
-    relations = {
-        k: _Attacks(_attacks_in(f.sorted_arguments, f.target_rows)) for k, f in frameworks.items()
-    }
     return {
         "semantics": report.semantics.value,
         "arguments": report.argument_count,
@@ -357,18 +403,7 @@ def _audit_result(report: AuditReport) -> dict:
         "candidates_checked": report.candidates_checked,
         "disagreements": len(report.discrepancies),
         "by_rule": report.by_rule(),
-        "discrepancies": [
-            {
-                "attacks": relations[id(d.framework)],
-                "attack": {"source": d.attack.source, "target": d.attack.target},
-                "predicate_verdict": d.predicate_verdict.value,
-                "oracle_invariant": d.oracle_verdict,
-                "rules": [rule.value for rule in d.rules],
-                "lost": _Family(d.lost, d.framework.sorted_arguments),
-                "gained": _Family(d.gained, d.framework.sorted_arguments),
-            }
-            for d in report.discrepancies
-        ],
+        "discrepancies": _Discrepancies(report.discrepancies),
     }
 
 
@@ -383,14 +418,18 @@ def _audit_text(result: dict) -> list[str]:
         f"disagreements: {result['disagreements']}",
     ]
     lines += [f"by rule: {rule}={count}" for rule, count in result["by_rule"].items()]
-    for d in result["discrepancies"]:
-        relation = ",".join(f"({source},{target})" for source, target in d["attacks"])
-        attack = d["attack"]
+    discrepancies = result["discrepancies"]
+    relations = _relations(
+        discrepancies, lambda attacks: ",".join(f"({source},{target})" for source, target in attacks)
+    )
+    for d, relation in zip(discrepancies, relations):
+        names = d.framework.sorted_arguments
         lines.append(
-            f"disagreement: R={{{relation}}} add=({attack['source']},{attack['target']})"
-            f" predicate={d['predicate_verdict']}"
-            f" oracle={'invariant' if d['oracle_invariant'] else 'changed'}"
-            f" lost={_fmt_extensions(d['lost'])} gained={_fmt_extensions(d['gained'])}"
+            f"disagreement: R={{{relation}}} add=({d.attack.source},{d.attack.target})"
+            f" predicate={d.predicate_verdict.value}"
+            f" oracle={'invariant' if d.oracle_verdict else 'changed'}"
+            f" lost={_fmt_extensions(_Family(d.lost, names))}"
+            f" gained={_fmt_extensions(_Family(d.gained, names))}"
         )
     return lines
 

@@ -12,12 +12,15 @@ The delta is read from one state of the relation
 pass over the conflict-free sets finds, per set, the additions that lose
 or gain it (``_State.changed_rows``), and the same sets give one
 candidate's lost and gained extensions (``_State.changes``).
-``cross_validate`` compares the classifier against the delta and reads
-every disagreement's rules and changes (as masks) off that state on
-argument indices, recomputing nothing and decoding only the disagreeing
-attack into its names; ``exhaustive_audit`` sweeps entire framework
-populations and aggregates every divergence into a report instead of
-smoothing it over.
+One loop (``_disagreements``) compares the classifier against the delta
+and reads every disagreement's rules and changes (as masks) off that
+state on argument indices, recomputing nothing, and ``_reports`` decodes
+only the disagreeing attacks into their names.  ``cross_validate`` runs
+both on one framework.  ``exhaustive_audit`` sweeps entire relation
+populations: a sampled relation stays bit rows, its state built from its
+rows and their transpose, and becomes a framework only when it has a
+disagreement; every divergence is aggregated into a report instead of
+smoothed over.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import SizeLimit
-from .framework import ArgumentationFramework, Attack, _bits
+from .framework import ArgumentationFramework, Attack, _bits, _transpose
 from .invariance import Rule, Verdict, _cf_or_adm, _State, _verdict
 from .semantics import MAX_ENUMERATION_ARGUMENTS, Semantics
 
@@ -71,38 +74,54 @@ class AuditReport:
         return dict(sorted(counts.items()))
 
 
+def _disagreements(state: _State, semantics: Semantics) -> list[tuple]:
+    """The candidates of ``state``'s relation on which the rule scan and
+    Dung's delta disagree, in canonical order, each as the tuple (a, b,
+    the rules that fire on it, the delta's verdict, the extensions it
+    loses, those it gains): argument indices and masks, nothing decoded."""
+    invariant = state.invariant_rows(semantics)
+    changed = state.changed_rows(semantics)
+    full = (1 << len(state.targets)) - 1
+    found = []
+    for a, (rule_row, changed_row, present) in enumerate(zip(invariant, changed, state.targets)):
+        # the candidates the rules call invariant, XOR those that are
+        for b in _bits(rule_row ^ (full & ~(changed_row | present))):
+            rules = tuple(dict.fromkeys(rule for _, rule in state.witnesses(a, b, semantics)))
+            found.append((a, b, rules, not changed_row >> b & 1, *state.changes(a, b, semantics)))
+    return found
+
+
+def _reports(
+    af: ArgumentationFramework, semantics: Semantics, found: list[tuple]
+) -> list[DiscrepancyReport]:
+    """The disagreements ``found`` on ``af`` (:func:`_disagreements`) as
+    reports; only the disagreeing attacks are decoded, into their names."""
+    names = af.sorted_arguments
+    return [
+        DiscrepancyReport(
+            framework=af,
+            attack=Attack(names[a], names[b]),
+            semantics=semantics,
+            predicate_verdict=_verdict(rules),
+            oracle_verdict=invariant,
+            rules=rules,
+            lost=lost,
+            gained=gained,
+        )
+        for a, b, rules, invariant, lost, gained in found
+    ]
+
+
 def cross_validate(af: ArgumentationFramework, semantics: Semantics) -> list[DiscrepancyReport]:
     """Compare the classifier with the ground truth on every candidate
     attack; return all disagreements.  One state of the relation answers
     everything: the rule scan's rows and the ground truth's, Dung's delta,
     and for each disagreeing candidate the rules that fire on it and the
     extensions it loses and gains, as masks on argument indices.  Only the
-    disagreeing attack is decoded, into its names."""
+    disagreeing attack is decoded, into its names.  The audit reads its
+    disagreements through the same two steps."""
     semantics = _cf_or_adm(semantics)
-    state = _State(*af.bit_rows)
-    invariant = state.invariant_rows(semantics)
-    changed = state.changed_rows(semantics)
-    names = af.sorted_arguments
-    full = (1 << len(names)) - 1
-    found = []
-    for a, (rule_row, changed_row, present) in enumerate(zip(invariant, changed, af.target_rows)):
-        # the candidates the rules call invariant, XOR those that are
-        for b in _bits(rule_row ^ (full & ~(changed_row | present))):
-            rules = tuple(dict.fromkeys(rule for _, rule in state.witnesses(a, b, semantics)))
-            lost, gained = state.changes(a, b, semantics)
-            found.append(
-                DiscrepancyReport(
-                    framework=af,
-                    attack=Attack(names[a], names[b]),
-                    semantics=semantics,
-                    predicate_verdict=_verdict(rules),
-                    oracle_verdict=not changed_row >> b & 1,
-                    rules=rules,
-                    lost=lost,
-                    gained=gained,
-                )
-            )
-    return found
+    return _reports(af, semantics, _disagreements(_State(*af.bit_rows), semantics))
 
 
 def canonical_names(n: int) -> tuple[str, ...]:
@@ -120,6 +139,24 @@ def _placement(names: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[int, ...]
     return order, None if position == tuple(range(len(names))) else position
 
 
+def _placed_rows(names: tuple[str, ...], mask: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The canonical order of ``names`` and the target rows, in that order,
+    of the relation ``mask`` over ``names`` (as :func:`framework_from_mask`
+    reads it, unchecked)."""
+    n = len(names)
+    width = (1 << n) - 1
+    rows = [mask >> a * n & width for a in range(n)]
+    order, position = _placement(names)
+    if position is not None:
+        # canonical order is not name order (from a10 on, a10 sorts before
+        # a2), so every row and every bit moves to its name's position
+        placed = [0] * len(order)
+        for a, row in enumerate(rows):
+            placed[position[a]] |= sum(1 << position[b] for b in _bits(row))
+        rows = placed
+    return order, tuple(rows)
+
+
 def framework_from_mask(names: tuple[str, ...], mask: int) -> ArgumentationFramework:
     """Decode an attack relation from a bitmask over the n*n ordered pairs,
     row-major in the given name order: bit a*n + b is the attack
@@ -128,17 +165,7 @@ def framework_from_mask(names: tuple[str, ...], mask: int) -> ArgumentationFrame
     n = len(names)
     if not 0 <= mask < 1 << n * n:
         raise ValueError(f"mask {mask} is not a relation on {n} arguments")
-    width = (1 << n) - 1
-    rows = [mask >> a * n & width for a in range(n)]
-    order, position = _placement(tuple(names))
-    if position is not None:
-        # canonical order is not name order (from a10 on, a10 sorts before
-        # a2), so every row and every bit moves to its name's position
-        placed = [0] * len(order)
-        for a, row in enumerate(rows):
-            placed[position[a]] |= sum(1 << position[b] for b in _bits(row))
-        rows = placed
-    return ArgumentationFramework._from_rows(order, tuple(rows))
+    return ArgumentationFramework._from_rows(*_placed_rows(tuple(names), mask))
 
 
 def exhaustive_audit(
@@ -154,7 +181,11 @@ def exhaustive_audit(
     full; for larger n, ``samples`` relations are drawn uniformly (every
     pair independently with probability one half) from a generator seeded
     with ``seed``, so identical parameters always produce identical
-    reports.
+    reports.  Each relation is decoded to canonical target rows and
+    checked on a state of those rows, as :func:`cross_validate` checks a
+    framework; only a relation with a disagreement becomes the framework
+    its reports share, so a cf audit, whose rules and delta agree by
+    construction, builds none.
     """
     semantics = _cf_or_adm(semantics)
     if n < 0 or samples < 0:
@@ -176,7 +207,12 @@ def exhaustive_audit(
     for mask in masks:
         # the absent attacks: placing the names in canonical order only moves bits
         candidates += n * n - mask.bit_count()
-        discrepancies.extend(cross_validate(framework_from_mask(names, mask), semantics))
+        order, rows = _placed_rows(names, mask)
+        # a sample stays bit rows: only one with a disagreement is a framework
+        found = _disagreements(_State(rows, _transpose(rows)), semantics)
+        if found:
+            af = ArgumentationFramework._from_rows(order, rows)
+            discrepancies.extend(_reports(af, semantics, found))
     return AuditReport(
         semantics=semantics,
         argument_count=n,

@@ -277,9 +277,23 @@ MUTANTS = (
     Mutant(
         "audit-stores-lost-as-gained",
         "src/afrob/oracle.py",
-        "                    lost=lost,\n",
-        "                    lost=gained,\n",
+        "            lost=lost,\n",
+        "            lost=gained,\n",
         ("tests/test_oracle.py::test_audit_two_arguments_adm_characterisation",),
+    ),
+    Mutant(
+        "audit-skips-a-sample-with-one-disagreement",
+        "src/afrob/oracle.py",
+        "        if found:\n",
+        "        if found[1:]:\n",
+        ("tests/test_oracle.py::test_audit_two_arguments_adm_characterisation",),
+    ),
+    Mutant(
+        "audit-relation-text-shared-across-frameworks",
+        "src/afrob/cli.py",
+        "        key = id(d.framework)\n",
+        "        key = d.framework.sorted_arguments\n",
+        ("tests/test_cli.py::test_audit_decodes_each_framework_once",),
     ),
     Mutant(
         "apx-accepts-a-document-with-a-rejected-line",

@@ -8,7 +8,9 @@ public API: :func:`candidate_attacks`, :func:`emit_apx` and
 :func:`labelling_names`; :func:`sigma_equivalent`,
 :func:`oracle_invariant` and :func:`extension_changes`, which recompute
 both extension sets; and :func:`verify_witness` and
-:func:`greedy_robustness`, which replay a search one framework per step.
+:func:`greedy_robustness`, which replay a search one framework per step;
+and :func:`audit_result` and :func:`audit_lines`, the ``afrob audit``
+output as plain dicts and lists, the reference its writer is pinned to.
 """
 
 import re
@@ -371,6 +373,68 @@ def cf_robustness(args, attacks, max_steps=None):
 
     degree, witness = search(frozenset(attacks))
     return degree, witness, len(memo), truncated
+
+
+def audit_result(report):
+    """The ``afrob/1`` result of ``afrob audit`` for the ``AuditReport``
+    ``report``, as the dicts, lists, strings, ints, bools and None that
+    ``json.dumps`` writes: one dict per disagreement, holding its whole
+    relation in sorted order."""
+
+    def sets(af, masks):
+        names = af.sorted_arguments
+        return [[names[i] for i in range(len(names)) if m >> i & 1] for m in masks]
+
+    return {
+        "semantics": report.semantics.value,
+        "arguments": report.argument_count,
+        "exhaustive": report.exhaustive,
+        "seed": report.seed,
+        "frameworks_checked": report.frameworks_checked,
+        "candidates_checked": report.candidates_checked,
+        "disagreements": len(report.discrepancies),
+        "by_rule": report.by_rule(),
+        "discrepancies": [
+            {
+                "attacks": [{"source": s, "target": t} for s, t in sorted(d.framework.attacks)],
+                "attack": {"source": d.attack.source, "target": d.attack.target},
+                "predicate_verdict": d.predicate_verdict.value,
+                "oracle_invariant": d.oracle_verdict,
+                "rules": [rule.value for rule in d.rules],
+                "lost": sets(d.framework, d.lost),
+                "gained": sets(d.framework, d.gained),
+            }
+            for d in report.discrepancies
+        ],
+    }
+
+
+def audit_lines(result):
+    """The text lines of ``afrob audit``, rendered from :func:`audit_result`."""
+
+    def family(sets):
+        return ",".join("{" + ",".join(s) + "}" for s in sets) or "-"
+
+    mode = "exhaustive" if result["exhaustive"] else f"sampled (seed={result['seed']})"
+    lines = [
+        f"semantics: {result['semantics']}",
+        f"arguments: {result['arguments']}",
+        f"mode: {mode}",
+        f"frameworks: {result['frameworks_checked']}",
+        f"candidates: {result['candidates_checked']}",
+        f"disagreements: {result['disagreements']}",
+    ]
+    lines += [f"by rule: {rule}={count}" for rule, count in result["by_rule"].items()]
+    for d in result["discrepancies"]:
+        relation = ",".join(f"({a['source']},{a['target']})" for a in d["attacks"])
+        attack = d["attack"]
+        lines.append(
+            f"disagreement: R={{{relation}}} add=({attack['source']},{attack['target']})"
+            f" predicate={d['predicate_verdict']}"
+            f" oracle={'invariant' if d['oracle_invariant'] else 'changed'}"
+            f" lost={family(d['lost'])} gained={family(d['gained'])}"
+        )
+    return lines
 
 
 _SPACE = re.compile(r"\s*")

@@ -17,6 +17,8 @@ from afrob.cli import (
     _COMMANDS,
     _Attacks,
     _Family,
+    _audit_result,
+    _audit_text,
     _json,
     _parser,
     _read_argv,
@@ -27,7 +29,7 @@ from afrob.cli import (
 from afrob.framework import Attack
 from afrob.oracle import canonical_names, framework_from_mask
 from conftest import clear_caches, mutual_pairs
-from oracles import emit_apx, extension_changes, extension_sort_key
+from oracles import audit_lines, audit_result, emit_apx, extension_changes, extension_sort_key
 
 G3_APX = "arg(1).\narg(2).\narg(3).\narg(4).\natt(1,2).\natt(2,3).\n"
 
@@ -363,9 +365,9 @@ def test_audit(capsys):
 
 
 def test_audit_decodes_each_framework_once(capsys, monkeypatch):
-    # the disagreements of one framework share its attack list, in JSON and
-    # in text (which is rendered from the JSON result), and each still
-    # prints the whole relation in canonical order
+    # the disagreements of one framework share its attack list, decoded
+    # once for JSON and once for text (both written from the one typed
+    # leaf), and each still prints the whole relation in canonical order
     report = exhaustive_audit(3, Semantics.ADMISSIBLE)
     relations = [sorted(d.framework.attacks) for d in report.discrepancies]
     distinct = {id(d.framework) for d in report.discrepancies}
@@ -391,6 +393,29 @@ def test_audit_decodes_each_framework_once(capsys, monkeypatch):
         "disagreement: R={" + ",".join(f"({s},{t})" for s, t in relation) + "}"
         for relation in relations
     ]
+
+
+@pytest.mark.parametrize("semantics", ["cf", "adm"])
+@pytest.mark.parametrize(
+    "options",
+    [("--args", "2"), ("--args", "3"), ("--args", "4", "--seed", "7", "--samples", "300")],
+    ids=["n2", "n3", "n4-seeded"],
+)
+def test_audit_prints_the_reference_result(capsys, semantics, options):
+    # the disagreements' typed leaf writes json.dumps of the plain dict form,
+    # byte for byte, and the text renders the reference's lines
+    n = int(options[1])
+    seed, samples = (7, 300) if "--seed" in options else (0, 1000)
+    report = exhaustive_audit(n, semantics, seed=seed, samples=samples)
+    reference = audit_result(report)
+    payload = {"schema": "afrob/1", "command": "audit", "result": reference}
+    code, out, err = run(capsys, "audit", *options, "--semantics", semantics, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(payload, indent=2) + "\n"
+    assert _audit_text(_audit_result(report)) == audit_lines(reference)
+    code, out, err = run(capsys, "audit", *options, "--semantics", semantics)
+    assert (code, err) == (0, "")
+    assert out == "\n".join(audit_lines(reference)) + "\n"
 
 
 def test_audit_text_reports_disagreements(capsys):

@@ -168,7 +168,7 @@ def test_oracle_invariant_enumerates_the_framework_once(monkeypatch):
 def test_sampled_audit_memory_does_not_grow_with_the_sample_count(monkeypatch):
     # each sample is drawn as it is checked; the stub leaves only the audit's
     # own bookkeeping, which drawing every mask first grows to megabytes
-    monkeypatch.setattr(afrob.oracle, "cross_validate", lambda af, semantics: [])
+    monkeypatch.setattr(afrob.oracle, "_disagreements", lambda state, semantics: [])
     tracemalloc.start()
     try:
         report = exhaustive_audit(4, "cf", samples=100_000)
@@ -177,6 +177,40 @@ def test_sampled_audit_memory_does_not_grow_with_the_sample_count(monkeypatch):
         tracemalloc.stop()
     assert report.frameworks_checked == 100_000
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("semantics", ["cf", "adm"])
+def test_audit_builds_a_framework_only_for_a_sample_that_disagrees(monkeypatch, semantics):
+    # a sample stays bit rows until it disagrees: a cf audit, whose rules and
+    # delta read one closed form, builds no framework, and an adm audit one
+    # per framework its report holds
+    built = []
+    from_rows = ArgumentationFramework._from_rows
+
+    def counted(order, rows):
+        built.append(rows)
+        return from_rows(order, rows)
+
+    monkeypatch.setattr(ArgumentationFramework, "_from_rows", staticmethod(counted))
+    report = exhaustive_audit(4, semantics, seed=11, samples=200)
+    assert len(built) == len({id(d.framework) for d in report.discrepancies})
+    assert (len(built) > 0) == (semantics == "adm")
+
+
+@pytest.mark.parametrize("semantics", [Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE])
+def test_audit_reports_what_cross_validate_reports_per_relation(semantics):
+    # the audit and cross_validate read disagreements through one loop: over
+    # every relation on up to three arguments, the audit's reports are those
+    # of cross_validate on each relation's framework, in mask order
+    for n in range(4):
+        names = canonical_names(n)
+        expected = [
+            report
+            for mask in range(1 << n * n)
+            for report in cross_validate(framework_from_mask(names, mask), semantics)
+        ]
+        found = exhaustive_audit(n, semantics).discrepancies
+        assert [vars(d) for d in found] == [vars(d) for d in expected]
 
 
 def test_audit_checks_the_enumeration_limit_first():

@@ -11,11 +11,11 @@ Exit status: 0 success, 1 usage error, 2 parse error, 3 size limit.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 from .apx import parse_apx
@@ -38,11 +38,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit code 1 instead of argparse's 2
-        raise _UsageError(message)
-
-
 def _count(text: str, least: int = 0, kind: str = "non-negative") -> int:
     # ASCII digits only (str.isdecimal accepts every Unicode decimal digit),
     # and no more than int reads (sys.get_int_max_str_digits())
@@ -51,7 +46,9 @@ def _count(text: str, least: int = 0, kind: str = "non-negative") -> int:
             return int(text)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+    from argparse import ArgumentTypeError  # argparse loads only to refuse
+
+    raise ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
 
 
 def _positive(text: str) -> int:
@@ -347,14 +344,7 @@ def _cmd_robustness(args) -> dict:
     found = robustness_degree(
         af, args.semantics, strategy=args.strategy, max_steps=args.max_steps, paranoid=args.paranoid
     )
-    return {
-        "semantics": args.semantics,
-        "degree": found.degree,
-        "witness": _Attacks(found.witness),
-        "explored_states": found.explored_states,
-        "strategy": found.strategy,
-        "truncated": found.truncated,
-    }
+    return {"semantics": args.semantics, **found._asdict(), "witness": _Attacks(found.witness)}
 
 
 def _robustness_text(result: dict) -> list[str]:
@@ -496,7 +486,7 @@ _COMMANDS = {
 }
 
 
-def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     """``parse_args``'s namespace for a well-formed argv: a command name, then
     exact option strings of that command, each but a flag with one value that
     starts with no ``-`` (``-`` aside) and passes its type and choices, every
@@ -519,7 +509,7 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
             return None
         try:
             value = kind(value)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+        except Exception:  # argparse reads the argv again and says why
             return None
         if choices is not None and value not in choices:
             return None
@@ -528,13 +518,20 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
         if required and dest not in values:
             return None
         values.setdefault(dest, default)
-    return argparse.Namespace(**values, command=argv[0])
+    return SimpleNamespace(**values, command=argv[0])
 
 
 @cache
-def _parser() -> _Parser:
+def _parser():
     """The one argparse parser, a subparser per command (whose name is the
-    ``command`` it sets), built from ``_COMMANDS`` on first use and shared."""
+    ``command`` it sets), built from ``_COMMANDS`` on first use and shared;
+    argparse is imported only then."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # exit code 1 instead of argparse's 2
+            raise _UsageError(message)
+
     parser = _Parser(prog="afrob", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, _, _, options) in _COMMANDS.items():

@@ -13,7 +13,6 @@ dictionary keys.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -76,13 +75,12 @@ def _transpose(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed_rows)
 
 
-@dataclass(frozen=True, init=False)
 class ArgumentationFramework:
     """A finite argument set with a binary attack relation over it.
 
     Equality compares the argument set and the attack set; the order in
     which arguments and attacks were inserted is irrelevant.  Self-attacks
-    are allowed.
+    are allowed.  Instances are immutable and hashable.
     """
 
     sorted_arguments: tuple[str, ...]
@@ -112,6 +110,25 @@ class ArgumentationFramework:
         object.__setattr__(af, "sorted_arguments", order)
         object.__setattr__(af, "target_rows", rows)
         return af
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = (other.sorted_arguments, other.target_rows)
+        return (self.sorted_arguments, self.target_rows) == key
+
+    def __hash__(self):
+        return hash((self.sorted_arguments, self.target_rows))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = f"sorted_arguments={self.sorted_arguments!r}, target_rows={self.target_rows!r}"
+        return f"{type(self).__qualname__}({fields})"
 
     @cached_property
     def arguments(self) -> frozenset[str]:

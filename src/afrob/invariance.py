@@ -19,7 +19,6 @@ rules against the delta and reports every divergence instead of hiding it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterable, NamedTuple
 
@@ -60,8 +59,7 @@ class Witness(NamedTuple):
     rule: Rule
 
 
-@dataclass(frozen=True)
-class AttackClassification:
+class AttackClassification(NamedTuple):
     attack: Attack
     semantics: Semantics
     verdict: Verdict

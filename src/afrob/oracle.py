@@ -26,8 +26,8 @@ smoothed over.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import SizeLimit
 from .framework import ArgumentationFramework, Attack, _bits, _transpose
@@ -38,8 +38,7 @@ from .semantics import MAX_ENUMERATION_ARGUMENTS, Semantics
 NO_RULE_FIRED = "no-rule-fired"
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     """A single disagreement between the classifier and the ground truth;
     ``lost`` and ``gained`` are masks over the framework's argument order."""
 
@@ -53,8 +52,7 @@ class DiscrepancyReport:
     gained: tuple[int, ...]
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     """Aggregate outcome of a cross-validation sweep."""
 
     semantics: Semantics

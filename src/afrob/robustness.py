@@ -25,7 +25,7 @@ returned witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SizeLimit
 from .framework import ArgumentationFramework, Attack, _bits
@@ -60,8 +60,7 @@ def _subsets_up_to(k: int, d: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class RobustnessResult:
+class RobustnessResult(NamedTuple):
     degree: int
     witness: tuple[Attack, ...]
     explored_states: int
@@ -150,12 +149,7 @@ def robustness_degree(
                 break
         return record(key, best)
 
-    degree, witness = search(_enumerate(af).state, 0)
-    return RobustnessResult(
-        degree=degree,
-        witness=tuple(Attack(order[a], order[b]) for a, b in witness),
-        explored_states=len(memo),
-        strategy=strategy,
-        truncated=truncated,
-    )
+    degree, steps = search(_enumerate(af).state, 0)
+    witness = tuple(Attack(order[a], order[b]) for a, b in steps)
+    return RobustnessResult(degree, witness, len(memo), strategy, truncated)
 

@@ -36,7 +36,6 @@ and the rest undec, so labellings are built from these families too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -66,7 +65,6 @@ class Semantics(str, Enum):
     SEMI_STABLE = "sst"
 
 
-@dataclass(frozen=True)
 class _Enumeration:
     """The extension families of ``af``, one field per :class:`Semantics`
     value, and ``state``, the invariance state of its relation, each built
@@ -74,7 +72,8 @@ class _Enumeration:
     framework's gives ``cf`` and ``adm``, the core's (:attr:`_core`) the
     other four."""
 
-    af: ArgumentationFramework
+    def __init__(self, af: ArgumentationFramework):
+        self.af = af
 
     @cached_property
     def state(self) -> "_State":

@@ -510,6 +510,31 @@ MUTANTS = (
         "    if True:\n",
         ("tests/test_cli.py::test_g3_reports_match_the_pinned_output",),
     ),
+    Mutant(
+        "framework-assignment-stored",
+        "src/afrob/framework.py",
+        '        raise AttributeError(f"cannot assign to field {name!r}")\n',
+        "        object.__setattr__(self, name, value)\n",
+        ("tests/test_framework.py::test_a_framework_refuses_assignment_and_deletion",),
+    ),
+    Mutant(
+        "argparse-imported-with-the-cli",
+        "src/afrob/cli.py",
+        "import os\nimport sys\n",
+        "import argparse\nimport os\nimport sys\n",
+        (
+            "tests/test_cli.py::"
+            "test_a_fresh_process_imports_argparse_only_for_what_the_table_declines",
+        ),
+    ),
+    Mutant(
+        # ArgumentTypeError, a count's refusal, then escapes run_cli
+        "option-table-declines-only-a-value-error",
+        "src/afrob/cli.py",
+        "        except Exception:  # argparse reads the argv again and says why\n",
+        "        except ValueError:\n",
+        ("tests/test_cli.py::test_negative_counts_are_usage_errors",),
+    ),
 )
 
 

@@ -886,6 +886,42 @@ def test_import_leaves_multiprocessing_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=_child_env()).returncode == 0
 
 
+# run_cli on argv[1:] (no call without one); the last stdout line is the
+# status and what the process added of three modules no command needs
+_FOOTPRINT = """\
+import sys
+before = set(sys.modules)
+import afrob.cli
+status = afrob.cli.run_cli(sys.argv[1:]) if sys.argv[1:] else None
+print(status, *sorted({"dataclasses", "inspect", "argparse"} & set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, last_line",
+    [
+        ([], "None"),
+        (["check-attack", "--from", "1", "--to", "3", "--semantics", "adm"], "0"),
+        (["audit", "--args", "2", "--semantics", "adm", "--samples", "5", "--jobs", "1"], "0"),
+        (["audit", "--args", "-1", "--semantics", "adm"], "1 argparse"),
+        (["check-attack", "--from", "1", "--semantics", "adm"], "1 argparse"),
+    ],
+    ids=["import", "check-attack", "audit", "bad-count", "missing-option"],
+)
+def test_a_fresh_process_imports_argparse_only_for_what_the_table_declines(
+    g3_file, argv, last_line
+):
+    # -S: no site hook loads a module before the snapshot; dataclasses and
+    # inspect are never loaded, argparse only for a usage error
+    if argv[:1] == ["check-attack"]:
+        argv = argv + ["--input", g3_file]
+    found = subprocess.run(
+        [sys.executable, "-S", "-c", _FOOTPRINT, *argv],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert found.stdout.splitlines()[-1] == last_line, found.stderr
+
+
 def test_the_package_exports_exactly_its_public_names():
     # the library holds only what the commands use, plus the deliberate
     # name-returning entries; the tests' references live in tests/oracles.py

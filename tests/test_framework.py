@@ -36,6 +36,28 @@ def test_value_equality_distinguishes_attack_sets():
     assert one != two
 
 
+@pytest.mark.parametrize("name", ["sorted_arguments", "target_rows", "added"])
+def test_a_framework_refuses_assignment_and_deletion(name):
+    af = ArgumentationFramework(["a", "b"], [("a", "b")])
+    with pytest.raises(AttributeError):
+        setattr(af, name, ())
+    with pytest.raises(AttributeError):
+        delattr(af, name)
+    assert af == ArgumentationFramework(["a", "b"], [("a", "b")]) and not hasattr(af, "added")
+
+
+def test_a_framework_is_a_value_but_not_a_tuple():
+    af = ArgumentationFramework(["b", "a"], [("b", "a"), ("b", "b")])
+    assert repr(af) == "ArgumentationFramework(sorted_arguments=('a', 'b'), target_rows=(0, 3))"
+    pair = (af.sorted_arguments, af.target_rows)
+    assert af != pair and pair != af
+    # a framework built by adding attacks equals, and hashes as, the one
+    # constructed whole, so either finds the other's dictionary entry
+    built = ArgumentationFramework(["a", "b"]).add_attack("b", "b").add_attack("b", "a")
+    assert built == af and hash(built) == hash(af)
+    assert {af: 1}[built] == 1
+
+
 def test_add_attack_unions(mutual):
     base = ArgumentationFramework(["a", "b"], [("a", "b")])
     assert base.add_attack("b", "a") == mutual

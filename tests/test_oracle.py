@@ -210,7 +210,7 @@ def test_audit_reports_what_cross_validate_reports_per_relation(semantics):
             for report in cross_validate(framework_from_mask(names, mask), semantics)
         ]
         found = exhaustive_audit(n, semantics).discrepancies
-        assert [vars(d) for d in found] == [vars(d) for d in expected]
+        assert [d._asdict() for d in found] == [d._asdict() for d in expected]
 
 
 def test_audit_checks_the_enumeration_limit_first():

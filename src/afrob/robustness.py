@@ -4,14 +4,15 @@ The robustness degree of a framework is the longest sequence of
 single-attack additions, each classified invariant for the framework it is
 applied to, after which no further invariant addition exists.  For cf it
 has a closed form (:func:`robustness_degree`); for adm one depth-first
-search with memoization serves both strategies, keyed by the attacks added
-since the root: they fix the reached relation, and with it all further
-search whatever order added them, and their count is a state's depth.  The
-exhaustive strategy follows every candidate of a state; the greedy
-strategy follows only the first in canonical order, so its memo is its
-path and it gives a cheap lower bound.  Under a depth cap a state at the
-cap can only set the truncated flag, so once one has a candidate every
-further state at the cap is recorded without being built or classified.
+loop serves both strategies, keeping only the keys of the states it has
+seen and the path it is on.  A state's key is the attacks added since the
+root: they fix its relation, and so all search below it, and their count
+is its depth, so the degree is the depth of the deepest state reached.  A
+state is first reached by its least path in canonical order, so the
+witness, the first path to that depth, is the least longest chain.  Greedy
+follows only a state's first step, a cheap lower bound.  Under a depth cap
+a state at the cap can only set the truncated flag, so once one has a
+candidate every further state there is counted unbuilt and unclassified.
 
 A search state differs from its parent by one attack, so it derives its
 conflict-free sets and reach tables from the parent's instead of
@@ -25,7 +26,9 @@ returned witness.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import operator
+from itertools import islice
+from typing import Iterator, NamedTuple
 
 from .errors import SizeLimit
 from .framework import ArgumentationFramework, Attack, _bits
@@ -34,18 +37,11 @@ from .semantics import Semantics, _enumerate
 
 # An adm search exploring more states than this raises SizeLimit.  The cap
 # bounds states, not time, as a state's cost grows with its admissible
-# sets.  On five arguments a search explores 22,000-34,000 states per
-# second (2 vCPUs, Python 3.11), so it stops after about 6 s at a peak RSS
-# of 91 MB; on six 22,000-30,000, on nine 3,100-21,000.  On 6 mutual pairs
-# plus 2 self-attackers (14 arguments, up to 729 admissible sets a state)
-# it explores 550-690 per second over its first 2,000-40,000 states and
-# stops only after 252 s (794 per second overall) at 75 MB.  These rates
-# are for classified states; a state at the depth cap recorded after the
-# search is known to be truncated costs only its memo entry.
+# sets (2 vCPUs, Python 3.11): one on six arguments stops after 2.5-2.8 s,
+# one on 6 mutual pairs plus 2 self-attackers (14 arguments, up to 729
+# admissible sets a state) after 192 s.  The search keeps one int per state
+# it has reached, so both peak at 31-38 MB of RSS.
 MAX_SEARCH_STATES = 200_000
-
-# a search's degree and witness, as argument indices
-_Best = tuple[int, tuple[tuple[int, int], ...]]
 
 
 def _subsets_up_to(k: int, d: int) -> int:
@@ -82,7 +78,7 @@ def robustness_degree(
     order.  ``max_steps`` caps the search depth; a result cut short by the
     cap is flagged ``truncated`` and is then only a lower bound.  States at
     the cap are classified only until one has a candidate; later ones are
-    recorded unclassified, and ``explored_states`` counts both.  With
+    reached unclassified, and ``explored_states`` counts both.  With
     ``paranoid`` a step is accepted only if it also leaves the extension
     family unchanged by Dung's delta, so steps the rule scan wrongly admits
     are skipped; the delta is read off the state, so no child is built only
@@ -97,8 +93,11 @@ def robustness_degree(
     exhaustive, d + 1 for greedy.
     """
     semantics = _cf_or_adm(semantics)
-    if max_steps is not None and max_steps < 0:
-        raise ValueError(f"max_steps must be non-negative, not {max_steps}")
+    if max_steps is not None:
+        # a float or a str is refused here, not compared at every state
+        max_steps = operator.index(max_steps)
+        if max_steps < 0:
+            raise ValueError(f"max_steps must be non-negative, not {max_steps}")
     if strategy not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown strategy: {strategy!r}")
     order = af.sorted_arguments
@@ -110,46 +109,50 @@ def robustness_degree(
         return RobustnessResult(d, tuple(candidates[:d]), explored, strategy, d < k)
     # a state's key is the absent attacks added since the root, bit a*n + b
     # for (a, b): they fix its relation, and their count is its depth
-    memo: dict[int, _Best] = {}
+    seen = {0}
     truncated = False
     n = len(order)
 
-    def record(key: int, best: _Best) -> _Best:
-        memo[key] = best
-        if len(memo) > MAX_SEARCH_STATES:
-            raise SizeLimit(f"robustness search exceeds {MAX_SEARCH_STATES} states")
-        return best
-
-    def search(state: _State, key: int) -> _Best:
+    def steps(state: _State, depth: int) -> Iterator[tuple[int, int]]:
+        """``state``'s steps in canonical order: none at the cap, one for greedy."""
         nonlocal truncated
-        best: _Best = (0, ())
         rows = state.invariant_rows(semantics)
         if paranoid:
             # rules ∩ delta: the steps that also leave the family unchanged
             rows = [row & ~changed for row, changed in zip(rows, state.changed_rows(semantics))]
-        if max_steps is not None and key.bit_count() >= max_steps:
+        if depth == max_steps:
             truncated = truncated or any(rows)
-            return record(key, best)
-        children_capped = max_steps is not None and key.bit_count() + 1 >= max_steps
-        for a, b in ((a, b) for a, row in enumerate(rows) for b in _bits(row)):
-            # a state is never its own descendant, so a memoised successor
-            # needs no state and no search
+            return iter(())
+        found = ((a, b) for a, row in enumerate(rows) for b in _bits(row))
+        return islice(found, 1) if strategy == "greedy" else found
+
+    # one frame per state on the current path: the state, its key, its
+    # pending steps, and the steps to it as nested (path, step) pairs
+    root = _enumerate(af).state
+    path = [(root, 0, steps(root, 0), ())]
+    degree, deepest = 0, ()
+    while path:
+        state, key, pending, to = path[-1]
+        for a, b in pending:
             child = key | 1 << a * n + b
-            found = memo.get(child)
-            if found is None:
-                # a state at the cap can only set the flag; once it is set,
-                # the state is recorded unbuilt and unclassified
-                if truncated and children_capped:
-                    found = record(child, (0, ()))
-                else:
-                    found = search(state.child(a, b), child)
-            if 1 + found[0] > best[0]:
-                best = (1 + found[0], ((a, b),) + found[1])
-            if strategy == "greedy":
-                break
-        return record(key, best)
-
-    degree, steps = search(_enumerate(af).state, 0)
-    witness = tuple(Attack(order[a], order[b]) for a, b in steps)
-    return RobustnessResult(degree, witness, len(memo), strategy, truncated)
-
+            if child in seen:
+                continue
+            seen.add(child)
+            if len(seen) > MAX_SEARCH_STATES:
+                raise SizeLimit(f"robustness search exceeds {MAX_SEARCH_STATES} states")
+            depth, reached = len(path), (to, (a, b))
+            if depth > degree:
+                degree, deepest = depth, reached
+            # once the flag is set, a state at the cap can add nothing
+            if truncated and depth == max_steps:
+                continue
+            grown = state.child(a, b)
+            path.append((grown, child, steps(grown, depth), reached))
+            break
+        else:
+            path.pop()
+    witness = []
+    while deepest:
+        deepest, (a, b) = deepest
+        witness.append(Attack(order[a], order[b]))
+    return RobustnessResult(degree, tuple(reversed(witness)), len(seen), strategy, truncated)

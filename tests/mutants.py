@@ -165,8 +165,8 @@ MUTANTS = (
     Mutant(
         "greedy-follows-every-candidate",
         "src/afrob/robustness.py",
-        '            if strategy == "greedy":\n                break\n',
-        "",
+        'return islice(found, 1) if strategy == "greedy" else found',
+        "return found",
         ("tests/test_robustness.py",),
     ),
     Mutant(
@@ -390,8 +390,8 @@ MUTANTS = (
     Mutant(
         "capped-state-unclassified-before-truncated",
         "src/afrob/robustness.py",
-        "                if truncated and children_capped:\n",
-        "                if children_capped:\n",
+        "            if truncated and depth == max_steps:\n",
+        "            if depth == max_steps:\n",
         (
             "tests/test_robustness.py::test_capped_search_stops_classifying_at_the_cap_once_truncated",
             "tests/test_robustness.py::test_seeded_searches_match_the_recorded_goldens",
@@ -400,8 +400,8 @@ MUTANTS = (
     Mutant(
         "capped-state-unclassified-one-level-early",
         "src/afrob/robustness.py",
-        "key.bit_count() + 1 >= max_steps",
-        "key.bit_count() + 2 >= max_steps",
+        "truncated and depth == max_steps",
+        "truncated and depth + 1 == max_steps",
         (
             "tests/test_robustness.py::test_capped_search_stops_classifying_at_the_cap_once_truncated",
             "tests/test_robustness.py::test_seeded_searches_match_the_recorded_goldens",
@@ -417,9 +417,23 @@ MUTANTS = (
     Mutant(
         "cap-one-step-late",
         "src/afrob/robustness.py",
-        "key.bit_count() >= max_steps",
-        "key.bit_count() > max_steps",
+        "if depth == max_steps:",
+        "if depth - 1 == max_steps:",
         ("tests/test_robustness.py",),
+    ),
+    Mutant(
+        "witness-is-the-last-deepest-path",
+        "src/afrob/robustness.py",
+        "if depth > degree:",
+        "if depth >= degree:",
+        ("tests/test_robustness.py::test_seeded_searches_match_the_recorded_goldens",),
+    ),
+    Mutant(
+        "search-follows-a-reached-state-again",
+        "src/afrob/robustness.py",
+        "            if child in seen:\n                continue\n",
+        "",
+        ("tests/test_robustness.py::test_exhaustive_search_builds_each_state_once",),
     ),
     Mutant(
         "failure-keeps-stdout-buffer",
@@ -499,8 +513,8 @@ MUTANTS = (
     Mutant(
         "robustness-builds-its-own-root-state",
         "src/afrob/robustness.py",
-        "search(_enumerate(af).state, 0)",
-        "search(_State(*af.bit_rows), 0)",
+        "root = _enumerate(af).state",
+        "root = _State(*af.bit_rows)",
         ("tests/test_cli.py::test_the_three_questions_about_one_framework_share_one_record",),
     ),
     Mutant(

@@ -21,6 +21,7 @@ from afrob import (
 )
 from afrob.framework import Attack
 from afrob.oracle import canonical_names, framework_from_mask
+import afrob.semantics
 from afrob import invariance, robustness
 from afrob.robustness import _State
 from afrob.semantics import _enumerate
@@ -61,6 +62,18 @@ def test_max_steps_flags_a_lower_bound(g3):
     uncapped = robustness_degree(g3, Semantics.CONFLICT_FREE, max_steps=5)
     assert uncapped.degree == 2
     assert not uncapped.truncated
+
+
+@pytest.mark.parametrize("semantics", [Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE])
+def test_max_steps_is_an_integer(g3, semantics):
+    # the cap is compared exactly with a state's depth, so a float cap
+    # would never bind; True is the integer 1, and the degree an int
+    for refused in (2.5, "2"):
+        with pytest.raises(TypeError):
+            robustness_degree(g3, semantics, max_steps=refused)
+    result = robustness_degree(g3, semantics, max_steps=True)
+    assert result == robustness_degree(g3, semantics, max_steps=1)
+    assert type(result.degree) is int
 
 
 def test_verify_witness_examples(g3):
@@ -160,6 +173,33 @@ def test_greedy_is_the_greedy_loop_on_every_three_argument_framework():
                         af, semantics, strategy="greedy", max_steps=max_steps, paranoid=paranoid
                     )
                     assert found == expected, (mask, semantics, paranoid, max_steps)
+
+
+def _self_attackers(count):
+    names = [f"s{i:02d}" for i in range(1, count + 1)]
+    return names, ArgumentationFramework(names, [(x, x) for x in names])
+
+
+@pytest.mark.parametrize("paranoid", [False, True])
+def test_greedy_adm_search_adds_every_absent_attack_among_self_attackers(paranoid):
+    # every absent attack among self-attackers is invariant, so the greedy
+    # path is all n(n - 1) of them in canonical order: 380 steps on 20
+    names, af = _self_attackers(20)
+    result = robustness_degree(af, Semantics.ADMISSIBLE, strategy="greedy", paranoid=paranoid)
+    steps = tuple(Attack(x, y) for x in names for y in names if x != y)
+    assert result == RobustnessResult(380, steps, 381, "greedy", False)
+    assert result.witness[:2] == (Attack("s01", "s02"), Attack("s01", "s03"))
+    assert result.witness[-1] == Attack("s20", "s19")
+
+
+def test_a_search_path_deeper_than_the_recursion_limit(monkeypatch):
+    # 40 self-attackers, past the enumeration limit, make a greedy path of
+    # 1,560 steps: the search holds its path in a list, not in call frames
+    monkeypatch.setattr(afrob.semantics, "MAX_ENUMERATION_ARGUMENTS", 40)
+    _, af = _self_attackers(40)
+    result = robustness_degree(af, Semantics.ADMISSIBLE, strategy="greedy")
+    assert (result.degree, result.explored_states, result.truncated) == (1560, 1561, False)
+    assert result.witness[-1] == Attack("s40", "s39")
 
 
 def _chain():

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Collection, Iterable, NamedTuple
 
 from .errors import UnsupportedSemantics
-from .framework import ArgumentationFramework, Attack, _attacks_in, _bits, _transpose, _with_attack
+from .framework import ArgumentationFramework, Attack, _attacks_in, _bits, _with_attack
 from .semantics import Semantics, _admissible, _conflict_free, _enumerate, _Enumeration
 
 
@@ -80,16 +80,20 @@ def _having(rows: tuple[int, ...], among: int, hits: int) -> int:
     return sum(1 << i for i in _bits(among) if rows[i] & hits)
 
 
-def _self_defense_row(odd: tuple[int, ...], reverse_odd: tuple[int, ...], a: int) -> int:
+def _self_defense_row(odd: tuple[int, ...], a: int) -> int:
     """The targets b that meet the walk conditions of NI-out-self-defense
     for source a: an odd walk leads from b to a, and no c other than b has
     an odd walk to a without a matching odd walk from a back to c.  ``odd``
-    and ``reverse_odd`` are the odd reach tables of the relation and of its
-    reverse (:attr:`_State.reach`)."""
-    blocking = reverse_odd[a] & ~odd[a]
+    is the relation's odd reach table (:attr:`_State.reach`), whose column
+    a holds the arguments with an odd walk to a."""
+    bit, into = 1 << a, 0
+    for c, row in enumerate(odd):
+        if row & bit:
+            into |= 1 << c
+    blocking = into & ~odd[a]
     if blocking & (blocking - 1):
         return 0  # two blockers: every b leaves one that is not b
-    return blocking or reverse_odd[a]
+    return blocking or into
 
 
 def _defending_undec(targets: tuple[int, ...], attackers: tuple[int, ...], undec: int) -> int:
@@ -103,7 +107,7 @@ def _defending_undec(targets: tuple[int, ...], attackers: tuple[int, ...], undec
 
 
 def _rule_rows(
-    state: "_State", s: int, out: int, threat: int, a: int
+    state: "_State", s: int, out: int, threat: int, a: int, defense: int
 ) -> tuple[tuple[Rule, int], ...]:
     """The rules that can fire on the labelling of the admissible set ``s``
     of ``state``'s relation for source a, each with its row: the targets b
@@ -123,8 +127,8 @@ def _rule_rows(
       every attacker is out and the row is ``threat``.
     * NI-in-undec-defends-undec: a is in, b is undec, and b attacks some
       non-self-attacking undec argument.
-    * NI-out-self-defense: a is out and b meets the walk conditions of
-      :func:`_self_defense_row`.
+    * NI-out-self-defense: a is out and b is in ``defense``, the walk
+      conditions of :func:`_self_defense_row` for a, alike for every set.
 
     The ND rules are exact: an admissible S is lost exactly when b is in S
     and S does not attack a, that is when a is in S (ND-in-in) or undec
@@ -146,10 +150,9 @@ def _rule_rows(
             (Rule.NI_IN_UNDEC_DEFENDS_UNDEC, _defending_undec(targets, attackers, undec)),
         )
     if out >> a & 1:
-        odd, _, reverse_odd, _ = state.reach
         return (
             (Rule.ND_OUT_IN_UNDEFENDED, s & ~_having(attackers, s, out) & ~attackers[a]),
-            (Rule.NI_OUT_SELF_DEFENSE, _self_defense_row(odd, reverse_odd, a)),
+            (Rule.NI_OUT_SELF_DEFENSE, defense),
         )
     return ((Rule.ND_UNDEC_IN, s),)
 
@@ -232,7 +235,8 @@ class _State:
 
     * ``targets`` and ``attackers``: the relation's bit rows.
     * ``reach``: the odd and even reach tables of the relation
-      (:func:`_odd_closure`), then those of its reverse (their transposes).
+      (:func:`_odd_closure`); NI-out-self-defense reads the walks into its
+      source off the odd one (:func:`_self_defense_row`).
     * ``cf``: per conflict-free set, in canonical (size, then names) order
       as enumerated, the set, its targets and its attackers, as
       :func:`~afrob.semantics._conflict_free` returns them.
@@ -260,8 +264,8 @@ class _State:
         """The state with the attack (a, b) added, handed ``cf`` and ``reach``
         derived from this state's: the sets holding a and b are lost, a kept
         set holding a now also attacks b and one holding b is now also
-        attacked by a, in the same order; both reach pairs follow
-        :func:`_reach_with`, the reverse with the attack reversed."""
+        attacked by a, in the same order; the reach pair follows
+        :func:`_reach_with`."""
         child = _State(_with_attack(self.targets, a, b), _with_attack(self.attackers, b, a))
         bit_a, bit_b = 1 << a, 1 << b
         both = bit_a | bit_b
@@ -270,19 +274,13 @@ class _State:
             for m, h, t in self.cf
             if m & both != both
         ]
-        odd, even, reverse_odd, reverse_even = self.reach
-        child._reach = (
-            *_reach_with(odd, even, a, b),
-            *_reach_with(reverse_odd, reverse_even, b, a),
-        )
+        child._reach = _reach_with(*self.reach, a, b)
         return child
 
     @property
-    def reach(self) -> tuple[tuple[int, ...], ...]:
+    def reach(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if self._reach is None:
-            # a walk of the reverse relation is a walk of this one, backwards
-            odd, even = _odd_closure(self.targets)
-            self._reach = (odd, even, _transpose(odd), _transpose(even))
+            self._reach = _odd_closure(self.targets)
         return self._reach
 
     @property
@@ -336,9 +334,9 @@ class _State:
         # existing attacks are no candidates
         fired = [t | lost | gained for t, lost, gained in zip(targets, loss, gains)]
         if outs:
-            odd, _, reverse_odd, _ = self.reach
+            odd = self.reach[0]
             for a in _bits(outs):
-                fired[a] |= _self_defense_row(odd, reverse_odd, a)
+                fired[a] |= _self_defense_row(odd, a)
         full = (1 << len(targets)) - 1
         return [full & ~row for row in fired]
 
@@ -353,10 +351,12 @@ class _State:
         extension order, every ND match before every NI match."""
         if semantics == Semantics.CONFLICT_FREE:
             return [] if self.kept[a] >> b & 1 else [(1 << a | 1 << b, Rule.CF_NEVER_IN)]
-        losses, gains = [], []
+        losses, gains, defense = [], [], None
         for s, out, threat in self.adm:
             if family is None or s in family:
-                for rule, row in _rule_rows(self, s, out, threat, a):
+                if defense is None and out >> a & 1:
+                    defense = _self_defense_row(self.reach[0], a)  # alike for every set
+                for rule, row in _rule_rows(self, s, out, threat, a, defense):
                     if row >> b & 1:
                         (losses if rule in _DELETION_RULES else gains).append((s, rule))
         return losses + gains

@@ -25,6 +25,7 @@ smoothed over.
 
 from __future__ import annotations
 
+import operator
 import random
 from functools import lru_cache
 from typing import NamedTuple
@@ -185,6 +186,8 @@ def exhaustive_audit(
     its reports share, so a cf audit, whose rules and delta agree by
     construction, builds none.
     """
+    # an unseeded generator or a float count is refused here, before any work
+    n, samples, seed = operator.index(n), operator.index(samples), operator.index(seed)
     semantics = _cf_or_adm(semantics)
     if n < 0 or samples < 0:
         raise ValueError(f"negative argument or sample count: n={n}, samples={samples}")

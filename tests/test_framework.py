@@ -4,7 +4,7 @@ from hypothesis import given
 import oracles
 from afrob import ArgumentationFramework, Attack, Semantics, UnknownArgument, extension_masks
 from afrob.framework import _bits
-from afrob.invariance import _State
+from afrob.invariance import _self_defense_row, _State
 from afrob.semantics import _enumerate
 from conftest import frameworks
 
@@ -141,14 +141,24 @@ def test_add_attack_is_monotone(af):
 
 
 def _all_pairs_agree_with_enumeration(af):
+    # the odd reach table, and NI-out-self-defense's walk conditions read
+    # off its columns: the b with an odd walk to a such that every other c
+    # with an odd walk to a has an odd walk back from a
     attacks = {(a.source, a.target) for a in af.attacks}
     bound = 2 * len(af.arguments)
-    reaches, _, reached_from, _ = _State(*af.bit_rows).reach
-    for i, source in enumerate(af.sorted_arguments):
-        for j, target in enumerate(af.sorted_arguments):
-            expected = oracles.odd_walk(attacks, source, target, bound)
-            assert (reaches[i] >> j & 1 == 1) == expected
-            assert (reached_from[j] >> i & 1 == 1) == expected
+    reaches = _State(*af.bit_rows).reach[0]
+    n = len(af.arguments)
+    walk = [
+        [oracles.odd_walk(attacks, source, target, bound) for target in af.sorted_arguments]
+        for source in af.sorted_arguments
+    ]
+    for i in range(n):
+        for j in range(n):
+            assert (reaches[i] >> j & 1 == 1) == walk[i][j]
+    for a in range(n):
+        into = [c for c in range(n) if walk[c][a]]
+        expected = sum(1 << b for b in into if all(walk[a][c] for c in into if c != b))
+        assert _self_defense_row(reaches, a) == expected, (af, a)
 
 
 def test_odd_walk_matches_enumeration_exhaustively():

@@ -315,6 +315,22 @@ def test_audit_is_deterministic_for_a_seed():
     assert one.frameworks_checked == 30
 
 
+@pytest.mark.parametrize(
+    "parameter, field",
+    [("n", "argument_count"), ("samples", "frameworks_checked"), ("seed", "seed")],
+)
+def test_audit_counts_and_seed_are_integers(parameter, field):
+    # an unseeded audit would not be reproducible from its report, and a
+    # float count would be shifted; True is the integer 1
+    given = {"n": 4, "semantics": Semantics.ADMISSIBLE, "samples": 3, "seed": 0}
+    for refused in (None, 2.5, "4"):
+        with pytest.raises(TypeError):
+            exhaustive_audit(**{**given, parameter: refused})
+    report = exhaustive_audit(**{**given, parameter: True})
+    assert report == exhaustive_audit(**{**given, parameter: 1})
+    assert type(getattr(report, field)) is int
+
+
 def test_framework_from_mask_round_trip():
     names = canonical_names(3)
     af = framework_from_mask(names, 0b101)

@@ -210,12 +210,14 @@ def _chain():
 def test_exhaustive_search_builds_each_state_once(monkeypatch, g3):
     # a successor already in the memo is looked up, not derived again, and
     # a child's rows are built only by _State.child (its targets and its
-    # attackers), never to key the memo; cf is answered in closed form and
-    # derives no state at all
+    # attackers), never to key the memo, and its reach pair by one update;
+    # cf is answered in closed form and derives no state at all
     built = []
     rows_built = []
+    reach_built = []
     child = _State.child
     with_attack = invariance._with_attack
+    reach_with = invariance._reach_with
 
     def counting_child(self, a, b):
         built.append((a, b))
@@ -225,15 +227,22 @@ def test_exhaustive_search_builds_each_state_once(monkeypatch, g3):
         rows_built.append((a, b))
         return with_attack(rows, a, b)
 
+    def counting_reach_with(odd, even, a, b):
+        reach_built.append((a, b))
+        return reach_with(odd, even, a, b)
+
     monkeypatch.setattr(_State, "child", counting_child)
     monkeypatch.setattr(invariance, "_with_attack", counting_with_attack)
     monkeypatch.setattr(robustness, "_with_attack", counting_with_attack, raising=False)
+    monkeypatch.setattr(invariance, "_reach_with", counting_reach_with)
     for af in [_chain(), g3] + _random_frameworks(20, seed=29):
         built.clear()
         rows_built.clear()
+        reach_built.clear()
         result = robustness_degree(af, Semantics.ADMISSIBLE)
         assert len(built) == result.explored_states - 1, af
         assert len(rows_built) == 2 * len(built), af
+        assert reach_built == built, af
     built.clear()
     assert robustness_degree(g3, Semantics.CONFLICT_FREE).explored_states == 4
     assert built == []

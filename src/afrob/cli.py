@@ -21,8 +21,8 @@ from typing import NamedTuple, Sequence
 from .apx import parse_apx
 from .errors import AfrobError, ParseError, SizeLimit, UndeclaredArgument
 from .framework import ArgumentationFramework, _attacks_in, _bits
-from .invariance import _classify
-from .oracle import AuditReport, DiscrepancyReport, exhaustive_audit
+from .invariance import _classify, _verdict
+from .oracle import AuditReport, _Discrepancies, exhaustive_audit
 from .robustness import robustness_degree
 from .semantics import Semantics, _enumerate, extension_difference, extension_masks, labellings_for
 
@@ -86,25 +86,33 @@ class _Attacks(tuple):
     ``{"source", "target"}`` dicts, in one call."""
 
 
-class _Discrepancies(tuple):
-    """An audit's disagreements (:class:`~afrob.oracle.DiscrepancyReport`)
-    to print.  :func:`_json` writes them as the list of their dicts (the
-    relation, the added attack, both verdicts, the rules, and the lost and
-    gained sets), in one call."""
+def _relation_text(
+    pairs: Sequence[str], rows: tuple[int, ...], start: str, sep: str, end: str, empty: str
+) -> str:
+    """The relation with target rows ``rows``, written as ``start``, the
+    texts ``pairs[a * n + b]`` of its attacks (a, b) in canonical order
+    joined by ``sep``, and ``end``; a relation with no attack as ``empty``."""
+    n = len(rows)
+    texts = [pairs[a * n + b] for a, row in enumerate(rows) for b in _bits(row)]
+    return start + sep.join(texts) + end if texts else empty
 
 
-def _relations(discrepancies: Sequence[DiscrepancyReport], write) -> list[str]:
-    """Per disagreement, ``write`` of its framework's attacks: decoded and
-    written once per framework, and shared by its disagreements."""
-    texts: dict[int, str] = {}
-    found = []
-    for d in discrepancies:
-        key = id(d.framework)
-        if key not in texts:
-            af = d.framework
-            texts[key] = write(_attacks_in(af.sorted_arguments, af.target_rows))
-        found.append(texts[key])
-    return found
+def _each_disagreement(discrepancies: _Discrepancies, quote, pair, *relation: str):
+    """Per disagreement of an audit, in order, from the index tuples it
+    keeps: the names of its argument order, each through ``quote``, its
+    relation's :func:`_relation_text` (with the ``relation`` parts and
+    ``pair(source, target)`` of the quoted names per attack), and the
+    disagreement's (a, b, rules, invariant, lost, gained).  The names and
+    attack texts are built once per argument order, and each relation's
+    text once, for all its disagreements."""
+    order = None
+    for names, rows, found in discrepancies.relations:
+        if names is not order:
+            order, quoted = names, [quote(name) for name in names]
+            pairs = [pair(source, target) for source in quoted for target in quoted]
+        text = _relation_text(pairs, rows, *relation)
+        for disagreement in found:
+            yield quoted, text, disagreement
 
 
 def _set_items(
@@ -122,7 +130,12 @@ def _set_items(
     puts every set after its prefix, the set minus its highest member, so a
     set whose prefix is in the family opens with the prefix's open text (all
     but ``end``) plus ``sep`` and one name, in one concatenation; ``end``
-    and ``between`` are added in one join."""
+    and ``between`` are added in one join.  A family of at most two sets
+    is written set by set."""
+    if len(masks) <= 2:
+        return between.join([
+            start + sep.join([names[i] for i in _bits(m)]) + end if m else empty for m in masks
+        ])
     opens: dict[int, str] = {}
     tails = [sep + name for name in names]
     for m in masks:
@@ -140,6 +153,22 @@ def _set_items(
     if opens:
         items.append((end + between).join(opens.values()) + end)
     return between.join(items)
+
+
+def _family_json(masks: Sequence[int], names: Sequence[str], indent: str) -> str:
+    """The JSON list of the sets of ``masks``, a nonempty family, at
+    ``indent``: each set the list of its members' texts in ``names``."""
+    inner = indent + "  "
+    deeper = inner + "  "
+    sets = _set_items(masks, names, "[" + deeper, "," + deeper, inner + "]", "[]", "," + inner)
+    return "[" + inner + sets + indent + "]"
+
+
+def _attack_parts(indent: str) -> tuple[str, str, str]:
+    """The texts around the source's and the target's JSON in an attack's
+    ``{"source", "target"}`` dict at ``indent``."""
+    deeper = indent + "  "
+    return "{" + deeper + '"source": ', "," + deeper + '"target": ', indent + "}"
 
 
 def _fmt_extensions(family: _Family) -> str:
@@ -162,10 +191,11 @@ def _json(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for the values the
     CLI prints: dicts with str keys, lists, str, int, bool and None, a
     :class:`_Family` as its list of name lists, an :class:`_Attacks` as
-    its list of dicts, and a :class:`_Discrepancies` as its list of
-    disagreement dicts, written from key texts fixed at its depth, with
-    each framework's attack list written once.  Any other type, an enum
-    member included, raises TypeError.  ``json.dumps`` runs its pure-Python encoder whenever it
+    its list of dicts, and an audit's :class:`~afrob.oracle._Discrepancies`
+    as its list of disagreement dicts, written from key texts fixed at its
+    depth and from the index tuples it keeps (:func:`_each_disagreement`),
+    decoding none.  Any other type, an enum member included, raises
+    TypeError.  ``json.dumps`` runs its pure-Python encoder whenever it
     indents; this writer leaves only the string escapes (the C-accelerated
     ``ensure_ascii`` one) to ``json`` and writes a string member without a
     call of its own."""
@@ -189,17 +219,11 @@ def _json(value, indent: str = "\n") -> str:
     if kind is _Family:
         if not value.masks:
             return "[]"
-        deeper = inner + "  "
-        names = [_quote(name) for name in value.names]
-        sets = _set_items(
-            value.masks, names, "[" + deeper, "," + deeper, inner + "]", "[]", "," + inner
-        )
-        return "[" + inner + sets + indent + "]"
+        return _family_json(value.masks, [_quote(name) for name in value.names], indent)
     if kind is _Attacks:
         if not value:
             return "[]"
-        deeper = inner + "  "
-        head, middle, tail = "{" + deeper + '"source": ', "," + deeper + '"target": ', inner + "}"
+        head, middle, tail = _attack_parts(inner)
         items = [head + _quote(source) + middle + _quote(target) + tail for source, target in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if value is None:
@@ -214,7 +238,8 @@ def _json(value, indent: str = "\n") -> str:
         if not value:
             return "[]"
         deeper = inner + "  "
-        relations = _relations(value, lambda attacks: _json(_Attacks(attacks), deeper))
+        nested = deeper + "  "
+        head, middle, tail = _attack_parts(nested)
         # every key text at this depth, once; %s takes the values' own texts
         item = "".join([
             "{", deeper, '"attacks": %s,', deeper, '"attack": {', deeper, '  "source": %s,',
@@ -222,21 +247,28 @@ def _json(value, indent: str = "\n") -> str:
             deeper, '"oracle_invariant": %s,', deeper, '"rules": %s,', deeper, '"lost": %s,',
             deeper, '"gained": %s', inner, "}",
         ])
-        rules: dict[tuple, str] = {}  # a handful of distinct rule tuples
+        verdicts: dict[tuple, tuple[str, str]] = {}  # a handful of distinct rule tuples
         items = []
-        for d, relation in zip(value, relations):
-            names = d.framework.sorted_arguments
-            if d.rules not in rules:
-                rules[d.rules] = _json([rule.value for rule in d.rules], deeper)
+        for names, relation, (a, b, rules, invariant, lost, gained) in _each_disagreement(
+            value,
+            _quote,
+            lambda source, target: head + source + middle + target + tail,
+            "[" + nested, "," + nested, deeper + "]", "[]",
+        ):
+            if rules not in verdicts:
+                verdicts[rules] = (
+                    _json([rule.value for rule in rules], deeper), _quote(_verdict(rules).value)
+                )
+            rule_text, verdict = verdicts[rules]
             items.append(item % (
                 relation,
-                _quote(d.attack.source),
-                _quote(d.attack.target),
-                _quote(d.predicate_verdict.value),
-                "true" if d.oracle_verdict else "false",
-                rules[d.rules],
-                _json(_Family(d.lost, names), deeper) if d.lost else "[]",
-                _json(_Family(d.gained, names), deeper) if d.gained else "[]",
+                names[a],
+                names[b],
+                verdict,
+                "true" if invariant else "false",
+                rule_text,
+                _family_json(lost, names, deeper) if lost else "[]",
+                _family_json(gained, names, deeper) if gained else "[]",
             ))
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
@@ -393,7 +425,7 @@ def _audit_result(report: AuditReport) -> dict:
         "candidates_checked": report.candidates_checked,
         "disagreements": len(report.discrepancies),
         "by_rule": report.by_rule(),
-        "discrepancies": _Discrepancies(report.discrepancies),
+        "discrepancies": report.discrepancies,
     }
 
 
@@ -408,18 +440,18 @@ def _audit_text(result: dict) -> list[str]:
         f"disagreements: {result['disagreements']}",
     ]
     lines += [f"by rule: {rule}={count}" for rule, count in result["by_rule"].items()]
-    discrepancies = result["discrepancies"]
-    relations = _relations(
-        discrepancies, lambda attacks: ",".join(f"({source},{target})" for source, target in attacks)
-    )
-    for d, relation in zip(discrepancies, relations):
-        names = d.framework.sorted_arguments
+    verdicts: dict[tuple, str] = {}
+    for names, relation, (a, b, rules, invariant, lost, gained) in _each_disagreement(
+        result["discrepancies"], str, "({},{})".format, "", ",", "", ""
+    ):
+        if rules not in verdicts:
+            verdicts[rules] = _verdict(rules).value
         lines.append(
-            f"disagreement: R={{{relation}}} add=({d.attack.source},{d.attack.target})"
-            f" predicate={d.predicate_verdict.value}"
-            f" oracle={'invariant' if d.oracle_verdict else 'changed'}"
-            f" lost={_fmt_extensions(_Family(d.lost, names))}"
-            f" gained={_fmt_extensions(_Family(d.gained, names))}"
+            f"disagreement: R={{{relation}}} add=({names[a]},{names[b]})"
+            f" predicate={verdicts[rules]}"
+            f" oracle={'invariant' if invariant else 'changed'}"
+            f" lost={_fmt_extensions(_Family(lost, names))}"
+            f" gained={_fmt_extensions(_Family(gained, names))}"
         )
     return lines
 

@@ -75,11 +75,6 @@ def _cf_or_adm(semantics: Semantics) -> Semantics:
     return semantics
 
 
-def _having(rows: tuple[int, ...], among: int, hits: int) -> int:
-    """The arguments i in ``among`` whose ``rows[i]`` meets ``hits``."""
-    return sum(1 << i for i in _bits(among) if rows[i] & hits)
-
-
 def _self_defense_row(odd: tuple[int, ...], a: int) -> int:
     """The targets b that meet the walk conditions of NI-out-self-defense
     for source a: an odd walk leads from b to a, and no c other than b has
@@ -104,57 +99,6 @@ def _defending_undec(targets: tuple[int, ...], attackers: tuple[int, ...], undec
         if not targets[c] >> c & 1:
             row |= attackers[c]
     return row & undec
-
-
-def _rule_rows(
-    state: "_State", s: int, out: int, threat: int, a: int, defense: int
-) -> tuple[tuple[Rule, int], ...]:
-    """The rules that can fire on the labelling of the admissible set ``s``
-    of ``state``'s relation for source a, each with its row: the targets b
-    it fires on.
-
-    ``out`` and ``threat`` are the targets and the attackers of ``s``.
-    With IN = s, OUT = out and UNDEC the rest, for attack (a, b):
-
-    * ND-in-in: a and b are both in.
-    * ND-out-in-undefended: a is out, b is in, b does not already attack a,
-      and no out-argument attacks b.
-    * ND-undec-in: a is undec and b is in.
-    * NI-in-in-defends: a and b are in and some out-argument c is attacked
-      by b but not by a.
-    * NI-in-out-reinstates: a is in, b is out, and b attacks some
-      in-argument.  An admissible set attacks each of its attackers, so
-      every attacker is out and the row is ``threat``.
-    * NI-in-undec-defends-undec: a is in, b is undec, and b attacks some
-      non-self-attacking undec argument.
-    * NI-out-self-defense: a is out and b is in ``defense``, the walk
-      conditions of :func:`_self_defense_row` for a, alike for every set.
-
-    The ND rules are exact: an admissible S is lost exactly when b is in S
-    and S does not attack a, that is when a is in S (ND-in-in) or undec
-    (ND-undec-in), and ND-out-in-undefended fires only for an unattacked b,
-    whose {b} is lost; so their rows over all admissible sets make up the
-    loss of :attr:`_State.adm_rows`.  The NI rules are not exact: a gain can
-    occur with no rule firing, and a rule can fire when nothing is gained.
-    :mod:`afrob.oracle` audits them against Dung's delta.  a's label selects
-    the rules, so at most one ND and one NI rule fire per labelling and
-    candidate.
-    """
-    targets, attackers = state.targets, state.attackers
-    if s >> a & 1:
-        undec = ((1 << len(targets)) - 1) & ~(s | out)
-        return (
-            (Rule.ND_IN_IN, s),
-            (Rule.NI_IN_IN_DEFENDS, _having(targets, s, out & ~targets[a])),
-            (Rule.NI_IN_OUT_REINSTATES, threat),
-            (Rule.NI_IN_UNDEC_DEFENDS_UNDEC, _defending_undec(targets, attackers, undec)),
-        )
-    if out >> a & 1:
-        return (
-            (Rule.ND_OUT_IN_UNDEFENDED, s & ~_having(attackers, s, out) & ~attackers[a]),
-            (Rule.NI_OUT_SELF_DEFENSE, defense),
-        )
-    return ((Rule.ND_UNDEC_IN, s),)
 
 
 def _conflict_kept(targets: tuple[int, ...], attackers: tuple[int, ...]) -> list[int]:
@@ -345,20 +289,60 @@ class _State:
     ) -> list[tuple[int, Rule]]:
         """The (in-set, rule) pairs that classify adding the absent attack
         (a, b).  For cf the one lost set {a, b}, unless
-        :func:`_conflict_kept` keeps it.  For adm the rules of
-        :func:`_rule_rows` over the labellings of the admissible sets, or of
-        those in ``family`` only (the preferred sets, say), in canonical
-        extension order, every ND match before every NI match."""
+        :func:`_conflict_kept` keeps it.  For adm the rules that fire on the
+        labellings of the admissible sets, or of those in ``family`` only
+        (the preferred sets, say), in canonical extension order, every ND
+        match before every NI match.
+
+        With IN = S, OUT = S's targets and UNDEC the rest, a's label selects
+        the rules, so at most one ND and one NI rule fire per labelling, and
+        each is a test of b against S's tables:
+
+        * a in: ND-in-in if b is in; then NI-in-in-defends if b attacks an
+          out-argument that a does not attack.  NI-in-out-reinstates if b
+          attacks S (an admissible S attacks each of its attackers, so b is
+          out).  NI-in-undec-defends-undec if b is undec and attacks an
+          undec argument that does not attack itself.
+        * a out: ND-out-in-undefended if b is in, does not attack a, and no
+          out-argument attacks b.  NI-out-self-defense if b meets the walk
+          conditions of :func:`_self_defense_row` for a, alike for every S.
+        * a undec: ND-undec-in if b is in.
+
+        The ND rules are exact: an admissible S is lost exactly when b is in S
+        and S does not attack a, that is when a is in S (ND-in-in) or undec
+        (ND-undec-in), and ND-out-in-undefended fires only for an unattacked b,
+        whose {b} is lost; so their rows over all admissible sets make up the
+        loss of :attr:`adm_rows`.  The NI rules are not exact: a gain can
+        occur with no rule firing, and a rule can fire when nothing is gained.
+        :mod:`afrob.oracle` audits them against Dung's delta."""
         if semantics == Semantics.CONFLICT_FREE:
             return [] if self.kept[a] >> b & 1 else [(1 << a | 1 << b, Rule.CF_NEVER_IN)]
+        targets, bit = self.targets, 1 << b
+        hits, hit_by, attacks_a = targets[b], self.attackers[b], targets[b] >> a & 1
+        spares = hits & ~targets[a]  # b's targets that a does not attack
+        unlooped = sum(1 << c for c in _bits(hits) if not targets[c] >> c & 1)
         losses, gains, defense = [], [], None
         for s, out, threat in self.adm:
-            if family is None or s in family:
-                if defense is None and out >> a & 1:
+            if family is not None and s not in family:
+                continue
+            if s >> a & 1:
+                if s & bit:
+                    losses.append((s, Rule.ND_IN_IN))
+                    if spares & out:
+                        gains.append((s, Rule.NI_IN_IN_DEFENDS))
+                elif threat & bit:
+                    gains.append((s, Rule.NI_IN_OUT_REINSTATES))
+                elif unlooped & ~(s | out) and not out & bit:
+                    gains.append((s, Rule.NI_IN_UNDEC_DEFENDS_UNDEC))
+            elif out >> a & 1:
+                if s & bit and not (hit_by & out or attacks_a):
+                    losses.append((s, Rule.ND_OUT_IN_UNDEFENDED))
+                if defense is None:
                     defense = _self_defense_row(self.reach[0], a)  # alike for every set
-                for rule, row in _rule_rows(self, s, out, threat, a, defense):
-                    if row >> b & 1:
-                        (losses if rule in _DELETION_RULES else gains).append((s, rule))
+                if defense & bit:
+                    gains.append((s, Rule.NI_OUT_SELF_DEFENSE))
+            elif s & bit:
+                losses.append((s, Rule.ND_UNDEC_IN))
         return losses + gains
 
     def changed_rows(self, semantics: Semantics) -> list[int]:
@@ -406,10 +390,10 @@ class _State:
         bit_a, bit_b = 1 << a, 1 << b
         if semantics == Semantics.CONFLICT_FREE:
             both = bit_a | bit_b
-            return tuple(s for s, _, _ in self.cf if s & both == both), ()
-        lost = tuple(s for s, attacked, _ in self.adm if s & bit_b and not attacked & bit_a)
-        gained = tuple(s for s, hit, threat in self.cf if s & bit_a and threat & ~hit == bit_b)
-        return lost, gained
+            return tuple([s for s, _, _ in self.cf if s & both == both]), ()
+        lost = [s for s, attacked, _ in self.adm if s & bit_b and not attacked & bit_a]
+        gained = [s for s, hit, threat in self.cf if s & bit_a and threat & ~hit == bit_b]
+        return tuple(lost), tuple(gained)
 
 
 def _verdict(rules: Iterable[Rule]) -> Verdict:
@@ -463,7 +447,7 @@ def classify_attack(
     conflict-free), so the verdict is ``breaks_non_decreasing``, witnessed
     by the lost pair {a, b}.
 
-    For adm the rules of :func:`_rule_rows` are scanned over the labellings
+    For adm the rules of :meth:`_State.witnesses` are scanned over the labellings
     of the admissible sets, or of the preferred ones only under
     ``preferred_only``, in canonical extension order; the witnesses list
     every ND match, then every NI match.  cf has no labellings to restrict,

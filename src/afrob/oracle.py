@@ -18,15 +18,19 @@ state on argument indices, recomputing nothing, and ``_reports`` decodes
 only the disagreeing attacks into their names.  ``cross_validate`` runs
 both on one framework.  ``exhaustive_audit`` sweeps entire relation
 populations: a sampled relation stays bit rows, its state built from its
-rows and their transpose, and becomes a framework only when it has a
-disagreement; every divergence is aggregated into a report instead of
-smoothed over.
+rows and their transpose, and a relation with a disagreement keeps its
+rows and disagreements as they were found, becoming a framework and
+reports only when its report's ``discrepancies`` are read
+(:class:`_Discrepancies`); every divergence is aggregated into a report
+instead of smoothed over.
 """
 
 from __future__ import annotations
 
 import operator
 import random
+from collections import Counter
+from collections.abc import Sequence
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -53,8 +57,61 @@ class DiscrepancyReport(NamedTuple):
     gained: tuple[int, ...]
 
 
+class _Discrepancies(Sequence):
+    """An audit's disagreements, read-only.  They are kept as the audit
+    found them: per disagreeing relation, its canonical order, its target
+    rows and its :func:`_disagreements` (argument indices and masks).  The
+    first read of an item decodes them all into reports, one framework per
+    relation, and keeps them.  The sequence equals, hashes and prints as
+    the tuple of its reports, and slices into it; its length and
+    :meth:`rules` read the index tuples, and ``afrob audit`` writes from
+    them, decoding nothing."""
+
+    __slots__ = ("semantics", "relations", "_count", "_reports")
+
+    def __init__(self, semantics: Semantics, relations: Sequence[tuple]):
+        self.semantics = semantics
+        self.relations = tuple(relations)
+        self._count = sum(len(found) for _, _, found in self.relations)
+        self._reports: tuple[DiscrepancyReport, ...] | None = None
+
+    def _decoded(self) -> tuple[DiscrepancyReport, ...]:
+        if self._reports is None:
+            self._reports = tuple([
+                report
+                for order, rows, found in self.relations
+                for report in _reports(
+                    ArgumentationFramework._from_rows(order, rows), self.semantics, found
+                )
+            ])
+        return self._reports
+
+    def rules(self):
+        """Each disagreement's rules, in order, read off the index tuples."""
+        return (rules for _, _, found in self.relations for _, _, rules, *_ in found)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._decoded()[index]
+
+    def __eq__(self, other):
+        if isinstance(other, _Discrepancies):
+            other = other._decoded()
+        return self._decoded() == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._decoded())
+
+    def __repr__(self) -> str:
+        return repr(self._decoded())
+
+
 class AuditReport(NamedTuple):
-    """Aggregate outcome of a cross-validation sweep."""
+    """Aggregate outcome of a cross-validation sweep.  An audit's
+    ``discrepancies`` are a read-only sequence (:class:`_Discrepancies`)
+    equal to the tuple of its reports."""
 
     semantics: Semantics
     argument_count: int
@@ -62,14 +119,19 @@ class AuditReport(NamedTuple):
     seed: int | None
     frameworks_checked: int
     candidates_checked: int
-    discrepancies: tuple[DiscrepancyReport, ...]
+    discrepancies: Sequence[DiscrepancyReport]
 
     def by_rule(self) -> dict[str, int]:
+        """Per rule, the disagreements it fires on; those where none fires
+        under ``no-rule-fired``.  Counted once per distinct rule tuple."""
+        found = self.discrepancies
+        tally = Counter(
+            found.rules() if isinstance(found, _Discrepancies) else [d.rules for d in found]
+        )
         counts: dict[str, int] = {}
-        for report in self.discrepancies:
-            keys = [rule.value for rule in report.rules] or [NO_RULE_FIRED]
-            for key in sorted(set(keys)):
-                counts[key] = counts.get(key, 0) + 1
+        for rules, count in tally.items():
+            for key in {rule.value for rule in rules} or {NO_RULE_FIRED}:
+                counts[key] = counts.get(key, 0) + count
         return dict(sorted(counts.items()))
 
 
@@ -182,9 +244,10 @@ def exhaustive_audit(
     with ``seed``, so identical parameters always produce identical
     reports.  Each relation is decoded to canonical target rows and
     checked on a state of those rows, as :func:`cross_validate` checks a
-    framework; only a relation with a disagreement becomes the framework
-    its reports share, so a cf audit, whose rules and delta agree by
-    construction, builds none.
+    framework.  A relation with a disagreement is kept as its rows and its
+    disagreements' index tuples, and becomes the framework its reports
+    share only when the ``discrepancies`` are read, so counting them, or
+    :meth:`AuditReport.by_rule`, builds no framework.
     """
     # an unseeded generator or a float count is refused here, before any work
     n, samples, seed = operator.index(n), operator.index(samples), operator.index(seed)
@@ -204,16 +267,15 @@ def exhaustive_audit(
     masks = population if exhaustive else (rng.getrandbits(n * n) for _ in population)
     names = canonical_names(n)
     candidates = 0
-    discrepancies: list[DiscrepancyReport] = []
+    relations = []
     for mask in masks:
         # the absent attacks: placing the names in canonical order only moves bits
         candidates += n * n - mask.bit_count()
         order, rows = _placed_rows(names, mask)
-        # a sample stays bit rows: only one with a disagreement is a framework
+        # a sample stays bit rows, and its disagreements index tuples, until read
         found = _disagreements(_State(rows, _transpose(rows)), semantics)
         if found:
-            af = ArgumentationFramework._from_rows(order, rows)
-            discrepancies.extend(_reports(af, semantics, found))
+            relations.append((order, rows, found))
     return AuditReport(
         semantics=semantics,
         argument_count=n,
@@ -221,5 +283,5 @@ def exhaustive_audit(
         seed=None if exhaustive else seed,
         frameworks_checked=len(population),
         candidates_checked=candidates,
-        discrepancies=tuple(discrepancies),
+        discrepancies=_Discrepancies(semantics, relations),
     )

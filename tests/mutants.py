@@ -197,8 +197,8 @@ MUTANTS = (
     Mutant(
         "nd-out-in-undefended-where-b-attacks-a",
         "src/afrob/invariance.py",
-        "s & ~_having(attackers, s, out) & ~attackers[a])",
-        "s & ~_having(attackers, s, out))",
+        "if s & bit and not (hit_by & out or attacks_a):",
+        "if s & bit and not hit_by & out:",
         ("tests/test_invariance.py",),
     ),
     Mutant(
@@ -228,6 +228,13 @@ MUTANTS = (
         "        if not targets[c] >> c & 1:\n            row |= attackers[c]\n",
         "        row |= attackers[c]\n",
         ("tests/test_invariance.py",),
+    ),
+    Mutant(
+        "witness-undec-defends-undec-counts-self-attackers",
+        "src/afrob/invariance.py",
+        "unlooped = sum(1 << c for c in _bits(hits) if not targets[c] >> c & 1)",
+        "unlooped = hits",
+        ("tests/test_invariance.py::test_rule_scan_matches_the_name_level_reference",),
     ),
     Mutant(
         "labellings-unsorted",
@@ -286,10 +293,24 @@ MUTANTS = (
         ("tests/test_oracle.py::test_audit_two_arguments_adm_characterisation",),
     ),
     Mutant(
+        "audit-length-counts-relations",
+        "src/afrob/oracle.py",
+        "self._count = sum(len(found) for _, _, found in self.relations)",
+        "self._count = len(self.relations)",
+        ("tests/test_oracle.py::test_audit_three_arguments_ledger",),
+    ),
+    Mutant(
+        "by-rule-adds-one-per-rule-tuple",
+        "src/afrob/oracle.py",
+        "counts[key] = counts.get(key, 0) + count",
+        "counts[key] = counts.get(key, 0) + 1",
+        ("tests/test_oracle.py::test_audit_two_arguments_adm_characterisation",),
+    ),
+    Mutant(
         "audit-relation-text-shared-across-frameworks",
         "src/afrob/cli.py",
-        "        key = id(d.framework)\n",
-        "        key = d.framework.sorted_arguments\n",
+        "        text = _relation_text(pairs, rows, *relation)\n",
+        "        text = _relation_text(pairs, discrepancies.relations[0][1], *relation)\n",
         ("tests/test_cli.py::test_audit_decodes_each_framework_once",),
     ),
     Mutant(

@@ -11,6 +11,10 @@ both extension sets; and :func:`verify_witness` and
 :func:`greedy_robustness`, which replay a search one framework per step;
 and :func:`audit_result` and :func:`audit_lines`, the ``afrob audit``
 output as plain dicts and lists, the reference its writer is pinned to.
+:func:`rule_row_witnesses` alone reads a relation's state
+(``afrob.invariance._State``): the rules' row form, which the package
+ran before it tested one candidate's bit, and which
+``_State.witnesses`` is pinned to.
 """
 
 import re
@@ -25,6 +29,8 @@ from afrob import (
     extension_difference,
     invariant_attacks,
 )
+from afrob.framework import _bits
+from afrob.invariance import _DELETION_RULES, Rule, _defending_undec, _self_defense_row
 
 
 def subsets(args):
@@ -263,6 +269,76 @@ def rule_scan(args, attacks, family, attack):
     else:
         verdict = "invariant"
     return verdict, tuple(losses + gains)
+
+
+def _having(rows, among, hits):
+    """The arguments i in ``among`` whose ``rows[i]`` meets ``hits``."""
+    return sum(1 << i for i in _bits(among) if rows[i] & hits)
+
+
+def _rule_rows(state, s, out, threat, a, defense):
+    """The rules that can fire on the labelling of the admissible set ``s``
+    of ``state``'s relation for source a, each with its row: the targets b
+    it fires on.
+
+    ``out`` and ``threat`` are the targets and the attackers of ``s``.
+    With IN = s, OUT = out and UNDEC the rest, for attack (a, b):
+
+    * ND-in-in: a and b are both in.
+    * ND-out-in-undefended: a is out, b is in, b does not already attack a,
+      and no out-argument attacks b.
+    * ND-undec-in: a is undec and b is in.
+    * NI-in-in-defends: a and b are in and some out-argument c is attacked
+      by b but not by a.
+    * NI-in-out-reinstates: a is in, b is out, and b attacks some
+      in-argument.  An admissible set attacks each of its attackers, so
+      every attacker is out and the row is ``threat``.
+    * NI-in-undec-defends-undec: a is in, b is undec, and b attacks some
+      non-self-attacking undec argument.
+    * NI-out-self-defense: a is out and b is in ``defense``, the walk
+      conditions of ``_self_defense_row`` for a, alike for every set.
+
+    The ND rules are exact: an admissible S is lost exactly when b is in S
+    and S does not attack a, that is when a is in S (ND-in-in) or undec
+    (ND-undec-in), and ND-out-in-undefended fires only for an unattacked b,
+    whose {b} is lost; so their rows over all admissible sets make up the
+    loss of ``_State.adm_rows``.  The NI rules are not exact: a gain can
+    occur with no rule firing, and a rule can fire when nothing is gained.
+    ``afrob.oracle`` audits them against Dung's delta.  a's label selects
+    the rules, so at most one ND and one NI rule fire per labelling and
+    candidate.
+    """
+    targets, attackers = state.targets, state.attackers
+    if s >> a & 1:
+        undec = ((1 << len(targets)) - 1) & ~(s | out)
+        return (
+            (Rule.ND_IN_IN, s),
+            (Rule.NI_IN_IN_DEFENDS, _having(targets, s, out & ~targets[a])),
+            (Rule.NI_IN_OUT_REINSTATES, threat),
+            (Rule.NI_IN_UNDEC_DEFENDS_UNDEC, _defending_undec(targets, attackers, undec)),
+        )
+    if out >> a & 1:
+        return (
+            (Rule.ND_OUT_IN_UNDEFENDED, s & ~_having(attackers, s, out) & ~attackers[a]),
+            (Rule.NI_OUT_SELF_DEFENSE, defense),
+        )
+    return ((Rule.ND_UNDEC_IN, s),)
+
+
+def rule_row_witnesses(state, a, b, family=None):
+    """The adm (in-set mask, rule) witnesses of adding the absent attack
+    (a, b) to ``state``'s relation, read off each labelling's whole rule
+    rows (:func:`_rule_rows`) over the admissible sets, or those in
+    ``family``, in canonical order, every ND match before every NI match."""
+    losses, gains, defense = [], [], None
+    for s, out, threat in state.adm:
+        if family is None or s in family:
+            if defense is None and out >> a & 1:
+                defense = _self_defense_row(state.reach[0], a)
+            for rule, row in _rule_rows(state, s, out, threat, a, defense):
+                if row >> b & 1:
+                    (losses if rule in _DELETION_RULES else gains).append((s, rule))
+    return losses + gains
 
 
 def candidate_attacks(af):

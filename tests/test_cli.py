@@ -365,29 +365,29 @@ def test_audit(capsys):
 
 
 def test_audit_decodes_each_framework_once(capsys, monkeypatch):
-    # the disagreements of one framework share its attack list, decoded
-    # once for JSON and once for text (both written from the one typed
+    # the disagreements of one relation share its attack list, written once
+    # from its rows for JSON and once for text (both from the one typed
     # leaf), and each still prints the whole relation in canonical order
     report = exhaustive_audit(3, Semantics.ADMISSIBLE)
     relations = [sorted(d.framework.attacks) for d in report.discrepancies]
     distinct = {id(d.framework) for d in report.discrepancies}
     assert len(relations) > len(distinct) > 1
-    decoded = []
-    attacks_in = afrob.cli._attacks_in
+    written = []
+    relation_text = afrob.cli._relation_text
 
-    def counting(order, rows):
-        decoded.append(order)
-        return attacks_in(order, rows)
+    def counting(pairs, rows, *parts):
+        written.append(rows)
+        return relation_text(pairs, rows, *parts)
 
-    monkeypatch.setattr(afrob.cli, "_attacks_in", counting)
+    monkeypatch.setattr(afrob.cli, "_relation_text", counting)
     payload = run_json(capsys, "audit", "--args", "3", "--semantics", "adm", "--format", "json")
-    assert len(decoded) == len(distinct)
+    assert len(written) == len(set(written)) == len(distinct)
     assert [d["attacks"] for d in payload["result"]["discrepancies"]] == [
         [{"source": s, "target": t} for s, t in relation] for relation in relations
     ]
-    decoded.clear()
+    written.clear()
     code, out, _ = run(capsys, "audit", "--args", "3", "--semantics", "adm")
-    assert code == 0 and len(decoded) == len(distinct)
+    assert code == 0 and len(written) == len(set(written)) == len(distinct)
     lines = [line for line in out.splitlines() if line.startswith("disagreement: ")]
     assert [line.split(" add=")[0] for line in lines] == [
         "disagreement: R={" + ",".join(f"({s},{t})" for s, t in relation) + "}"

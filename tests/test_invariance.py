@@ -265,6 +265,35 @@ def test_rule_scan_matches_the_name_level_reference():
                 assert (found.verdict.value, witnesses) == expected, (af, attack, preferred_only)
 
 
+def _witness_population():
+    # every relation on up to three arguments, and 3,000 seeded ones on four
+    # to seven, each with its root state and its preferred sets
+    relations = [(n, mask) for n in range(4) for mask in range(1 << n * n)]
+    rng = random.Random(29)
+    relations += [(n, rng.getrandbits(n * n)) for n in (4, 5, 6, 7) for _ in range(750)]
+    for n, mask in relations:
+        af = framework_from_mask(canonical_names(n), mask)
+        record = _enumerate(af)
+        yield af, record.state, frozenset(record.prf)
+
+
+def test_witnesses_test_the_bit_the_rule_rows_hold():
+    # the per-candidate bit tests give, witness by witness and in order, what
+    # the rules' whole rows give (the row form in tests/oracles.py), for
+    # every absent candidate, over every admissible set and the preferred ones
+    calls = 0
+    for af, state, preferred in _witness_population():
+        for a, row in enumerate(state.targets):
+            for b in range(len(state.targets)):
+                if row >> b & 1:
+                    continue
+                for family in (None, preferred):
+                    found = state.witnesses(a, b, Semantics.ADMISSIBLE, family)
+                    assert found == oracles.rule_row_witnesses(state, a, b, family), (af, a, b)
+                    calls += 1
+    assert calls > 95_000
+
+
 # --- invariant attack enumeration -------------------------------------------
 
 

@@ -1,13 +1,16 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
+import afrob.cli
 import afrob.invariance
 import afrob.oracle
 import afrob.semantics
 from afrob import (
     ArgumentationFramework,
+    AuditReport,
     SizeLimit,
     Semantics,
     Verdict,
@@ -181,9 +184,10 @@ def test_sampled_audit_memory_does_not_grow_with_the_sample_count(monkeypatch):
 
 @pytest.mark.parametrize("semantics", ["cf", "adm"])
 def test_audit_builds_a_framework_only_for_a_sample_that_disagrees(monkeypatch, semantics):
-    # a sample stays bit rows until it disagrees: a cf audit, whose rules and
-    # delta read one closed form, builds no framework, and an adm audit one
-    # per framework its report holds
+    # a sample stays bit rows, and its disagreements index tuples, until its
+    # report is read: the audit builds no framework, and the first read one
+    # per framework the report holds (none for cf, whose rules and delta read
+    # one closed form)
     built = []
     from_rows = ArgumentationFramework._from_rows
 
@@ -193,8 +197,75 @@ def test_audit_builds_a_framework_only_for_a_sample_that_disagrees(monkeypatch, 
 
     monkeypatch.setattr(ArgumentationFramework, "_from_rows", staticmethod(counted))
     report = exhaustive_audit(4, semantics, seed=11, samples=200)
-    assert len(built) == len({id(d.framework) for d in report.discrepancies})
+    assert built == []
+    frameworks = {id(d.framework) for d in report.discrepancies}
+    assert len(built) == len(frameworks)
     assert (len(built) > 0) == (semantics == "adm")
+
+
+def _cross_validated(n, semantics, seed, samples):
+    # the reports of cross_validate on each relation the audit checks, in
+    # its order, and how many relations have one
+    names = canonical_names(n)
+    rng = random.Random(seed)
+    masks = range(1 << n * n) if n <= 3 else [rng.getrandbits(n * n) for _ in range(samples)]
+    found = [cross_validate(framework_from_mask(names, mask), semantics) for mask in masks]
+    return tuple(report for reports in found for report in reports), sum(map(bool, found))
+
+
+@pytest.mark.parametrize("semantics", ["cf", "adm"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_audit_decodes_its_discrepancies_on_first_read(capsys, monkeypatch, n, semantics):
+    # counting, by_rule and afrob audit, JSON and text, read the index tuples
+    # and build no framework and no report; the first read of an item builds
+    # one framework per disagreeing relation and a second read none, and the
+    # sequence is the tuple of its reports: equal, hash, repr and slices
+    expected, relations = _cross_validated(n, semantics, 11, 200)
+    built, decoded = [], []
+    from_rows, reports = ArgumentationFramework._from_rows, afrob.oracle._reports
+
+    def counted_rows(order, rows):
+        built.append(rows)
+        return from_rows(order, rows)
+
+    def counted_reports(af, *rest):
+        decoded.append(af)
+        return reports(af, *rest)
+
+    monkeypatch.setattr(ArgumentationFramework, "_from_rows", staticmethod(counted_rows))
+    monkeypatch.setattr(afrob.oracle, "_reports", counted_reports)
+    report = exhaustive_audit(n, semantics, seed=11, samples=200)
+    found = report.discrepancies
+    assert len(found) == len(expected)
+    by_rule = Counter(
+        key for d in expected for key in sorted({r.value for r in d.rules}) or [NO_RULE_FIRED]
+    )
+    assert report.by_rule() == dict(sorted(by_rule.items()))
+    # a report over a plain tuple counts its rules too
+    assert report._replace(discrepancies=expected).by_rule() == report.by_rule()
+    for fmt in ("json", "text"):
+        argv = ["audit", "--args", str(n), "--semantics", semantics, "--seed", "11"]
+        assert afrob.cli.run_cli([*argv, "--samples", "200", "--format", fmt]) == 0
+        lines = capsys.readouterr().out.replace('"', "").splitlines()
+        assert f"disagreements: {len(expected)}" in [line.strip(" ,") for line in lines]
+    assert (built, decoded) == ([], [])
+    assert list(found) == list(expected)
+    assert (len(built), len(decoded)) == (relations, relations)
+    assert found[-1:] == expected[-1:] and found[::-1] == expected[::-1]
+    assert type(found[1:3]) is tuple and found[1:3] == expected[1:3]
+    assert (len(built), len(decoded)) == (relations, relations)
+    assert found == expected and expected == found and not found != expected
+    assert (found == ()) == (not expected) == (() == found)
+    assert hash(found) == hash(expected) and repr(found) == repr(expected)
+    assert (relations > 0) == (semantics == "adm" and n > 1)
+
+
+def test_a_hand_built_audit_report_counts_its_rules():
+    # by_rule reads any sequence of reports, a plain tuple included
+    found = exhaustive_audit(2, Semantics.ADMISSIBLE).discrepancies
+    report = AuditReport(Semantics.ADMISSIBLE, 2, True, None, 16, 32, tuple(found) * 2)
+    assert report.by_rule() == {"NI-out-self-defense": 4, NO_RULE_FIRED: 4}
+    assert AuditReport(Semantics.ADMISSIBLE, 2, True, None, 16, 32, ()).by_rule() == {}
 
 
 @pytest.mark.parametrize("semantics", [Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE])

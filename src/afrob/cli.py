@@ -511,7 +511,7 @@ _COMMANDS = {
     "audit": ("compare the rule scan with Dung's delta", _cmd_audit, _audit_text, {
         "--args": ("args", _count, None, True, None, "number of arguments"),
         **_CLASSIFY,
-        "--seed": ("seed", int, None, False, 0, None),
+        "--seed": ("seed", _count, None, False, 0, None),
         "--samples": ("samples", _count, None, False, 1000, None),
         **_OUTPUT,
     }),

@@ -193,16 +193,20 @@ class _State:
       sets' targets, the sources NI-out-self-defense can fire for.
     * ``kept``: per argument a, the targets b for which adding (a, b) keeps
       every conflict-free set (:func:`_conflict_kept`).
+    * ``_defense``: per source a that :meth:`witnesses` has read it for,
+      the row of NI-out-self-defense (:func:`_self_defense_row`), so an
+      audit's false alarms from one source build it once; a search state,
+      which asks for no witnesses, never builds it.
     """
 
     # lazy tables in slots, not cached_property, which cost the robustness
     # workload 13% of its throughput (8 of 8 alternating benchmark pairs)
-    __slots__ = ("targets", "attackers", "_reach", "_cf", "_adm", "_rows", "_kept")
+    __slots__ = ("targets", "attackers", "_reach", "_cf", "_adm", "_rows", "_kept", "_defense")
 
     def __init__(self, targets: tuple[int, ...], attackers: tuple[int, ...]):
         self.targets = targets
         self.attackers = attackers
-        self._reach = self._cf = self._adm = self._rows = self._kept = None
+        self._reach = self._cf = self._adm = self._rows = self._kept = self._defense = None
 
     def child(self, a: int, b: int) -> "_State":
         """The state with the attack (a, b) added, handed ``cf`` and ``reach``
@@ -338,12 +342,22 @@ class _State:
                 if s & bit and not (hit_by & out or attacks_a):
                     losses.append((s, Rule.ND_OUT_IN_UNDEFENDED))
                 if defense is None:
-                    defense = _self_defense_row(self.reach[0], a)  # alike for every set
+                    defense = self._self_defense(a)  # alike for every set
                 if defense & bit:
                     gains.append((s, Rule.NI_OUT_SELF_DEFENSE))
             elif s & bit:
                 losses.append((s, Rule.ND_UNDEC_IN))
         return losses + gains
+
+    def _self_defense(self, a: int) -> int:
+        """NI-out-self-defense's row for source a, built on first use."""
+        rows = self._defense
+        if rows is None:
+            rows = self._defense = {}
+        row = rows.get(a)
+        if row is None:
+            row = rows[a] = _self_defense_row(self.reach[0], a)
+        return row
 
     def changed_rows(self, semantics: Semantics) -> list[int]:
         """Per argument a, the targets b for which adding (a, b) changes the

@@ -13,8 +13,9 @@ pass over the conflict-free sets finds, per set, the additions that lose
 or gain it (``_State.changed_rows``), and the same sets give one
 candidate's lost and gained extensions (``_State.changes``).
 One loop (``_disagreements``) compares the classifier against the delta
-and reads every disagreement's rules and changes (as masks) off that
-state on argument indices, recomputing nothing, and ``_reports`` decodes
+and reads the side that disagrees (the rules of a false alarm, the
+changes, as masks, of a missed gain) off that state on argument indices,
+recomputing nothing, and ``_reports`` decodes
 only the disagreeing attacks into their names.  ``cross_validate`` runs
 both on one framework.  ``exhaustive_audit`` sweeps entire relation
 populations: a sampled relation stays bit rows, its state built from its
@@ -139,7 +140,15 @@ def _disagreements(state: _State, semantics: Semantics) -> list[tuple]:
     """The candidates of ``state``'s relation on which the rule scan and
     Dung's delta disagree, in canonical order, each as the tuple (a, b,
     the rules that fire on it, the delta's verdict, the extensions it
-    loses, those it gains): argument indices and masks, nothing decoded."""
+    loses, those it gains): argument indices and masks, nothing decoded.
+
+    Each disagreement is read from the side that disagrees, as the other
+    side is known to be empty.  Where the delta changes nothing (a false
+    alarm) the rules are read off ``witnesses`` and nothing is lost or
+    gained, as ``changes`` filters the conditions ``changed_rows`` reads.
+    Where it changes the set (a missed gain) the lost and gained sets are
+    read off ``changes`` and no rule fires, as ``invariant_rows`` holds
+    exactly the candidates ``witnesses`` finds no rule for."""
     invariant = state.invariant_rows(semantics)
     changed = state.changed_rows(semantics)
     full = (1 << len(state.targets)) - 1
@@ -147,8 +156,11 @@ def _disagreements(state: _State, semantics: Semantics) -> list[tuple]:
     for a, (rule_row, changed_row, present) in enumerate(zip(invariant, changed, state.targets)):
         # the candidates the rules call invariant, XOR those that are
         for b in _bits(rule_row ^ (full & ~(changed_row | present))):
-            rules = tuple(dict.fromkeys(rule for _, rule in state.witnesses(a, b, semantics)))
-            found.append((a, b, rules, not changed_row >> b & 1, *state.changes(a, b, semantics)))
+            if changed_row >> b & 1:
+                found.append((a, b, (), False, *state.changes(a, b, semantics)))
+            else:
+                rules = tuple(dict.fromkeys(rule for _, rule in state.witnesses(a, b, semantics)))
+                found.append((a, b, rules, True, (), ()))
     return found
 
 
@@ -241,10 +253,10 @@ def exhaustive_audit(
     Up to n = 3 the 2^(n*n) possible attack relations are enumerated in
     full; for larger n, ``samples`` relations are drawn uniformly (every
     pair independently with probability one half) from a generator seeded
-    with ``seed``, so identical parameters always produce identical
-    reports.  Each relation is decoded to canonical target rows and
-    checked on a state of those rows, as :func:`cross_validate` checks a
-    framework.  A relation with a disagreement is kept as its rows and its
+    with ``seed``, a non-negative int, so identical parameters always
+    produce identical reports.  Each relation is decoded to canonical
+    target rows and checked on a state of those rows, as
+    :func:`cross_validate` checks a framework.  A relation with a disagreement is kept as its rows and its
     disagreements' index tuples, and becomes the framework its reports
     share only when the ``discrepancies`` are read, so counting them, or
     :meth:`AuditReport.by_rule`, builds no framework.
@@ -252,8 +264,11 @@ def exhaustive_audit(
     # an unseeded generator or a float count is refused here, before any work
     n, samples, seed = operator.index(n), operator.index(samples), operator.index(seed)
     semantics = _cf_or_adm(semantics)
-    if n < 0 or samples < 0:
-        raise ValueError(f"negative argument or sample count: n={n}, samples={samples}")
+    # Random(-k) draws what Random(k) draws, so a negative seed is refused
+    if n < 0 or samples < 0 or seed < 0:
+        raise ValueError(
+            f"negative argument count, sample count or seed: n={n}, samples={samples}, seed={seed}"
+        )
     # past the limit every adm framework is refused by the enumerator, and
     # each sample draws and decodes n² random bits (a cf audit reads only the
     # closed form, where the rules and the delta agree by construction): so

@@ -92,8 +92,8 @@ MUTANTS = (
     Mutant(
         "self-defense-row-for-the-target",
         "src/afrob/invariance.py",
-        "defense = _self_defense_row(self.reach[0], a)",
-        "defense = _self_defense_row(self.reach[0], b)",
+        "defense = self._self_defense(a)",
+        "defense = self._self_defense(b)",
         ("tests/test_invariance.py",),
     ),
     Mutant(
@@ -284,6 +284,20 @@ MUTANTS = (
         "            lost=lost,\n",
         "            lost=gained,\n",
         ("tests/test_oracle.py::test_audit_two_arguments_adm_characterisation",),
+    ),
+    Mutant(
+        "disagreement-sides-swapped",
+        "src/afrob/oracle.py",
+        "            if changed_row >> b & 1:\n",
+        "            if not changed_row >> b & 1:\n",
+        ("tests/test_oracle.py::test_disagreements_read_the_side_that_disagrees",),
+    ),
+    Mutant(
+        "false-alarm-verdict-flipped",
+        "src/afrob/oracle.py",
+        "found.append((a, b, rules, True, (), ()))",
+        "found.append((a, b, rules, False, (), ()))",
+        ("tests/test_oracle.py::test_disagreements_read_the_side_that_disagrees",),
     ),
     Mutant(
         "audit-skips-a-sample-with-one-disagreement",

@@ -11,10 +11,12 @@ both extension sets; and :func:`verify_witness` and
 :func:`greedy_robustness`, which replay a search one framework per step;
 and :func:`audit_result` and :func:`audit_lines`, the ``afrob audit``
 output as plain dicts and lists, the reference its writer is pinned to.
-:func:`rule_row_witnesses` alone reads a relation's state
-(``afrob.invariance._State``): the rules' row form, which the package
-ran before it tested one candidate's bit, and which
-``_State.witnesses`` is pinned to.
+Two read a relation's state (``afrob.invariance._State``):
+:func:`rule_row_witnesses`, the rules' row form, which the package ran
+before it tested one candidate's bit, and which ``_State.witnesses`` is
+pinned to; and :func:`two_sided_disagreements`, the audit's loop as it
+read every disagreement from both sides, which ``_disagreements`` is
+pinned to.
 """
 
 import re
@@ -339,6 +341,21 @@ def rule_row_witnesses(state, a, b, family=None):
                 if row >> b & 1:
                     (losses if rule in _DELETION_RULES else gains).append((s, rule))
     return losses + gains
+
+
+def two_sided_disagreements(state, semantics):
+    """The disagreements of ``afrob.oracle._disagreements``, each read from
+    both sides: the rules ``witnesses`` finds and the sets ``changes`` finds,
+    for every candidate on which the rule scan and Dung's delta disagree."""
+    invariant = state.invariant_rows(semantics)
+    changed = state.changed_rows(semantics)
+    full = (1 << len(state.targets)) - 1
+    found = []
+    for a, (rule_row, changed_row, present) in enumerate(zip(invariant, changed, state.targets)):
+        for b in _bits(rule_row ^ (full & ~(changed_row | present))):
+            rules = tuple(dict.fromkeys(rule for _, rule in state.witnesses(a, b, semantics)))
+            found.append((a, b, rules, not changed_row >> b & 1, *state.changes(a, b, semantics)))
+    return found
 
 
 def candidate_attacks(af):

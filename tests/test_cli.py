@@ -450,6 +450,8 @@ _LONG = "9" * 5000  # past int's digit limit, sys.get_int_max_str_digits()
         ),
         (["audit", "--args", "2", "--semantics", "cf", "--jobs", "0"], "positive integer"),
         (["audit", "--args", "2", "--semantics", "cf", "--jobs", "-5"], "positive integer"),
+        # Random(-1) draws what Random(1) draws, so a seed is a count too
+        (["audit", "--args", "5", "--semantics", "adm", "--seed", "-1"], "non-negative integer"),
         # a count is ASCII digits: str.isdecimal alone accepts any Unicode digit
         (["audit", "--args", "\u0662", "--semantics", "cf"], "non-negative integer"),
         (
@@ -476,10 +478,9 @@ _LONG = "9" * 5000  # past int's digit limit, sys.get_int_max_str_digits()
             ["audit", "--args", "2", "--semantics", "cf", "--jobs", _LONG],
             "--jobs: expected a positive",
         ),
-        # --seed is a plain int, whose refusal argparse words itself
         (
             ["audit", "--args", "2", "--semantics", "cf", "--seed", _LONG],
-            "--seed: invalid int value",
+            "--seed: expected a non-negative",
         ),
     ],
     ids=[
@@ -488,6 +489,7 @@ _LONG = "9" * 5000  # past int's digit limit, sys.get_int_max_str_digits()
         "max-steps",
         "jobs-zero",
         "jobs-negative",
+        "seed-negative",
         "args-arabic-indic-digit",
         "samples-arabic-indic-digit",
         "max-steps-fullwidth-digit",

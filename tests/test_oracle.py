@@ -24,8 +24,14 @@ from afrob import (
 )
 from afrob.framework import Attack
 from afrob.invariance import _State
-from afrob.oracle import NO_RULE_FIRED, canonical_names, framework_from_mask
-from oracles import candidate_attacks, extension_changes, oracle_invariant, sigma_equivalent
+from afrob.oracle import NO_RULE_FIRED, _disagreements, canonical_names, framework_from_mask
+from oracles import (
+    candidate_attacks,
+    extension_changes,
+    oracle_invariant,
+    sigma_equivalent,
+    two_sided_disagreements,
+)
 
 
 def test_oracle_invariant_examples(g3):
@@ -147,6 +153,65 @@ def test_audit_adds_and_enumerates_nothing(monkeypatch):
     assert (adm.candidates_checked, len(adm.discrepancies)) == (2304, 324)
     assert calls == {"add_attack": 0, "_enumerate": 0, "_classify": 0, "_index": 0, "_names": 0}
     assert records.cache_info().misses == 0
+
+
+def _disagreement_population():
+    """The relations on up to three arguments, then 100 seeded ones on each
+    of four to six, as frameworks."""
+    for n in range(4):
+        names = canonical_names(n)
+        for mask in range(1 << n * n):
+            yield framework_from_mask(names, mask)
+    rng = random.Random(54)
+    for n in (4, 5, 6):
+        names = canonical_names(n)
+        for _ in range(100):
+            yield framework_from_mask(names, rng.getrandbits(n * n))
+
+
+@pytest.mark.parametrize("semantics", [Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE])
+def test_disagreements_read_the_side_that_disagrees(semantics):
+    # reading only the side that disagrees gives what reading both gives: a
+    # false alarm loses and gains nothing, and no rule fires on a missed gain
+    counted = Counter()
+    for af in _disagreement_population():
+        found = _disagreements(_State(*af.bit_rows), semantics)
+        assert found == two_sided_disagreements(_State(*af.bit_rows), semantics), af
+        counted.update(invariant for _, _, _, invariant, _, _ in found)
+    if semantics == Semantics.ADMISSIBLE:
+        assert counted[True] > 1000 and counted[False] > 250
+    else:
+        assert not counted  # the rules and the delta read one closed form
+
+
+def test_audit_reads_each_disagreement_from_one_side(monkeypatch):
+    # of the 324 disagreements of the n=3 adm audit, each of the 180 false
+    # alarms runs one witness scan and each of the 144 missed gains one scan
+    # of its lost and gained sets, in order; nothing else runs either
+    calls = []
+
+    def counted(name):
+        fn = getattr(_State, name)
+
+        def wrapper(self, a, b, semantics, *rest):
+            calls.append((name, a, b))
+            return fn(self, a, b, semantics, *rest)
+
+        return wrapper
+
+    for name in ("witnesses", "changes"):
+        monkeypatch.setattr(_State, name, counted(name))
+    report = exhaustive_audit(3, Semantics.ADMISSIBLE)
+    expected = [
+        ("witnesses" if invariant else "changes", a, b)
+        for _, _, found in report.discrepancies.relations
+        for a, b, _, invariant, _, _ in found
+    ]
+    assert len(expected) == 324
+    assert calls == expected
+    assert Counter(name for name, _, _ in calls) == {"witnesses": 180, "changes": 144}
+    assert exhaustive_audit(3, Semantics.CONFLICT_FREE).discrepancies == ()
+    assert len(calls) == 324
 
 
 def test_oracle_invariant_enumerates_the_framework_once(monkeypatch):
@@ -433,9 +498,12 @@ def test_framework_from_mask_equals_the_name_level_decoder():
     [
         lambda g3: exhaustive_audit(-1, Semantics.ADMISSIBLE),
         lambda g3: exhaustive_audit(4, Semantics.ADMISSIBLE, samples=-1),
+        # Random(-1) draws what Random(1) draws: the report would name a seed
+        # whose population it does not hold
+        lambda g3: exhaustive_audit(5, Semantics.ADMISSIBLE, samples=3, seed=-1),
         lambda g3: robustness_degree(g3, Semantics.CONFLICT_FREE, max_steps=-1),
     ],
-    ids=["audit-arguments", "audit-samples", "robustness-max-steps"],
+    ids=["audit-arguments", "audit-samples", "audit-seed", "robustness-max-steps"],
 )
 def test_negative_counts_are_rejected(g3, call):
     with pytest.raises(ValueError):

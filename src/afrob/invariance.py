@@ -191,22 +191,21 @@ class _State:
       for which adding (a, b) loses one, those the ND rules fire on), and
       the rows of the in-source NI rules for source a; and the union of the
       sets' targets, the sources NI-out-self-defense can fire for.
-    * ``kept``: per argument a, the targets b for which adding (a, b) keeps
-      every conflict-free set (:func:`_conflict_kept`).
-    * ``_defense``: per source a that :meth:`witnesses` has read it for,
-      the row of NI-out-self-defense (:func:`_self_defense_row`), so an
-      audit's false alarms from one source build it once; a search state,
-      which asks for no witnesses, never builds it.
+
+    The four tables are adm's (``cf`` also gives a cf :meth:`changes` its
+    lost sets).  The cf closed form is no table: :meth:`invariant_rows`,
+    :meth:`witnesses` and :meth:`changed_rows` each read
+    :func:`_conflict_kept` off the bit rows, once per call.
     """
 
-    # lazy tables in slots, not cached_property, which cost the robustness
-    # workload 13% of its throughput (8 of 8 alternating benchmark pairs)
-    __slots__ = ("targets", "attackers", "_reach", "_cf", "_adm", "_rows", "_kept", "_defense")
+    # the four lazy adm tables in slots, not cached_property, which cost the
+    # robustness workload 13% of its throughput (8 of 8 alternating pairs)
+    __slots__ = ("targets", "attackers", "_reach", "_cf", "_adm", "_rows")
 
     def __init__(self, targets: tuple[int, ...], attackers: tuple[int, ...]):
         self.targets = targets
         self.attackers = attackers
-        self._reach = self._cf = self._adm = self._rows = self._kept = self._defense = None
+        self._reach = self._cf = self._adm = self._rows = None
 
     def child(self, a: int, b: int) -> "_State":
         """The state with the attack (a, b) added, handed ``cf`` and ``reach``
@@ -259,12 +258,6 @@ class _State:
             self._rows = loss, gains, outs
         return self._rows
 
-    @property
-    def kept(self) -> list[int]:
-        if self._kept is None:
-            self._kept = _conflict_kept(self.targets, self.attackers)
-        return self._kept
-
     def invariant_rows(self, semantics: Semantics) -> list[int]:
         """Per source a, the absent targets b for which (a, b) is classified
         invariant: exactly those :meth:`witnesses` finds no rule for.
@@ -277,7 +270,7 @@ class _State:
         """
         targets = self.targets
         if semantics == Semantics.CONFLICT_FREE:
-            return [k & ~t for k, t in zip(self.kept, targets)]
+            return [k & ~t for k, t in zip(_conflict_kept(targets, self.attackers), targets)]
         loss, gains, outs = self.adm_rows
         # existing attacks are no candidates
         fired = [t | lost | gained for t, lost, gained in zip(targets, loss, gains)]
@@ -320,7 +313,8 @@ class _State:
         occur with no rule firing, and a rule can fire when nothing is gained.
         :mod:`afrob.oracle` audits them against Dung's delta."""
         if semantics == Semantics.CONFLICT_FREE:
-            return [] if self.kept[a] >> b & 1 else [(1 << a | 1 << b, Rule.CF_NEVER_IN)]
+            kept = _conflict_kept(self.targets, self.attackers)[a] >> b & 1
+            return [] if kept else [(1 << a | 1 << b, Rule.CF_NEVER_IN)]
         targets, bit = self.targets, 1 << b
         hits, hit_by, attacks_a = targets[b], self.attackers[b], targets[b] >> a & 1
         spares = hits & ~targets[a]  # b's targets that a does not attack
@@ -342,22 +336,12 @@ class _State:
                 if s & bit and not (hit_by & out or attacks_a):
                     losses.append((s, Rule.ND_OUT_IN_UNDEFENDED))
                 if defense is None:
-                    defense = self._self_defense(a)  # alike for every set
+                    defense = _self_defense_row(self.reach[0], a)  # alike for every set
                 if defense & bit:
                     gains.append((s, Rule.NI_OUT_SELF_DEFENSE))
             elif s & bit:
                 losses.append((s, Rule.ND_UNDEC_IN))
         return losses + gains
-
-    def _self_defense(self, a: int) -> int:
-        """NI-out-self-defense's row for source a, built on first use."""
-        rows = self._defense
-        if rows is None:
-            rows = self._defense = {}
-        row = rows.get(a)
-        if row is None:
-            row = rows[a] = _self_defense_row(self.reach[0], a)
-        return row
 
     def changed_rows(self, semantics: Semantics) -> list[int]:
         """Per argument a, the targets b for which adding (a, b) changes the
@@ -388,7 +372,7 @@ class _State:
         """
         full = (1 << len(self.targets)) - 1
         if semantics == Semantics.CONFLICT_FREE:
-            return [full & ~k for k in self.kept]
+            return [full & ~k for k in _conflict_kept(self.targets, self.attackers)]
         changed = list(self.adm_rows[0])  # the loss, shared with invariant_rows
         for s, attacked, attacking in self.cf:
             unanswered = attacking & ~attacked

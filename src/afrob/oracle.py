@@ -4,9 +4,10 @@ Invariance is, by definition, equality of the extension sets before and
 after the addition.  Dung's delta decides it for cf and adm without
 consulting labellings or recomputing either set.  For adm it is an
 independent check of the rule scan.  For cf the rule and the delta read
-one closed form, so an audit only shows that they agree with each other;
-cf exactness rests on the tests that compare the delta with recomputation
-(the references in ``tests/oracles.py``) and on acceptance criterion 3.
+one closed form, so a cf audit compares nothing: it counts its relations
+and candidates and reports no disagreement.  cf exactness rests on the
+tests that compare the delta with recomputation (the references in
+``tests/oracles.py``) and on acceptance criterion 3.
 The delta is read from one state of the relation
 (:class:`afrob.invariance._State`), which also holds the rule scan: one
 pass over the conflict-free sets finds, per set, the additions that lose
@@ -18,8 +19,8 @@ changes, as masks, of a missed gain) off that state on argument indices,
 recomputing nothing, and ``_reports`` decodes
 only the disagreeing attacks into their names.  ``cross_validate`` runs
 both on one framework.  ``exhaustive_audit`` sweeps entire relation
-populations: a sampled relation stays bit rows, its state built from its
-rows and their transpose, and a relation with a disagreement keeps its
+populations: a sampled adm relation stays bit rows, its state built from
+its rows and their transpose, and a relation with a disagreement keeps its
 rows and disagreements as they were found, becoming a framework and
 reports only when its report's ``discrepancies`` are read
 (:class:`_Discrepancies`); every divergence is aggregated into a report
@@ -254,9 +255,11 @@ def exhaustive_audit(
     full; for larger n, ``samples`` relations are drawn uniformly (every
     pair independently with probability one half) from a generator seeded
     with ``seed``, a non-negative int, so identical parameters always
-    produce identical reports.  Each relation is decoded to canonical
-    target rows and checked on a state of those rows, as
-    :func:`cross_validate` checks a framework.  A relation with a disagreement is kept as its rows and its
+    produce identical reports.  Each relation's absent pairs are counted
+    as candidates.  Under adm it is decoded to canonical target rows and
+    checked on a state of those rows, as :func:`cross_validate` checks a
+    framework; under cf, whose rules and delta read one closed form, it is
+    only counted.  A relation with a disagreement is kept as its rows and its
     disagreements' index tuples, and becomes the framework its reports
     share only when the ``discrepancies`` are read, so counting them, or
     :meth:`AuditReport.by_rule`, builds no framework.
@@ -270,9 +273,8 @@ def exhaustive_audit(
             f"negative argument count, sample count or seed: n={n}, samples={samples}, seed={seed}"
         )
     # past the limit every adm framework is refused by the enumerator, and
-    # each sample draws and decodes n² random bits (a cf audit reads only the
-    # closed form, where the rules and the delta agree by construction): so
-    # refuse before drawing any sample
+    # each sample draws n² random bits (a cf audit, which builds no state,
+    # too): so refuse before drawing any sample
     if n > MAX_ENUMERATION_ARGUMENTS:
         raise SizeLimit(f"{n} arguments exceed the enumeration limit of {MAX_ENUMERATION_ARGUMENTS}")
     exhaustive = n <= 3
@@ -286,6 +288,8 @@ def exhaustive_audit(
     for mask in masks:
         # the absent attacks: placing the names in canonical order only moves bits
         candidates += n * n - mask.bit_count()
+        if semantics == Semantics.CONFLICT_FREE:
+            continue  # the rules and the delta read one closed form: nothing to compare
         order, rows = _placed_rows(names, mask)
         # a sample stays bit rows, and its disagreements index tuples, until read
         found = _disagreements(_State(rows, _transpose(rows)), semantics)

@@ -92,8 +92,8 @@ MUTANTS = (
     Mutant(
         "self-defense-row-for-the-target",
         "src/afrob/invariance.py",
-        "defense = self._self_defense(a)",
-        "defense = self._self_defense(b)",
+        "defense = _self_defense_row(self.reach[0], a)",
+        "defense = _self_defense_row(self.reach[0], b)",
         ("tests/test_invariance.py",),
     ),
     Mutant(
@@ -298,6 +298,27 @@ MUTANTS = (
         "found.append((a, b, rules, True, (), ()))",
         "found.append((a, b, rules, False, (), ()))",
         ("tests/test_oracle.py::test_disagreements_read_the_side_that_disagrees",),
+    ),
+    Mutant(
+        "cf-audit-skips-adm-samples",
+        "src/afrob/oracle.py",
+        "        if semantics == Semantics.CONFLICT_FREE:\n            continue",
+        "        if semantics in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):\n            continue",
+        ("tests/test_oracle.py::test_audit_three_arguments_ledger",),
+    ),
+    Mutant(
+        "cf-audit-drops-skipped-candidates",
+        "src/afrob/oracle.py",
+        "        candidates += n * n - mask.bit_count()\n"
+        "        if semantics == Semantics.CONFLICT_FREE:\n"
+        "            continue  # the rules and the delta read one closed form: nothing to compare\n",
+        "        if semantics == Semantics.CONFLICT_FREE:\n"
+        "            continue  # the rules and the delta read one closed form: nothing to compare\n"
+        "        candidates += n * n - mask.bit_count()\n",
+        (
+            "tests/test_oracle.py::test_audit_one_argument_cf",
+            "tests/test_oracle.py::test_a_cf_audit_builds_no_state",
+        ),
     ),
     Mutant(
         "audit-skips-a-sample-with-one-disagreement",

@@ -713,9 +713,11 @@ def test_labellings_size_limit_exit_code(capsys, tmp_path):
             assert "22 arguments exceed the enumeration limit of 20" in err
 
 
-def test_audit_size_limit_exits_before_sampling(capsys):
-    # 2000 arguments would mean drawing 1000 masks of four million bits
-    code, out, err = run(capsys, "audit", "--args", "2000", "--semantics", "adm")
+@pytest.mark.parametrize("semantics", ["cf", "adm"])
+def test_audit_size_limit_exits_before_sampling(capsys, semantics):
+    # 2000 arguments would mean drawing 1000 masks of four million bits,
+    # also for cf, whose audit builds no state
+    code, out, err = run(capsys, "audit", "--args", "2000", "--semantics", semantics)
     assert code == 3
     assert out == ""
     assert "enumeration limit of 20" in err

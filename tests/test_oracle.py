@@ -214,6 +214,43 @@ def test_audit_reads_each_disagreement_from_one_side(monkeypatch):
     assert len(calls) == 324
 
 
+def test_a_cf_audit_builds_no_state(monkeypatch):
+    # the cf rules and delta read one closed form, so a cf audit only counts:
+    # it places no rows, transposes none and builds no state, and its counts
+    # are the frameworks and absent pairs of the masks it draws, as adm's
+    built = Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            built[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(afrob.invariance._State, "__init__")
+    counted(afrob.oracle, "_placed_rows")
+    counted(afrob.oracle, "_transpose")
+    # every mask up to three arguments; seeded draws from four on, and at
+    # eleven, where a10 sorts before a2, placing the rows moves bits
+    cases = [(n, 0, 1000) for n in range(4)] + [(4, 0, 200), (5, 5, 100), (11, 11, 30)]
+    counts = {}
+    for n, seed, samples in cases:
+        rng = random.Random(seed)
+        masks = range(1 << n * n) if n <= 3 else [rng.getrandbits(n * n) for _ in range(samples)]
+        expected = (len(masks), sum(n * n - bin(mask).count("1") for mask in masks))
+        report = exhaustive_audit(n, Semantics.CONFLICT_FREE, seed=seed, samples=samples)
+        counts[n] = (report.frameworks_checked, report.candidates_checked)
+        assert counts[n] == expected, n
+        assert report.discrepancies == ()
+    assert built == Counter()
+    for n, seed, samples in cases:
+        adm = exhaustive_audit(n, Semantics.ADMISSIBLE, seed=seed, samples=samples)
+        assert (adm.frameworks_checked, adm.candidates_checked) == counts[n], n
+    assert built["__init__"] == sum(counts[n][0] for n in counts)
+
+
 def test_oracle_invariant_enumerates_the_framework_once(monkeypatch):
     # the record cache holds a framework and the one it is compared with,
     # so comparing every expansion with one framework runs its pass once
@@ -233,10 +270,10 @@ def test_oracle_invariant_enumerates_the_framework_once(monkeypatch):
     assert len(passes) == len(candidates) + 1
 
 
-def test_sampled_audit_memory_does_not_grow_with_the_sample_count(monkeypatch):
-    # each sample is drawn as it is checked; the stub leaves only the audit's
-    # own bookkeeping, which drawing every mask first grows to megabytes
-    monkeypatch.setattr(afrob.oracle, "_disagreements", lambda state, semantics: [])
+def test_sampled_audit_memory_does_not_grow_with_the_sample_count():
+    # each sample is drawn as it is checked; a cf audit builds no state, so
+    # this is the audit's own bookkeeping, which drawing every mask first
+    # grows to megabytes
     tracemalloc.start()
     try:
         report = exhaustive_audit(4, "cf", samples=100_000)
@@ -349,9 +386,12 @@ def test_audit_reports_what_cross_validate_reports_per_relation(semantics):
         assert [d._asdict() for d in found] == [d._asdict() for d in expected]
 
 
-def test_audit_checks_the_enumeration_limit_first():
+@pytest.mark.parametrize("semantics", [Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE])
+@pytest.mark.parametrize("n", [21, 2000])
+def test_audit_checks_the_enumeration_limit_first(n, semantics):
+    # a cf audit builds no state, yet is refused past the limit as adm is
     with pytest.raises(SizeLimit, match="enumeration limit of 20"):
-        exhaustive_audit(2000, Semantics.ADMISSIBLE)
+        exhaustive_audit(n, semantics)
 
 
 def test_candidate_attacks_excludes_existing(g3):

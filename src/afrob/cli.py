@@ -115,6 +115,18 @@ def _each_disagreement(discrepancies: _Discrepancies, quote, pair, *relation: st
             yield quoted, text, disagreement
 
 
+def _tails(names: Sequence[str], sep: str) -> list[str]:
+    """Per subset m of ``names`` (bit i for ``names[i]``), its members'
+    names in bit order, each after ``sep``.  Built by doubling, as
+    ``framework._BIT_TABLE`` is: entry m + 2^i is entry m followed by
+    ``sep`` and ``names[i]``."""
+    texts = [""]
+    for name in names:
+        piece = sep + name
+        texts += [t + piece for t in texts]
+    return texts
+
+
 def _set_items(
     masks: Sequence[int],
     names: Sequence[str],
@@ -124,44 +136,41 @@ def _set_items(
     empty: str,
     between: str,
 ) -> str:
-    """The sets of ``masks`` (in canonical order), joined by ``between``:
-    each written as ``start``, its members' names joined by ``sep``, and
-    ``end``; the empty set, which comes first, as ``empty``.  That order
-    puts every set after its prefix, the set minus its highest member, so a
-    set whose prefix is in the family opens with the prefix's open text (all
-    but ``end``) plus ``sep`` and one name, in one concatenation; ``end``
-    and ``between`` are added in one join.  A family of at most two sets
-    is written set by set."""
-    if len(masks) <= 2:
+    """The sets of ``masks`` joined by ``between``: each written as
+    ``start``, its members' names in bit order joined by ``sep``, and
+    ``end``; the empty set as ``empty``.  A large family is written from
+    tables of subset texts for the two halves of the argument order, the
+    low k = n // 2 names and the rest: a set is its low half's open text
+    (``opened``, "" for no member) plus its high half's text, either after
+    a low member (``after``: ``sep`` before each name, then ``end``) or
+    alone (``alone``: the whole set's text, ``empty`` for ∅), in one
+    concatenation per set and one join.  The tables cost one string per
+    subset of either half, so a family too small to pay for them (a size
+    measured on the benchmark's families) is spelled out set by set."""
+    n = len(names)
+    k = n // 2
+    if 4 * len(masks) <= (1 << k) + (2 << n - k):
         return between.join([
             start + sep.join([names[i] for i in _bits(m)]) + end if m else empty for m in masks
         ])
-    opens: dict[int, str] = {}
-    tails = [sep + name for name in names]
-    for m in masks:
-        if not m:
-            continue
-        top = m.bit_length() - 1
-        prefix = m ^ 1 << top
-        if prefix in opens:
-            opens[m] = opens[prefix] + tails[top]
-        elif prefix:
-            opens[m] = start + sep.join([names[i] for i in _bits(m)])
-        else:
-            opens[m] = start + names[top]
-    items = [empty] if masks and not masks[0] else []
-    if opens:
-        items.append((end + between).join(opens.values()) + end)
-    return between.join(items)
+    cut = len(sep)
+    low_tails, high_tails = _tails(names[:k], sep), _tails(names[k:], sep)
+    opened = [""] + [start + t[cut:] for t in low_tails[1:]]
+    after = [t + end for t in high_tails]
+    alone = [empty] + [start + t[cut:] + end for t in high_tails[1:]]
+    low = (1 << k) - 1
+    return between.join([opened[m & low] + (after if m & low else alone)[m >> k] for m in masks])
 
 
-def _family_json(masks: Sequence[int], names: Sequence[str], indent: str) -> str:
+def _family_json(masks: Sequence[int], names: Sequence[str], indent: str) -> tuple[str, str, str]:
     """The JSON list of the sets of ``masks``, a nonempty family, at
-    ``indent``: each set the list of its members' texts in ``names``."""
+    ``indent``, each set the list of its members' texts in ``names``: as its
+    opening bracket, its sets' text (:func:`_set_items`) and its closing
+    bracket, which the caller joins with the rest of its document."""
     inner = indent + "  "
     deeper = inner + "  "
     sets = _set_items(masks, names, "[" + deeper, "," + deeper, inner + "]", "[]", "," + inner)
-    return "[" + inner + sets + indent + "]"
+    return "[" + inner, sets, indent + "]"
 
 
 def _attack_parts(indent: str) -> tuple[str, str, str]:
@@ -195,48 +204,80 @@ def _json(value, indent: str = "\n") -> str:
     as its list of disagreement dicts, written from key texts fixed at its
     depth and from the index tuples it keeps (:func:`_each_disagreement`),
     decoding none.  Any other type, an enum member included, raises
-    TypeError.  ``json.dumps`` runs its pure-Python encoder whenever it
-    indents; this writer leaves only the string escapes (the C-accelerated
-    ``ensure_ascii`` one) to ``json`` and writes a string member without a
-    call of its own."""
+    TypeError.  Every piece of the document goes into one list
+    (:func:`_write`), joined once here, so no level copies the text of the
+    levels inside it.  ``json.dumps`` runs its pure-Python encoder whenever
+    it indents; this writer leaves only the string escapes (the
+    C-accelerated ``ensure_ascii`` one) to ``json`` and writes a string
+    member without a call of its own."""
+    out: list[str] = []
+    _write(value, indent, out)
+    return "".join(out)
+
+
+def _write(value, indent: str, out: list[str]) -> None:
+    """Append the pieces of :func:`_json`'s text of ``value`` at ``indent``
+    to ``out``.  A family, an attack list and an audit's disagreements
+    each append their items' text, built in one join."""
     kind = type(value)
     if kind is str:
-        return _quote(value)
+        out.append(_quote(value))
+        return
     inner = indent + "  "
     if kind is list:
         if not value:
-            return "[]"
-        items = [_quote(v) if type(v) is str else _json(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+            out.append("[]")
+            return
+        lead, sep = "[" + inner, "," + inner
+        for v in value:
+            if type(v) is str:
+                out.append(lead + _quote(v))
+            else:
+                out.append(lead)
+                _write(v, inner, out)
+            lead = sep
+        out.append(indent + "]")
+        return
     if kind is dict:
         if not value:
-            return "{}"
-        items = [
-            _quote(k) + ": " + (_quote(v) if type(v) is str else _json(v, inner))
-            for k, v in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
+            out.append("{}")
+            return
+        lead, sep = "{" + inner, "," + inner
+        for k, v in value.items():
+            if type(v) is str:
+                out.append(lead + _quote(k) + ": " + _quote(v))
+            else:
+                out.append(lead + _quote(k) + ": ")
+                _write(v, inner, out)
+            lead = sep
+        out.append(indent + "}")
+        return
     if kind is _Family:
-        if not value.masks:
-            return "[]"
-        return _family_json(value.masks, [_quote(name) for name in value.names], indent)
+        if value.masks:
+            out += _family_json(value.masks, [_quote(name) for name in value.names], indent)
+        else:
+            out.append("[]")
+        return
     if kind is _Attacks:
         if not value:
-            return "[]"
+            out.append("[]")
+            return
         head, middle, tail = _attack_parts(inner)
         items = [head + _quote(source) + middle + _quote(target) + tail for source, target in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+        out += ("[" + inner, ("," + inner).join(items), indent + "]")
+        return
     if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if kind is int:
-        return _int_text(value)
-    if kind is _Discrepancies:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is int:
+        out.append(_int_text(value))
+    elif kind is _Discrepancies:
         if not value:
-            return "[]"
+            out.append("[]")
+            return
         deeper = inner + "  "
         nested = deeper + "  "
         head, middle, tail = _attack_parts(nested)
@@ -267,11 +308,12 @@ def _json(value, indent: str = "\n") -> str:
                 verdict,
                 "true" if invariant else "false",
                 rule_text,
-                _family_json(lost, names, deeper) if lost else "[]",
-                _family_json(gained, names, deeper) if gained else "[]",
+                "".join(_family_json(lost, names, deeper)) if lost else "[]",
+                "".join(_family_json(gained, names, deeper)) if gained else "[]",
             ))
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        out += ("[" + inner, ("," + inner).join(items), indent + "]")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _cmd_extensions(args) -> dict:

@@ -507,35 +507,35 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "set-text-last-end-dropped",
+        "table-route-after-and-alone-swapped",
         "src/afrob/cli.py",
-        "items.append((end + between).join(opens.values()) + end)",
-        "items.append((end + between).join(opens.values()))",
+        "(after if m & low else alone)[m >> k]",
+        "(alone if m & low else after)[m >> k]",
         (
-            "tests/test_cli.py::test_empty_set_first_and_set_without_prefix_in_full",
+            "tests/test_cli.py::test_family_writer_tables_match_per_set_spelling",
             "tests/test_cli.py::test_extension_lists_follow_extension_sort_key",
         ),
     ),
     Mutant(
-        "set-with-present-prefix-built-from-start",
+        "doubling-puts-the-new-name-first",
         "src/afrob/cli.py",
-        "opens[m] = opens[prefix] + tails[top]",
-        "opens[m] = start + tails[top]",
-        ("tests/test_cli.py::test_extension_lists_follow_extension_sort_key",),
+        "texts += [t + piece for t in texts]",
+        "texts += [piece + t for t in texts]",
+        ("tests/test_cli.py::test_family_writer_tables_match_per_set_spelling",),
     ),
     Mutant(
-        "set-with-absent-prefix-written-as-its-top",
+        "table-route-empty-set-dropped",
         "src/afrob/cli.py",
-        "        elif prefix:\n",
-        "        elif False:\n",
-        ("tests/test_cli.py::test_empty_set_first_and_set_without_prefix_in_full",),
+        "alone = [empty] + [",
+        'alone = [""] + [',
+        ("tests/test_cli.py::test_family_writer_tables_match_per_set_spelling",),
     ),
     Mutant(
-        "empty-set-separator-dropped",
+        "table-route-end-dropped-after-a-low-member",
         "src/afrob/cli.py",
-        "    return between.join(items)\n",
-        '    return "".join(items)\n',
-        ("tests/test_cli.py::test_empty_set_first_and_set_without_prefix_in_full",),
+        "after = [t + end for t in high_tails]",
+        "after = high_tails",
+        ("tests/test_cli.py::test_family_writer_tables_match_per_set_spelling",),
     ),
     Mutant(
         "stdout-closed-at-start-unchecked",

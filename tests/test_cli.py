@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import types
 from decimal import Decimal
 
@@ -1491,6 +1492,77 @@ def test_json_writer_writes_a_family_as_json_dumps_of_its_lists():
             assert _json(value) == json.dumps(expected, indent=2)
     assert _json(_Family([], ("a",))) == "[]"
     assert _json({"x": _Family([0], ())}) == json.dumps({"x": [[]]}, indent=2)
+
+
+# a family's names and separators in JSON (two levels deep, as in afrob/1)
+# and in the two text renderings: start, sep, end, empty, between
+_FAMILY_SEPARATORS = (
+    (json.dumps, ("[\n      ", ",\n      ", "\n    ]", "[]", ",\n    ")),
+    (str, ("{", ",", "}", "{}", "\n")),
+    (str, ("{", ",", "}", "{}", ",")),
+)
+
+
+def _writer_families():
+    # cf on 0-16 unattacked and on sparse arguments, adm on the sparse ones
+    # (where some sets' prefixes are not admissible), and arbitrary masks in
+    # any order, with and without the empty set
+    rng = random.Random(56)
+    for n in range(17):
+        names = canonical_names(n)
+        sparse = framework_from_mask(names, sum(1 << rng.randrange(n * n) for _ in range(n)))
+        for af, semantics in ((framework_from_mask(names, 0), "cf"), (sparse, "cf"), (sparse, "adm")):
+            yield afrob.extension_masks(af, semantics), af.sorted_arguments
+        for size in (1, 3, 40, 700):
+            masks = rng.sample(range(1 << n), min(size, 1 << n))
+            yield masks, sparse.sorted_arguments
+            yield [0] + [m for m in masks if m], sparse.sorted_arguments
+
+
+def test_family_writer_tables_match_per_set_spelling(monkeypatch):
+    # _set_items on both sides of its size threshold against each set spelled
+    # from its members, read bit by bit; the table route is the one that
+    # builds _tails
+    tables = []
+    tails = afrob.cli._tails
+    monkeypatch.setattr(afrob.cli, "_tails", lambda *args: tables.append(1) or tails(*args))
+    seen = set()
+    for masks, names in _writer_families():
+        members = [[i for i in range(len(names)) if m >> i & 1] for m in masks]
+        before = len(tables)
+        for text, (start, sep, end, empty, between) in _FAMILY_SEPARATORS:
+            quoted = [text(name) for name in names]
+            spelled = between.join([
+                start + sep.join([quoted[i] for i in s]) + end if s else empty for s in members
+            ])
+            assert _set_items(masks, quoted, start, sep, end, empty, between) == spelled
+        prefixes = {m ^ 1 << m.bit_length() - 1 for m in masks if m & m - 1}
+        seen.add((len(tables) > before, 0 in masks, prefixes <= set(masks)))
+        lists = [[names[i] for i in s] for s in members]
+        assert _json(_Family(masks, names)) == json.dumps(lists, indent=2)
+    # each route wrote families with and without the empty set, and one with
+    # a set whose prefix is absent
+    assert {(route, has_empty) for route, has_empty, _ in seen} == {
+        (True, True), (True, False), (False, True), (False, False)
+    }
+    assert (True, True, False) in seen and (False, True, False) in seen
+
+
+def test_json_copies_a_large_family_once():
+    # every piece of the document is joined once, at the top: a writer that
+    # copies the family's text again at each nesting level peaks above 3x
+    af = framework_from_mask(canonical_names(16), 0)
+    family = _Family(afrob.extension_masks(af, "cf"), af.sorted_arguments)
+    result = {"semantics": "cf", "extensions": family}
+    document = {"schema": "afrob/1", "command": "extensions", "result": result}
+    tracemalloc.start()
+    try:
+        text = _json(document)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(family.masks) == 1 << 16
+    assert peak < 3 * len(text)
 
 
 def test_json_writer_writes_attacks_as_json_dumps_of_their_dicts():

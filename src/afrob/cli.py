@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import os
 import sys
-from functools import cache
+from functools import cache, lru_cache
+from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 from .apx import parse_apx
 from .errors import AfrobError, ParseError, SizeLimit, UndeclaredArgument
-from .framework import ArgumentationFramework, _attacks_in, _bits
-from .invariance import _classify, _verdict
+from .framework import ArgumentationFramework, _bits
+from .invariance import Rule, _classify, _verdict
 from .oracle import AuditReport, _Discrepancies, exhaustive_audit
 from .robustness import robustness_degree
 from .semantics import Semantics, _enumerate, extension_difference, extension_masks, labellings_for
@@ -68,10 +70,6 @@ def _load(path: str) -> ArgumentationFramework:
     return parse_apx(data.decode("utf-8"))
 
 
-def _fmt_set(sorted_names: Sequence[str]) -> str:
-    return "{" + ",".join(sorted_names) + "}"
-
-
 class _Family(NamedTuple):
     """An extension family to print: its masks in canonical (size, then
     names) order, as enumerated, and the names of the mask bits.
@@ -81,9 +79,44 @@ class _Family(NamedTuple):
     names: tuple[str, ...]
 
 
+class _Witnesses(NamedTuple):
+    """A candidate's witnesses to print: ``_classify``'s (in-set mask,
+    rule) pairs, in order, and the names of the mask bits.  :func:`_json`
+    writes them as the list of their ``{"in_set", "rule"}`` dicts."""
+
+    found: Sequence[tuple[int, Rule]]
+    names: tuple[str, ...]
+
+
+class _AttackRows(NamedTuple):
+    """Attacks to print, as target rows: (names[a], names[b]) for each bit
+    b of ``rows[a]``, in canonical order.  :func:`_json` writes them as the
+    list of their ``{"source", "target"}`` dicts."""
+
+    rows: Sequence[int]
+    names: tuple[str, ...]
+
+
+class _Labellings(NamedTuple):
+    """Labellings to print, each as its (in, out, undec) masks, and the
+    names of the mask bits.  :func:`_json` writes them as the list of their
+    ``{"in", "out", "undec"}`` dicts of sorted name lists."""
+
+    rows: Sequence[tuple[int, int, int]]
+    names: tuple[str, ...]
+
+
 class _Attacks(tuple):
-    """Attacks to print.  :func:`_json` writes them as the list of their
+    """Attacks to print, as (source, target) name pairs in the order given:
+    a robustness witness.  :func:`_json` writes them as the list of their
     ``{"source", "target"}`` dicts, in one call."""
+
+
+@lru_cache(maxsize=1)
+def _quoted(names: tuple[str, ...]) -> tuple[str, ...]:
+    """The JSON texts of ``names``, kept for the last argument order asked
+    for, so the leaves of one document quote each name once."""
+    return tuple(map(_quote, names))
 
 
 def _relation_text(
@@ -127,6 +160,36 @@ def _tails(names: Sequence[str], sep: str) -> list[str]:
     return texts
 
 
+def _set_texts(
+    masks: Sequence[int], names: Sequence[str], start: str, sep: str, end: str, empty: str
+) -> list[str]:
+    """The text of each set of ``masks``: ``start``, its members' names in
+    bit order joined by ``sep``, and ``end``; the empty set as ``empty``.
+    A large family is written from tables of subset texts for the two
+    halves of the argument order, the low k = n // 2 names and the rest: a
+    set is its low half's open text (``opened``, "" for no member) plus its
+    high half's text, either after a low member (``after``: ``sep`` before
+    each name, then ``end``) or alone (``alone``: the whole set's text,
+    ``empty`` for ∅), in one concatenation per set.  The tables cost one
+    string per subset of either half, 2^k + 2^(n−k+1) in all, and
+    spelling a set costs about one step per argument, so a family of m
+    sets is spelled out set by set while m·n is at most 5 times the
+    tables' entries, or 2 times past 12 arguments, where
+    ``framework._bits`` walks a set's bits with a generator (crossovers
+    measured on random families of 4-20 arguments)."""
+    n = len(names)
+    k = n // 2
+    if len(masks) * n <= (5 if n <= 12 else 2) * ((1 << k) + (2 << n - k)):
+        return [start + sep.join([names[i] for i in _bits(m)]) + end if m else empty for m in masks]
+    cut = len(sep)
+    low_tails, high_tails = _tails(names[:k], sep), _tails(names[k:], sep)
+    opened = [""] + [start + t[cut:] for t in low_tails[1:]]
+    after = [t + end for t in high_tails]
+    alone = [empty] + [start + t[cut:] + end for t in high_tails[1:]]
+    low = (1 << k) - 1
+    return [opened[m & low] + (after if m & low else alone)[m >> k] for m in masks]
+
+
 def _set_items(
     masks: Sequence[int],
     names: Sequence[str],
@@ -136,41 +199,56 @@ def _set_items(
     empty: str,
     between: str,
 ) -> str:
-    """The sets of ``masks`` joined by ``between``: each written as
-    ``start``, its members' names in bit order joined by ``sep``, and
-    ``end``; the empty set as ``empty``.  A large family is written from
-    tables of subset texts for the two halves of the argument order, the
-    low k = n // 2 names and the rest: a set is its low half's open text
-    (``opened``, "" for no member) plus its high half's text, either after
-    a low member (``after``: ``sep`` before each name, then ``end``) or
-    alone (``alone``: the whole set's text, ``empty`` for ∅), in one
-    concatenation per set and one join.  The tables cost one string per
-    subset of either half, so a family too small to pay for them (a size
-    measured on the benchmark's families) is spelled out set by set."""
-    n = len(names)
-    k = n // 2
-    if 4 * len(masks) <= (1 << k) + (2 << n - k):
-        return between.join([
-            start + sep.join([names[i] for i in _bits(m)]) + end if m else empty for m in masks
-        ])
-    cut = len(sep)
-    low_tails, high_tails = _tails(names[:k], sep), _tails(names[k:], sep)
-    opened = [""] + [start + t[cut:] for t in low_tails[1:]]
-    after = [t + end for t in high_tails]
-    alone = [empty] + [start + t[cut:] + end for t in high_tails[1:]]
-    low = (1 << k) - 1
-    return between.join([opened[m & low] + (after if m & low else alone)[m >> k] for m in masks])
+    """The :func:`_set_texts` of ``masks`` joined by ``between``: the one
+    writer of every family, witness run and labelling column, in JSON and
+    in text."""
+    return between.join(_set_texts(masks, names, start, sep, end, empty))
 
 
-def _family_json(masks: Sequence[int], names: Sequence[str], indent: str) -> tuple[str, str, str]:
-    """The JSON list of the sets of ``masks``, a nonempty family, at
-    ``indent``, each set the list of its members' texts in ``names``: as its
-    opening bracket, its sets' text (:func:`_set_items`) and its closing
-    bracket, which the caller joins with the rest of its document."""
-    inner = indent + "  "
+def _sets_items(masks: Sequence[int], quoted: Sequence[str], inner: str) -> str:
+    """The items of the JSON list of the sets of ``masks`` at item indent
+    ``inner``, each set the list of its members' texts in ``quoted``
+    (:func:`_set_items`)."""
     deeper = inner + "  "
-    sets = _set_items(masks, names, "[" + deeper, "," + deeper, inner + "]", "[]", "," + inner)
-    return "[" + inner, sets, indent + "]"
+    return _set_items(masks, quoted, "[" + deeper, "," + deeper, inner + "]", "[]", "," + inner)
+
+
+def _witness_items(
+    found: Sequence[tuple[int, Rule]], names: Sequence[str], quote,
+    start: str, sep: str, end: str, empty: str, close: str, between: str,
+) -> str:
+    """The witnesses ``found`` joined by ``between``, each its in-set's
+    text (``start``, the member names in ``names`` joined by ``sep``, and
+    ``end``; ``empty`` for ∅) followed by its rule's text, ``quote`` of
+    the rule's value then ``close``.  One :func:`_set_items` call writes
+    each run of consecutive witnesses with one rule, whose text is built
+    once for the run."""
+    runs = []
+    for rule, run in groupby(found, itemgetter(1)):
+        text = quote(rule.value) + close
+        masks = [s for s, _ in run]
+        runs.append(_set_items(masks, names, start, sep, end + text, empty + text, between))
+    return between.join(runs)
+
+
+def _labelling_items(
+    rows: Sequence[tuple[int, int, int]], names: Sequence[str], sep: str, parts
+) -> list[str]:
+    """Each labelling of ``rows``, its (in, out, undec) masks, as the
+    :func:`_set_texts` of its three sets, one after the other: the member
+    names in ``names`` joined by ``sep``, and each column's (start, end,
+    empty) from ``parts``."""
+    columns = [
+        _set_texts(masks, names, start, sep, end, empty)
+        for masks, (start, end, empty) in zip(zip(*rows), parts)
+    ]
+    return [i + o + u for i, o, u in zip(*columns)]
+
+
+def _attack_texts(rows: Sequence[int], sources: Sequence[str], targets: Sequence[str]) -> list[str]:
+    """The text ``sources[a] + targets[b]`` of each attack (a, b) of the
+    relation with target rows ``rows``, in canonical order."""
+    return [sources[a] + targets[b] for a, row in enumerate(rows) for b in _bits(row)]
 
 
 def _attack_parts(indent: str) -> tuple[str, str, str]:
@@ -178,6 +256,104 @@ def _attack_parts(indent: str) -> tuple[str, str, str]:
     ``{"source", "target"}`` dict at ``indent``."""
     deeper = indent + "  "
     return "{" + deeper + '"source": ', "," + deeper + '"target": ', indent + "}"
+
+
+def _family_json(family: _Family, inner: str) -> str:
+    masks, names = family
+    return _sets_items(masks, _quoted(names), inner) if masks else ""
+
+
+def _witnesses_json(witnesses: _Witnesses, inner: str) -> str:
+    found, names = witnesses
+    if not found:
+        return ""
+    deeper = inner + "  "
+    names_at = deeper + "  "
+    rule = "," + deeper + '"rule": '
+    return _witness_items(
+        found, _quoted(names), _quote, "{" + deeper + '"in_set": [' + names_at, "," + names_at,
+        deeper + "]" + rule, "{" + deeper + '"in_set": []' + rule, inner + "}", "," + inner,
+    )
+
+
+def _attack_rows_json(attacks: _AttackRows, inner: str) -> str:
+    rows, names = attacks
+    if not any(rows):
+        return ""
+    head, middle, tail = _attack_parts(inner)
+    quoted = _quoted(names)
+    sources, targets = [head + name + middle for name in quoted], [name + tail for name in quoted]
+    return ("," + inner).join(_attack_texts(rows, sources, targets))
+
+
+def _attacks_json(attacks: _Attacks, inner: str) -> str:
+    head, middle, tail = _attack_parts(inner)
+    quoted = {name: _quote(name) for name in set().union(*attacks)}
+    return ("," + inner).join([head + quoted[s] + middle + quoted[t] + tail for s, t in attacks])
+
+
+def _labellings_json(labellings: _Labellings, inner: str) -> str:
+    rows, names = labellings
+    if not rows:
+        return ""
+    deeper = inner + "  "
+    names_at = deeper + "  "
+    parts = (
+        ("{" + deeper + '"in": [' + names_at, deeper + "]," + deeper + '"out": ',
+         "{" + deeper + '"in": [],' + deeper + '"out": '),
+        ("[" + names_at, deeper + "]," + deeper + '"undec": ', "[]," + deeper + '"undec": '),
+        ("[" + names_at, deeper + "]" + inner + "}", "[]" + inner + "}"),
+    )
+    return ("," + inner).join(_labelling_items(rows, _quoted(names), "," + names_at, parts))
+
+
+def _discrepancies_json(discrepancies: _Discrepancies, inner: str) -> str:
+    deeper = inner + "  "
+    nested = deeper + "  "
+    head, middle, tail = _attack_parts(nested)
+    # every key text at this depth, once; %s takes the values' own texts
+    item = "".join([
+        "{", deeper, '"attacks": %s,', deeper, '"attack": {', deeper, '  "source": %s,',
+        deeper, '  "target": %s', deeper, '},', deeper, '"predicate_verdict": %s,',
+        deeper, '"oracle_invariant": %s,', deeper, '"rules": %s,', deeper, '"lost": %s,',
+        deeper, '"gained": %s', inner, "}",
+    ])
+    verdicts: dict[tuple, tuple[str, str]] = {}  # a handful of distinct rule tuples
+    items = []
+    for names, relation, (a, b, rules, invariant, lost, gained) in _each_disagreement(
+        discrepancies,
+        _quote,
+        lambda source, target: head + source + middle + target + tail,
+        "[" + nested, "," + nested, deeper + "]", "[]",
+    ):
+        if rules not in verdicts:
+            verdicts[rules] = (
+                _json([rule.value for rule in rules], deeper), _quote(_verdict(rules).value)
+            )
+        rule_text, verdict = verdicts[rules]
+        items.append(item % (
+            relation,
+            names[a],
+            names[b],
+            verdict,
+            "true" if invariant else "false",
+            rule_text,
+            "[" + nested + _sets_items(lost, names, nested) + deeper + "]" if lost else "[]",
+            "[" + nested + _sets_items(gained, names, nested) + deeper + "]" if gained else "[]",
+        ))
+    return ("," + inner).join(items)
+
+
+# each typed leaf's writer: the text of its list's items at the item
+# indent, joined by "," and that indent; "" for an empty list
+_LEAVES = {
+    _Family: _family_json,
+    _Witnesses: _witnesses_json,
+    _AttackRows: _attack_rows_json,
+    _Attacks: _attacks_json,
+    _Labellings: _labellings_json,
+    _Discrepancies: _discrepancies_json,
+}
 
 
 def _fmt_extensions(family: _Family) -> str:
@@ -198,18 +374,25 @@ def _int_text(value: int) -> str:
 
 def _json(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for the values the
-    CLI prints: dicts with str keys, lists, str, int, bool and None, a
-    :class:`_Family` as its list of name lists, an :class:`_Attacks` as
-    its list of dicts, and an audit's :class:`~afrob.oracle._Discrepancies`
-    as its list of disagreement dicts, written from key texts fixed at its
-    depth and from the index tuples it keeps (:func:`_each_disagreement`),
-    decoding none.  Any other type, an enum member included, raises
-    TypeError.  Every piece of the document goes into one list
-    (:func:`_write`), joined once here, so no level copies the text of the
-    levels inside it.  ``json.dumps`` runs its pure-Python encoder whenever
-    it indents; this writer leaves only the string escapes (the
-    C-accelerated ``ensure_ascii`` one) to ``json`` and writes a string
-    member without a call of its own."""
+    CLI prints: dicts with str keys, lists, str, int, bool and None, and
+    the typed leaves written from the masks and rows the commands keep
+    (:data:`_LEAVES`): a :class:`_Family` as its list of name lists, a
+    :class:`_Witnesses` as its list of ``{"in_set", "rule"}`` dicts, an
+    :class:`_AttackRows` and an :class:`_Attacks` as their lists of
+    ``{"source", "target"}`` dicts, a :class:`_Labellings` as its list of
+    ``{"in", "out", "undec"}`` dicts, and an audit's
+    :class:`~afrob.oracle._Discrepancies` as its list of disagreement
+    dicts, decoding none.  Each leaf fills key texts fixed at its depth
+    with its names' texts, which the mask leaves share through
+    :func:`_quoted`, so a document's leaves quote each name once (an audit:
+    once per argument order).  Any other type, an enum member included,
+    raises TypeError.
+    Every piece of the document goes into one list (:func:`_write`), joined
+    once here, so no level copies the text of the levels inside it.
+    ``json.dumps`` runs its pure-Python encoder whenever it indents; this
+    writer leaves only the string escapes (the C-accelerated
+    ``ensure_ascii`` one) to ``json`` and writes a string member without a
+    call of its own."""
     out: list[str] = []
     _write(value, indent, out)
     return "".join(out)
@@ -217,8 +400,8 @@ def _json(value, indent: str = "\n") -> str:
 
 def _write(value, indent: str, out: list[str]) -> None:
     """Append the pieces of :func:`_json`'s text of ``value`` at ``indent``
-    to ``out``.  A family, an attack list and an audit's disagreements
-    each append their items' text, built in one join."""
+    to ``out``.  A typed leaf appends the pieces its writer in
+    :data:`_LEAVES` returns: its items' text, built in one join."""
     kind = type(value)
     if kind is str:
         out.append(_quote(value))
@@ -252,21 +435,11 @@ def _write(value, indent: str, out: list[str]) -> None:
             lead = sep
         out.append(indent + "}")
         return
-    if kind is _Family:
-        if value.masks:
-            out += _family_json(value.masks, [_quote(name) for name in value.names], indent)
-        else:
-            out.append("[]")
-        return
-    if kind is _Attacks:
-        if not value:
-            out.append("[]")
-            return
-        head, middle, tail = _attack_parts(inner)
-        items = [head + _quote(source) + middle + _quote(target) + tail for source, target in value]
-        out += ("[" + inner, ("," + inner).join(items), indent + "]")
-        return
-    if value is None:
+    leaf = _LEAVES.get(kind)
+    if leaf is not None:
+        items = leaf(value, inner)
+        out += ("[" + inner, items, indent + "]") if items else ("[]",)
+    elif value is None:
         out.append("null")
     elif value is True:
         out.append("true")
@@ -274,44 +447,6 @@ def _write(value, indent: str, out: list[str]) -> None:
         out.append("false")
     elif kind is int:
         out.append(_int_text(value))
-    elif kind is _Discrepancies:
-        if not value:
-            out.append("[]")
-            return
-        deeper = inner + "  "
-        nested = deeper + "  "
-        head, middle, tail = _attack_parts(nested)
-        # every key text at this depth, once; %s takes the values' own texts
-        item = "".join([
-            "{", deeper, '"attacks": %s,', deeper, '"attack": {', deeper, '  "source": %s,',
-            deeper, '  "target": %s', deeper, '},', deeper, '"predicate_verdict": %s,',
-            deeper, '"oracle_invariant": %s,', deeper, '"rules": %s,', deeper, '"lost": %s,',
-            deeper, '"gained": %s', inner, "}",
-        ])
-        verdicts: dict[tuple, tuple[str, str]] = {}  # a handful of distinct rule tuples
-        items = []
-        for names, relation, (a, b, rules, invariant, lost, gained) in _each_disagreement(
-            value,
-            _quote,
-            lambda source, target: head + source + middle + target + tail,
-            "[" + nested, "," + nested, deeper + "]", "[]",
-        ):
-            if rules not in verdicts:
-                verdicts[rules] = (
-                    _json([rule.value for rule in rules], deeper), _quote(_verdict(rules).value)
-                )
-            rule_text, verdict = verdicts[rules]
-            items.append(item % (
-                relation,
-                names[a],
-                names[b],
-                verdict,
-                "true" if invariant else "false",
-                rule_text,
-                "".join(_family_json(lost, names, deeper)) if lost else "[]",
-                "".join(_family_json(gained, names, deeper)) if gained else "[]",
-            ))
-        out += ("[" + inner, ("," + inner).join(items), indent + "]")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -329,25 +464,14 @@ def _extensions_text(result: dict) -> list[str]:
 
 def _cmd_labellings(args) -> dict:
     af = _load(args.input)
-    names = af.sorted_arguments
-    return {
-        "semantics": args.semantics,
-        "labellings": [
-            {
-                "in": [names[i] for i in _bits(in_set)],
-                "out": [names[i] for i in _bits(out)],
-                "undec": [names[i] for i in _bits(undec)],
-            }
-            for in_set, out, undec in labellings_for(af, args.semantics)
-        ],
-    }
+    labellings = _Labellings(labellings_for(af, args.semantics), af.sorted_arguments)
+    return {"semantics": args.semantics, "labellings": labellings}
 
 
 def _labellings_text(result: dict) -> list[str]:
-    return [
-        f"in={_fmt_set(l['in'])} out={_fmt_set(l['out'])} undec={_fmt_set(l['undec'])}"
-        for l in result["labellings"]
-    ]
+    # each line's three columns: (start, end, empty)
+    columns = (("in={", "} out=", "in={} out="), ("{", "} undec=", "{} undec="), ("{", "}", "{}"))
+    return _labelling_items(*result["labellings"], ",", columns)
 
 
 def _cmd_check_attack(args) -> dict:
@@ -361,9 +485,7 @@ def _cmd_check_attack(args) -> dict:
         "attack": {"source": names[a], "target": names[b]},
         "semantics": args.semantics,
         "verdict": verdict.value,
-        "witnesses": [
-            {"in_set": [names[i] for i in _bits(s)], "rule": rule.value} for s, rule in found
-        ],
+        "witnesses": _Witnesses(found, names),
     }
     if args.oracle:
         # both in canonical order, as enumerated
@@ -383,7 +505,11 @@ def _check_attack_text(result: dict) -> list[str]:
         f"semantics: {result['semantics']}",
         f"verdict: {result['verdict']}",
     ]
-    lines += [f"witness: in={_fmt_set(w['in_set'])} rule={w['rule']}" for w in result["witnesses"]]
+    found, names = result["witnesses"]
+    if found:
+        lines.append(_witness_items(
+            found, names, str, "witness: in={", ",", "} rule=", "witness: in={} rule=", "", "\n"
+        ))
     if oracle := result.get("oracle"):
         lines.append(
             f"oracle: {'invariant' if oracle['invariant'] else 'changed'}"
@@ -396,20 +522,21 @@ def _cmd_invariant_attacks(args) -> dict:
     af = _load(args.input)
     state = _enumerate(af).state
     rows = state.invariant_rows(args.semantics)
-    found = _Attacks(_attacks_in(af.sorted_arguments, rows))
-    result = {"semantics": args.semantics, "attacks": found}
+    result = {"semantics": args.semantics, "attacks": _AttackRows(rows, af.sorted_arguments)}
     if args.oracle:
         # the candidates the rules call invariant that Dung's delta changes
         changed = state.changed_rows(args.semantics)
         wrong = [row & changed_row for row, changed_row in zip(rows, changed)]
-        result["oracle_disagreements"] = _Attacks(_attacks_in(af.sorted_arguments, wrong))
+        result["oracle_disagreements"] = _AttackRows(wrong, af.sorted_arguments)
     return result
 
 
 def _invariant_attacks_text(result: dict) -> list[str]:
-    lines = [f"{source} -> {target}" for source, target in result["attacks"]]
+    rows, names = result["attacks"]
+    lines = _attack_texts(rows, [name + " -> " for name in names], names)
     if "oracle_disagreements" in result:
-        lines.append(f"oracle disagreements: {len(result['oracle_disagreements'])}")
+        wrong = sum(map(int.bit_count, result["oracle_disagreements"].rows))
+        lines.append(f"oracle disagreements: {wrong}")
     return lines
 
 

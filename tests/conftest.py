@@ -2,6 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 import afrob.apx
+import afrob.cli
 import afrob.semantics
 from afrob import ArgumentationFramework
 
@@ -9,10 +10,12 @@ NAMES = ("a", "b", "c", "d")
 
 
 def clear_caches():
-    """Forget every parsed document and extension record (with its
-    relation's invariance state) the process has cached."""
+    """Forget every parsed document, extension record (with its
+    relation's invariance state) and quoted argument order the process has
+    cached."""
     afrob.apx.parse_apx.cache_clear()
     afrob.semantics._enumerate.cache_clear()
+    afrob.cli._quoted.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -538,6 +538,79 @@ MUTANTS = (
         ("tests/test_cli.py::test_family_writer_tables_match_per_set_spelling",),
     ),
     Mutant(
+        # every run after the first prints the first run's rule
+        "witness-runs-write-the-first-rule",
+        "src/afrob/cli.py",
+        "    for rule, run in groupby(found, itemgetter(1)):\n        text = quote(rule.value) + close\n",
+        "    text = quote(found[0][1].value) + close\n    for rule, run in groupby(found, itemgetter(1)):\n",
+        (
+            "tests/test_cli.py::test_json_writer_writes_attacks_as_json_dumps_of_their_dicts",
+            "tests/test_cli.py::test_long_witness_and_labelling_lists_print_the_reference",
+        ),
+    ),
+    Mutant(
+        "witness-empty-in-set-written-open",
+        "src/afrob/cli.py",
+        """deeper + "]" + rule, "{" + deeper + '"in_set": []' + rule, inner""",
+        """deeper + "]" + rule, "{" + deeper + '"in_set": [' + deeper + ']' + rule, inner""",
+        ("tests/test_cli.py::test_json_writer_writes_attacks_as_json_dumps_of_their_dicts",),
+    ),
+    Mutant(
+        "labelling-empty-out-drops-its-comma",
+        "src/afrob/cli.py",
+        """'"undec": ', "[]," + deeper + '"undec": '),""",
+        """'"undec": ', "[]" + deeper + '"undec": '),""",
+        (
+            "tests/test_cli.py::"
+            "test_labellings_and_invariant_attacks_print_the_reference_on_every_small_relation",
+        ),
+    ),
+    Mutant(
+        "labelling-text-empty-out-runs-into-undec",
+        "src/afrob/cli.py",
+        '("{", "} undec=", "{} undec=")',
+        '("{", "} undec=", "{}undec=")',
+        (
+            "tests/test_cli.py::"
+            "test_labellings_and_invariant_attacks_print_the_reference_on_every_small_relation",
+        ),
+    ),
+    Mutant(
+        "attack-rows-quote-the-sorted-names",
+        "src/afrob/cli.py",
+        "    quoted = _quoted(names)\n    sources, targets = ",
+        "    quoted = _quoted(tuple(sorted(names)))\n    sources, targets = ",
+        ("tests/test_cli.py::test_json_writer_writes_attacks_as_json_dumps_of_their_dicts",),
+    ),
+    Mutant(
+        # a later argument order of as many names prints the first one's
+        "quoted-names-kept-per-count",
+        "src/afrob/cli.py",
+        "    return tuple(map(_quote, names))\n",
+        "    return tuple(map(_quote, _quoted.__dict__.setdefault(len(names), names)))\n",
+        ("tests/test_cli.py::test_json_writer_writes_attacks_as_json_dumps_of_their_dicts",),
+    ),
+    Mutant(
+        "attack-rows-written-reversed",
+        "src/afrob/cli.py",
+        "return [sources[a] + targets[b] for a, row",
+        "return [sources[b] + targets[a] for a, row",
+        (
+            "tests/test_cli.py::"
+            "test_labellings_and_invariant_attacks_print_the_reference_on_every_small_relation",
+        ),
+    ),
+    Mutant(
+        "oracle-disagreement-count-counts-sources",
+        "src/afrob/cli.py",
+        'wrong = sum(map(int.bit_count, result["oracle_disagreements"].rows))',
+        'wrong = len(result["oracle_disagreements"].rows)',
+        (
+            "tests/test_cli.py::"
+            "test_labellings_and_invariant_attacks_print_the_reference_on_every_small_relation",
+        ),
+    ),
+    Mutant(
         "stdout-closed-at-start-unchecked",
         "src/afrob/cli.py",
         "        if sys.stdout is None:  # fd 1 was closed at start\n",

@@ -10,7 +10,10 @@ public API: :func:`candidate_attacks`, :func:`emit_apx` and
 both extension sets; and :func:`verify_witness` and
 :func:`greedy_robustness`, which replay a search one framework per step;
 and :func:`audit_result` and :func:`audit_lines`, the ``afrob audit``
-output as plain dicts and lists, the reference its writer is pinned to.
+output as plain dicts and lists, the reference its writer is pinned to,
+as :func:`check_attack_result` and :func:`check_attack_lines` are for
+``afrob check-attack`` and :func:`labellings_result` and
+:func:`labellings_lines` for ``afrob labellings``.
 Two read a relation's state (``afrob.invariance._State``):
 :func:`rule_row_witnesses`, the rules' row form, which the package ran
 before it tested one candidate's bit, and which ``_State.witnesses`` is
@@ -28,8 +31,10 @@ from afrob import (
     ParseError,
     RobustnessResult,
     UndeclaredArgument,
+    classify_attack,
     extension_difference,
     invariant_attacks,
+    labellings_for,
 )
 from afrob.framework import _bits
 from afrob.invariance import _DELETION_RULES, Rule, _defending_undec, _self_defense_row
@@ -528,6 +533,74 @@ def audit_lines(result):
             f" lost={family(d['lost'])} gained={family(d['gained'])}"
         )
     return lines
+
+
+def _set_text(names):
+    return "{" + ",".join(names) + "}"
+
+
+def check_attack_result(af, attack, semantics, preferred_only=False, oracle=False):
+    """The ``afrob/1`` result of ``afrob check-attack`` adding ``attack``,
+    as the dicts, lists, strings and bools that ``json.dumps`` writes: one
+    dict per witness of ``classify_attack``, in its order, with the in-set's
+    names sorted, and under ``oracle`` the sets :func:`extension_changes`
+    finds lost and gained, sorted by :func:`extension_sort_key`."""
+    found = classify_attack(af, attack, semantics, preferred_only)
+    result = {
+        "attack": {"source": attack[0], "target": attack[1]},
+        "semantics": semantics,
+        "verdict": found.verdict.value,
+        "witnesses": [{"in_set": sorted(w.in_set), "rule": w.rule.value} for w in found.witnesses],
+    }
+    if oracle:
+        lost, gained = extension_changes(af, attack, semantics)
+        result["oracle"] = {
+            "invariant": not lost and not gained,
+            "lost": [sorted(e) for e in sorted(lost, key=extension_sort_key)],
+            "gained": [sorted(e) for e in sorted(gained, key=extension_sort_key)],
+        }
+    return result
+
+
+def check_attack_lines(result):
+    """The text lines of ``afrob check-attack``, rendered from
+    :func:`check_attack_result`."""
+    attack = result["attack"]
+    lines = [
+        f"attack: {attack['source']} -> {attack['target']}",
+        f"semantics: {result['semantics']}",
+        f"verdict: {result['verdict']}",
+    ]
+    lines += [f"witness: in={_set_text(w['in_set'])} rule={w['rule']}" for w in result["witnesses"]]
+    if "oracle" in result:
+        oracle = result["oracle"]
+        lost = ",".join(map(_set_text, oracle["lost"])) or "-"
+        gained = ",".join(map(_set_text, oracle["gained"])) or "-"
+        verdict = "invariant" if oracle["invariant"] else "changed"
+        lines.append(f"oracle: {verdict} lost={lost} gained={gained}")
+    return lines
+
+
+def labellings_result(af, semantics):
+    """The ``afrob/1`` result of ``afrob labellings``: one dict per
+    labelling of ``labellings_for``, in its order, decoded by
+    :func:`labelling_names`, each set's names sorted."""
+    labellings = labelling_names(af, labellings_for(af, semantics))
+    return {
+        "semantics": semantics,
+        "labellings": [
+            {"in": sorted(i), "out": sorted(o), "undec": sorted(u)} for i, o, u in labellings
+        ],
+    }
+
+
+def labellings_lines(result):
+    """The text lines of ``afrob labellings``, rendered from
+    :func:`labellings_result`."""
+    return [
+        f"in={_set_text(l['in'])} out={_set_text(l['out'])} undec={_set_text(l['undec'])}"
+        for l in result["labellings"]
+    ]
 
 
 _SPACE = re.compile(r"\s*")

@@ -16,8 +16,11 @@ import afrob
 from afrob import Semantics, exhaustive_audit, extensions
 from afrob.cli import (
     _COMMANDS,
+    _AttackRows,
     _Attacks,
     _Family,
+    _Labellings,
+    _Witnesses,
     _audit_result,
     _audit_text,
     _json,
@@ -30,7 +33,18 @@ from afrob.cli import (
 from afrob.framework import Attack
 from afrob.oracle import canonical_names, framework_from_mask
 from conftest import clear_caches, mutual_pairs
-from oracles import audit_lines, audit_result, emit_apx, extension_changes, extension_sort_key
+from oracles import (
+    audit_lines,
+    audit_result,
+    check_attack_lines,
+    check_attack_result,
+    emit_apx,
+    extension_changes,
+    extension_sort_key,
+    labellings_lines,
+    labellings_result,
+    oracle_invariant,
+)
 
 G3_APX = "arg(1).\narg(2).\narg(3).\narg(4).\natt(1,2).\natt(2,3).\n"
 
@@ -417,6 +431,128 @@ def test_audit_prints_the_reference_result(capsys, semantics, options):
     code, out, err = run(capsys, "audit", *options, "--semantics", semantics)
     assert (code, err) == (0, "")
     assert out == "\n".join(audit_lines(reference)) + "\n"
+
+
+@pytest.fixture
+def printed(capsys, monkeypatch):
+    # the CLI's stdout for an argv run on a framework held in memory, as if
+    # read from --input (nothing is parsed, so a test can run thousands)
+    held = []
+    monkeypatch.setattr(afrob.cli, "_load", lambda path: held[-1])
+
+    def printed(af, *argv):
+        held[:] = [af]
+        code, out, err = run(capsys, *argv, "--input", "-")
+        assert (code, err) == (0, ""), argv
+        return out
+
+    return printed
+
+
+def _document(command, result):
+    return json.dumps({"schema": "afrob/1", "command": command, "result": result}, indent=2) + "\n"
+
+
+def _text(lines):
+    return "".join(line + "\n" for line in lines)
+
+
+# check-attack's option sets per semantics (cf refuses --preferred-only)
+_CHECK_OPTIONS = (
+    ("cf", ()), ("cf", ("--oracle",)),
+    ("adm", ()), ("adm", ("--oracle",)),
+    ("adm", ("--preferred-only",)), ("adm", ("--preferred-only", "--oracle")),
+)
+
+
+def _assert_check_attack_prints_the_reference(printed, af, source, target):
+    for semantics, options in _CHECK_OPTIONS:
+        reference = check_attack_result(
+            af, (source, target), semantics, "--preferred-only" in options, "--oracle" in options
+        )
+        argv = ("check-attack", "--from", source, "--to", target, "--semantics", semantics, *options)
+        assert printed(af, *argv, "--format", "json") == _document("check-attack", reference)
+        assert printed(af, *argv) == _text(check_attack_lines(reference))
+
+
+def _assert_labellings_print_the_reference(printed, af):
+    for semantics in ("com", "prf", "sst", "stb", "gde"):
+        reference = labellings_result(af, semantics)
+        argv = ("labellings", "--semantics", semantics)
+        assert printed(af, *argv, "--format", "json") == _document("labellings", reference)
+        assert printed(af, *argv) == _text(labellings_lines(reference))
+
+
+def _assert_invariant_attacks_print_the_reference(printed, af):
+    for semantics in ("cf", "adm"):
+        found = afrob.invariant_attacks(af, semantics)
+        wrong = [attack for attack in found if not oracle_invariant(af, attack, semantics)]
+        attacks = [{"source": s, "target": t} for s, t in found]
+        argv = ("invariant-attacks", "--semantics", semantics)
+        reference = {"semantics": semantics, "attacks": attacks}
+        assert printed(af, *argv, "--format", "json") == _document("invariant-attacks", reference)
+        assert printed(af, *argv) == _text(f"{s} -> {t}" for s, t in found)
+        reference["oracle_disagreements"] = [{"source": s, "target": t} for s, t in wrong]
+        lines = [*(f"{s} -> {t}" for s, t in found), f"oracle disagreements: {len(wrong)}"]
+        assert printed(af, *argv, "--oracle", "--format", "json") == _document(
+            "invariant-attacks", reference
+        )
+        assert printed(af, *argv, "--oracle") == _text(lines)
+
+
+def test_check_attack_prints_the_reference_on_every_small_relation(printed):
+    # every candidate, present attacks included, of every relation of up to
+    # three arguments, with and without --preferred-only and --oracle
+    for n in range(4):
+        names = canonical_names(n)
+        for mask in range(1 << n * n):
+            af = framework_from_mask(names, mask)
+            for source in names:
+                for target in names:
+                    _assert_check_attack_prints_the_reference(printed, af, source, target)
+
+
+def test_labellings_and_invariant_attacks_print_the_reference_on_every_small_relation(printed):
+    for n in range(4):
+        names = canonical_names(n)
+        for mask in range(1 << n * n):
+            af = framework_from_mask(names, mask)
+            _assert_labellings_print_the_reference(printed, af)
+            _assert_invariant_attacks_print_the_reference(printed, af)
+
+
+def test_witnesses_labellings_and_attack_lists_print_the_reference_when_seeded(printed):
+    rng = random.Random(57)
+    for af in _seeded_frameworks():
+        names = af.sorted_arguments
+        if not 4 <= len(names) <= 9:
+            continue
+        _assert_labellings_print_the_reference(printed, af)
+        _assert_invariant_attacks_print_the_reference(printed, af)
+        for _ in range(3):
+            _assert_check_attack_prints_the_reference(printed, af, rng.choice(names), rng.choice(names))
+
+
+def test_long_witness_and_labelling_lists_print_the_reference(printed, monkeypatch):
+    # past the family writer's table threshold: one run of 243 ND-in-in
+    # witnesses (the self-attack), runs of each rule split by the others,
+    # and 729 com labellings, the grounded one with an empty in-set; the
+    # table route is the one that builds _tails
+    tables = []
+    tails = afrob.cli._tails
+    monkeypatch.setattr(afrob.cli, "_tails", lambda *args: tables.append(1) or tails(*args))
+    af = mutual_pairs(6)
+    _assert_check_attack_prints_the_reference(printed, af, "p0", "p0")
+    assert tables
+    _assert_check_attack_prints_the_reference(printed, af, "p0", "p10")
+    rules = [w["rule"] for w in check_attack_result(af, ("p0", "p10"), "adm")["witnesses"]]
+    runs = [rule for i, rule in enumerate(rules) if rules[i - 1 : i] != [rule]]
+    assert len(runs) > len(set(runs))
+    before = len(tables)
+    _assert_labellings_print_the_reference(printed, af)
+    assert len(tables) > before
+    first = labellings_result(af, "com")["labellings"][0]
+    assert first == {"in": [], "out": [], "undec": sorted(af.sorted_arguments)}
 
 
 def test_audit_text_reports_disagreements(capsys):
@@ -1466,16 +1602,14 @@ def test_json_writer_matches_json_dumps_on_the_goldens():
 
 
 _ESCAPED_TEXT = st.text(st.characters(categories=["Cc", "Cs", "Po", "Lo", "So"]))
-_JSON_VALUES = st.recursive(
+_JSON_SCALARS = (
     st.none()
     | st.booleans()
     | st.integers()
     | st.integers(min_value=2**64)
     | st.integers(max_value=-(2**64))
     | st.text()
-    | _ESCAPED_TEXT,
-    lambda children: st.lists(children) | st.dictionaries(st.text() | _ESCAPED_TEXT, children),
-    max_leaves=40,
+    | _ESCAPED_TEXT
 )
 
 
@@ -1566,21 +1700,151 @@ def test_json_copies_a_large_family_once():
 
 
 def test_json_writer_writes_attacks_as_json_dumps_of_their_dicts():
-    names = ["a", '"q"', "back\\slash", "\x00\n", "caf\u00e9", "\ud800", ""]
+    # the attack lists, witnesses and labellings over names that need
+    # escapes, in no sorted order; the typed leaves' rows list each
+    # candidate (a, b), the whole relation and its reverse
+    names = ("a", '"q"', "back\\slash", "\x00\n", "caf\u00e9", "\ud800", "")
+    n = len(names)
     attacks = [Attack(s, t) for s in names for t in names[::-1]]
-    for found in ([], attacks[:1], attacks):
-        dicts = [{"source": s, "target": t} for s, t in found]
+    rules = list(afrob.Rule)
+    leaves = [
+        (_Attacks(found), [{"source": s, "target": t} for s, t in found])
+        for found in ([], attacks[:1], attacks)
+    ]
+    for names in names, names[::-1]:  # two argument orders, one after the other
+        leaves += _leaves_over(names, rules)
+    for leaf, plain in leaves:
         for value, expected in (
-            (_Attacks(found), dicts),
-            ({"attacks": _Attacks(found), "n": 1}, {"attacks": dicts, "n": 1}),
-            ([{"a": [_Attacks(found)]}, _Attacks(found)], [{"a": [dicts]}, dicts]),
+            (leaf, plain),
+            ({"attacks": leaf, "n": 1}, {"attacks": plain, "n": 1}),
+            ([{"a": [leaf]}, leaf], [{"a": [plain]}, plain]),
         ):
             assert _json(value) == json.dumps(expected, indent=2)
 
 
-@given(_JSON_VALUES)
-def test_json_writer_matches_json_dumps(value):
-    assert _json(value) == json.dumps(value, indent=2)
+def _leaves_over(names, rules):
+    n = len(names)
+    leaves = []
+    for rows in ([0] * n, [1 << n - 1] + [0] * (n - 1), [(1 << n) - 1] * n, [1 << i for i in range(n)]):
+        rows_plain = [
+            {"source": names[a], "target": target}
+            for a, row in enumerate(rows) for target in _decoded(names, row)
+        ]
+        leaves.append((_AttackRows(rows, names), rows_plain))
+    # every set in order, then runs of one rule split by another, ∅ among them
+    found = [(m, rules[m % 3 // 2]) for m in range(1 << n)] + [(0, rules[-1]), (5, rules[0])]
+    for witnesses in ([], found[:1], found[:3], found):
+        plain = [{"in_set": _decoded(names, s), "rule": rule.value} for s, rule in witnesses]
+        leaves.append((_Witnesses(witnesses, names), plain))
+    labellings = [(m, m >> 2 & ~m, ~m & 0x5A) for m in range(1 << n)]
+    for rows in ([], labellings[:1], labellings):
+        plain = [
+            {"in": _decoded(names, i), "out": _decoded(names, o), "undec": _decoded(names, u)}
+            for i, o, u in rows
+        ]
+        leaves.append((_Labellings(rows, names), plain))
+    return leaves
+
+
+def test_documents_quote_each_name_once(capsys, monkeypatch, tmp_path):
+    # the attack lists of invariant-attacks --oracle, the labellings, and a
+    # check-attack's witnesses and lost sets all take the names' one quoting
+    names = [f"p{i}" for i in range(6)]
+    attacks = [(names[i], names[i ^ 1]) for i in range(4)] + [("p4", "p4"), ("p5", "p0")]
+    af = afrob.ArgumentationFramework(names, attacks)
+    path = tmp_path / "pairs.apx"
+    path.write_text(emit_apx(af))
+    quoted = []
+    monkeypatch.setattr(afrob.cli, "_quote", lambda text: quoted.append(text) or json.dumps(text))
+    for argv, key in (
+        (("invariant-attacks", "--semantics", "adm", "--oracle"), "attacks"),
+        (("labellings", "--semantics", "com"), "labellings"),
+        (("check-attack", "--semantics", "adm", "--from", "p0", "--to", "p2", "--oracle"), "witnesses"),
+    ):
+        payload = run_json(capsys, *argv, "--input", str(path), "--format", "json")
+        assert payload["result"][key]
+    # check-attack also prints its attack's two names in a plain dict
+    printed = sorted(name for name in quoted if name in af.sorted_arguments)
+    assert printed == sorted([*af.sorted_arguments, "p0", "p2"])
+
+
+def test_json_copies_large_labelling_and_witness_lists_once():
+    # as a family is: a writer that copies the items' text again level by
+    # level peaks above 3x its output
+    af = mutual_pairs(8)
+    record = afrob.semantics._enumerate(af)
+    _, found = afrob.invariance._classify(record, 0, 14, "adm")
+    for name, leaf in (
+        ("labellings", _Labellings(afrob.labellings_for(af, "com"), af.sorted_arguments)),
+        ("witnesses", _Witnesses(found, af.sorted_arguments)),
+    ):
+        document = {"schema": "afrob/1", "command": name, "result": {name: leaf}}
+        tracemalloc.start()
+        try:
+            text = _json(document)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(leaf[0]) > 3000
+        assert peak < 3 * len(text), name
+
+
+def _decoded(names, mask):
+    return [name for i, name in enumerate(names) if mask >> i & 1]
+
+
+@st.composite
+def _typed_leaves(draw):
+    # a typed leaf over names in any order (not sorted), and the plain
+    # value json.dumps writes for it
+    names = tuple(draw(st.lists(st.text(max_size=3) | _ESCAPED_TEXT, unique=True, max_size=6)))
+    masks = st.integers(0, (1 << len(names)) - 1)
+    sets = st.lists(masks)
+    kind = draw(st.sampled_from([_Family, _Witnesses, _AttackRows, _Labellings]))
+    if kind is _Family:
+        found = draw(sets)
+        return _Family(found, names), [_decoded(names, m) for m in found]
+    if kind is _Witnesses:
+        found = draw(st.lists(st.tuples(masks, st.sampled_from(list(afrob.Rule)))))
+        plain = [{"in_set": _decoded(names, s), "rule": rule.value} for s, rule in found]
+        return _Witnesses(found, names), plain
+    if kind is _AttackRows:
+        rows = draw(st.lists(masks, min_size=len(names), max_size=len(names)))
+        plain = [
+            {"source": names[a], "target": target}
+            for a, row in enumerate(rows) for target in _decoded(names, row)
+        ]
+        return _AttackRows(rows, names), plain
+    rows = draw(st.lists(st.tuples(masks, masks, masks)))
+    plain = [
+        {"in": _decoded(names, i), "out": _decoded(names, o), "undec": _decoded(names, u)}
+        for i, o, u in rows
+    ]
+    return _Labellings(rows, names), plain
+
+
+def _paired_lists(children):
+    return [value for value, _ in children], [plain for _, plain in children]
+
+
+def _paired_dicts(children):
+    return {k: value for k, (value, _) in children.items()}, {k: p for k, (_, p) in children.items()}
+
+
+# (value, plain) pairs: the plain values as themselves, the typed leaves as
+# the lists they stand for, nested in lists and dicts
+_JSON_PAIRS = st.recursive(
+    _JSON_SCALARS.map(lambda value: (value, value)) | _typed_leaves(),
+    lambda children: st.lists(children).map(_paired_lists)
+    | st.dictionaries(st.text() | _ESCAPED_TEXT, children).map(_paired_dicts),
+    max_leaves=40,
+)
+
+
+@given(_JSON_PAIRS)
+def test_json_writer_matches_json_dumps(pair):
+    value, plain = pair
+    assert _json(value) == json.dumps(plain, indent=2)
 
 
 @pytest.mark.parametrize(
@@ -1594,7 +1858,10 @@ def test_json_writer_escapes_strings_as_json_dumps(text):
 
 @pytest.mark.parametrize(
     "value",
-    [1.5, {"a"}, {1: "a"}, ["a", (1, 2)], Semantics.ADMISSIBLE, afrob.Verdict.INVARIANT],
+    [
+        1.5, {"a"}, {1: "a"}, ["a", (1, 2)], Semantics.ADMISSIBLE, afrob.Verdict.INVARIANT,
+        afrob.Rule.ND_IN_IN, Attack("a", "b"), afrob.Witness(frozenset(), afrob.Rule.ND_IN_IN),
+    ],
 )
 def test_json_writer_refuses_other_types(value):
     with pytest.raises(TypeError):

@@ -308,6 +308,8 @@ def _labellings_json(labellings: _Labellings, inner: str) -> str:
 
 
 def _discrepancies_json(discrepancies: _Discrepancies, inner: str) -> str:
+    if not discrepancies:  # every cf audit
+        return ""
     deeper = inner + "  "
     nested = deeper + "  "
     head, middle, tail = _attack_parts(nested)
@@ -435,11 +437,7 @@ def _write(value, indent: str, out: list[str]) -> None:
             lead = sep
         out.append(indent + "}")
         return
-    leaf = _LEAVES.get(kind)
-    if leaf is not None:
-        items = leaf(value, inner)
-        out += ("[" + inner, items, indent + "]") if items else ("[]",)
-    elif value is None:
+    if value is None:
         out.append("null")
     elif value is True:
         out.append("true")
@@ -447,6 +445,9 @@ def _write(value, indent: str, out: list[str]) -> None:
         out.append("false")
     elif kind is int:
         out.append(_int_text(value))
+    elif (leaf := _LEAVES.get(kind)) is not None:
+        items = leaf(value, inner)
+        out += ("[" + inner, items, indent + "]") if items else ("[]",)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
